@@ -51,6 +51,10 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "obda_query_latency_seconds_bucket",
     "obda_stage_seconds_total",
     "obda_plan_cache_hits_total",
+    "obda_fragment_memo_hits_total",
+    "obda_fragment_memo_misses_total",
+    "obda_fragment_memo_entries",
+    "obda_constraint_mining_seconds_bucket",
     "obda_txn_commits_total",
     "obda_wal_appends_total",
     "obda_connections_admitted_total",

@@ -5,14 +5,14 @@ use std::time::Duration;
 
 use obda_dllite::constraints::ConstraintSet;
 use obda_dllite::{Dependencies, TBox};
-use obda_query::{minimize_ucq, FolQuery, CQ};
-use obda_reform::{perfect_ref_pruned, prune_fol, PruneStats};
+use obda_query::{FolQuery, CQ, UCQ};
+use obda_reform::{prune_fol, PruneStats};
 
 use crate::cost::CostEstimator;
 use crate::cover::Cover;
-use crate::edl::edl;
-use crate::gdl::{gdl, GdlConfig, SearchOutcome};
-use crate::reform_cache::ReformCache;
+use crate::edl::edl_in;
+use crate::gdl::{gdl_in, GdlConfig, SearchOutcome};
+use crate::reform_cache::{reformulate_fragment, FragmentMemo, FragmentStats, ReformCache};
 use crate::safety::{root_cover, QueryAnalysis};
 
 /// Which reformulation to produce — the four bars of Figure 2 plus EDL
@@ -48,6 +48,10 @@ pub struct Chosen {
     /// Constraint-pruning statistics, when a [`ConstraintSet`] was
     /// supplied (see [`choose_reformulation_constrained`]).
     pub pruned: Option<PruneStats>,
+    /// How many fragment reformulations a [`FragmentMemo`] supplied and
+    /// how many PerfectRef computed (the whole query counts as one
+    /// fragment under the plain UCQ strategies).
+    pub fragments: FragmentStats,
 }
 
 /// Compact search statistics (mirrors [`SearchOutcome`]).
@@ -86,7 +90,7 @@ pub fn choose_reformulation(
     estimator: &dyn CostEstimator,
     strategy: &Strategy,
 ) -> Chosen {
-    choose_reformulation_constrained(q, tbox, deps, estimator, strategy, None)
+    choose_reformulation_memoised(q, tbox, deps, estimator, strategy, None, None)
 }
 
 /// [`choose_reformulation`] with an optional snapshot [`ConstraintSet`]:
@@ -103,7 +107,26 @@ pub fn choose_reformulation_constrained(
     strategy: &Strategy,
     constraints: Option<&ConstraintSet>,
 ) -> Chosen {
-    let mut chosen = choose_unpruned(q, tbox, deps, estimator, strategy);
+    choose_reformulation_memoised(q, tbox, deps, estimator, strategy, constraints, None)
+}
+
+/// The one compilation path behind every `choose_*` function, split by
+/// what each half depends on. Fragment reformulation depends on the TBox
+/// alone: with a `memo` (which must belong to `tbox`) every strategy
+/// takes its PerfectRef results from it and adds the ones it had to
+/// compute. Everything data-dependent — cover choice from `estimator`'s
+/// statistics, pruning by `constraints` — is recomputed on every call,
+/// so the result equals a memo-less call's.
+pub fn choose_reformulation_memoised(
+    q: &CQ,
+    tbox: &TBox,
+    deps: &Dependencies,
+    estimator: &dyn CostEstimator,
+    strategy: &Strategy,
+    constraints: Option<&ConstraintSet>,
+    memo: Option<&FragmentMemo>,
+) -> Chosen {
+    let mut chosen = choose_unpruned(q, tbox, deps, estimator, strategy, memo);
     if let Some(cons) = constraints {
         let (fol, stats) = prune_fol(&chosen.fol, cons);
         chosen.fol = fol;
@@ -118,35 +141,37 @@ fn choose_unpruned(
     deps: &Dependencies,
     estimator: &dyn CostEstimator,
     strategy: &Strategy,
+    memo: Option<&FragmentMemo>,
 ) -> Chosen {
+    // The whole query as a single fragment (the plain UCQ strategies).
+    let whole = |minimize: bool, shape: fn(UCQ) -> FolQuery| {
+        let mut fragments = FragmentStats::default();
+        let ucq = reformulate_fragment(q, tbox, minimize, memo, &mut fragments);
+        Chosen {
+            fol: shape(UCQ::clone(&ucq)),
+            cover: None,
+            est_cost: None,
+            search: None,
+            pruned: None,
+            fragments,
+        }
+    };
+    let searched = |out: SearchOutcome, fragments: FragmentStats| Chosen {
+        search: Some(SearchStats::from(&out)),
+        fol: FolQuery::Jucq(out.jucq),
+        cover: Some(out.cover),
+        est_cost: Some(out.cost),
+        pruned: None,
+        fragments,
+    };
     match strategy {
-        Strategy::Ucq => Chosen {
-            fol: FolQuery::Ucq(minimize_ucq(&perfect_ref_pruned(q, tbox))),
-            cover: None,
-            est_cost: None,
-            search: None,
-            pruned: None,
-        },
-        Strategy::RawUcq => Chosen {
-            fol: FolQuery::Ucq(perfect_ref_pruned(q, tbox)),
-            cover: None,
-            est_cost: None,
-            search: None,
-            pruned: None,
-        },
-        Strategy::Uscq => Chosen {
-            fol: FolQuery::Uscq(obda_reform::factorize_ucq(&minimize_ucq(
-                &perfect_ref_pruned(q, tbox),
-            ))),
-            cover: None,
-            est_cost: None,
-            search: None,
-            pruned: None,
-        },
+        Strategy::Ucq => whole(true, FolQuery::Ucq),
+        Strategy::RawUcq => whole(false, FolQuery::Ucq),
+        Strategy::Uscq => whole(true, |ucq| FolQuery::Uscq(obda_reform::factorize_ucq(&ucq))),
         Strategy::CrootJucq => {
             let analysis = QueryAnalysis::new(q, deps);
             let croot = root_cover(&analysis);
-            let mut cache = ReformCache::new(q, tbox, true);
+            let mut cache = ReformCache::with_memo(q, tbox, true, memo);
             let jucq = cache.jucq_for(&croot);
             Chosen {
                 fol: FolQuery::Jucq(jucq),
@@ -154,6 +179,7 @@ fn choose_unpruned(
                 est_cost: None,
                 search: None,
                 pruned: None,
+                fragments: cache.fragments(),
             }
         }
         Strategy::Gdl { time_budget } => {
@@ -162,25 +188,15 @@ fn choose_unpruned(
                 time_budget: *time_budget,
                 ..Default::default()
             };
-            let out = gdl(q, tbox, &analysis, estimator, &config);
-            Chosen {
-                fol: FolQuery::Jucq(out.jucq.clone()),
-                cover: Some(out.cover.clone()),
-                est_cost: Some(out.cost),
-                search: Some(SearchStats::from(&out)),
-                pruned: None,
-            }
+            let mut cache = ReformCache::with_memo(q, tbox, config.minimize_fragments, memo);
+            let out = gdl_in(&mut cache, &analysis, estimator, &config);
+            searched(out, cache.fragments())
         }
         Strategy::Edl { cap } => {
             let analysis = QueryAnalysis::new(q, deps);
-            let out = edl(q, tbox, &analysis, estimator, *cap, true);
-            Chosen {
-                fol: FolQuery::Jucq(out.jucq.clone()),
-                cover: Some(out.cover.clone()),
-                est_cost: Some(out.cost),
-                search: Some(SearchStats::from(&out)),
-                pruned: None,
-            }
+            let mut cache = ReformCache::with_memo(q, tbox, true, memo);
+            let out = edl_in(&mut cache, &analysis, estimator, *cap);
+            searched(out, cache.fragments())
         }
     }
 }

@@ -28,9 +28,20 @@ pub fn edl(
     cap: usize,
     minimize_fragments: bool,
 ) -> SearchOutcome {
+    let mut cache = ReformCache::new(q, tbox, minimize_fragments);
+    edl_in(&mut cache, analysis, estimator, cap)
+}
+
+/// [`edl`] over a caller-supplied [`ReformCache`], which brings the
+/// query, the TBox, fragment minimisation and any shared memo.
+pub(crate) fn edl_in(
+    cache: &mut ReformCache<'_>,
+    analysis: &QueryAnalysis,
+    estimator: &dyn CostEstimator,
+    cap: usize,
+) -> SearchOutcome {
     let start = Instant::now();
     let instrumented = InstrumentedEstimator::new(estimator);
-    let mut cache = ReformCache::new(q, tbox, minimize_fragments);
     let mut memo: HashMap<Cover, f64> = HashMap::new();
 
     let space = enumerate_generalized_covers(analysis, cap);

@@ -85,10 +85,23 @@ pub fn gdl(
     estimator: &dyn CostEstimator,
     config: &GdlConfig,
 ) -> SearchOutcome {
+    let mut cache = ReformCache::new(q, tbox, config.minimize_fragments);
+    gdl_in(&mut cache, analysis, estimator, config)
+}
+
+/// [`gdl`] over a caller-supplied [`ReformCache`] — the query, the TBox,
+/// fragment minimisation and any shared [`crate::FragmentMemo`] are the
+/// cache's (so `config.minimize_fragments` is not consulted), and the
+/// caller can read the cache's counters afterwards.
+pub(crate) fn gdl_in(
+    cache: &mut ReformCache<'_>,
+    analysis: &QueryAnalysis,
+    estimator: &dyn CostEstimator,
+    config: &GdlConfig,
+) -> SearchOutcome {
     let start = Instant::now();
     let deadline = config.time_budget.map(|b| start + b);
     let instrumented = InstrumentedEstimator::new(estimator);
-    let mut cache = ReformCache::new(q, tbox, config.minimize_fragments);
     let mut cost_memo: HashMap<Cover, f64> = HashMap::new();
     let mut explored_simple = 0usize;
     let mut explored_generalized = 0usize;
@@ -116,7 +129,7 @@ pub fn gdl(
     let mut current = root_cover(analysis);
     let mut current_cost = evaluate(
         &current,
-        &mut cache,
+        cache,
         &mut cost_memo,
         &mut explored_simple,
         &mut explored_generalized,
@@ -135,7 +148,7 @@ pub fn gdl(
             }
             let cost = evaluate(
                 &candidate,
-                &mut cache,
+                cache,
                 &mut cost_memo,
                 &mut explored_simple,
                 &mut explored_generalized,

@@ -27,7 +27,8 @@ pub mod reform_cache;
 pub mod safety;
 
 pub use answer::{
-    choose_reformulation, choose_reformulation_constrained, Chosen, SearchStats, Strategy,
+    choose_reformulation, choose_reformulation_constrained, choose_reformulation_memoised, Chosen,
+    SearchStats, Strategy,
 };
 pub use bell::{bell_number, blocks_of, Partitions};
 pub use cost::{CostEstimator, InstrumentedEstimator, StructuralEstimator};
@@ -37,5 +38,5 @@ pub use gdl::{gdl, moves_from, GdlConfig, SearchOutcome};
 pub use genspace::{connected_supersets, enumerate_generalized_covers, genspace_size, GenSpace};
 pub use lattice::{enumerate_safe_covers, lattice_size, precedes};
 pub use obda_reform::{arm_provably_empty, prune_fol, prune_ucq, PruneStats, PrunedUcq};
-pub use reform_cache::ReformCache;
+pub use reform_cache::{FragmentMemo, FragmentStats, ReformCache};
 pub use safety::{is_safe, root_cover, QueryAnalysis};

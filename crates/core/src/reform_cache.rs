@@ -5,14 +5,123 @@
 //! its exported head, so results are cached across candidate covers. This
 //! is the practical trick that keeps cover search cheap relative to cost
 //! estimation (§6.4).
+//!
+//! Two lifetimes are involved. A [`ReformCache`] lives for one search
+//! over one query and is keyed by fragment *position* (atom mask +
+//! exported head). A [`FragmentMemo`] is keyed by the fragment query
+//! itself and lives as long as its TBox: a fragment's reformulation is a
+//! pure function of (fragment CQ, TBox), so no ABox write can invalidate
+//! it, and a serving layer that recompiles the same shapes after every
+//! commit pays PerfectRef once per TBox instead of once per generation.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
 
 use obda_dllite::TBox;
 use obda_query::{minimize_ucq, Term, CQ, JUCQ, UCQ};
 use obda_reform::{fragment_query, perfect_ref_pruned};
 
 use crate::cover::{AtomMask, Cover};
+
+/// Union arms a [`FragmentMemo`] retains before it stops admitting new
+/// entries. A GDL compile of all 14 LUBM shapes memoises 68 fragments
+/// with 2 421 arms between them; the bound only matters for a stream of
+/// one-off queries (distinct constants), which would otherwise grow the
+/// memo for the TBox's whole lifetime. A full memo keeps serving what
+/// it holds.
+const MEMO_ARM_BUDGET: usize = 1 << 16;
+
+/// Fragment reformulations shared by every search against one TBox,
+/// across threads and snapshot generations. The memo never learns which
+/// TBox it belongs to: the owner creates one per TBox and drops it with
+/// the TBox, so invalidation is structural.
+#[derive(Default)]
+pub struct FragmentMemo {
+    inner: RwLock<MemoInner>,
+}
+
+#[derive(Default)]
+struct MemoInner {
+    /// Indexed by the minimise flag, so lookups borrow the fragment CQ.
+    by_minimize: [HashMap<CQ, Arc<UCQ>>; 2],
+    arms: usize,
+}
+
+impl FragmentMemo {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Every state of the map is servable (entries are only ever added,
+    /// each one complete), so a poisoned guard is recovered.
+    fn get(&self, fq: &CQ, minimize: bool) -> Option<Arc<UCQ>> {
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        inner.by_minimize[usize::from(minimize)].get(fq).cloned()
+    }
+
+    /// Keep `ucq` for `fq`, returning the retained reformulation — the
+    /// first one stored if a concurrent search got there before us (both
+    /// computed the same deterministic result).
+    fn insert(&self, fq: &CQ, minimize: bool, ucq: Arc<UCQ>) -> Arc<UCQ> {
+        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        if inner.arms + ucq.len() > MEMO_ARM_BUDGET {
+            return ucq;
+        }
+        match inner.by_minimize[usize::from(minimize)].entry(fq.clone()) {
+            Entry::Occupied(first) => Arc::clone(first.get()),
+            Entry::Vacant(slot) => {
+                inner.arms += ucq.len();
+                Arc::clone(slot.insert(ucq))
+            }
+        }
+    }
+
+    /// Memoised fragment reformulations (both minimise settings).
+    pub fn len(&self) -> usize {
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        inner.by_minimize.iter().map(HashMap::len).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Where the fragment reformulations of one compilation came from: the
+/// shared [`FragmentMemo`], or PerfectRef runs of its own.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FragmentStats {
+    pub memoised: usize,
+    pub computed: usize,
+}
+
+/// The UCQ reformulation of one fragment query — the single place
+/// PerfectRef runs for every strategy. With a `memo`, a hit skips the
+/// run; a miss computes *outside* the memo's lock and stores the result.
+pub(crate) fn reformulate_fragment(
+    fq: &CQ,
+    tbox: &TBox,
+    minimize: bool,
+    memo: Option<&FragmentMemo>,
+    stats: &mut FragmentStats,
+) -> Arc<UCQ> {
+    if let Some(hit) = memo.and_then(|m| m.get(fq, minimize)) {
+        stats.memoised += 1;
+        return hit;
+    }
+    stats.computed += 1;
+    let mut ucq = perfect_ref_pruned(fq, tbox);
+    if minimize {
+        ucq = minimize_ucq(&ucq);
+    }
+    let ucq = Arc::new(ucq);
+    match memo {
+        Some(m) => m.insert(fq, minimize, ucq),
+        None => ucq,
+    }
+}
 
 /// Cache of fragment-UCQ reformulations for one (query, TBox) pair.
 pub struct ReformCache<'a> {
@@ -21,20 +130,35 @@ pub struct ReformCache<'a> {
     /// Minimize each fragment UCQ before assembly (what a production
     /// rewriter like RAPID emits).
     pub minimize: bool,
-    cache: HashMap<(AtomMask, Vec<Term>), UCQ>,
+    memo: Option<&'a FragmentMemo>,
+    cache: HashMap<(AtomMask, Vec<Term>), Arc<UCQ>>,
     hits: usize,
     misses: usize,
+    fragments: FragmentStats,
 }
 
 impl<'a> ReformCache<'a> {
     pub fn new(q: &'a CQ, tbox: &'a TBox, minimize: bool) -> Self {
+        Self::with_memo(q, tbox, minimize, None)
+    }
+
+    /// A cache whose local misses fall through to `memo` (which must
+    /// belong to `tbox`) before running PerfectRef.
+    pub fn with_memo(
+        q: &'a CQ,
+        tbox: &'a TBox,
+        minimize: bool,
+        memo: Option<&'a FragmentMemo>,
+    ) -> Self {
         ReformCache {
             q,
             tbox,
             minimize,
+            memo,
             cache: HashMap::new(),
             hits: 0,
             misses: 0,
+            fragments: FragmentStats::default(),
         }
     }
 
@@ -51,15 +175,19 @@ impl<'a> ReformCache<'a> {
                 let key = (fr.f, fq.head().to_vec());
                 if let Some(u) = self.cache.get(&key) {
                     self.hits += 1;
-                    return u.clone();
+                    return UCQ::clone(u);
                 }
                 self.misses += 1;
-                let mut ucq = perfect_ref_pruned(&fq, self.tbox);
-                if self.minimize {
-                    ucq = minimize_ucq(&ucq);
-                }
-                self.cache.insert(key, ucq.clone());
-                ucq
+                let ucq = reformulate_fragment(
+                    &fq,
+                    self.tbox,
+                    self.minimize,
+                    self.memo,
+                    &mut self.fragments,
+                );
+                let component = UCQ::clone(&ucq);
+                self.cache.insert(key, ucq);
+                component
             })
             .collect();
         JUCQ::new(self.q.head().to_vec(), components)
@@ -69,8 +197,15 @@ impl<'a> ReformCache<'a> {
         self.hits
     }
 
+    /// Fragments this cache had not seen before; each was then served by
+    /// the shared memo or computed (see [`ReformCache::fragments`]).
     pub fn misses(&self) -> usize {
         self.misses
+    }
+
+    /// How the local misses were resolved.
+    pub fn fragments(&self) -> FragmentStats {
+        self.fragments
     }
 }
 
@@ -134,6 +269,29 @@ mod tests {
     fn reform_cache_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<ReformCache<'_>>();
+    }
+
+    #[test]
+    fn a_full_memo_refuses_new_entries_and_keeps_serving_old_ones() {
+        use obda_dllite::{ConceptId, IndividualId};
+        let about = |i: u32| {
+            let who = Term::Const(IndividualId(i));
+            CQ::new(vec![who], vec![Atom::Concept(ConceptId(0), who)])
+        };
+        let head = vec![Term::Var(VarId(0))];
+        let wide = UCQ::from_cqs(head, (0..MEMO_ARM_BUDGET as u32).map(about));
+        assert_eq!(wide.len(), MEMO_ARM_BUDGET);
+        let wide = Arc::new(wide);
+        let memo = FragmentMemo::new();
+        let (first, second) = (about(0), about(1));
+        let kept = memo.insert(&first, true, Arc::clone(&wide));
+        assert!(Arc::ptr_eq(&kept, &wide), "exactly the budget still fits");
+
+        let refused = memo.insert(&second, true, Arc::new(UCQ::single(about(1))));
+        assert_eq!(refused.len(), 1, "the caller still gets its result");
+        assert!(memo.get(&second, true).is_none());
+        assert_eq!(memo.len(), 1);
+        assert!(Arc::ptr_eq(&memo.get(&first, true).unwrap(), &wide));
     }
 
     #[test]

@@ -71,43 +71,49 @@ impl Extents {
     }
 }
 
-/// Lazily materialized unary extents (`ext(A)`, `ext(∃R)`, `ext(∃R⁻)`)
-/// over an [`Extents`], shared across all closure-pair checks of one
-/// mining run.
+/// Unary extents (`ext(A)`, `ext(∃R)`, `ext(∃R⁻)`) over an [`Extents`],
+/// shared across all closure-pair checks of one mining run. Concept
+/// extents are borrowed as stored; role projections are materialized on
+/// first use.
 struct UnaryCache<'a> {
     ext: &'a Extents,
-    cache: HashMap<BasicConcept, HashSet<u32>>,
+    projections: HashMap<Role, HashSet<u32>>,
+    empty: HashSet<u32>,
 }
 
 impl<'a> UnaryCache<'a> {
     fn new(ext: &'a Extents) -> Self {
         UnaryCache {
             ext,
-            cache: HashMap::new(),
+            projections: HashMap::new(),
+            empty: HashSet::new(),
         }
     }
 
-    fn get(&mut self, b: BasicConcept) -> &HashSet<u32> {
-        self.cache.entry(b).or_insert_with(|| match b {
-            BasicConcept::Atomic(c) => self.ext.concepts.get(&c).cloned().unwrap_or_default(),
-            BasicConcept::Exists(r) => {
-                let pairs = self.ext.roles.get(&r.name);
-                pairs
-                    .map(|ps| {
-                        ps.iter()
-                            .map(|&(s, o)| if r.inverse { o } else { s })
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            }
-        })
+    fn materialize(&mut self, b: BasicConcept) {
+        if let BasicConcept::Exists(r) = b {
+            let ext = self.ext;
+            self.projections.entry(r).or_insert_with(|| {
+                let pairs = ext.roles.get(&r.name).into_iter().flatten();
+                pairs.map(|&(s, o)| if r.inverse { o } else { s }).collect()
+            });
+        }
+    }
+
+    /// The extent of `b`, which [`UnaryCache::materialize`] has seen.
+    fn view(&self, b: BasicConcept) -> &HashSet<u32> {
+        match b {
+            BasicConcept::Atomic(c) => self.ext.concepts.get(&c).unwrap_or(&self.empty),
+            BasicConcept::Exists(r) => &self.projections[&r],
+        }
     }
 
     /// `ext(sub) ⊆ ext(sup)` on this snapshot?
     fn included(&mut self, sub: BasicConcept, sup: BasicConcept) -> bool {
-        let s = self.get(sub).clone();
-        let p = self.get(sup);
-        s.iter().all(|x| p.contains(x))
+        self.materialize(sub);
+        self.materialize(sup);
+        let (s, p) = (self.view(sub), self.view(sup));
+        s.len() <= p.len() && s.iter().all(|x| p.contains(x))
     }
 }
 

@@ -259,6 +259,10 @@ pub struct MetricsRegistry {
     /// (provably empty vs data-subsumed).
     pruned_arms_empty: AtomicU64,
     pruned_arms_subsumed: AtomicU64,
+    /// One observation per generation whose constraints were mined
+    /// (extent extraction + inclusion checks; the TBox closure is
+    /// per-scope and not in it) — what a write costs its first reader.
+    constraint_mining: Histogram,
     /// Admission bar for the ring: total µs of the ring's fastest entry
     /// once full (`0` while the ring has room).
     slow_threshold_micros: AtomicU64,
@@ -307,6 +311,7 @@ impl MetricsRegistry {
             panics_recovered: AtomicU64::new(0),
             pruned_arms_empty: AtomicU64::new(0),
             pruned_arms_subsumed: AtomicU64::new(0),
+            constraint_mining: Histogram::new(),
             slow_threshold_micros: AtomicU64::new(0),
             slow: Mutex::new(Vec::new()),
             slow_log_micros: AtomicU64::new(u64::MAX),
@@ -366,6 +371,13 @@ impl MetricsRegistry {
             .fetch_add(empty as u64, Ordering::Relaxed);
         self.pruned_arms_subsumed
             .fetch_add(subsumed as u64, Ordering::Relaxed);
+    }
+
+    /// Record one generation's constraint-mining run.
+    pub fn record_constraint_mining(&self, took: Duration) {
+        if self.is_enabled() {
+            self.constraint_mining.observe(took);
+        }
     }
 
     /// Accumulate one cost-model accuracy sample: the plan's predicted
@@ -548,6 +560,10 @@ impl MetricsRegistry {
         self.panics_recovered.load(Ordering::Relaxed)
     }
 
+    pub fn constraint_mining(&self) -> &Histogram {
+        &self.constraint_mining
+    }
+
     /// Union arms dropped by constraint-driven pruning, as
     /// `(provably_empty, data_subsumed)`.
     pub fn pruned_arms_total(&self) -> (u64, u64) {
@@ -595,6 +611,29 @@ pub fn render_prometheus(server: &Server) -> String {
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {value}");
     };
+    // One histogram series; `label` is `key="value"` or empty.
+    let histogram = |out: &mut String, name: &str, label: &str, hist: &Histogram| {
+        let snap = hist.snapshot();
+        let (series, bucket_labels) = if label.is_empty() {
+            (String::new(), String::new())
+        } else {
+            (format!("{{{label}}}"), format!("{label},"))
+        };
+        let mut cumulative = 0u64;
+        for (b, &n) in snap.buckets.iter().enumerate() {
+            cumulative += n;
+            let le = LATENCY_BUCKETS_US
+                .get(b)
+                .map(|&us| format!("{}", us as f64 / 1e6))
+                .unwrap_or_else(|| "+Inf".to_string());
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{bucket_labels}le=\"{le}\"}} {cumulative}"
+            );
+        }
+        let _ = writeln!(out, "{name}_sum{series} {}", snap.sum_micros as f64 / 1e6);
+        let _ = writeln!(out, "{name}_count{series} {}", snap.count);
+    };
 
     // Query counters, per backend.
     let _ = writeln!(out, "# HELP obda_queries_total Queries served.");
@@ -626,28 +665,11 @@ pub fn render_prometheus(server: &Server) -> String {
     );
     let _ = writeln!(out, "# TYPE obda_query_latency_seconds histogram");
     for (i, name) in BACKEND_NAMES.iter().enumerate() {
-        let snap = reg.latency[i].snapshot();
-        let mut cumulative = 0u64;
-        for (b, &n) in snap.buckets.iter().enumerate() {
-            cumulative += n;
-            let le = LATENCY_BUCKETS_US
-                .get(b)
-                .map(|&us| format!("{}", us as f64 / 1e6))
-                .unwrap_or_else(|| "+Inf".to_string());
-            let _ = writeln!(
-                out,
-                "obda_query_latency_seconds_bucket{{backend=\"{name}\",le=\"{le}\"}} {cumulative}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "obda_query_latency_seconds_sum{{backend=\"{name}\"}} {}",
-            snap.sum_micros as f64 / 1e6
-        );
-        let _ = writeln!(
-            out,
-            "obda_query_latency_seconds_count{{backend=\"{name}\"}} {}",
-            snap.count
+        histogram(
+            &mut out,
+            "obda_query_latency_seconds",
+            &format!("backend=\"{name}\""),
+            &reg.latency[i],
         );
     }
 
@@ -691,6 +713,44 @@ pub fn render_prometheus(server: &Server) -> String {
     );
     let _ = writeln!(out, "# TYPE obda_plan_cache_entries gauge");
     let _ = writeln!(out, "obda_plan_cache_entries {}", cache.entries);
+
+    // The TBox scope's fragment memo: what recompiles after a write
+    // did not have to reformulate.
+    counter(
+        &mut out,
+        "obda_fragment_memo_hits_total",
+        "Fragment reformulations cold compilations took from the TBox scope's memo.",
+        cache.fragment_memo_hits,
+    );
+    counter(
+        &mut out,
+        "obda_fragment_memo_misses_total",
+        "Fragment reformulations cold compilations computed (PerfectRef runs).",
+        cache.fragment_memo_misses,
+    );
+    let _ = writeln!(
+        out,
+        "# HELP obda_fragment_memo_entries Reformulations the current TBox scope's memo holds."
+    );
+    let _ = writeln!(out, "# TYPE obda_fragment_memo_entries gauge");
+    let _ = writeln!(
+        out,
+        "obda_fragment_memo_entries {}",
+        cache.fragment_memo_entries
+    );
+
+    // Constraint mining, once per generation that compiled a query.
+    let _ = writeln!(
+        out,
+        "# HELP obda_constraint_mining_seconds Per-generation constraint mining (extents + inclusion checks)."
+    );
+    let _ = writeln!(out, "# TYPE obda_constraint_mining_seconds histogram");
+    histogram(
+        &mut out,
+        "obda_constraint_mining_seconds",
+        "",
+        &reg.constraint_mining,
+    );
 
     // Constraint-driven reformulation pruning, by reason.
     let (pruned_empty, pruned_subsumed) = reg.pruned_arms_total();
@@ -1032,6 +1092,55 @@ mod tests {
         reg.set_enabled(true);
         reg.record_query(Backend::Sql, Duration::from_millis(5), 3);
         assert_eq!(reg.queries_total(Backend::Sql), 1);
+    }
+
+    /// The exposition renders labelled and unlabelled histograms and the
+    /// fragment-memo families a recompile after a write is read from.
+    #[test]
+    fn exposition_serves_memo_counters_and_the_mining_histogram() {
+        use obda_query::{Atom, Term, VarId, CQ};
+        let (mut voc, tbox) = obda_dllite::example7_tbox();
+        let works = voc.find_role("worksWith").unwrap();
+        let sup = voc.find_role("supervisedBy").unwrap();
+        let (a, b) = (voc.individual("a"), voc.individual("b"));
+        let mut abox = obda_dllite::ABox::new();
+        abox.assert_role(sup, a, b);
+        let server = Server::new(voc, tbox, &abox, crate::server::ServerConfig::default());
+        let q = CQ::with_var_head(
+            vec![VarId(0)],
+            vec![Atom::Role(works, Term::Var(VarId(0)), Term::Var(VarId(1)))],
+        );
+        server.query(&q).unwrap();
+        server
+            .apply_batch(&obda_dllite::AboxDelta::new().insert_role(works, b, a))
+            .unwrap();
+        server.query(&q).unwrap();
+
+        let text = render_prometheus(&server);
+        let value = |line_start: &str| -> f64 {
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(line_start))
+                .unwrap_or_else(|| panic!("no {line_start} in:\n{text}"));
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        assert_eq!(value("obda_fragment_memo_misses_total "), 1.0);
+        assert_eq!(value("obda_fragment_memo_hits_total "), 1.0);
+        assert_eq!(value("obda_fragment_memo_entries "), 1.0);
+        // Mined once per generation served, reported without labels.
+        assert_eq!(value("obda_constraint_mining_seconds_count "), 2.0);
+        assert_eq!(
+            value("obda_constraint_mining_seconds_bucket{le=\"+Inf\"} "),
+            2.0
+        );
+        assert_eq!(
+            value("obda_query_latency_seconds_bucket{backend=\"native\",le=\"+Inf\"} "),
+            2.0
+        );
+        assert_eq!(
+            value("obda_query_latency_seconds_count{backend=\"native\"} "),
+            2.0
+        );
     }
 
     #[test]

@@ -12,14 +12,16 @@
 //! timeout.
 //!
 //! Shutdown is cooperative: [`PgListener::shutdown`] flips a shared
-//! flag; the accept loop stops accepting, idle sessions are told
+//! flag and wakes the accept loop — which blocks in `accept`, so a
+//! connect costs no polling interval — with a loopback connection to
+//! its own port; the loop stops accepting, idle sessions are told
 //! `57P01 admin_shutdown` at their next frame boundary, and statements
 //! already executing finish on their pinned snapshots (the frame reader
 //! grants mid-message grace). `shutdown` then joins every thread, so
 //! when it returns no session thread survives.
 
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -66,7 +68,6 @@ impl PgListener {
     pub fn bind(addr: &str, server: Arc<Server>, config: PgConfig) -> std::io::Result<PgListener> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let sessions: Arc<Mutex<Vec<std::thread::JoinHandle<SessionEnd>>>> =
@@ -108,6 +109,11 @@ impl PgListener {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
+            // The loop is parked in a blocking `accept`: one throwaway
+            // connection makes it return and see the flag. If the
+            // connect fails the listener is already gone, and so is the
+            // loop.
+            let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_TIMEOUT);
             let _ = h.join();
         }
         let handles = {
@@ -118,6 +124,21 @@ impl PgListener {
             let _ = h.join();
         }
     }
+}
+
+/// How long `shutdown` waits for its wake-up connection (loopback: a
+/// refusal or success is immediate; the bound covers a full backlog).
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Where to reach our own listener: its port, on the loopback address
+/// of its family when it is bound to the wildcard address.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 impl Drop for PgListener {
@@ -136,14 +157,19 @@ fn accept_loop(
     active: Arc<AtomicUsize>,
     next_id: Arc<AtomicI32>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        let (stream, _peer) = match listener.accept() {
-            Ok(x) => x,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
+    loop {
+        let accepted = listener.accept();
+        // Checked after every wake-up: the connection that ended the
+        // wait may be `shutdown`'s own, and a client racing it is
+        // dropped unanswered exactly as one arriving a moment later.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
             Err(_) => {
+                // Transient (EMFILE, aborted handshake): back off so a
+                // persistent failure cannot spin the core.
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             }

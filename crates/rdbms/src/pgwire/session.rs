@@ -908,6 +908,25 @@ impl Session<'_> {
         push("plan_cache_misses", cache.misses.to_string());
         push("plan_cache_entries", cache.entries.to_string());
         push("plan_cache_invalidated", cache.invalidated.to_string());
+        push("fragment_memo_hits", cache.fragment_memo_hits.to_string());
+        push(
+            "fragment_memo_misses",
+            cache.fragment_memo_misses.to_string(),
+        );
+        push(
+            "fragment_memo_entries",
+            cache.fragment_memo_entries.to_string(),
+        );
+        let mining = observe.constraint_mining();
+        push("constraint_mining_runs", mining.count().to_string());
+        push(
+            "constraint_mining_p50_us",
+            mining.quantile(50.0).as_micros().to_string(),
+        );
+        push(
+            "constraint_mining_p99_us",
+            mining.quantile(99.0).as_micros().to_string(),
+        );
         push("txn_commits", txn.committed.to_string());
         push("txn_conflicts", txn.conflicts.to_string());
         push("txn_commit_groups", txn.commit_groups.to_string());
@@ -1020,6 +1039,10 @@ fn render_explain(analyzed: &AnalyzedQuery) -> Rendered {
             p.kept,
         ));
     }
+    lines.push(format!(
+        "fragments: {} memoised / {} computed",
+        analyzed.fragments.memoised, analyzed.fragments.computed,
+    ));
     lines.push(format!(
         "predicted: total_cost={:.1}",
         analyzed.explain.total_cost

@@ -7,11 +7,11 @@
 //! of answering is not executing the chosen plan but choosing it. A
 //! serving deployment sees the same query shapes repeatedly against a
 //! slowly-changing KB, which is exactly the regime where that per-call
-//! cost can be amortized away. [`Server`] does three things about it:
+//! cost can be amortized away. [`Server`] does four things about it:
 //!
 //! * **Shared snapshots** — an [`EngineSnapshot`] bundles the immutable
-//!   [`Engine`] (storage + `CatalogStats` + profile), the TBox, and the
-//!   predicate dependencies behind one `Arc`, tagged with a
+//!   [`Engine`] (storage + `CatalogStats` + profile) and the
+//!   [`TBoxScope`] it was loaded under behind one `Arc`, tagged with a
 //!   **generation** counter. Queries clone the `Arc` (no lock held while
 //!   running), so any number of OS threads evaluate concurrently against
 //!   one loaded KB, and a reload swaps the `Arc` without disturbing
@@ -28,6 +28,16 @@
 //!   worker threads with per-thread meters, merged deterministically in
 //!   arm order so the arm-sums-equal-totals metering invariant survives
 //!   parallel execution (see [`crate::executor::execute_parallel`]).
+//! * **A TBox-lifetime half of compilation** — what a compilation needs
+//!   from the TBox alone (predicate dependencies, the saturated closure,
+//!   the PerfectRef reformulation of each fragment) lives in a
+//!   [`TBoxScope`] that commits hand on unchanged, so the recompile
+//!   that follows a write redoes only what the write can have changed:
+//!   cover *choice* from fresh statistics, constraint mining and
+//!   pruning, physical plans, SQL text. With the memo warm that is
+//!   about what a warm read costs, so the plan cache is still purged on
+//!   every commit and a cached entry is always exactly what a cold
+//!   compile against its generation produces.
 //!
 //! Staleness is impossible by construction: the cache key embeds the
 //! snapshot generation, every write path ([`Server::apply_batch`],
@@ -57,10 +67,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, TryLockError};
-use std::time::Instant;
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    TryLockError,
+};
+use std::time::{Duration, Instant};
 
-use obda_core::{choose_reformulation_constrained, PruneStats, Strategy};
+use obda_core::{choose_reformulation_memoised, FragmentMemo, FragmentStats, PruneStats, Strategy};
 use obda_dllite::{
     ABox, AboxDelta, ConceptId, ConstraintSet, Dependencies, IndividualId, RoleId, TBox,
     TBoxClosure, Vocabulary, WorkingSet,
@@ -173,7 +186,10 @@ pub struct ServerConfig {
     /// Worker threads fanning union arms per query (1 = sequential).
     pub threads: usize,
     /// Plan-cache toggle — `false` re-runs the full pipeline on every
-    /// call (the differential harness runs both ways and compares).
+    /// call, PerfectRef included: it also bypasses the TBox scope's
+    /// fragment memo (the differential harness runs both ways and
+    /// compares, so its cold twin must share nothing with the cached
+    /// server).
     pub cache_plans: bool,
     /// On a durable server: fold the WAL into a fresh snapshot after
     /// this many logged transactions (`0` = only on explicit
@@ -191,9 +207,11 @@ pub struct ServerConfig {
     /// arXiv 1605.04263). Answers are unchanged — the differential
     /// harness runs both settings and compares — but oversized
     /// statements (the §6.3 DPH failure mode) shrink to servable ones.
-    /// Constraints are cached on the [`EngineSnapshot`], so every write
-    /// path invalidates them with the same generation swap that
-    /// invalidates plans.
+    /// The mined set is a property of the data and lives on the
+    /// [`EngineSnapshot`]: every write path publishes a snapshot with
+    /// an empty cell, and the first compilation against it re-mines.
+    /// The TBox closure that guides mining is a property of the TBox
+    /// and is computed once per [`TBoxScope`], not per generation.
     pub use_constraints: bool,
 }
 
@@ -215,13 +233,46 @@ impl Default for ServerConfig {
     }
 }
 
+/// The half of a compilation that depends on the TBox alone, given the
+/// lifetime of the TBox: predicate dependencies, the saturated closure
+/// that guides constraint mining, and the PerfectRef reformulation of
+/// every fragment compiled so far. One `Arc<TBoxScope>` is handed from
+/// snapshot to snapshot by every write path that keeps the TBox
+/// (commits, [`Server::reload_abox`], transaction overlays) and
+/// replaced by the ones that may change it ([`Server::reload_kb`], the
+/// constructors) — invalidation is structural, there is nothing to
+/// purge.
+pub struct TBoxScope {
+    tbox: TBox,
+    deps: Dependencies,
+    closure: OnceLock<TBoxClosure>,
+    fragments: FragmentMemo,
+}
+
+impl TBoxScope {
+    fn new(tbox: TBox, deps: Dependencies) -> Self {
+        TBoxScope {
+            tbox,
+            deps,
+            closure: OnceLock::new(),
+            fragments: FragmentMemo::new(),
+        }
+    }
+
+    /// The saturated TBox, computed on first use (no write path pays
+    /// for it) and then shared by every generation's mining run.
+    fn closure(&self) -> &TBoxClosure {
+        self.closure
+            .get_or_init(|| TBoxClosure::compute(&self.tbox))
+    }
+}
+
 /// One immutable generation of the loaded KB: engine (storage + stats +
-/// profile), TBox, and predicate dependencies. `Send + Sync`; shared
-/// behind `Arc` so readers never block writers and vice versa.
+/// profile) and the [`TBoxScope`] it was loaded under. `Send + Sync`;
+/// shared behind `Arc` so readers never block writers and vice versa.
 pub struct EngineSnapshot {
     pub(crate) engine: Engine,
-    pub(crate) tbox: TBox,
-    pub(crate) deps: Dependencies,
+    pub(crate) scope: Arc<TBoxScope>,
     /// The vocabulary frozen at publish time. Interning only appends, so
     /// every id reachable from this generation's data resolves here —
     /// the wire front end uses it to parse predicate/individual names in
@@ -246,7 +297,7 @@ impl EngineSnapshot {
     }
 
     pub fn tbox(&self) -> &TBox {
-        &self.tbox
+        &self.scope.tbox
     }
 
     /// The vocabulary this generation's ids resolve against.
@@ -258,17 +309,30 @@ impl EngineSnapshot {
         self.generation
     }
 
-    /// The completeness constraints of this generation's data, mined on
-    /// first use and shared by every subsequent compilation against the
-    /// generation (cheap `Arc` clone).
+    /// The completeness constraints of this generation's data: extents
+    /// are extracted and compared on first use, along the inclusions of
+    /// the scope's TBox closure, and the set is shared by every
+    /// subsequent compilation against the generation (cheap `Arc`
+    /// clone). Only the data-dependent part is per generation — the
+    /// closure is the [`TBoxScope`]'s and outlives it.
     pub fn constraints(&self) -> Arc<ConstraintSet> {
-        self.constraints
-            .get_or_init(|| {
-                let closure = TBoxClosure::compute(&self.tbox);
-                let extents = self.engine.extract_extents(&self.voc);
-                Arc::new(ConstraintSet::mine(&closure, &extents))
-            })
-            .clone()
+        self.constraints_timed().0
+    }
+
+    /// [`EngineSnapshot::constraints`], plus how long the mining took
+    /// when this call is the one that ran it (the closure's one-off
+    /// saturation is not counted: it is not a per-generation cost).
+    fn constraints_timed(&self) -> (Arc<ConstraintSet>, Option<Duration>) {
+        let mut mined_in = None;
+        let set = self.constraints.get_or_init(|| {
+            let closure = self.scope.closure();
+            let started = Instant::now();
+            let extents = self.engine.extract_extents(&self.voc);
+            let set = Arc::new(ConstraintSet::mine(closure, &extents));
+            mined_in = Some(started.elapsed());
+            set
+        });
+        (Arc::clone(set), mined_in)
     }
 }
 
@@ -292,6 +356,9 @@ pub struct CompiledQuery {
     /// [`ServerConfig::use_constraints`] (None otherwise). Cached with
     /// the plan: the pruned shape *is* the cached shape.
     pub pruned: Option<PruneStats>,
+    /// Where the cold compilation's fragment reformulations came from:
+    /// the TBox scope's memo, or PerfectRef runs of its own.
+    pub fragments: FragmentStats,
 }
 
 /// The answer to one served query.
@@ -325,6 +392,8 @@ pub struct AnalyzedQuery {
     /// Constraint-pruning statistics of the compilation this analysis
     /// replayed (None when pruning was disabled).
     pub pruned: Option<PruneStats>,
+    /// Fragment reformulations of that compilation: memoised / computed.
+    pub fragments: FragmentStats,
 }
 
 /// Point-in-time cache counters.
@@ -335,6 +404,15 @@ pub struct CacheStats {
     pub entries: usize,
     /// Stale entries dropped by reloads so far.
     pub invalidated: u64,
+    /// Fragment reformulations cold compilations took from the TBox
+    /// scope's memo — PerfectRef runs a write did *not* cost.
+    pub fragment_memo_hits: u64,
+    /// Fragment reformulations cold compilations had to compute. With
+    /// the plan cache on, these stop growing once every shape has been
+    /// compiled under the current TBox.
+    pub fragment_memo_misses: u64,
+    /// Reformulations the current TBox scope's memo holds.
+    pub fragment_memo_entries: usize,
 }
 
 /// Point-in-time transaction counters.
@@ -483,14 +561,18 @@ pub struct Server {
     /// under [`Backend::Sql`] needs the SQL text a native compilation
     /// does not carry (and vice versa for stored plans), so the two
     /// backends cache independent entries for the same query.
-    cache: Mutex<FxHashMap<(u64, Backend, CanonKey), Arc<CompiledQuery>>>,
+    cache: RwLock<PlanCache>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
+    fragment_memo_hits: AtomicU64,
+    fragment_memo_misses: AtomicU64,
     /// The server-wide metrics registry every layer reports through;
     /// `Arc` so the metrics endpoint and wire sessions can share it.
     observe: Arc<MetricsRegistry>,
 }
+
+type PlanCache = FxHashMap<(u64, Backend, CanonKey), Arc<CompiledQuery>>;
 
 /// Compile-time thread-safety contract: snapshots cross worker threads
 /// and the server is shared by reference from every client thread.
@@ -555,7 +637,8 @@ impl Server {
         generation: u64,
     ) -> Self {
         let deps = Dependencies::compute(&voc, &tbox);
-        let snapshot = Self::build_snapshot(&voc, &config, tbox, deps, &abox, generation);
+        let scope = Arc::new(TBoxScope::new(tbox, deps));
+        let snapshot = Self::build_snapshot(&voc, &config, scope, &abox, generation);
         Server {
             config,
             snapshot: RwLock::new(Arc::new(snapshot)),
@@ -577,10 +660,12 @@ impl Server {
             txn_commits: AtomicU64::new(0),
             txn_conflicts: AtomicU64::new(0),
             commit_groups: AtomicU64::new(0),
-            cache: Mutex::new(FxHashMap::default()),
+            cache: RwLock::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
+            fragment_memo_hits: AtomicU64::new(0),
+            fragment_memo_misses: AtomicU64::new(0),
             observe: Arc::new(MetricsRegistry::new()),
         }
     }
@@ -588,8 +673,7 @@ impl Server {
     fn build_snapshot(
         voc: &Vocabulary,
         config: &ServerConfig,
-        tbox: TBox,
-        deps: Dependencies,
+        scope: Arc<TBoxScope>,
         abox: &ABox,
         generation: u64,
     ) -> EngineSnapshot {
@@ -599,8 +683,7 @@ impl Server {
             .with_backend(config.backend);
         EngineSnapshot {
             engine,
-            tbox,
-            deps,
+            scope,
             voc: Arc::new(voc.clone()),
             generation,
             constraints: OnceLock::new(),
@@ -634,16 +717,20 @@ impl Server {
             .clone()
     }
 
-    /// Lock the plan cache, recovering a poisoned guard. Sound because
-    /// every cache state is servable: entries are keyed by generation,
-    /// lookups only match the reader's own generation, and a
+    /// Share the plan cache for a lookup, recovering a poisoned guard —
+    /// hits from any number of sessions proceed side by side. Sound
+    /// because every cache state is servable: entries are keyed by
+    /// generation, lookups only match the reader's own generation, and a
     /// half-finished purge merely leaves unreachable stale entries
     /// (dropped again by the next purge) — never wrong answers.
-    #[allow(clippy::type_complexity)]
-    fn lock_cache(
-        &self,
-    ) -> MutexGuard<'_, FxHashMap<(u64, Backend, CanonKey), Arc<CompiledQuery>>> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    fn read_cache(&self) -> RwLockReadGuard<'_, PlanCache> {
+        self.cache.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Lock the plan cache exclusively (insert after a miss, purge at
+    /// publish), recovering a poisoned guard like [`Server::read_cache`].
+    fn write_cache(&self) -> RwLockWriteGuard<'_, PlanCache> {
+        self.cache.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Lock the writer state. A poisoned writer mutex is *not*
@@ -770,8 +857,10 @@ impl Server {
     }
 
     /// Fetch or compute the compilation of `cq` for `snap`'s generation
-    /// under `backend`.
-    fn compile(
+    /// under `backend`; the flag says whether the plan cache supplied
+    /// it. Public so harnesses can compare what two servers *compiled*
+    /// (reformulation, SQL size), not just what they answered.
+    pub fn compile(
         &self,
         snap: &EngineSnapshot,
         cq: &CQ,
@@ -781,7 +870,7 @@ impl Server {
             return (Arc::new(self.compile_cold(snap, cq, backend)), false);
         }
         let key = (snap.generation, backend, canonical_key(cq));
-        if let Some(hit) = self.lock_cache().get(&key).cloned() {
+        if let Some(hit) = self.read_cache().get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (hit, true);
         }
@@ -791,7 +880,7 @@ impl Server {
         let compiled = Arc::new(self.compile_cold(snap, cq, backend));
         self.misses.fetch_add(1, Ordering::Relaxed);
         {
-            let mut cache = self.lock_cache();
+            let mut cache = self.write_cache();
             // A reload may have published a newer generation (and purged
             // the old one) while we compiled; inserting the old-gen entry
             // now would leave an unservable key alive until the next
@@ -818,19 +907,33 @@ impl Server {
         let mut spans = StageSpans::default();
         let stage_started = Instant::now();
         let estimator = ExplainEstimator::new(&snap.engine);
-        let constraints = self.config.use_constraints.then(|| snap.constraints());
-        let chosen = choose_reformulation_constrained(
+        let constraints = self.config.use_constraints.then(|| {
+            let (set, mined_in) = snap.constraints_timed();
+            if let Some(took) = mined_in {
+                self.observe.record_constraint_mining(took);
+            }
+            set
+        });
+        // `cache_plans = false` means the full pipeline on every call,
+        // PerfectRef included.
+        let memo = self.config.cache_plans.then_some(&snap.scope.fragments);
+        let chosen = choose_reformulation_memoised(
             cq,
-            &snap.tbox,
-            &snap.deps,
+            &snap.scope.tbox,
+            &snap.scope.deps,
             &estimator,
             &self.config.reform_strategy,
             constraints.as_deref(),
+            memo,
         );
         if let Some(stats) = &chosen.pruned {
             self.observe
                 .record_pruned_arms(stats.empty_pruned, stats.subsumed_pruned);
         }
+        self.fragment_memo_hits
+            .fetch_add(chosen.fragments.memoised as u64, Ordering::Relaxed);
+        self.fragment_memo_misses
+            .fetch_add(chosen.fragments.computed as u64, Ordering::Relaxed);
         spans.reformulate = stage_started.elapsed();
         let stage_started = Instant::now();
         // Native plans are meaningless to the SQL backend (its
@@ -865,6 +968,7 @@ impl Server {
             sql,
             spans,
             pruned: chosen.pruned,
+            fragments: chosen.fragments,
         }
     }
 
@@ -1099,8 +1203,10 @@ impl Server {
         };
         let next = Arc::new(EngineSnapshot {
             engine,
-            tbox: cur.tbox.clone(),
-            deps: cur.deps.clone(),
+            // An ABox write cannot change what the TBox entails: the
+            // next generation keeps the scope, and with it every
+            // fragment reformulation compiled so far.
+            scope: Arc::clone(&cur.scope),
             voc,
             generation,
             // Fresh cell: constraints mined from the pre-delta data are
@@ -1207,13 +1313,13 @@ impl Server {
         let ckpt_started = Instant::now();
         // Phase 1: pin. The TBox is read *inside* the writer lock so a
         // concurrent reload cannot slip a new KB between the reads.
-        let (voc, abox, tbox, generation) = {
+        let (voc, abox, scope, generation) = {
             let writer = self.lock_writer()?;
-            let tbox = self.read_snapshot().tbox.clone();
+            let scope = Arc::clone(&self.read_snapshot().scope);
             (
                 writer.voc.clone(),
                 writer.abox.clone(),
-                tbox,
+                scope,
                 writer.applied_generation,
             )
         };
@@ -1224,7 +1330,7 @@ impl Server {
             None => return Ok(()),
         };
         // Phase 2: write, unlocked.
-        write_snapshot_to(&ckpt_path, &voc, &tbox, &abox, generation)
+        write_snapshot_to(&ckpt_path, &voc, &scope.tbox, &abox, generation)
             .map_err(ServerError::Store)?;
         // Phase 3: install.
         if let Some(store) = self.lock_store().as_mut() {
@@ -1317,6 +1423,7 @@ impl Server {
             backend,
             spans,
             pruned: compiled.pruned,
+            fragments: compiled.fragments,
         })
     }
 
@@ -1343,11 +1450,8 @@ impl Server {
         let _leader = self.lock_leader();
         self.run_leader()?; // staged commits land first, in commit order
         let mut writer = self.lock_writer()?;
-        let (tbox, deps) = {
-            let cur = self.read_snapshot();
-            (cur.tbox.clone(), cur.deps.clone())
-        };
-        Ok(self.publish(&mut writer, tbox, deps, abox))
+        let scope = Arc::clone(&self.read_snapshot().scope);
+        Ok(self.publish(&mut writer, scope, abox))
     }
 
     /// Publish a new TBox *and* ABox (ontology evolution): recomputes the
@@ -1358,7 +1462,8 @@ impl Server {
         self.run_leader()?; // staged commits land first, in commit order
         let mut writer = self.lock_writer()?;
         let deps = Dependencies::compute(&writer.voc, &tbox);
-        Ok(self.publish(&mut writer, tbox, deps, abox))
+        let scope = Arc::new(TBoxScope::new(tbox, deps));
+        Ok(self.publish(&mut writer, scope, abox))
     }
 
     /// Build and swap in the next generation (bulk path). The writer
@@ -1367,19 +1472,12 @@ impl Server {
     /// interleave (lost update), and the expensive snapshot build
     /// happens *before* the snapshot write lock is taken — queries keep
     /// serving the old generation until the O(1) `Arc` swap.
-    fn publish(
-        &self,
-        writer: &mut WriterState,
-        tbox: TBox,
-        deps: Dependencies,
-        abox: &ABox,
-    ) -> u64 {
+    fn publish(&self, writer: &mut WriterState, scope: Arc<TBoxScope>, abox: &ABox) -> u64 {
         let generation = self.read_snapshot().generation + 1;
         let next = Arc::new(Self::build_snapshot(
             &writer.voc,
             &self.config,
-            tbox.clone(),
-            deps,
+            Arc::clone(&scope),
             abox,
             generation,
         ));
@@ -1402,7 +1500,7 @@ impl Server {
             // intact, which recovers to the *previous* generation —
             // stale but consistent — and poisons the store so the next
             // append reports it.
-            let _ = store.compact(&writer.voc, &tbox, abox, generation);
+            let _ = store.compact(&writer.voc, &scope.tbox, abox, generation);
         }
         generation
     }
@@ -1411,7 +1509,7 @@ impl Server {
     /// older generations (counted in `invalidated`).
     fn swap_snapshot(&self, next: Arc<EngineSnapshot>, generation: u64) {
         *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = next;
-        let mut cache = self.lock_cache();
+        let mut cache = self.write_cache();
         let before = cache.len();
         cache.retain(|(gen, _, _), _| *gen >= generation);
         self.invalidated
@@ -1460,8 +1558,11 @@ impl Server {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.lock_cache().len(),
+            entries: self.read_cache().len(),
             invalidated: self.invalidated.load(Ordering::Relaxed),
+            fragment_memo_hits: self.fragment_memo_hits.load(Ordering::Relaxed),
+            fragment_memo_misses: self.fragment_memo_misses.load(Ordering::Relaxed),
+            fragment_memo_entries: self.read_snapshot().scope.fragments.len(),
         }
     }
 
@@ -1481,7 +1582,7 @@ impl Server {
                         panic!("poison snapshot lock");
                     }
                     "cache" => {
-                        let _guard = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+                        let _guard = self.cache.write().unwrap_or_else(|e| e.into_inner());
                         panic!("poison cache lock");
                     }
                     _ => {
@@ -1752,6 +1853,120 @@ mod tests {
         got.sort();
         assert_eq!(got, want, "warm SQL-backend serving parity");
         assert_eq!(hit.outcome.sql_bytes, miss.outcome.sql_bytes);
+    }
+
+    /// q(x) <- worksWith(x, y): its reformulation has a `supervisedBy`
+    /// arm exactly as long as the TBox says supervisedBy ⊑ worksWith.
+    fn works_with_someone(voc: &Vocabulary) -> CQ {
+        let works = voc.find_role("worksWith").unwrap();
+        CQ::with_var_head(vec![VarId(0)], vec![Atom::Role(works, v(0), v(1))])
+    }
+
+    fn sorted_rows(srv: &Server, q: &CQ) -> Vec<Vec<u32>> {
+        let mut rows = srv.query(q).unwrap().outcome.rows;
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn commits_and_abox_reloads_keep_the_tbox_scope() {
+        let (voc, tbox, abox, q) = fixture();
+        let srv = Server::new(voc.clone(), tbox, &abox, ServerConfig::default());
+        let first = srv.snapshot();
+        srv.query(&q).unwrap();
+        let primed = srv.cache_stats();
+        assert!(
+            primed.fragment_memo_misses > 0,
+            "generation 0 runs PerfectRef"
+        );
+        assert!(primed.fragment_memo_entries > 0);
+        let closure: *const TBoxClosure = first.scope.closure();
+
+        // Three commits and a bulk ABox reload: one scope, one closure,
+        // and every recompile served from the memo.
+        let phd = voc.find_concept("PhDStudent").unwrap();
+        let damian = voc.find_individual("Damian").unwrap();
+        for step in 0..4 {
+            if step < 3 {
+                let delta = if step % 2 == 0 {
+                    AboxDelta::new().delete_concept(phd, damian)
+                } else {
+                    AboxDelta::new().insert_concept(phd, damian)
+                };
+                srv.apply_batch(&delta).unwrap();
+            } else {
+                srv.reload_abox(&abox).unwrap();
+            }
+            let snap = srv.snapshot();
+            assert!(Arc::ptr_eq(&snap.scope, &first.scope), "step {step}");
+            let out = srv.query(&q).unwrap();
+            assert!(!out.cache_hit, "the purge stays: step {step} recompiles");
+            assert!(
+                std::ptr::eq(snap.scope.closure(), closure),
+                "step {step}: the closure is computed once per scope"
+            );
+        }
+        let after = srv.cache_stats();
+        assert_eq!(
+            after.fragment_memo_misses, primed.fragment_memo_misses,
+            "no recompile after a write may run PerfectRef"
+        );
+        assert!(after.fragment_memo_hits > primed.fragment_memo_hits);
+        assert_eq!(after.invalidated, 4, "every write still purges the plans");
+    }
+
+    #[test]
+    fn reload_kb_never_serves_fragments_of_the_old_tbox() {
+        let (voc, tbox, abox, _) = fixture();
+        let q = works_with_someone(&voc);
+        let srv = Server::new(voc.clone(), tbox.clone(), &abox, ServerConfig::default());
+        let old_scope = Arc::clone(&srv.snapshot().scope);
+        let before = sorted_rows(&srv, &q);
+        assert_eq!(before.len(), 2, "Ioana works, Damian is supervised");
+
+        // Drop supervisedBy ⊑ worksWith; the data is unchanged.
+        let mut weaker = TBox::new();
+        weaker.add(tbox.axioms()[0]);
+        assert_eq!(weaker.len() + 1, tbox.len());
+        srv.reload_kb(weaker.clone(), &abox).unwrap();
+
+        let snap = srv.snapshot();
+        assert!(
+            !Arc::ptr_eq(&snap.scope, &old_scope),
+            "a new TBox, a new scope"
+        );
+        let misses = srv.cache_stats().fragment_memo_misses;
+        let after = sorted_rows(&srv, &q);
+        assert!(
+            srv.cache_stats().fragment_memo_misses > misses,
+            "the new scope's memo starts empty"
+        );
+        assert_eq!(after.len(), 1, "the supervisedBy arm must be gone");
+        let cold = Server::new(
+            voc,
+            weaker,
+            &abox,
+            ServerConfig {
+                cache_plans: false,
+                ..ServerConfig::default()
+            },
+        );
+        assert_eq!(after, sorted_rows(&cold, &q));
+    }
+
+    #[test]
+    fn cache_plans_off_bypasses_the_fragment_memo() {
+        let (srv, q) = server(ServerConfig {
+            cache_plans: false,
+            ..ServerConfig::default()
+        });
+        srv.query(&q).unwrap();
+        let once = srv.cache_stats();
+        srv.query(&q).unwrap();
+        let twice = srv.cache_stats();
+        assert_eq!(twice.fragment_memo_hits, 0);
+        assert_eq!(twice.fragment_memo_entries, 0);
+        assert_eq!(twice.fragment_memo_misses, 2 * once.fragment_memo_misses);
     }
 
     /// The poison-robustness contract: one session thread panicking while

@@ -240,8 +240,7 @@ impl<'s> Txn<'s> {
         engine.apply_delta(&delta);
         let snap = Arc::new(EngineSnapshot {
             engine,
-            tbox: base.tbox.clone(),
-            deps: base.deps.clone(),
+            scope: Arc::clone(&base.scope),
             voc: Arc::new(voc),
             generation: base.generation,
             // Fresh cell, NOT the base snapshot's: this overlay contains

@@ -489,3 +489,164 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// generation-stable compilation: the TBox scope outlives commits
+// ---------------------------------------------------------------------
+
+/// `delta` as `INSERT` / `DELETE` wire statements (inserts first, like
+/// [`ABox::apply`]); names resolve in `voc`, which already interns the
+/// delta's new individuals.
+fn wire_statements(voc: &Vocabulary, delta: &AboxDelta) -> Vec<String> {
+    let ind = |i: IndividualId| voc.individual_name(i).to_owned();
+    let concept =
+        |&(c, a): &(ConceptId, IndividualId)| format!("{}({})", voc.concept_name(c), ind(a));
+    let role = |&(r, a, b): &(RoleId, IndividualId, IndividualId)| {
+        format!("{}({}, {})", voc.role_name(r), ind(a), ind(b))
+    };
+    let statement = |verb: &str, facts: Vec<String>| {
+        (!facts.is_empty()).then(|| format!("{verb} {}", facts.join(", ")))
+    };
+    let inserts = delta.insert_concepts.iter().map(concept);
+    let inserts = inserts.chain(delta.insert_roles.iter().map(role)).collect();
+    let deletes = delta.delete_concepts.iter().map(concept);
+    let deletes = deletes.chain(delta.delete_roles.iter().map(role)).collect();
+    [statement("INSERT", inserts), statement("DELETE", deletes)]
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Keeping the TBox-only half of compilation across generations is
+    /// invisible in what gets compiled: over a random sequence of insert
+    /// *and delete* deltas — alternately one-shot `apply_batch` calls and
+    /// `BEGIN … COMMIT` blocks over a wire session — every generation's
+    /// compilation on the caching server (reformulation, SQL size) and
+    /// its rows equal those of a `cache_plans = false` twin that shares
+    /// nothing with it, under both backends, and the rows equal the
+    /// certain answers.
+    ///
+    /// And the memo is what serves the recompiles (asserted on the
+    /// counters, never on time): once generation 0 has compiled every
+    /// query, a strategy whose fragments do not depend on the data (the
+    /// root cover, the exhaustive search) never runs PerfectRef again.
+    /// GDL's path through the cover space follows the statistics, so a
+    /// write can lead it to a fragment it has not met; it must still
+    /// take every fragment it *has* met — the root cover's at least —
+    /// from the memo.
+    #[test]
+    fn compilation_is_generation_stable(seed in 0u64..1_000_000) {
+        let mut rng = Rng::new(seed);
+        let shape = KbShape::default();
+        let (mut voc, tbox) = random_tbox(&mut rng, &shape);
+        let mut abox = random_abox(&mut rng, &mut voc, &shape);
+        // Distinct shapes only: canonical variants share one plan-cache
+        // entry, whose reformulation carries the first variant's names.
+        let mut queries: Vec<CQ> = Vec::new();
+        for _ in 0..3 {
+            let atoms = 1 + rng.below(3);
+            let cq = obda::query::testkit::random_connected_cq(&mut rng, &voc, atoms, 2);
+            let key = obda::query::canonical_key(&cq);
+            if queries.iter().all(|q| obda::query::canonical_key(q) != key) {
+                queries.push(cq);
+            }
+        }
+        let strategy = [
+            obda::core::Strategy::Gdl { time_budget: None },
+            obda::core::Strategy::Edl { cap: 0 },
+            obda::core::Strategy::CrootJucq,
+        ][(seed % 3) as usize]
+            .clone();
+        let data_independent = !matches!(strategy, obda::core::Strategy::Gdl { .. });
+        let config = |cache_plans| ServerConfig {
+            cache_plans,
+            reform_strategy: strategy.clone(),
+            ..ServerConfig::default()
+        };
+        let caching = std::sync::Arc::new(Server::new(voc.clone(), tbox.clone(), &abox, config(true)));
+        let twin = Server::new(voc.clone(), tbox.clone(), &abox, config(false));
+        let mut listener = obda::rdbms::pgwire::PgListener::bind(
+            "127.0.0.1:0",
+            caching.clone(),
+            obda::rdbms::pgwire::PgConfig::default(),
+        )
+        .expect("bind ephemeral port");
+        let mut wire = obda::rdbms::pgwire::WireClient::connect(&listener.local_addr(), &[])
+            .expect("startup completes");
+
+        for step in 0..4usize {
+            if step > 0 {
+                let mut delta = random_delta(&mut rng, &voc, &abox, 6, step);
+                // Introduce every fresh individual by an INSERT, in
+                // declaration order: a wire session interns a name when a
+                // fact first mentions it, and must hand out the ids the
+                // batch path predicts.
+                let base = voc.num_individuals() as u32;
+                let fresh = 0..delta.new_individuals.len() as u32;
+                delta.insert_concepts.splice(
+                    0..0,
+                    fresh.map(|k| (ConceptId(0), IndividualId(base + k))),
+                );
+                for name in &delta.new_individuals {
+                    voc.individual(name);
+                }
+                if step % 2 == 1 {
+                    caching.apply_batch(&delta).expect("batch commits");
+                } else {
+                    wire.simple_query("BEGIN").expect("BEGIN");
+                    for statement in wire_statements(&voc, &delta) {
+                        wire.simple_query(&statement).expect("in-transaction write");
+                    }
+                    let done = wire.simple_query("COMMIT").expect("COMMIT");
+                    prop_assert_eq!(&done[0].tag, "COMMIT", "seed {} step {}", seed, step);
+                }
+                twin.apply_batch(&delta).expect("twin commits");
+                abox.apply(&delta);
+            }
+
+            let before = caching.cache_stats();
+            let (snap, twin_snap) = (caching.snapshot(), twin.snapshot());
+            for (qi, cq) in queries.iter().enumerate() {
+                let truth: std::collections::BTreeSet<Vec<u32>> = certain_answers(&tbox, &abox, cq)
+                    .into_iter()
+                    .map(|row| row.into_iter().map(|i| i.0).collect())
+                    .collect();
+                for backend in [Backend::Native, Backend::Sql] {
+                    let at = format!("seed {seed} step {step} q{qi} {}", backend.name());
+                    let (compiled, _) = caching.compile(&snap, cq, backend);
+                    let (cold, _) = twin.compile(&twin_snap, cq, backend);
+                    prop_assert_eq!(&compiled.fol, &cold.fol, "{}: reformulation", at);
+                    prop_assert_eq!(compiled.sql_bytes, cold.sql_bytes, "{}: SQL size", at);
+                    let rows = |server: &Server, snap| {
+                        let out = server.query_on_as(snap, cq, backend).expect("query answers");
+                        out.outcome.rows.into_iter().collect::<std::collections::BTreeSet<_>>()
+                    };
+                    let got = rows(&caching, &snap);
+                    prop_assert_eq!(&got, &rows(&twin, &twin_snap), "{}: cold twin", at);
+                    prop_assert_eq!(&got, &truth, "{}: certain answers", at);
+                }
+            }
+            let after = caching.cache_stats();
+            if step > 0 {
+                if data_independent {
+                    prop_assert_eq!(
+                        after.fragment_memo_misses, before.fragment_memo_misses,
+                        "seed {} step {}: a recompile ran PerfectRef", seed, step
+                    );
+                }
+                prop_assert!(
+                    after.misses == before.misses
+                        || after.fragment_memo_hits > before.fragment_memo_hits,
+                    "seed {} step {}: recompiles bypassed the memo", seed, step
+                );
+            }
+        }
+        let cold = twin.cache_stats();
+        prop_assert_eq!((cold.fragment_memo_hits, cold.fragment_memo_entries), (0, 0));
+        wire.terminate();
+        listener.shutdown();
+    }
+}

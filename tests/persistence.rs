@@ -122,6 +122,42 @@ fn durable_server_survives_restart_with_exact_state() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A reopened server starts a fresh TBox scope — it reformulates once,
+/// from the TBox that rode in the store's snapshot — and from then on
+/// commits recompile out of that scope's memo like on any other server.
+#[test]
+fn reopened_server_builds_its_own_fragment_memo_and_keeps_it_across_commits() {
+    let dir = scratch("memo");
+    let (voc, tbox, abox, q) = fixture();
+    let phd = voc.find_concept("PhDStudent").unwrap();
+    let damian = voc.find_individual("Damian").unwrap();
+    let srv = Server::create_durable(&dir, voc, tbox, &abox, ServerConfig::default()).unwrap();
+    srv.query(&q).unwrap();
+    srv.apply_batch(&AboxDelta::new().delete_concept(phd, damian))
+        .unwrap();
+    let want = sorted_rows(srv.query(&q).unwrap());
+    let computed_once = srv.cache_stats().fragment_memo_misses;
+    assert!(computed_once > 0);
+    drop(srv);
+
+    let reopened = Server::open(&dir, ServerConfig::default()).unwrap();
+    assert_eq!(reopened.cache_stats().fragment_memo_entries, 0);
+    assert_eq!(sorted_rows(reopened.query(&q).unwrap()), want);
+    let primed = reopened.cache_stats();
+    assert_eq!(primed.fragment_memo_hits, 0, "nothing survives the process");
+    assert_eq!(primed.fragment_memo_misses, computed_once);
+
+    reopened
+        .apply_batch(&AboxDelta::new().insert_concept(phd, damian))
+        .unwrap();
+    let out = reopened.query(&q).unwrap();
+    assert!(!out.cache_hit);
+    let after = reopened.cache_stats();
+    assert_eq!(after.fragment_memo_misses, primed.fragment_memo_misses);
+    assert!(after.fragment_memo_hits > 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn torn_final_record_recovers_to_last_acknowledged_batch() {
     let dir = scratch("torn");

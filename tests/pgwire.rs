@@ -675,6 +675,15 @@ fn show_metrics_reports_served_counters() {
     assert!(sql >= 1, "sql counter: {sql}");
     assert!(m["query_rows_total"].parse::<u64>().unwrap() >= 1);
     assert!(m["plan_cache_misses"].parse::<u64>().unwrap() >= 1);
+    // The native compile ran PerfectRef; the SQL session's compile of
+    // the same shape took every fragment from the TBox scope's memo.
+    let computed: u64 = m["fragment_memo_misses"].parse().unwrap();
+    assert!(computed >= 1, "fragment_memo_misses: {computed}");
+    assert!(m["fragment_memo_hits"].parse::<u64>().unwrap() >= computed);
+    assert_eq!(m["fragment_memo_entries"], computed.to_string());
+    // Constraints were mined once, for the one generation served.
+    assert_eq!(m["constraint_mining_runs"], "1");
+    assert!(m.contains_key("constraint_mining_p50_us"));
     // Latency histograms saw every served query.
     assert!(m.contains_key("query_latency_p50_us.native"));
     assert!(m.contains_key("query_latency_p99_us.sql"));
@@ -862,6 +871,20 @@ fn explain_analyze_covers_all_layouts_and_backends() {
                 plan.contains("predicted: total_cost=") && plan.contains("measured: work_units="),
                 "{layout:?}/{backend}: {plan}"
             );
+            // The native session compiles first and runs PerfectRef; the
+            // SQL session's compile of the same shape finds every
+            // fragment in the TBox scope's memo.
+            let fragments = plan
+                .lines()
+                .find(|l| l.starts_with("fragments: "))
+                .unwrap_or_else(|| panic!("{layout:?}/{backend}: no fragments line:\n{plan}"));
+            if backend == "native" {
+                assert!(fragments.starts_with("fragments: 0 memoised / "));
+                assert!(!fragments.ends_with("/ 0 computed"), "{fragments}");
+            } else {
+                assert!(fragments.ends_with("memoised / 0 computed"), "{fragments}");
+                assert!(!fragments.starts_with("fragments: 0 "), "{fragments}");
+            }
             client.terminate();
         }
         listener.shutdown();
