@@ -9,9 +9,10 @@
 //! The canonical key is the lexicographically smallest encoding of the atom
 //! sequence over all atom orders, with existential variables numbered by
 //! first appearance. A branch-and-bound search keeps this exact; queries in
-//! this domain have ≤ ~12 atoms and very few ties, so the search is cheap.
-
-use std::collections::HashMap;
+//! this domain have ≤ ~12 atoms and very few ties, so few branches are
+//! explored; each step works on dense arrays prepared once per query (no
+//! hashing or allocation inside the search — PerfectRef canonicalises every
+//! candidate it generates, ~91 000 for LUBM Q13).
 
 use crate::atom::Atom;
 use crate::cq::CQ;
@@ -40,7 +41,7 @@ pub struct CanonKey {
 
 /// Compute the canonical key of `cq`.
 pub fn canonical_key(cq: &CQ) -> CanonKey {
-    canonical_key_and_order(cq).0
+    Labelling::of(cq).key
 }
 
 /// Rewrite `cq` into its canonical form: atoms in canonical order,
@@ -48,7 +49,7 @@ pub fn canonical_key(cq: &CQ) -> CanonKey {
 /// Two CQs are equal modulo renaming iff their canonical forms are
 /// structurally equal. Used by the USCQ factorizer to align disjuncts.
 pub fn canonicalize(cq: &CQ) -> CQ {
-    let (_, perm, exist_ids) = canonical_key_and_order(cq);
+    let labelling = Labelling::of(cq);
     // Head variables keep their ids; existential variables are packed after
     // the largest head id to avoid collisions.
     let base = cq
@@ -57,58 +58,16 @@ pub fn canonicalize(cq: &CQ) -> CQ {
         .max()
         .map(|m| m + 1)
         .unwrap_or(0);
-    let rename = |v: VarId| -> Term {
-        match exist_ids.get(&v) {
-            Some(&e) => Term::Var(VarId(base + e)),
-            None => Term::Var(v), // head var
-        }
+    let rename = |v: VarId| match labelling.exist_number(v) {
+        Some(e) => Term::Var(VarId(base + e)),
+        None => Term::Var(v), // head var
     };
-    let atoms = perm
+    let atoms = labelling
+        .perm
         .iter()
         .map(|&i| cq.atoms()[i].map_vars(rename))
         .collect();
     CQ::new(cq.head().to_vec(), atoms)
-}
-
-fn canonical_key_and_order(cq: &CQ) -> (CanonKey, Vec<usize>, HashMap<VarId, u32>) {
-    // Head variables get stable numbers by first head occurrence.
-    let mut head_ids: HashMap<VarId, u32> = HashMap::new();
-    let mut head = Vec::with_capacity(cq.head().len());
-    for &t in cq.head() {
-        head.push(match t {
-            Term::Const(c) => Code::Const(c.0),
-            Term::Var(v) => {
-                let next = head_ids.len() as u32;
-                Code::Head(*head_ids.entry(v).or_insert(next))
-            }
-        });
-    }
-
-    let atoms = cq.atoms();
-    let n = atoms.len();
-    let mut best: Option<Vec<AtomCode>> = None;
-    let mut best_perm: Vec<usize> = Vec::new();
-    let mut best_exist: HashMap<VarId, u32> = HashMap::new();
-    let mut state = Search {
-        atoms,
-        head_ids: &head_ids,
-        used: vec![false; n],
-        exist_ids: HashMap::new(),
-        prefix: Vec::with_capacity(n),
-        perm: Vec::with_capacity(n),
-        best: &mut best,
-        best_perm: &mut best_perm,
-        best_exist: &mut best_exist,
-    };
-    state.run();
-    (
-        CanonKey {
-            head,
-            atoms: best.unwrap_or_default(),
-        },
-        best_perm,
-        best_exist,
-    )
 }
 
 /// Are two CQs identical up to existential-variable renaming and atom
@@ -117,93 +76,179 @@ pub fn same_modulo_renaming(a: &CQ, b: &CQ) -> bool {
     a.num_atoms() == b.num_atoms() && canonical_key(a) == canonical_key(b)
 }
 
-struct Search<'a> {
-    atoms: &'a [Atom],
-    head_ids: &'a HashMap<VarId, u32>,
-    used: Vec<bool>,
-    exist_ids: HashMap<VarId, u32>,
-    prefix: Vec<AtomCode>,
-    perm: Vec<usize>,
-    best: &'a mut Option<Vec<AtomCode>>,
-    best_perm: &'a mut Vec<usize>,
-    best_exist: &'a mut HashMap<VarId, u32>,
+/// A body term with its variable resolved once, before the search: the
+/// branch loop then encodes terms by array lookup instead of by hashing
+/// variable ids.
+#[derive(Clone, Copy)]
+enum Slot {
+    Const(u32),
+    Head(u32),
+    /// Dense index of an existential variable (by first body occurrence).
+    Exist(usize),
 }
 
-impl Search<'_> {
-    fn encode_term(&self, t: Term) -> Code {
-        match t {
-            Term::Const(c) => Code::Const(c.0),
-            Term::Var(v) => {
-                if let Some(&h) = self.head_ids.get(&v) {
-                    Code::Head(h)
-                } else if let Some(&e) = self.exist_ids.get(&v) {
-                    Code::Exist(e)
-                } else {
-                    Code::Fresh
-                }
-            }
+/// An atom over [`Slot`]s; a concept's second slot is `Const(0)`, which
+/// encodes to the padding the key uses for unary atoms.
+type SlotAtom = (u8, u32, [Slot; 2]);
+
+const UNNUMBERED: u32 = u32::MAX;
+
+/// The result of the canonical-labelling search.
+struct Labelling {
+    key: CanonKey,
+    /// Atom indices of `cq` in canonical order.
+    perm: Vec<usize>,
+    /// Existential variables by dense index, and the number each got.
+    exist_vars: Vec<VarId>,
+    exist_num: Vec<u32>,
+}
+
+impl Labelling {
+    fn of(cq: &CQ) -> Labelling {
+        // Head variables get stable numbers by first head occurrence.
+        let mut head_vars: Vec<VarId> = Vec::new();
+        let head = cq
+            .head()
+            .iter()
+            .map(|&t| match t {
+                Term::Const(c) => Code::Const(c.0),
+                Term::Var(v) => Code::Head(index_of(&mut head_vars, v) as u32),
+            })
+            .collect();
+        let mut exist_vars: Vec<VarId> = Vec::new();
+        let mut slot = |t: Term| match t {
+            Term::Const(c) => Slot::Const(c.0),
+            Term::Var(v) => match head_vars.iter().position(|&h| h == v) {
+                Some(h) => Slot::Head(h as u32),
+                None => Slot::Exist(index_of(&mut exist_vars, v)),
+            },
+        };
+        let atoms: Vec<SlotAtom> = cq
+            .atoms()
+            .iter()
+            .map(|a| match *a {
+                Atom::Concept(c, t) => (0, c.0, [slot(t), Slot::Const(0)]),
+                Atom::Role(r, t1, t2) => (1, r.0, [slot(t1), slot(t2)]),
+            })
+            .collect();
+
+        let n = atoms.len();
+        let mut search = Search {
+            atoms: &atoms,
+            used: vec![false; n],
+            exist_num: vec![UNNUMBERED; exist_vars.len()],
+            numbered: 0,
+            prefix: Vec::with_capacity(n),
+            perm: Vec::with_capacity(n),
+            best: Vec::with_capacity(n),
+            best_perm: Vec::with_capacity(n),
+            best_exist_num: vec![UNNUMBERED; exist_vars.len()],
+            found: false,
+        };
+        search.run();
+        Labelling {
+            key: CanonKey {
+                head,
+                atoms: search.best,
+            },
+            perm: search.best_perm,
+            exist_vars,
+            exist_num: search.best_exist_num,
         }
     }
 
-    fn encode_atom(&self, a: &Atom) -> AtomCode {
-        match a {
-            Atom::Concept(c, t) => (0, c.0, self.encode_term(*t), Code::Const(0)),
-            Atom::Role(r, t1, t2) => (1, r.0, self.encode_term(*t1), self.encode_term(*t2)),
+    fn exist_number(&self, v: VarId) -> Option<u32> {
+        let i = self.exist_vars.iter().position(|&w| w == v)?;
+        Some(self.exist_num[i])
+    }
+}
+
+/// Position of `v` in `vars`, appending it if absent. Queries have a few
+/// dozen variables at most, so a scan beats hashing.
+fn index_of(vars: &mut Vec<VarId>, v: VarId) -> usize {
+    vars.iter().position(|&w| w == v).unwrap_or_else(|| {
+        vars.push(v);
+        vars.len() - 1
+    })
+}
+
+/// Branch-and-bound state. Every buffer is sized once in
+/// [`Labelling::of`]; the search itself allocates nothing.
+struct Search<'a> {
+    atoms: &'a [SlotAtom],
+    used: Vec<bool>,
+    /// Number given to each existential so far, or [`UNNUMBERED`].
+    exist_num: Vec<u32>,
+    numbered: u32,
+    prefix: Vec<AtomCode>,
+    perm: Vec<usize>,
+    best: Vec<AtomCode>,
+    best_perm: Vec<usize>,
+    best_exist_num: Vec<u32>,
+    found: bool,
+}
+
+impl Search<'_> {
+    fn encode_slot(&self, s: Slot) -> Code {
+        match s {
+            Slot::Const(c) => Code::Const(c),
+            Slot::Head(h) => Code::Head(h),
+            Slot::Exist(i) => match self.exist_num[i] {
+                UNNUMBERED => Code::Fresh,
+                e => Code::Exist(e),
+            },
         }
+    }
+
+    fn encode_atom(&self, i: usize) -> AtomCode {
+        let (tag, pred, [s1, s2]) = self.atoms[i];
+        (tag, pred, self.encode_slot(s1), self.encode_slot(s2))
     }
 
     fn run(&mut self) {
         let n = self.atoms.len();
-        if self.prefix.len() == n {
-            let candidate = self.prefix.clone();
+        let d = self.prefix.len();
+        if d == n {
             // Fresh codes in the final encoding would mean un-numbered vars,
             // impossible: numbering happens as atoms are committed.
-            match self.best {
-                Some(b) if *b <= candidate => {}
-                _ => {
-                    *self.best = Some(candidate);
-                    *self.best_perm = self.perm.clone();
-                    *self.best_exist = self.exist_ids.clone();
-                }
+            if !self.found || self.prefix < self.best {
+                self.found = true;
+                self.best.clone_from(&self.prefix);
+                self.best_perm.clone_from(&self.perm);
+                self.best_exist_num.clone_from(&self.exist_num);
             }
             return;
         }
         // Prune: if the current prefix already exceeds the best at this
         // depth, stop. (Compare prefix against best's prefix.)
-        if let Some(b) = self.best.as_ref() {
-            let d = self.prefix.len();
-            if self.prefix.as_slice() > &b[..d] {
-                return;
-            }
+        if self.found && self.prefix.as_slice() > &self.best[..d] {
+            return;
         }
         // Find minimal encoding among unused atoms.
-        let mut min_code: Option<AtomCode> = None;
-        for (i, a) in self.atoms.iter().enumerate() {
-            if self.used[i] {
-                continue;
-            }
-            let code = self.encode_atom(a);
-            if min_code.as_ref().is_none_or(|m| code < *m) {
-                min_code = Some(code);
-            }
-        }
-        let min_code = min_code.expect("at least one unused atom");
+        let min_code = (0..n)
+            .filter(|&i| !self.used[i])
+            .map(|i| self.encode_atom(i))
+            .min()
+            .expect("at least one unused atom");
         // Branch on every unused atom achieving the minimum.
-        for i in 0..self.atoms.len() {
-            if self.used[i] || self.encode_atom(&self.atoms[i]) != min_code {
+        for i in 0..n {
+            if self.used[i] || self.encode_atom(i) != min_code {
                 continue;
             }
             // Commit: number fresh existential vars by position order.
-            let newly: Vec<VarId> = self.atoms[i]
-                .vars()
-                .filter(|v| !self.head_ids.contains_key(v) && !self.exist_ids.contains_key(v))
-                .collect();
-            for v in &newly {
-                let next = self.exist_ids.len() as u32;
-                self.exist_ids.entry(*v).or_insert(next);
+            let before = self.numbered;
+            let mut newly = [usize::MAX; 2];
+            for (k, s) in self.atoms[i].2.into_iter().enumerate() {
+                if let Slot::Exist(e) = s {
+                    if self.exist_num[e] == UNNUMBERED {
+                        self.exist_num[e] = self.numbered;
+                        self.numbered += 1;
+                        newly[k] = e;
+                    }
+                }
             }
             // Re-encode with the numbering applied.
-            let committed = self.encode_atom(&self.atoms[i]);
+            let committed = self.encode_atom(i);
             self.used[i] = true;
             self.prefix.push(committed);
             self.perm.push(i);
@@ -211,9 +256,12 @@ impl Search<'_> {
             self.perm.pop();
             self.prefix.pop();
             self.used[i] = false;
-            for v in newly {
-                self.exist_ids.remove(&v);
+            for e in newly {
+                if e != usize::MAX {
+                    self.exist_num[e] = UNNUMBERED;
+                }
             }
+            self.numbered = before;
         }
     }
 }

@@ -8,10 +8,37 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use obda_dllite::Vocabulary;
+use obda_dllite::{PredId, Vocabulary};
 
 use crate::atom::{fmt_term, Atom};
 use crate::term::{Subst, Term, VarId};
+
+/// The set of body predicates of a CQ, folded into 128 bits.
+///
+/// A homomorphism maps every atom onto an atom of the same predicate, so
+/// `from.signature() ⊆ to.signature()` is *necessary* for one to exist
+/// from `from` into `to`. Predicates that share a bit only make the test
+/// pass more often; it never rejects a pair the search would accept.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub struct PredSig(u128);
+
+impl PredSig {
+    fn of(atoms: &[Atom]) -> Self {
+        PredSig(atoms.iter().fold(0, |sig, a| {
+            // Concepts on even bits, roles on odd ones: ids are dense per
+            // kind, so small vocabularies get a bit per predicate.
+            let slot = match a.pred() {
+                PredId::Concept(c) => 2 * c.0,
+                PredId::Role(r) => 2 * r.0 + 1,
+            };
+            sig | 1u128 << (slot % u128::BITS)
+        }))
+    }
+
+    pub fn is_subset_of(self, other: PredSig) -> bool {
+        self.0 & !other.0 == 0
+    }
+}
 
 /// A conjunctive query. Body atoms are kept as a duplicate-free vector in
 /// insertion order.
@@ -19,6 +46,9 @@ use crate::term::{Subst, Term, VarId};
 pub struct CQ {
     head: Vec<Term>,
     atoms: Vec<Atom>,
+    /// Always `PredSig::of(&atoms)`, so the derived `Eq`/`Hash` see
+    /// nothing the atoms do not already determine.
+    sig: PredSig,
 }
 
 impl CQ {
@@ -30,7 +60,11 @@ impl CQ {
                 seen.push(a);
             }
         }
-        CQ { head, atoms: seen }
+        CQ {
+            head,
+            sig: PredSig::of(&seen),
+            atoms: seen,
+        }
     }
 
     /// A CQ with an all-variable head.
@@ -53,6 +87,11 @@ impl CQ {
 
     pub fn num_atoms(&self) -> usize {
         self.atoms.len()
+    }
+
+    /// The body's predicate signature (see [`PredSig`]).
+    pub fn signature(&self) -> PredSig {
+        self.sig
     }
 
     pub fn is_boolean(&self) -> bool {
@@ -148,6 +187,7 @@ impl CQ {
         atoms.remove(idx);
         CQ {
             head: self.head.clone(),
+            sig: PredSig::of(&atoms),
             atoms,
         }
     }

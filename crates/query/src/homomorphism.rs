@@ -6,118 +6,95 @@
 //! minimization (§2.3: "minimizing qUCQ by eliminating disjuncts contained
 //! in another").
 
-use std::collections::HashMap;
-
 use crate::atom::Atom;
 use crate::cq::CQ;
 use crate::term::{Term, VarId};
 
-/// A variable assignment built during homomorphism search.
-type Assignment = HashMap<VarId, Term>;
+/// A variable assignment, in the order the search bound the variables.
+///
+/// During the search it doubles as the undo trail: binding pushes,
+/// backtracking truncates. Queries here have a few dozen variables at
+/// most, so a linear scan beats hashing.
+pub type Assignment = Vec<(VarId, Term)>;
+
+fn lookup(assign: &Assignment, v: VarId) -> Option<Term> {
+    assign.iter().find(|(w, _)| *w == v).map(|&(_, t)| t)
+}
 
 /// Find a homomorphism from `from` into `to`: a mapping `h` of `from`'s
 /// variables to `to`'s terms such that every atom of `from` lands on an
 /// atom of `to`, and `h(head(from)) == head(to)` positionally.
 ///
-/// Returns the assignment if one exists.
+/// Returns the assignment if one exists. This is the one containment
+/// kernel: [`contained_in`], [`equivalent`], [`contained_in_union`],
+/// `cq_core`, `minimize_ucq` and PerfectRef's forward subsumption all end
+/// here. Most pairs they ask about do not share their predicates, so the
+/// signature test comes first and allocates nothing; a search that is
+/// entered allocates its assignment and atom order once, not per step.
 pub fn homomorphism(from: &CQ, to: &CQ) -> Option<Assignment> {
-    if from.head().len() != to.head().len() {
+    if !from.signature().is_subset_of(to.signature()) || from.head().len() != to.head().len() {
         return None;
     }
-    let mut assign: Assignment = HashMap::new();
+    let mut assign = Assignment::new();
     // Seed with the head mapping.
     for (&ft, &tt) in from.head().iter().zip(to.head()) {
-        match ft {
-            Term::Const(c) => {
-                if tt != Term::Const(c) {
-                    return None;
-                }
-            }
-            Term::Var(v) => match assign.get(&v) {
-                Some(&prev) if prev != tt => return None,
-                _ => {
-                    assign.insert(v, tt);
-                }
-            },
+        if !bind(ft, tt, &mut assign) {
+            return None;
         }
     }
     // Order atoms: most-constrained first (more already-assigned variables,
     // then rarer predicates in `to`).
-    let mut pred_counts: HashMap<_, usize> = HashMap::new();
-    for a in to.atoms() {
-        *pred_counts.entry(a.pred()).or_insert(0) += 1;
+    let mut order: Vec<(usize, usize, &Atom)> = Vec::with_capacity(from.atoms().len());
+    for a in from.atoms() {
+        let assigned = a.vars().filter(|&v| lookup(&assign, v).is_some()).count();
+        let candidates = to.atoms().iter().filter(|t| t.pred() == a.pred()).count();
+        if candidates == 0 {
+            return None; // signatures collided
+        }
+        order.push((usize::MAX - assigned, candidates, a));
     }
-    let mut order: Vec<usize> = (0..from.atoms().len()).collect();
-    order.sort_by_key(|&i| {
-        let a = &from.atoms()[i];
-        let assigned = a.vars().filter(|v| assign.contains_key(v)).count();
-        let candidates = pred_counts.get(&a.pred()).copied().unwrap_or(0);
-        (usize::MAX - assigned, candidates)
-    });
-    if search(from, to, &order, 0, &mut assign) {
-        Some(assign)
-    } else {
-        None
-    }
+    order.sort_by_key(|&(assigned, candidates, _)| (assigned, candidates));
+    search(&order, to.atoms(), &mut assign).then_some(assign)
 }
 
-fn search(from: &CQ, to: &CQ, order: &[usize], depth: usize, assign: &mut Assignment) -> bool {
-    if depth == order.len() {
+fn search(order: &[(usize, usize, &Atom)], targets: &[Atom], assign: &mut Assignment) -> bool {
+    let Some((&(_, _, atom), rest)) = order.split_first() else {
         return true;
-    }
-    let atom = &from.atoms()[order[depth]];
-    for target in to.atoms() {
-        if target.pred() != atom.pred() {
-            continue;
+    };
+    let mark = assign.len();
+    for target in targets {
+        if map_atom(atom, target, assign) && search(rest, targets, assign) {
+            return true;
         }
-        let mut trail: Vec<VarId> = Vec::new();
-        if try_map_atom(atom, target, assign, &mut trail) {
-            if search(from, to, order, depth + 1, assign) {
-                return true;
-            }
-        }
-        for v in trail {
-            assign.remove(&v);
-        }
+        assign.truncate(mark);
     }
     false
 }
 
-/// Extend `assign` so that `atom` maps onto `target`; record new bindings
-/// in `trail` for backtracking. Returns false (with partial trail) on
-/// conflict.
-fn try_map_atom(
-    atom: &Atom,
-    target: &Atom,
-    assign: &mut Assignment,
-    trail: &mut Vec<VarId>,
-) -> bool {
-    let pairs: Vec<(Term, Term)> = match (atom, target) {
-        (Atom::Concept(_, t), Atom::Concept(_, u)) => vec![(*t, *u)],
-        (Atom::Role(_, t1, t2), Atom::Role(_, u1, u2)) => vec![(*t1, *u1), (*t2, *u2)],
-        _ => return false,
-    };
-    for (t, u) in pairs {
-        match t {
-            Term::Const(c) => {
-                if u != Term::Const(c) {
-                    return false;
-                }
-            }
-            Term::Var(v) => match assign.get(&v) {
-                Some(&prev) => {
-                    if prev != u {
-                        return false;
-                    }
-                }
-                None => {
-                    assign.insert(v, u);
-                    trail.push(v);
-                }
-            },
+/// Extend `assign` so that `atom` maps onto `target`. On conflict returns
+/// false and may leave bindings behind for the caller to truncate.
+fn map_atom(atom: &Atom, target: &Atom, assign: &mut Assignment) -> bool {
+    match (atom, target) {
+        (Atom::Concept(c, t), Atom::Concept(d, u)) => c == d && bind(*t, *u, assign),
+        (Atom::Role(r, t1, t2), Atom::Role(s, u1, u2)) => {
+            r == s && bind(*t1, *u1, assign) && bind(*t2, *u2, assign)
         }
+        _ => false,
     }
-    true
+}
+
+/// Require `h(t) == u`, binding `t` if it is a still-free variable.
+fn bind(t: Term, u: Term, assign: &mut Assignment) -> bool {
+    match t {
+        Term::Const(_) => t == u,
+        Term::Var(v) => match lookup(assign, v) {
+            Some(prev) => prev == u,
+            None => {
+                assign.push((v, u));
+                true
+            }
+        },
+    }
 }
 
 /// `q1 ⊑ q2`: is every answer of `q1` also an answer of `q2`, over every

@@ -23,7 +23,7 @@ pub mod ucq;
 
 pub use atom::Atom;
 pub use canonical::{canonical_key, canonicalize, same_modulo_renaming, CanonKey};
-pub use cq::{connected_subset, CQ};
+pub use cq::{connected_subset, PredSig, CQ};
 pub use eval::{certain_answers, eval_fol, eval_over_abox};
 pub use fol::FolQuery;
 pub use homomorphism::{contained_in, contained_in_union, equivalent, homomorphism};

@@ -450,6 +450,165 @@ fn random_atom_with(rng: &mut Rng, voc: &Vocabulary, anchor: VarId, next_var: &m
     }
 }
 
+// ---------------------------------------------------------------------
+// Brute-force references for the containment kernel
+// ---------------------------------------------------------------------
+
+/// A random CQ for containment-kernel tests, over no vocabulary: a few
+/// variables and constants (constants reach the head too), few enough
+/// predicates that they repeat, and predicate ids 64 apart, which share
+/// a [`PredSig`](crate::PredSig) bit — so some pairs pass the signature
+/// test without sharing their predicates. Head arity varies from CQ to
+/// CQ, the body has `1..=max_atoms` atoms and need not be connected.
+pub fn random_kernel_cq(rng: &mut Rng, max_atoms: usize) -> CQ {
+    const PRED_IDS: [u32; 4] = [0, 1, 64, 65];
+    let term = |rng: &mut Rng| {
+        if rng.chance(0.2) {
+            Term::Const(obda_dllite::IndividualId(rng.below(2) as u32))
+        } else {
+            Term::Var(VarId(rng.below(4) as u32))
+        }
+    };
+    let atoms = (0..1 + rng.below(max_atoms))
+        .map(|_| {
+            let id = PRED_IDS[rng.below(PRED_IDS.len())];
+            if rng.chance(0.5) {
+                Atom::Concept(obda_dllite::ConceptId(id), term(rng))
+            } else {
+                Atom::Role(obda_dllite::RoleId(id), term(rng), term(rng))
+            }
+        })
+        .collect();
+    let head = (0..rng.below(3)).map(|_| term(rng)).collect();
+    CQ::new(head, atoms)
+}
+
+/// A CQ that maps homomorphically into `to` by construction: some of
+/// `to`'s atoms (with repetition), all variables renamed apart, and
+/// some body positions generalised to fresh variables.
+pub fn random_generalisation(rng: &mut Rng, to: &CQ) -> CQ {
+    let rename = |v: VarId| Term::Var(VarId(v.0 + 100));
+    let mut fresh = 200;
+    let mut atoms = Vec::new();
+    for _ in 0..to.num_atoms() {
+        let atom = to.atoms()[rng.below(to.num_atoms())].map_vars(rename);
+        let mut generalise = |t: Term| {
+            if rng.chance(0.3) {
+                fresh += 1;
+                Term::Var(VarId(fresh))
+            } else {
+                t
+            }
+        };
+        atoms.push(match atom {
+            Atom::Concept(c, t) => Atom::Concept(c, generalise(t)),
+            Atom::Role(r, t1, t2) => Atom::Role(r, generalise(t1), generalise(t2)),
+        });
+    }
+    let head = to
+        .head()
+        .iter()
+        .map(|t| t.as_var().map_or(*t, rename))
+        .collect();
+    CQ::new(head, atoms)
+}
+
+/// Require `map(t) == u`, extending `map` when `t` is an unmapped
+/// variable.
+fn map_term(map: &mut Vec<(VarId, Term)>, t: Term, u: Term) -> bool {
+    match t {
+        Term::Const(_) => t == u,
+        Term::Var(v) => match map.iter().find(|(w, _)| *w == v) {
+            Some(&(_, prev)) => prev == u,
+            None => {
+                map.push((v, u));
+                true
+            }
+        },
+    }
+}
+
+fn map_atom(map: &mut Vec<(VarId, Term)>, a: &Atom, b: &Atom) -> bool {
+    a.pred() == b.pred() && a.terms().zip(b.terms()).all(|(t, u)| map_term(map, t, u))
+}
+
+fn map_head(map: &mut Vec<(VarId, Term)>, a: &CQ, b: &CQ) -> bool {
+    a.head().len() == b.head().len()
+        && a.head()
+            .iter()
+            .zip(b.head())
+            .all(|(&t, &u)| map_term(map, t, u))
+}
+
+/// Reference for [`homomorphism`](crate::homomorphism): try **every**
+/// function from `from`'s atoms to `to`'s atoms and accept one that a
+/// single variable mapping, agreeing with the heads, induces.
+/// `|to|^|from|` candidates — for small test queries only.
+pub fn brute_force_homomorphism(from: &CQ, to: &CQ) -> bool {
+    let (n, m) = (from.num_atoms(), to.num_atoms());
+    if m == 0 && n > 0 {
+        return false;
+    }
+    let mut choice = vec![0usize; n];
+    loop {
+        let mut map = Vec::new();
+        if map_head(&mut map, from, to)
+            && (0..n).all(|i| map_atom(&mut map, &from.atoms()[i], &to.atoms()[choice[i]]))
+        {
+            return true;
+        }
+        // Next function, as an n-digit counter in base m.
+        let Some(i) = (0..n).find(|&i| choice[i] + 1 < m) else {
+            return false;
+        };
+        choice[i] += 1;
+        choice[..i].fill(0);
+    }
+}
+
+/// Reference for [`same_modulo_renaming`](crate::same_modulo_renaming):
+/// try **every** bijection between the two atom lists and accept one
+/// induced by an injective variable-to-variable renaming that also
+/// carries head onto head. `n!` candidates — for small test queries only.
+pub fn brute_force_same_modulo_renaming(a: &CQ, b: &CQ) -> bool {
+    fn extend(a: &CQ, b: &CQ, perm: &mut Vec<usize>) -> bool {
+        if perm.len() == a.num_atoms() {
+            let mut map = Vec::new();
+            return map_head(&mut map, a, b)
+                && (0..perm.len()).all(|i| map_atom(&mut map, &a.atoms()[i], &b.atoms()[perm[i]]))
+                && map.iter().all(|(_, u)| u.is_var())
+                && (0..map.len()).all(|i| (0..i).all(|j| map[i].1 != map[j].1));
+        }
+        (0..b.num_atoms()).any(|j| {
+            if perm.contains(&j) {
+                return false;
+            }
+            perm.push(j);
+            let found = extend(a, b, perm);
+            perm.pop();
+            found
+        })
+    }
+    a.num_atoms() == b.num_atoms() && extend(a, b, &mut Vec::new())
+}
+
+/// `cq` with its variables renamed injectively and its atoms shuffled.
+pub fn random_variant(rng: &mut Rng, cq: &CQ) -> CQ {
+    // An affine map with an odd multiplier is a bijection on `u32`.
+    let (mul, add) = (2 * rng.below(50) as u32 + 1, rng.below(1000) as u32);
+    let rename = |v: VarId| Term::Var(VarId(v.0.wrapping_mul(mul).wrapping_add(add)));
+    let mut atoms: Vec<Atom> = cq.atoms().iter().map(|a| a.map_vars(rename)).collect();
+    for i in (1..atoms.len()).rev() {
+        atoms.swap(i, rng.below(i + 1));
+    }
+    let head = cq
+        .head()
+        .iter()
+        .map(|t| t.as_var().map_or(*t, rename))
+        .collect();
+    CQ::new(head, atoms)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

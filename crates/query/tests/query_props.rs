@@ -3,16 +3,37 @@
 
 use proptest::prelude::*;
 
-use obda_query::testkit::{random_connected_cq, random_tbox, KbShape, Rng};
+use obda_query::testkit::{
+    brute_force_homomorphism, brute_force_same_modulo_renaming, random_connected_cq,
+    random_generalisation, random_kernel_cq, random_tbox, random_variant, KbShape, Rng,
+};
 use obda_query::{
     canonical_key, canonicalize, contained_in, cq_core, equivalent, homomorphism, mgu,
-    same_modulo_renaming, Subst, CQ,
+    same_modulo_renaming, Atom, Subst, Term, VarId, CQ,
 };
 
 fn cq_from(seed: u64, atoms: usize) -> CQ {
     let mut rng = Rng::new(seed);
     let (voc, _) = random_tbox(&mut rng, &KbShape::default());
     random_connected_cq(&mut rng, &voc, atoms, 2)
+}
+
+/// A pair for the containment kernel: two unrelated random CQs, or a CQ
+/// and a generalisation of it (so that homomorphisms are common).
+fn kernel_pair(seed: u64) -> (CQ, CQ) {
+    let mut rng = Rng::new(seed);
+    let to = random_kernel_cq(&mut rng, 4);
+    let from = if rng.chance(0.5) {
+        random_generalisation(&mut rng, &to)
+    } else {
+        random_kernel_cq(&mut rng, 4)
+    };
+    (from, to)
+}
+
+/// `cq` rebuilt from its parts through `CQ::new`.
+fn rebuilt(cq: &CQ) -> CQ {
+    CQ::new(cq.head().to_vec(), cq.atoms().to_vec())
 }
 
 proptest! {
@@ -96,6 +117,87 @@ proptest! {
                 let twice = once.apply(&sigma);
                 prop_assert_eq!(once, twice);
             }
+        }
+    }
+}
+
+// The containment kernel against its brute-force references. 512 cases
+// each (the CI differential job's depth; `PROPTEST_CASES` caps it lower
+// elsewhere): roughly half of the kernel pairs have a homomorphism, an
+// eighth pass the signature test without one.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The kernel agrees with the reference that tries every atom→atom
+    /// map, in both directions, on pairs with constants in head and body,
+    /// repeated predicates, differing head arities and predicates that
+    /// collide in the signature; and what it returns is a homomorphism.
+    #[test]
+    fn kernel_agrees_with_brute_force(seed in 0u64..1_000_000) {
+        let (a, b) = kernel_pair(seed);
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let found = homomorphism(from, to);
+            prop_assert_eq!(found.is_some(), brute_force_homomorphism(from, to), "{:?} -> {:?}", from, to);
+            prop_assert_eq!(contained_in(to, from), found.is_some());
+            if let Some(assign) = found {
+                let h = |t: Term| match t {
+                    Term::Var(v) => assign.iter().find(|(w, _)| *w == v).map_or(t, |&(_, u)| u),
+                    Term::Const(_) => t,
+                };
+                let image: Vec<Term> = from.head().iter().map(|&t| h(t)).collect();
+                prop_assert_eq!(image.as_slice(), to.head());
+                for atom in from.atoms() {
+                    let image = match *atom {
+                        Atom::Concept(c, t) => Atom::Concept(c, h(t)),
+                        Atom::Role(r, t1, t2) => Atom::Role(r, h(t1), h(t2)),
+                    };
+                    prop_assert!(to.atoms().contains(&image), "{:?} not in {:?}", image, to);
+                }
+            }
+        }
+    }
+
+    /// The signature test is necessary for containment, and every
+    /// constructor stores the signature a fresh `CQ::new` would compute.
+    #[test]
+    fn signature_is_necessary_and_maintained(seed in 0u64..1_000_000) {
+        let (a, b) = kernel_pair(seed);
+        if contained_in(&a, &b) {
+            prop_assert!(b.signature().is_subset_of(a.signature()));
+        }
+        if contained_in(&b, &a) {
+            prop_assert!(a.signature().is_subset_of(b.signature()));
+        }
+        let mut sigma = Subst::new();
+        sigma.bind(VarId(0), Term::Var(VarId(1)));
+        sigma.bind(VarId(2), b.head().first().copied().unwrap_or(Term::Var(VarId(3))));
+        let mut derived = vec![rebuilt(&b), b.apply(&sigma), b.shift_vars(seed as u32 % 97)];
+        derived.extend((0..b.num_atoms()).map(|i| b.without_atom(i)));
+        for cq in &derived {
+            prop_assert_eq!(cq.signature(), rebuilt(cq).signature(), "{:?}", cq);
+            prop_assert_eq!(cq, &rebuilt(cq));
+        }
+    }
+
+    /// Equal canonical keys ⇔ equal modulo renaming, against the reference
+    /// that tries every atom bijection (≤ 6 atoms, so ≤ 720 of them): on
+    /// renamed-and-shuffled variants, on variants with one atom replaced,
+    /// and on unrelated queries.
+    #[test]
+    fn canonical_key_agrees_with_brute_force(seed in 0u64..1_000_000) {
+        let mut rng = Rng::new(seed);
+        let a = random_kernel_cq(&mut rng, 6);
+        let variant = random_variant(&mut rng, &a);
+        prop_assert!(brute_force_same_modulo_renaming(&a, &variant));
+        let mut atoms = variant.atoms().to_vec();
+        let i = rng.below(atoms.len());
+        atoms[i] = random_kernel_cq(&mut rng, 1).atoms()[0];
+        let mutated = CQ::new(variant.head().to_vec(), atoms);
+        let unrelated = random_kernel_cq(&mut rng, 6);
+        for b in [&variant, &mutated, &unrelated] {
+            let same = brute_force_same_modulo_renaming(&a, b);
+            prop_assert_eq!(canonical_key(&a) == canonical_key(b), same, "{:?} vs {:?}", a, b);
+            prop_assert_eq!(same_modulo_renaming(&a, b), same);
         }
     }
 }

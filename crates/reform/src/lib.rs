@@ -24,7 +24,10 @@ pub mod violations;
 pub use applicability::{specializations, Specialization};
 pub use cover_reform::{cover_reformulation, cover_reformulation_juscq, trivial_reformulation};
 pub use fragment::{fragment_query, FragmentSpec};
-pub use perfectref::{perfect_ref, perfect_ref_pruned, perfect_ref_with_stats, ReformStats};
+pub use perfectref::{
+    perfect_ref, perfect_ref_pruned, perfect_ref_pruned_with_stats, perfect_ref_with_stats,
+    ReformStats,
+};
 pub use prune::{arm_provably_empty, data_contained, prune_fol, prune_ucq, PruneStats, PrunedUcq};
 pub use rdfs::{is_rdfs_axiom, is_rdfs_tbox, rdfs_subset};
 pub use uscq_factorize::factorize_ucq;

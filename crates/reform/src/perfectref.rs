@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 
 use obda_dllite::TBox;
-use obda_query::{canonical_key, mgu_preferring, CanonKey, VarId, CQ, UCQ};
+use obda_query::{canonical_key, contained_in, mgu_preferring, CanonKey, VarId, CQ, UCQ};
 
 use crate::applicability::specializations;
 
@@ -28,6 +28,12 @@ pub struct ReformStats {
     pub axiom_applications: usize,
     /// Reduce (unification) steps attempted.
     pub reduce_steps: usize,
+    /// Forward-subsumption tests (new candidate against an emitted
+    /// disjunct) that passed the predicate-signature test and entered a
+    /// homomorphism search. Zero for the exhaustive variant.
+    pub containment_searches: usize,
+    /// Forward-subsumption tests the signature test answered on its own.
+    pub containment_filtered: usize,
 }
 
 /// Reformulate `q` w.r.t. `tbox` into its UCQ reformulation — the
@@ -55,25 +61,30 @@ pub fn perfect_ref_with_stats(q: &CQ, tbox: &TBox) -> (UCQ, ReformStats) {
 /// downstream minimization cheap. Property tests cross-check it against
 /// the chase oracle.
 pub fn perfect_ref_pruned(q: &CQ, tbox: &TBox) -> UCQ {
-    run(q, tbox, true).0
+    perfect_ref_pruned_with_stats(q, tbox).0
+}
+
+/// Like [`perfect_ref_pruned`], also returning run statistics.
+pub fn perfect_ref_pruned_with_stats(q: &CQ, tbox: &TBox) -> (UCQ, ReformStats) {
+    run(q, tbox, true)
 }
 
 fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
-    let mut stats = ReformStats::default();
-    let mut ucq = UCQ::single(q.clone());
-    let mut seen: HashSet<CanonKey> = HashSet::new();
-    seen.insert(canonical_key(q));
-
+    let mut run = Run {
+        stats: ReformStats::default(),
+        ucq: UCQ::single(q.clone()),
+        seen: HashSet::from([canonical_key(q)]),
+        frontier: vec![q.clone()],
+        prune,
+    };
     let head_vars: Vec<VarId> = q.head_vars().collect();
-    let mut frontier: Vec<CQ> = vec![q.clone()];
-    while let Some(current) = frontier.pop() {
+    while let Some(current) = run.frontier.pop() {
         // (a) backward constraint applications.
         for spec in specializations(&current, tbox, current.fresh_var()) {
-            stats.axiom_applications += 1;
+            run.stats.axiom_applications += 1;
             let mut atoms = current.atoms().to_vec();
             atoms[spec.atom_idx] = spec.replacement;
-            let candidate = CQ::new(current.head().to_vec(), atoms);
-            push_new(candidate, &mut ucq, &mut seen, &mut frontier, prune);
+            run.push_new(CQ::new(current.head().to_vec(), atoms));
         }
         // (b) reduce: unify each pair of atoms.
         let n = current.num_atoms();
@@ -81,43 +92,60 @@ fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
             for j in (i + 1)..n {
                 let (a, b) = (&current.atoms()[i], &current.atoms()[j]);
                 if let Some(sigma) = mgu_preferring(a, b, &head_vars) {
-                    stats.reduce_steps += 1;
+                    run.stats.reduce_steps += 1;
                     if sigma.is_empty() {
                         continue; // identical atoms — CQ::new dedups anyway
                     }
-                    let candidate = current.apply(&sigma);
-                    push_new(candidate, &mut ucq, &mut seen, &mut frontier, prune);
+                    run.push_new(current.apply(&sigma));
                 }
             }
         }
     }
-    stats.generated = ucq.len();
-    (ucq, stats)
+    run.stats.generated = run.ucq.len();
+    (run.ucq, run.stats)
 }
 
-fn push_new(
-    candidate: CQ,
-    ucq: &mut UCQ,
-    seen: &mut HashSet<CanonKey>,
-    frontier: &mut Vec<CQ>,
+/// The state of one fixpoint computation.
+struct Run {
+    stats: ReformStats,
+    /// The output union.
+    ucq: UCQ,
+    /// Every CQ generated so far, emitted or not.
+    seen: HashSet<CanonKey>,
+    frontier: Vec<CQ>,
     prune: bool,
-) {
-    let key = canonical_key(&candidate);
-    if !seen.insert(key) {
-        return;
+}
+
+impl Run {
+    fn push_new(&mut self, candidate: CQ) {
+        if !self.seen.insert(canonical_key(&candidate)) {
+            return;
+        }
+        // Exploration always continues from the candidate — only the
+        // *output* is filtered, which preserves completeness.
+        self.frontier.push(candidate.clone());
+        if !(self.prune && self.subsumed(&candidate)) {
+            self.ucq.push(candidate);
+        }
     }
-    // Exploration always continues from the candidate — only the *output*
-    // is filtered, which preserves completeness.
-    frontier.push(candidate.clone());
-    if prune
-        && ucq
-            .cqs()
-            .iter()
-            .any(|d| obda_query::contained_in(&candidate, d))
-    {
-        return;
+
+    /// Is `candidate` contained in an already-emitted disjunct? A linear
+    /// scan: the signature test settles all but a fraction of a percent
+    /// of the pairs in one AND each, counted here so that a test can pin
+    /// how many searches a reformulation enters.
+    fn subsumed(&mut self, candidate: &CQ) -> bool {
+        for d in self.ucq.cqs() {
+            if !d.signature().is_subset_of(candidate.signature()) {
+                self.stats.containment_filtered += 1;
+            } else {
+                self.stats.containment_searches += 1;
+                if contained_in(candidate, d) {
+                    return true;
+                }
+            }
+        }
+        false
     }
-    ucq.push(candidate);
 }
 
 #[cfg(test)]
