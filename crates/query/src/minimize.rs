@@ -4,6 +4,9 @@
 //! minimizing it "by eliminating disjuncts contained in another" yields the
 //! minimal UCQ (e.g. Example 4's 10 disjuncts collapse to q1–q3 ∪ q10).
 
+use std::collections::HashSet;
+
+use crate::canonical::{canonical_key, CanonKey};
 use crate::cq::CQ;
 use crate::homomorphism::{contained_in, homomorphism};
 use crate::ucq::UCQ;
@@ -19,12 +22,20 @@ pub fn minimize_ucq(ucq: &UCQ) -> UCQ {
     // Core first, then order by ascending atom count: small disjuncts are
     // the likely absorbers, so testing them first kills large disjuncts
     // early and keeps the pairwise phase near-linear in practice.
-    let mut cored_cqs: Vec<CQ> = ucq.cqs().iter().map(cq_core).collect();
-    cored_cqs.sort_by_key(CQ::num_atoms);
-    let cored = UCQ::from_cqs(ucq.head().to_vec(), cored_cqs);
-    let cqs = cored.cqs();
-    let n = cqs.len();
-    let mut keep = vec![true; n];
+    let mut cored: Vec<(CQ, CanonKey)> = ucq
+        .cqs()
+        .iter()
+        .map(|cq| {
+            let core = cq_core(cq);
+            let key = canonical_key(&core);
+            (core, key)
+        })
+        .collect();
+    cored.sort_by_key(|(cq, _)| cq.num_atoms());
+    // Duplicates modulo renaming keep their first occurrence.
+    let mut seen = HashSet::with_capacity(cored.len());
+    let mut keep: Vec<bool> = cored.iter().map(|(_, key)| seen.insert(key)).collect();
+    let n = cored.len();
     for i in 0..n {
         if !keep[i] {
             continue;
@@ -33,10 +44,11 @@ pub fn minimize_ucq(ucq: &UCQ) -> UCQ {
             if i == j || !keep[j] || !keep[i] {
                 continue;
             }
-            if contained_in(&cqs[j], &cqs[i]) {
+            let (ci, cj) = (&cored[i].0, &cored[j].0);
+            if contained_in(cj, ci) {
                 // j redundant — unless they are equivalent and j comes
                 // first, in which case drop i instead.
-                if contained_in(&cqs[i], &cqs[j]) && j < i {
+                if contained_in(ci, cj) && j < i {
                     keep[i] = false;
                 } else {
                     keep[j] = false;
@@ -44,13 +56,13 @@ pub fn minimize_ucq(ucq: &UCQ) -> UCQ {
             }
         }
     }
-    UCQ::from_cqs(
-        cored.head().to_vec(),
-        cqs.iter()
-            .zip(&keep)
-            .filter(|(_, &k)| k)
-            .map(|(cq, _)| cq.clone()),
-    )
+    let mut minimal = UCQ::empty(ucq.head().to_vec());
+    for ((cq, key), keep) in cored.into_iter().zip(keep) {
+        if keep {
+            minimal.push_keyed(cq, key);
+        }
+    }
+    minimal
 }
 
 /// Compute the core of a CQ: repeatedly drop atoms whose removal preserves

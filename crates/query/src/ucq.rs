@@ -54,12 +54,21 @@ impl UCQ {
     /// head, so position `i` always carries the nominal variable `i`'s
     /// value.
     pub fn push(&mut self, cq: CQ) -> bool {
+        let key = canonical_key(&cq);
+        self.push_keyed(cq, key)
+    }
+
+    /// [`push`](Self::push) for a caller that already holds
+    /// `canonical_key(&cq)` — the key is the expensive part of an
+    /// insertion, and PerfectRef and `minimize_ucq` need it beforehand
+    /// for their own deduplication.
+    pub fn push_keyed(&mut self, cq: CQ, key: CanonKey) -> bool {
         assert_eq!(
             cq.head().len(),
             self.head.len(),
             "all disjuncts share the UCQ head arity"
         );
-        let key = canonical_key(&cq);
+        debug_assert_eq!(key, canonical_key(&cq), "key belongs to the disjunct");
         if self.keys.insert(key) {
             self.cqs.push(cq);
             true

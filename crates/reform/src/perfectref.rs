@@ -118,15 +118,19 @@ struct Run {
 
 impl Run {
     fn push_new(&mut self, candidate: CQ) {
-        if !self.seen.insert(canonical_key(&candidate)) {
+        let key = canonical_key(&candidate);
+        if self.seen.contains(&key) {
             return;
         }
         // Exploration always continues from the candidate — only the
         // *output* is filtered, which preserves completeness.
         self.frontier.push(candidate.clone());
         if !(self.prune && self.subsumed(&candidate)) {
-            self.ucq.push(candidate);
+            // Emitted disjuncts are a subset of `seen`, so the key is new
+            // to the union as well.
+            self.ucq.push_keyed(candidate, key.clone());
         }
+        self.seen.insert(key);
     }
 
     /// Is `candidate` contained in an already-emitted disjunct? A linear
