@@ -2,9 +2,12 @@
 //!
 //! EDL and GDL evaluate many covers sharing fragments; reformulating a
 //! fragment (PerfectRef + minimization) depends only on its atom set and
-//! its exported head, so results are cached across candidate covers. This
-//! is the practical trick that keeps cover search cheap relative to cost
-//! estimation (§6.4).
+//! its exported head, so results are cached across candidate covers.
+//! Sharing fragments bounds how *often* PerfectRef runs; that one run is
+//! cheap only since the containment kernel rejects by predicate
+//! signature (ARCHITECTURE.md §2) — until then it was 99 % of a cold
+//! cover search, the reverse of the paper's §6.4, where cost estimation
+//! dominates. On the LUBM shapes estimation is now ≈ 7 % of the search.
 //!
 //! Two lifetimes are involved. A [`ReformCache`] lives for one search
 //! over one query and is keyed by fragment *position* (atom mask +

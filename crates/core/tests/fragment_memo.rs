@@ -7,16 +7,6 @@ use obda_core::{moves_from, root_cover, FragmentMemo, GdlConfig, QueryAnalysis, 
 use obda_dllite::Dependencies;
 use obda_lubm::{star_query, workload, UnivOntology};
 
-/// The shapes whose fragments reformulate in about a second each even
-/// unoptimized. The other five (Q6, Q7, Q9, Q10, Q13) take from half a
-/// minute to four minutes in a debug build, so they run in release
-/// builds (CI's release job) or with `OBDA_HEAVY=1`.
-const LIGHT: [&str; 9] = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q8", "Q11", "Q12", "A4"];
-
-fn heavy() -> bool {
-    !cfg!(debug_assertions) || std::env::var_os("OBDA_HEAVY").is_some()
-}
-
 #[test]
 fn memo_backed_cache_equals_memo_less_on_every_lubm_shape() {
     let onto = UnivOntology::build();
@@ -30,10 +20,6 @@ fn memo_backed_cache_equals_memo_less_on_every_lubm_shape() {
 
     let memo = FragmentMemo::new();
     for (name, q) in &shapes {
-        if !heavy() && !LIGHT.contains(&name.as_str()) {
-            eprintln!("skipped {name}: minutes unoptimized (OBDA_HEAVY=1 to force)");
-            continue;
-        }
         let analysis = QueryAnalysis::new(q, &deps);
         let root = root_cover(&analysis);
         let mut covers = vec![root.clone()];

@@ -19,7 +19,7 @@ use crate::term::{Subst, Term, VarId};
 /// `from.signature() ⊆ to.signature()` is *necessary* for one to exist
 /// from `from` into `to`. Predicates that share a bit only make the test
 /// pass more often; it never rejects a pair the search would accept.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PredSig(u128);
 
 impl PredSig {
@@ -27,14 +27,15 @@ impl PredSig {
         PredSig(atoms.iter().fold(0, |sig, a| {
             // Concepts on even bits, roles on odd ones: ids are dense per
             // kind, so small vocabularies get a bit per predicate.
-            let slot = match a.pred() {
-                PredId::Concept(c) => 2 * c.0,
-                PredId::Role(r) => 2 * r.0 + 1,
+            let bit = match a.pred() {
+                PredId::Concept(c) => 2 * (c.0 % 64),
+                PredId::Role(r) => 2 * (r.0 % 64) + 1,
             };
-            sig | 1u128 << (slot % u128::BITS)
+            sig | 1u128 << bit
         }))
     }
 
+    /// Does every bit set here also appear in `other`?
     pub fn is_subset_of(self, other: PredSig) -> bool {
         self.0 & !other.0 == 0
     }

@@ -6,6 +6,8 @@
 //! minimization (§2.3: "minimizing qUCQ by eliminating disjuncts contained
 //! in another").
 
+use std::cmp::Reverse;
+
 use crate::atom::Atom;
 use crate::cq::CQ;
 use crate::term::{Term, VarId};
@@ -44,20 +46,24 @@ pub fn homomorphism(from: &CQ, to: &CQ) -> Option<Assignment> {
     }
     // Order atoms: most-constrained first (more already-assigned variables,
     // then rarer predicates in `to`).
-    let mut order: Vec<(usize, usize, &Atom)> = Vec::with_capacity(from.atoms().len());
+    let mut order: Vec<(Reverse<usize>, usize, &Atom)> = Vec::with_capacity(from.atoms().len());
     for a in from.atoms() {
         let assigned = a.vars().filter(|&v| lookup(&assign, v).is_some()).count();
         let candidates = to.atoms().iter().filter(|t| t.pred() == a.pred()).count();
         if candidates == 0 {
             return None; // signatures collided
         }
-        order.push((usize::MAX - assigned, candidates, a));
+        order.push((Reverse(assigned), candidates, a));
     }
     order.sort_by_key(|&(assigned, candidates, _)| (assigned, candidates));
     search(&order, to.atoms(), &mut assign).then_some(assign)
 }
 
-fn search(order: &[(usize, usize, &Atom)], targets: &[Atom], assign: &mut Assignment) -> bool {
+fn search(
+    order: &[(Reverse<usize>, usize, &Atom)],
+    targets: &[Atom],
+    assign: &mut Assignment,
+) -> bool {
     let Some((&(_, _, atom), rest)) = order.split_first() else {
         return true;
     };

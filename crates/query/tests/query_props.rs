@@ -175,7 +175,6 @@ proptest! {
         derived.extend((0..b.num_atoms()).map(|i| b.without_atom(i)));
         for cq in &derived {
             prop_assert_eq!(cq.signature(), rebuilt(cq).signature(), "{:?}", cq);
-            prop_assert_eq!(cq, &rebuilt(cq));
         }
     }
 

@@ -16,7 +16,6 @@
 //! the gate cannot flake. Without the signature filter Q13 enters
 //! 8 046 629 searches and Q6 6 728 982.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use obda_lubm::{star_query, workload, UnivOntology};
@@ -59,17 +58,6 @@ fn digest(ucq: &UCQ, onto: &UnivOntology) -> u64 {
     h
 }
 
-fn golden_path() -> PathBuf {
-    [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "goldens",
-        "reformulation_pins.txt",
-    ]
-    .iter()
-    .collect()
-}
-
 #[test]
 fn lubm_reformulations_are_pinned() {
     let onto = UnivOntology::build();
@@ -102,7 +90,14 @@ fn lubm_reformulations_are_pinned() {
         ));
     }
 
-    let path = golden_path();
+    let path: PathBuf = [
+        env!("CARGO_MANIFEST_DIR"),
+        "tests",
+        "goldens",
+        "reformulation_pins.txt",
+    ]
+    .iter()
+    .collect();
     if std::env::var_os("OBDA_BLESS").is_some() {
         std::fs::write(&path, &actual).unwrap();
         return;
@@ -110,13 +105,8 @@ fn lubm_reformulations_are_pinned() {
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|_| panic!("missing {}; bless with OBDA_BLESS=1", path.display()));
     // Compare per shape so a failure names the reformulation that moved.
-    let want: BTreeMap<&str, &str> = want.lines().filter_map(|l| l.split_once(' ')).collect();
-    for line in actual.lines() {
-        let (name, digests) = line.split_once(' ').unwrap();
-        assert_eq!(
-            want.get(name).copied(),
-            Some(digests),
-            "{name}: disjuncts or their order changed"
-        );
+    assert_eq!(actual.lines().count(), want.lines().count());
+    for (got, want) in actual.lines().zip(want.lines()) {
+        assert_eq!(got, want, "disjuncts or their order changed");
     }
 }

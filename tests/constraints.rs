@@ -17,14 +17,13 @@
 //! ```
 //!
 //! Cost note: Q13's reformulations (minimized PerfectRef, and PerfectRef
-//! per root-cover fragment) take *minutes* to compute in unoptimized
-//! builds — hundreds of union arms with quadratic containment pruning —
-//! versus seconds in release. The suite computes each exactly once and
-//! derives the pruned variant with [`prune_fol`] (the same call
+//! per root-cover fragment) are hundreds of union arms; since the
+//! containment kernel rejects by predicate signature they take seconds
+//! even unoptimized, so the whole suite runs in debug and release alike.
+//! The suite still computes each exactly once and derives the pruned
+//! variant with [`prune_fol`] (the same call
 //! `choose_reformulation_constrained` makes after strategy selection, so
-//! the artefacts under test are the served ones), and the Q13-heavy
-//! tests skip themselves in debug builds unless `OBDA_HEAVY` is set —
-//! CI's differential job runs this suite in release, where they all run.
+//! the artefacts under test are the served ones).
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -150,23 +149,6 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-/// Whether the Q13-heavy tests run: always in release, in debug only
-/// with `OBDA_HEAVY=1` (see the module-doc cost note).
-fn heavy() -> bool {
-    !cfg!(debug_assertions) || std::env::var_os("OBDA_HEAVY").is_some()
-}
-
-macro_rules! skip_unless_heavy {
-    () => {
-        if !heavy() {
-            eprintln!(
-                "skipped: Q13 reformulation takes minutes unoptimized (OBDA_HEAVY=1 to force)"
-            );
-            return;
-        }
-    };
-}
-
 /// FNV-1a, for digesting statements too large to pin verbatim.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -229,7 +211,6 @@ fn q4_constraints_full_harness_parity() {
 /// parity on the exact pruned shape the server caches.)
 #[test]
 fn q13_ucq_parity_across_layouts_and_backends() {
-    skip_unless_heavy!();
     let fx = fixture();
     let (off, on, stats) = q13_ucq();
     assert!(stats.kept >= 1, "pruning must never empty the union");
@@ -345,7 +326,6 @@ fn q10_statement_too_long_becomes_answerable_on_dph() {
 /// answered pruned, reference parity.
 #[test]
 fn q13_root_cover_answers_under_a_tightened_limit() {
-    skip_unless_heavy!();
     let fx = fixture();
     let mut profile = EngineProfile::db2_like();
     let limit = 1_000_000;
@@ -488,7 +468,6 @@ fn server_turns_q10_rejection_into_answers_and_counts_pruning() {
 /// the arm counts before/after pruning.
 #[test]
 fn q13_pruned_sql_is_pinned_on_every_layout() {
-    skip_unless_heavy!();
     let fx = fixture();
     let (_, on, stats) = q13_ucq();
 
@@ -524,7 +503,6 @@ fn q13_pruned_sql_is_pinned_on_every_layout() {
 /// deterministic for the fixed generator seed.
 #[test]
 fn q13_pruned_explain_plan_is_pinned_on_the_wire() {
-    skip_unless_heavy!();
     let fx = fixture();
     for (layout, file) in [
         (LayoutKind::Simple, "q13_explain_simple.txt"),
