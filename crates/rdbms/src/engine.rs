@@ -7,7 +7,7 @@
 //! cost-driven search algorithms can consult.
 
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use obda_dllite::{ABox, AboxDelta, ConceptId, Extents, IndividualId, RoleId, Vocabulary};
 use obda_query::FolQuery;
@@ -36,8 +36,8 @@ pub enum EngineError {
     /// The SQL translation exceeds the profile's statement-size limit —
     /// DB2's "statement is too long or too complex" (§6.3).
     StatementTooLong { size: usize, limit: usize },
-    /// The SQL backend failed to parse or execute a statement. For
-    /// generator-produced SQL this indicates a generator/executor bug
+    /// The SQL backend failed to parse or lower a statement. For
+    /// generator-produced SQL this indicates a generator/lowering bug
     /// (the differential harness keeps it unreachable); for raw SQL via
     /// [`Engine::run_sql`] it is an ordinary user error.
     Sql(SqlError),
@@ -70,7 +70,22 @@ pub struct QueryOutcome {
     pub sql_bytes: usize,
     /// Simulated execution time under the engine profile (work units ×
     /// profile scale) — comparable across profiles, unlike wall time.
-    pub simulated: std::time::Duration,
+    pub simulated: Duration,
+    /// Under [`Backend::Sql`]: what the statement text was turned into
+    /// before it ran (`None` under the native backend).
+    pub lowered: Option<Lowered>,
+}
+
+/// What the SQL backend made of a statement's text: the query it
+/// denotes and the plans that ran — the statement's real `EXPLAIN`, and
+/// the estimates to hold its measured work against.
+#[derive(Debug, Clone)]
+pub struct Lowered {
+    pub fol: FolQuery,
+    pub plans: PreparedPlans,
+    /// Parse + lower + plan time, paid per execution (the plan cache
+    /// holds the text). Part of `metrics.wall`.
+    pub took: Duration,
 }
 
 /// Evaluation controls for [`Engine::evaluate_opts`]. The default is the
@@ -79,13 +94,12 @@ pub struct QueryOutcome {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalOptions<'a> {
     /// Join-strategy override (`None` = the engine's configured one).
-    /// Ignored by the SQL backend, which has no physical-operator choice.
     pub strategy: Option<JoinStrategy>,
     /// Stored plans to replay instead of planning inline. Ignored by the
-    /// SQL backend (plans describe the native operators).
+    /// SQL backend, which plans what it lowers from the text.
     pub prepared: Option<&'a PreparedPlans>,
     /// Worker threads for union-arm / component fan-out (`0` or `1` =
-    /// sequential). The SQL backend always runs sequentially.
+    /// sequential).
     pub threads: usize,
     /// Precomputed SQL translation size; skips regenerating the SQL text
     /// (the statement-size check still runs against it).
@@ -100,7 +114,7 @@ pub struct EvalOptions<'a> {
     pub backend: Option<Backend>,
     /// Execution-mode override (`None` = the engine's configured one).
     /// Ignored when `prepared` is set — stored plans replay the mode
-    /// they were planned under — and by the SQL backend.
+    /// they were planned under.
     pub mode: Option<ExecMode>,
 }
 
@@ -199,13 +213,13 @@ impl Engine {
         self.exec_mode
     }
 
-    /// Select which execution engine answers queries:
-    /// [`Backend::Native`] runs the planned operator pipeline directly
-    /// over the storage access paths; [`Backend::Sql`] generates the SQL
-    /// translation, parses it, and executes it through the embedded
-    /// relational evaluator ([`crate::sqlexec`]) — the paper's
-    /// "delegate to the RDBMS" path, end to end. The differential
-    /// harness proves the two agree on every answer set.
+    /// Select how a query reaches the executor: [`Backend::Native`]
+    /// plans and runs the `FolQuery` it is given; [`Backend::Sql`]
+    /// generates the SQL translation, parses it, lowers it back
+    /// ([`crate::sqlexec`]) and plans and runs *that* — the paper's
+    /// "delegate to the RDBMS" path, end to end, through the same
+    /// planner and operators. The differential harness proves the two
+    /// agree on every answer set.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -360,43 +374,58 @@ impl Engine {
         q: &FolQuery,
         opts: &EvalOptions<'_>,
     ) -> Result<QueryOutcome, EngineError> {
-        if opts.backend.unwrap_or(self.backend) == Backend::Sql {
-            // The delegation path: ship the SQL translation to the
-            // embedded relational evaluator. Strategy, stored plans and
-            // thread fan-out are native-executor concepts and do not
-            // apply; a cached translation (`opts.sql_text`) skips
-            // regeneration. A known-oversized statement (§6.3) rejects
-            // from its cached length alone, without regenerating the
-            // text it could never ship.
-            if let (Some(size), Some(limit)) = (opts.sql_bytes, self.profile.max_statement_bytes) {
-                if size > limit {
-                    return Err(EngineError::StatementTooLong { size, limit });
-                }
+        // §6.3: a statement over the limit is rejected from its length
+        // alone — a cached length (`sql_bytes`) without regenerating the
+        // text it could never ship, a text before it is parsed.
+        let generated;
+        let (text, sql_bytes) = match (opts.sql_text, opts.sql_bytes) {
+            (Some(t), _) => (Some(t), t.len()),
+            (None, Some(n)) => (None, n),
+            (None, None) => {
+                generated = self.sql.generate(q);
+                (Some(generated.as_str()), generated.len())
             }
-            let generated;
-            let sql = match opts.sql_text {
-                Some(t) => t,
-                None => {
-                    generated = self.sql.generate(q);
-                    &generated
-                }
-            };
-            return self.run_sql_statement(sql, q.head().is_empty());
-        }
-        let sql_bytes = match opts.sql_bytes {
-            Some(n) => n,
-            None => self.sql.generate(q).len(),
         };
-        if let Some(limit) = self.profile.max_statement_bytes {
-            if sql_bytes > limit {
-                return Err(EngineError::StatementTooLong {
-                    size: sql_bytes,
-                    limit,
-                });
-            }
-        }
+        self.check_statement_size(sql_bytes)?;
         let strategy = opts.strategy.unwrap_or(self.join_strategy);
         let mode = opts.mode.unwrap_or(self.exec_mode);
+        if opts.backend.unwrap_or(self.backend) == Backend::Sql {
+            // The delegation path: the answer is what the SQL text says.
+            // Of `q` only the emptiness of its head is consulted (see
+            // `sqlexec::lower`); stored plans describe `q`, not the
+            // text, and are not replayed.
+            let regenerated;
+            let text = match text {
+                Some(t) => t,
+                None => {
+                    regenerated = self.sql.generate(q);
+                    &regenerated
+                }
+            };
+            let boolean = q.head().is_empty();
+            return self.run_sql_statement(text, boolean, strategy, mode, opts.threads);
+        }
+        Ok(self.run(q, sql_bytes, strategy, mode, opts.prepared, opts.threads))
+    }
+
+    fn check_statement_size(&self, size: usize) -> Result<(), EngineError> {
+        match self.profile.max_statement_bytes {
+            Some(limit) if size > limit => Err(EngineError::StatementTooLong { size, limit }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Execute and meter one query: the operator pipeline both backends
+    /// end in.
+    fn run(
+        &self,
+        q: &FolQuery,
+        sql_bytes: usize,
+        strategy: JoinStrategy,
+        mode: ExecMode,
+        prepared: Option<&PreparedPlans>,
+        threads: usize,
+    ) -> QueryOutcome {
         let start = Instant::now();
         let mut meter = Meter::new(&self.profile);
         let rows = execute_parallel(
@@ -405,70 +434,57 @@ impl Engine {
             &mut meter,
             strategy,
             mode,
-            opts.prepared,
-            opts.threads,
+            prepared,
+            threads,
         );
         let mut metrics = meter.metrics;
         metrics.wall = start.elapsed();
         let simulated = metrics.simulated(&self.profile);
-        Ok(QueryOutcome {
+        QueryOutcome {
             rows,
             metrics,
             arm_metrics: meter.arm_metrics,
             sql_bytes,
             simulated,
-        })
+            lowered: None,
+        }
     }
 
-    /// Run a raw SQL statement against the loaded layout tables through
-    /// the embedded evaluator ([`crate::sqlexec`]), regardless of the
-    /// configured backend — the engine doubles as a tiny SQL database
-    /// over the ABox. The profile's statement-size limit applies; rows
-    /// containing `NULL` are dropped (see the `sqlexec` module docs).
+    /// Run a raw SQL statement of the generated dialect (see
+    /// [`crate::sqlexec`]) against the loaded ABox, regardless of the
+    /// configured backend. The profile's statement-size limit applies.
     pub fn run_sql(&self, sql: &str) -> Result<QueryOutcome, EngineError> {
-        self.run_sql_statement(sql, false)
+        self.check_statement_size(sql.len())?;
+        self.run_sql_statement(sql, false, self.join_strategy, self.exec_mode, 1)
     }
 
-    /// Shared SQL execution path. `boolean_head` maps the generated
-    /// boolean-query marker (`SELECT DISTINCT 1 AS t`) back to the
-    /// native dialect's empty-tuple answer.
+    /// The SQL path: parse → lower → plan → execute. The caller has
+    /// checked the statement's size. `boolean` is the one bit the text
+    /// cannot carry (see [`crate::sqlexec::lower()`]).
     fn run_sql_statement(
         &self,
         sql: &str,
-        boolean_head: bool,
+        boolean: bool,
+        strategy: JoinStrategy,
+        mode: ExecMode,
+        threads: usize,
     ) -> Result<QueryOutcome, EngineError> {
-        let sql_bytes = sql.len();
-        if let Some(limit) = self.profile.max_statement_bytes {
-            if sql_bytes > limit {
-                return Err(EngineError::StatementTooLong {
-                    size: sql_bytes,
-                    limit,
-                });
-            }
-        }
         let start = Instant::now();
-        let mut meter = Meter::new(&self.profile);
-        let mut rows =
-            crate::sqlexec::run(sql, self.storage.as_ref(), self.sql.names(), &mut meter)
-                .map_err(EngineError::Sql)?;
-        if boolean_head {
-            rows = if rows.is_empty() {
-                Vec::new()
-            } else {
-                vec![Vec::new()]
-            };
-            meter.metrics.output = rows.len() as u64;
-        }
-        let mut metrics = meter.metrics;
-        metrics.wall = start.elapsed();
-        let simulated = metrics.simulated(&self.profile);
-        Ok(QueryOutcome {
-            rows,
-            metrics,
-            arm_metrics: meter.arm_metrics,
-            sql_bytes,
-            simulated,
-        })
+        let fol = crate::sqlexec::parse(sql)
+            .and_then(|parsed| crate::sqlexec::lower(&parsed, self.sql.names(), boolean))
+            .map_err(EngineError::Sql)?;
+        let plans = prepare_plans_mode(
+            &fol,
+            self.storage.stats(),
+            self.storage.layout(),
+            strategy,
+            mode,
+        );
+        let took = start.elapsed();
+        let mut outcome = self.run(&fol, sql.len(), strategy, mode, Some(&plans), threads);
+        outcome.metrics.wall += took;
+        outcome.lowered = Some(Lowered { fol, plans, took });
+        Ok(outcome)
     }
 
     /// The engine's own cost estimation ("explain"). Statements over the
@@ -895,6 +911,9 @@ mod tests {
         }
     }
 
+    /// §6.3: an oversized statement is refused from its length, by one
+    /// check that sits before parsing — a cached length needs no text,
+    /// and a text that is not even SQL is still "too long".
     #[test]
     fn sql_backend_enforces_the_statement_limit() {
         let mut profile = EngineProfile::db2_like();
@@ -904,9 +923,70 @@ mod tests {
             vec![VarId(0)],
             vec![Atom::Role(RoleId(0), v(0), v(1))],
         ));
-        match e.evaluate(&q) {
-            Err(EngineError::StatementTooLong { .. }) => {}
-            other => panic!("expected StatementTooLong, got {other:?}"),
+        let garbage = "?".repeat(201);
+        for opts in [
+            EvalOptions::default(),
+            EvalOptions {
+                sql_bytes: Some(201),
+                ..EvalOptions::default()
+            },
+            EvalOptions {
+                sql_text: Some(&garbage),
+                ..EvalOptions::default()
+            },
+        ] {
+            match e.evaluate_opts(&q, &opts) {
+                Err(EngineError::StatementTooLong { size, limit: 200 }) => assert!(size > 200),
+                other => panic!("expected StatementTooLong, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            e.run_sql(&garbage),
+            Err(EngineError::StatementTooLong { size: 201, .. })
+        ));
+        // Within the limit the same text is a tokenizer error.
+        assert!(matches!(
+            e.run_sql("?"),
+            Err(EngineError::Sql(SqlError::Tokenize { pos: 0, .. }))
+        ));
+    }
+
+    /// The delegation loop is honest: under the SQL backend the rows are
+    /// those of the *text*, whatever query came with it.
+    #[test]
+    fn sql_backend_rows_follow_the_text() {
+        let q1 = FolQuery::Cq(CQ::with_var_head(
+            vec![VarId(0)],
+            vec![Atom::Concept(ConceptId(0), v(0))],
+        ));
+        let q2 = FolQuery::Cq(CQ::with_var_head(
+            vec![VarId(0), VarId(1)],
+            vec![Atom::Role(RoleId(0), v(0), v(1))],
+        ));
+        for layout in [LayoutKind::Simple, LayoutKind::Triple, LayoutKind::Dph] {
+            let e = engine(layout, EngineProfile::pg_like());
+            let text = e.sql_for(&q2);
+            let out = e
+                .evaluate_opts(
+                    &q1,
+                    &EvalOptions {
+                        sql_text: Some(&text),
+                        backend: Some(crate::sqlexec::Backend::Sql),
+                        ..EvalOptions::default()
+                    },
+                )
+                .unwrap();
+            let native = e.evaluate(&q2).unwrap();
+            let lowered = out
+                .lowered
+                .as_ref()
+                .expect("the SQL path reports what it ran");
+            assert_eq!(lowered.fol, q2, "{layout:?}");
+            assert_eq!(lowered.plans.plans.len(), 1);
+            assert_eq!(out.sql_bytes, text.len());
+            // One executor: same rows, same work on every counter.
+            crate::testkit::assert_same_execution(&out, &native, &format!("{layout:?}"));
+            assert!(native.lowered.is_none());
         }
     }
 

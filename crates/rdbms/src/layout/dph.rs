@@ -33,9 +33,8 @@ fn code_role(r: u32) -> u32 {
 }
 
 /// Marker value for concept membership entries (DB2RDF stores the type
-/// predicate like any other). Public because the `sqlexec` catalog
-/// virtualizes the same convention in the SQL-visible `dph` table.
-pub const TYPE_MARKER: u32 = u32::MAX;
+/// predicate like any other).
+const TYPE_MARKER: u32 = u32::MAX;
 
 /// One wide row: key plus up to [`DPH_COLUMNS`] (pred, val) entries.
 #[derive(Debug, Clone)]

@@ -24,12 +24,12 @@
 //! * SQL text generation, including the `WITH … AS` JUCQ form of §3 and
 //!   the DPH candidate-column blowup behind the Figure-3 statement-size
 //!   failures (`sql`);
-//! * an **embedded SQL backend** (`sqlexec`): a tokenizer,
-//!   recursive-descent parser and relational evaluator for exactly the
-//!   dialect the generator emits, runnable against the same layout
-//!   tables — [`Backend::Sql`] closes the paper's delegation loop
-//!   (reformulate → emit SQL → let the relational engine execute it)
-//!   and serves as a second, independently derived answering oracle;
+//! * a **SQL front end** (`sqlexec`): a tokenizer, recursive-descent
+//!   parser and a lowering step that reads the dialect the generator
+//!   emits back into the `FolQuery` it denotes — [`Backend::Sql`]
+//!   closes the paper's delegation loop (reformulate → emit SQL → parse
+//!   → plan → execute) through the same planner and operators, and
+//!   checks on every query that the emitted text says what was meant;
 //! * engine profiles capturing the observable PostgreSQL/DB2 differences:
 //!   statement-size limits, optimizer collapse shortcuts, repeated-scan
 //!   discounts (`profile`);
@@ -58,7 +58,7 @@
 //!   the incremental `Server::apply_batch` path that maintains every
 //!   layout and the catalog statistics in place instead of rebuilding.
 //!
-//! ## Example: one query, two execution engines
+//! ## Example: one query, two ways into the executor
 //!
 //! ```
 //! use obda_dllite::{ABox, Vocabulary};
@@ -84,8 +84,8 @@
 //!
 //! let native = Engine::load(&abox, &voc, LayoutKind::Simple, EngineProfile::pg_like());
 //! let sql = native.clone().with_backend(Backend::Sql);
-//! // The native pipeline and the generate→parse→execute delegation
-//! // path agree on the answer: ann.
+//! // Planned directly, or printed as SQL and read back (generate →
+//! // parse → lower → plan → execute): the answer is ann.
 //! let mut a = native.evaluate(&q).unwrap().rows;
 //! let mut b = sql.evaluate(&q).unwrap().rows;
 //! a.sort();
@@ -116,7 +116,7 @@ pub mod testkit;
 pub mod txn;
 
 pub use cost_model::CostModel;
-pub use engine::{ArmPlan, Engine, EngineError, EvalOptions, ExplainPlan, QueryOutcome};
+pub use engine::{ArmPlan, Engine, EngineError, EvalOptions, ExplainPlan, Lowered, QueryOutcome};
 pub use estimators::ExplainEstimator;
 pub use executor::{
     execute, execute_mode, execute_parallel, execute_planned, execute_with, prepare_plans,

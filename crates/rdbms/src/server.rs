@@ -173,12 +173,12 @@ pub struct ServerConfig {
     /// default) or the classic row-at-a-time pipeline. Cached plans are
     /// prepared under this mode and replay it.
     pub exec_mode: ExecMode,
-    /// Which execution engine answers queries: the native planned
-    /// executor, or the SQL-delegation path (generate → parse → execute
-    /// via `crate::sqlexec`). With [`Backend::Sql`] the cached
-    /// compilation stores the SQL text, so warm queries skip
+    /// How queries reach the executor: planned directly, or through the
+    /// SQL-delegation path (generate → parse → lower via
+    /// `crate::sqlexec` → plan → execute). With [`Backend::Sql`] the
+    /// cached compilation stores the SQL text, so warm queries skip
     /// reformulation *and* SQL generation and go straight to parse +
-    /// execute.
+    /// lower + plan + execute.
     pub backend: Backend,
     /// Which reformulation the miss path computes (the paper's strategy
     /// surface; [`Strategy::Gdl`] is the headline cost-driven search).
@@ -832,7 +832,10 @@ impl Server {
     /// the call's [`StageSpans`] (compile stages zero on a cache hit —
     /// the work was skipped), feed the registry's per-backend counters
     /// and latency histogram, and accumulate one predicted-vs-measured
-    /// cost-model accuracy sample when the plan carries estimates.
+    /// cost-model accuracy sample from the plans that ran. Under
+    /// [`Backend::Sql`] those are the plans of the lowered statement,
+    /// and turning the cached text back into them (parse + lower + plan,
+    /// paid on every execution) counts as `plan`, not `execute`.
     fn record_served(
         &self,
         compiled: &CompiledQuery,
@@ -845,11 +848,16 @@ impl Server {
         } else {
             compiled.spans
         };
-        spans.execute = outcome.metrics.wall;
+        let (plans, replanned) = match &outcome.lowered {
+            Some(lowered) => (&lowered.plans, lowered.took),
+            None => (&compiled.plans, Duration::ZERO),
+        };
+        spans.plan += replanned;
+        spans.execute = outcome.metrics.wall.saturating_sub(replanned);
         self.observe
             .record_query(backend, spans.total(), outcome.rows.len() as u64);
-        if !compiled.plans.plans.is_empty() {
-            let predicted: f64 = compiled.plans.plans.iter().map(|p| p.est_cost()).sum();
+        if !plans.plans.is_empty() {
+            let predicted: f64 = plans.plans.iter().map(|p| p.est_cost()).sum();
             self.observe
                 .record_cost_sample(predicted, outcome.metrics.work_units());
         }
@@ -936,9 +944,9 @@ impl Server {
             .fetch_add(chosen.fragments.computed as u64, Ordering::Relaxed);
         spans.reformulate = stage_started.elapsed();
         let stage_started = Instant::now();
-        // Native plans are meaningless to the SQL backend (its
-        // evaluate path never reads them); the SQL text is meaningless
-        // to the native one — each backend caches only what it replays.
+        // The SQL backend plans what it lowers from the text, on every
+        // execution, and never reads stored plans; the native backend
+        // never reads the text — each caches only what it replays.
         let plans = match backend {
             Backend::Native => snap.engine.prepare(&chosen.fol),
             Backend::Sql => PreparedPlans {
@@ -1387,7 +1395,7 @@ impl Server {
 
     /// `EXPLAIN ANALYZE`: compile (through the plan cache — the plan
     /// analyzed is the *exact* compilation a plain query would replay),
-    /// price it with the engine's structured explain, then execute it
+    /// execute it, price what ran with the engine's structured explain,
     /// and return prediction and measurement side by side. Counts as a
     /// served query in the registry.
     pub fn explain_analyze(
@@ -1397,7 +1405,6 @@ impl Server {
         backend: Backend,
     ) -> Result<AnalyzedQuery, EngineError> {
         let (compiled, cache_hit) = self.compile(snap, cq, backend);
-        let explain = snap.engine.explain_plan(&compiled.fol);
         let opts = EvalOptions {
             strategy: None,
             prepared: Some(&compiled.plans),
@@ -1415,6 +1422,10 @@ impl Server {
             }
         };
         let spans = self.record_served(&compiled, cache_hit, backend, &outcome);
+        // The plan that ran: under the SQL backend, the lowered
+        // statement's, not the reformulation's the text was printed from.
+        let ran = outcome.lowered.as_ref().map_or(&compiled.fol, |l| &l.fol);
+        let explain = snap.engine.explain_plan(ran);
         Ok(AnalyzedQuery {
             explain,
             outcome,

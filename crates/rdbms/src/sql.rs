@@ -1,8 +1,10 @@
 //! SQL text generation for all dialects and layouts.
 //!
-//! The engine executes `FolQuery` values directly, but the SQL translation
-//! is still generated for every statement because its *size* is
-//! operationally significant: DB2 rejects statements beyond ~2 MB, which
+//! The native backend executes `FolQuery` values directly (the SQL
+//! backend reads this text back — [`crate::sqlexec`] — and must find
+//! the same query in it), but the SQL translation is generated for every
+//! statement either way because its *size* is operationally
+//! significant: DB2 rejects statements beyond ~2 MB, which
 //! is exactly how the Figure-3 failures arise ("The statement is too long
 //! or too complex. Current SQL statement size is 2,247,118"). On the
 //! DB2RDF layout every atom compiles to a candidate-column `CASE` over the
@@ -13,9 +15,10 @@
 //!
 //! JUCQs compile to the `WITH sqlN AS (…) SELECT DISTINCT …` shape of §3.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use obda_dllite::Vocabulary;
+use obda_dllite::{PredId, Vocabulary};
 use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
 
 use crate::layout::dph::DPH_COLUMNS;
@@ -27,11 +30,14 @@ use crate::layout::LayoutKind;
 pub struct SqlNames {
     concepts: Vec<String>,
     roles: Vec<String>,
+    /// `c_<name>` / `r_<name>` → predicate: the way back from the text.
+    /// Looked up with names read from SQL, hence the default hasher.
+    tables: HashMap<String, PredId>,
 }
 
 impl SqlNames {
     pub fn from_vocabulary(voc: &Vocabulary) -> Self {
-        SqlNames {
+        let mut names = SqlNames {
             concepts: voc
                 .concept_ids()
                 .map(|c| voc.concept_name(c).to_owned())
@@ -40,7 +46,20 @@ impl SqlNames {
                 .role_ids()
                 .map(|r| voc.role_name(r).to_owned())
                 .collect(),
+            tables: HashMap::new(),
+        };
+        for c in voc.concept_ids() {
+            names.tables.insert(names.concept(c.0), PredId::Concept(c));
         }
+        for r in voc.role_ids() {
+            names.tables.insert(names.role(r.0), PredId::Role(r));
+        }
+        names
+    }
+
+    /// The predicate stored in table `name` (`c_<name>` / `r_<name>`).
+    pub(crate) fn table(&self, name: &str) -> Option<PredId> {
+        self.tables.get(name).copied()
     }
 
     /// Concept names in id order (`c_<name>` is concept `i`'s table).

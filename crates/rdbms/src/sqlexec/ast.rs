@@ -9,9 +9,8 @@
 /// A full statement: CTE prologue + set-expression body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
-    /// `WITH name AS (…)` bindings, in order (later CTEs may not
-    /// reference earlier ones in the generated dialect, but the executor
-    /// evaluates them in order so they could).
+    /// `WITH name AS (…)` bindings, in order (a binding may not
+    /// reference another in the generated dialect).
     pub ctes: Vec<(String, SetExpr)>,
     pub body: SetExpr,
 }
@@ -21,7 +20,7 @@ pub struct Query {
 /// Union chains are stored *flat* (one `Vec` of arms, left to right)
 /// rather than as nested binary nodes: reformulated UCQs reach hundreds
 /// or thousands of arms, and a left-nested representation would recurse
-/// that deep in evaluation and drop glue.
+/// that deep in lowering and drop glue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SetExpr {
     Select(Box<Select>),
@@ -36,9 +35,7 @@ pub enum SetExpr {
 
 impl SetExpr {
     /// The arms of the union chain, left to right (a single `SELECT`
-    /// yields one arm). The executor meters each arm of a top-level
-    /// plain union as one union-arm scope, mirroring the native
-    /// executor's per-arm metric attribution.
+    /// yields one arm), each with the flag of the `UNION` before it.
     pub fn union_arms(&self) -> Vec<(&SetExpr, bool)> {
         match self {
             SetExpr::Select(_) => vec![(self, false)],
@@ -103,9 +100,9 @@ pub enum Expr {
         otherwise: Option<Box<Expr>>,
     },
     /// A parenthesized subquery in expression position. In this dialect
-    /// it denotes the *set* of values the subquery returns (the DB2RDF
-    /// spill lookup resolves a multi-valued column through it; the
-    /// executor expands one output row per value).
+    /// it denotes the *set* of values the subquery returns: the DB2RDF
+    /// spill lookup resolves a multi-valued column through it, and that
+    /// is the only place lowering accepts one.
     Subquery(Box<SetExpr>),
     Eq(Box<Expr>, Box<Expr>),
     And(Box<Expr>, Box<Expr>),

@@ -1,80 +1,83 @@
-//! The embedded SQL execution backend: run the SQL that
-//! [`crate::sql::SqlGenerator`] emits, directly against the loaded
-//! layout tables.
+//! The SQL front end of the delegation path: read back the SQL that
+//! [`crate::sql::SqlGenerator`] emits and hand it to the one executor.
 //!
 //! The paper's central claim is that ontological query answering can be
 //! *delegated to an RDBMS*: reformulate under the TBox, emit SQL, and
-//! let a relational engine execute it. The native executor
-//! ([`crate::executor`]) evaluates `FolQuery` values through the
-//! [`crate::layout::Storage`] access paths; this module closes the other
-//! half of the loop — reformulation → SQL text → relational execution →
-//! answers — with a small, purpose-built SQL front-end:
+//! let a relational engine with a cost-based optimizer execute it.
+//! [`Backend::Sql`] keeps that loop honest — reformulation → SQL text →
+//! parse → rows, with the rows a function of the *text* — without a
+//! second relational evaluator:
 //!
 //! * [`token`] / [`parse`](mod@parse) — tokenizer and recursive-descent
-//!   parser for the exact `SELECT` / `FROM` / `WHERE` / `UNION [ALL]` /
-//!   `JOIN` / `WITH … AS` / `CASE` dialect the generator emits for all
-//!   three layouts;
-//! * [`catalog`] — the SQL-visible relational schema of each layout:
-//!   `c_<name>` / `r_<name>` unary and binary tables (simple), the
-//!   `triples` table (triple), and the DB2RDF-style `dph` wide table
-//!   plus its `dph_values` spill relation (DPH);
-//! * [`exec`] — a set-semantics relational evaluator: pushed-down
-//!   predicate filters, hash equi-joins (built on the incoming source,
-//!   probed per intermediate row), residual filters under SQL
-//!   three-valued logic, `DISTINCT` projection, unions, and CTEs.
+//!   parser into the [`ast`];
+//! * [`lower`](mod@lower) — the parsed statement becomes the
+//!   [`FolQuery`](obda_query::FolQuery) it denotes.
 //!
-//! All work is reported to the same [`crate::meter::Meter`] the native
-//! executor uses — base-table scans go through the layouts' metered
-//! access paths, join build/probe work counts on the `join_build` /
-//! `join_probe` counters — so the two backends' work profiles stay
-//! comparable (not identical: the SQL backend has no planner and no
-//! index-nested-loop operator).
+//! From there [`crate::engine::Engine`] plans and runs it like any other
+//! query (`prepare` → `execute_parallel` → `columnar::run_plan`): one
+//! planner, one join, one `DISTINCT`, one [`crate::meter::Meter`].
+//! Nothing in this module scans storage, joins, deduplicates or meters.
 //!
-//! ## Dialect semantics notes
+//! ## The dialect
 //!
-//! * **Spill lookups are set-valued.** The DPH translation resolves a
-//!   multi-valued column through a subquery in scalar position
-//!   (`CASE WHEN multi0 = 1 THEN (SELECT mv.val FROM dph_values …)`),
-//!   following the translation shape of DB2RDF \[9\]. The executor gives
-//!   that subquery its intended meaning — *all* matching spill values —
-//!   by expanding one output row per value (DB2's own translation
-//!   expresses the same thing with a join against the VALUES table).
-//! * **`NULL` never reaches an answer.** Result rows containing `NULL`
-//!   are dropped, mirroring the native executor's head projection, which
-//!   skips tuples with unbound head variables.
+//! The parser accepts a little more than is lowered (`UNION ALL`, `OR`,
+//! `CASE`, `JOIN … ON`, which desugars to the comma form). What lowers
+//! is the closed set the generator prints, on any layout:
+//!
+//! | text | becomes |
+//! |---|---|
+//! | `c_<name> a` / `r_<name> a` | atom; columns `x` / `s`, `o` |
+//! | `(SELECT subj AS x FROM triples WHERE pred = k) a`, `(SELECT subj AS s, obj AS o …) a` | atom of predicate code `k` (even: concept `k/2`, odd: role `k/2`) |
+//! | `(SELECT entity AS x FROM dph WHERE pred0 = k OR …) a`, `(SELECT entity AS s, CASE … END AS o FROM dph WHERE …) a` | atom of code `k`; recognised strictly: all `DPH_COLUMNS` candidate columns in order under one code, the `dph_values` spill lookup in every `CASE` arm |
+//! | `(SELECT u.s AS v0, … FROM <leaf> u [WHERE …] UNION …) a` | disjunctive slot; columns are its shared variables, positionally |
+//! | `WHERE site = site AND site = <number> …` | sites of one class are one variable, or that constant |
+//! | `SELECT DISTINCT site AS h0, <number> AS h1, NULL AS h2` | head; `NULL` is a variable no atom binds (no answers), `1 AS t` alone the empty head |
+//! | `SELECT … UNION SELECT …` | UCQ, or USCQ if an arm has a slot |
+//! | `WITH sql0 AS (…), … SELECT DISTINCT … FROM sql0, … WHERE sql1.h0 = sql0.h0 …` | JUCQ / JUSCQ: one component per binding, joined where the final `WHERE` equates columns |
+//!
+//! Rejected with a typed [`SqlError::Exec`] (`unsupported …`, or
+//! `unknown` / `ambiguous` for names), never a panic and never another
+//! evaluator: unknown tables, aliases, columns and predicate codes;
+//! `UNION` arms of different arity; `UNION ALL`; `SELECT` without
+//! `DISTINCT` outside a `UNION` (answers are sets); `OR`, bare terms and
+//! literal-only comparisons in `WHERE`; a column equated with two
+//! constants; `triples` / `dph` outside their subquery shapes, a DPH
+//! block missing a candidate column; `CASE` or a subquery in expression
+//! position anywhere else; a slot arm over more than one atom, or
+//! projecting a constant, `NULL` or one column twice, or leaving a
+//! column out; a `WITH` body that is not one
+//! `SELECT` over every binding exactly once, or that filters a binding
+//! by a constant or equates two of its own columns.
+//!
+//! Sources that no equality links are *not* rejected: a cover fragment
+//! need not be connected (the root cover's `C3(y) ∧ C4(x)`), so the
+//! generator prints cross products, and the planner runs them.
+//!
+//! `NULL` never reaches an answer: the one place the dialect produces it
+//! (a head variable no atom binds) lowers to an unbound head variable,
+//! for which the native projection emits no tuple.
 //!
 //! The differential harness ([`crate::testkit::differential_check`])
-//! runs every random query and the LUBM sweep through
-//! generate-SQL → parse → execute and asserts answer-set equality with
-//! the native executor across all three layouts — generated-SQL
-//! correctness is a tested property, not an assumption.
+//! runs every random query and the LUBM sweep through generate → parse →
+//! lower → execute on all three layouts, and `tests/sql_roundtrip.rs`
+//! checks that lowering inverts generation.
 
 pub mod ast;
-pub mod catalog;
-pub mod exec;
+pub mod lower;
 pub mod parse;
 pub mod token;
 
 use std::fmt;
 
-pub use catalog::Catalog;
-pub use exec::{execute, Table, Val};
+pub use lower::lower;
 pub use parse::parse;
-
-use crate::executor::Row;
-use crate::layout::Storage;
-use crate::meter::Meter;
-use crate::sql::SqlNames;
 
 /// Which execution engine answers a query.
 ///
-/// * [`Backend::Native`] — the planned, operator-annotated executor of
-///   [`crate::executor`] (index-nested-loop / hash joins chosen by the
-///   cost model);
-/// * [`Backend::Sql`] — generate the SQL translation, parse it, and run
-///   it through the embedded relational evaluator of this module. The
-///   two must agree on every answer set; the differential harness
-///   enforces it.
+/// * [`Backend::Native`] — plan and run the reformulation directly;
+/// * [`Backend::Sql`] — generate its SQL translation, then parse, lower,
+///   plan and run *that*: the answer is what the text says. The two must
+///   agree on every answer set; the differential harness enforces it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     #[default]
@@ -91,9 +94,9 @@ impl Backend {
     }
 }
 
-/// Errors from the SQL front-end or executor. For generator-produced
-/// statements these indicate a generator/executor bug (the differential
-/// suite exists to keep them unreachable); for hand-written SQL they are
+/// Errors from the SQL front end. For generator-produced statements
+/// these indicate a generator/lowering bug (the differential suite
+/// exists to keep them unreachable); for hand-written SQL they are
 /// ordinary user errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SqlError {
@@ -101,8 +104,9 @@ pub enum SqlError {
     Tokenize { pos: usize, message: String },
     /// Syntax error at a byte offset.
     Parse { pos: usize, message: String },
-    /// A semantic error during execution (unknown table or column,
-    /// ambiguous reference, arity mismatch, misplaced expression).
+    /// A statement that parses but does not lower: an unknown or
+    /// ambiguous name, an arity mismatch, or a construct outside the
+    /// dialect (`unsupported …`).
     Exec { message: String },
 }
 
@@ -126,18 +130,4 @@ impl SqlError {
             message: message.into(),
         }
     }
-}
-
-/// Parse and execute one SQL statement against a loaded storage,
-/// returning the answer rows (rows containing `NULL` are dropped — see
-/// the module docs). `names` maps `c_<name>` / `r_<name>` table
-/// references back to predicate ids; metering goes to `m`.
-pub fn run(
-    sql: &str,
-    storage: &dyn Storage,
-    names: &SqlNames,
-    m: &mut Meter,
-) -> Result<Vec<Row>, SqlError> {
-    let query = parse(sql)?;
-    execute(&query, storage, names, m)
 }

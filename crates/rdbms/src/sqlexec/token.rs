@@ -41,22 +41,6 @@ pub enum Tok {
     Cross,
 }
 
-impl Tok {
-    /// Keywords cannot serve as aliases or column names in this dialect.
-    pub fn is_keyword(&self) -> bool {
-        !matches!(
-            self,
-            Tok::Ident(_)
-                | Tok::Num(_)
-                | Tok::LParen
-                | Tok::RParen
-                | Tok::Comma
-                | Tok::Dot
-                | Tok::Eq
-        )
-    }
-}
-
 fn keyword(word: &str) -> Option<Tok> {
     // The generator emits uppercase keywords; accept any case for
     // hand-written statements.

@@ -14,9 +14,10 @@
 //! asserting row-set and work-counter parity with the sequential
 //! inline-planned run — so a batching, cache-key or merge-order bug
 //! fails here, not in production. Every layout also answers through the **SQL backend**
-//! (generate-SQL → parse → execute via [`crate::sqlexec`]) with
-//! answer-set equality, making generated-SQL correctness a tested
-//! property. Any future executor change — new operator, new layout,
+//! (generate-SQL → parse → lower via [`crate::sqlexec`] → plan →
+//! execute) with answer-set equality — making generated-SQL
+//! correctness a tested property — and with the work counters of the
+//! native run of the lowered query: one executor under both backends. Any future executor change — new operator, new layout,
 //! planner rewrite — is covered by pointing this harness (plus the
 //! random query generators in `obda_query::testkit`) at the new code
 //! path.
@@ -153,9 +154,9 @@ pub fn differential_check(voc: &Vocabulary, abox: &ABox, q: &FolQuery, context: 
         }
 
         // The SQL-delegation backend: generate the layout's SQL
-        // translation, parse it, and execute it through the embedded
-        // relational evaluator — answer-set equality makes generated-SQL
-        // correctness a property, not an assumption.
+        // translation, parse it, lower it, and run what it says —
+        // answer-set equality makes generated-SQL correctness a
+        // property, not an assumption.
         let sql_engine = engine.clone().with_backend(Backend::Sql);
         let out = sql_engine.evaluate(q).unwrap_or_else(|e| {
             panic!(
@@ -163,13 +164,24 @@ pub fn differential_check(voc: &Vocabulary, abox: &ABox, q: &FolQuery, context: 
                 engine.sql_for(q)
             )
         });
-        let mut rows = out.rows;
+        let mut rows = out.rows.clone();
         rows.sort();
         assert_eq!(
             rows,
             want,
             "{context}: SQL backend row-set mismatch under {layout:?}\nSQL:\n{}",
             engine.sql_for(q)
+        );
+        // One executor: the SQL run *is* the native run of the lowered
+        // query, counter for counter.
+        let lowered = out.lowered.as_ref().expect("the SQL path lowers");
+        let direct = engine
+            .evaluate(&lowered.fol)
+            .expect("pg-like profile has no statement limit");
+        assert_same_execution(
+            &out,
+            &direct,
+            &format!("{context}: SQL backend vs native run of the lowered query, {layout:?}"),
         );
     }
     want
@@ -275,7 +287,8 @@ pub fn differential_constraints_check(
                         .unwrap_or_else(|e| {
                             panic!(
                                 "{context}: constraints={tag} failed under \
-                                 {layout:?}/{backend}/{strategy:?}: {e}"
+                                 {layout:?}/{backend}/{strategy:?}: {e}\nSQL:\n{}",
+                                eng.sql_for(fol)
                             )
                         })
                         .rows;
@@ -391,10 +404,9 @@ pub fn differential_mutation_check(
             }
         }
 
-        // The SQL backend over delta-maintained storage: the sqlexec
-        // catalog virtualizes the *mutated* tables, so incremental
-        // maintenance bugs surface here through a second, independent
-        // access path.
+        // The SQL backend over delta-maintained storage: the text is
+        // generated, read back and planned against the *mutated*
+        // statistics.
         let sql_engine = incremental.clone().with_backend(Backend::Sql);
         let mut rows = sql_engine
             .evaluate(q)

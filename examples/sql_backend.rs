@@ -1,6 +1,7 @@
 //! The SQL-delegation backend, end to end: the same LUBM queries
-//! answered by the native planned executor and by generate-SQL → parse →
-//! execute, with identical results.
+//! planned directly and through generate-SQL → parse → lower → plan,
+//! with identical results from the one executor — and what reading the
+//! statement back costs.
 //!
 //! ```sh
 //! cargo run --release --example sql_backend
@@ -64,13 +65,16 @@ fn main() {
                 a.sort();
                 b.sort();
                 assert_eq!(a, b, "{}: backends disagree", w.name);
+                let front_end = out.lowered.expect("the SQL path lowers").took;
                 println!(
-                    "{:>4} {:>5}: {:>5} rows | native {:>9.3?} | sql {:>9.3?} | {:>7} sql bytes",
+                    "{:>4} {:>5}: {:>5} rows | native {:>9.3?} | sql {:>9.3?} \
+                     (parse+lower+plan {:>9.3?}) | {:>7} sql bytes",
                     w.name,
                     tag,
                     a.len(),
                     t_native,
                     t_sql,
+                    front_end,
                     out.sql_bytes,
                 );
             }

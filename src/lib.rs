@@ -19,9 +19,10 @@
 //! * [`core`] — covers, safety, the lattice `Lq`, the generalized space
 //!   `Gq`, and the EDL/GDL cost-driven searches;
 //! * [`rdbms`] — the in-memory engine substrate: three storage layouts,
-//!   planner/executor, SQL generation plus an embedded SQL execution
-//!   backend (`rdbms::sqlexec`, selectable via `Backend::Sql` — the
-//!   paper's delegate-to-the-RDBMS loop, closed), engine profiles, cost
+//!   planner/executor, SQL generation plus a SQL front end that reads
+//!   the text back onto the same executor (`rdbms::sqlexec`, selectable
+//!   via `Backend::Sql` — the paper's delegate-to-the-RDBMS loop,
+//!   closed), engine profiles, cost
 //!   models, the concurrent serving layer (snapshots + plan cache +
 //!   parallel union-arm execution), and the durable ABox store (binary
 //!   snapshots, write-ahead log, crash recovery, incremental apply);

@@ -24,6 +24,7 @@ struct Fixture {
     server: Arc<Server>,
     listener: PgListener,
     abox: ABox,
+    q1: CQ,
     /// Q1's expected answers as individual names, via the in-process API.
     q1_names: BTreeSet<String>,
 }
@@ -75,6 +76,7 @@ fn fixture(config: PgConfig) -> Fixture {
         server,
         listener,
         abox,
+        q1,
         q1_names,
     }
 }
@@ -799,6 +801,102 @@ fn explain_analyze_prices_and_measures_under_both_backends() {
         assert!(plan.contains("cache_hit=true"), "{plan}");
         client.terminate();
     }
+    fx.listener.shutdown();
+}
+
+/// The plan lines of an `EXPLAIN ANALYZE` result: arm labels and
+/// priced steps, without the measured (timed) lines.
+fn priced_steps(result: &obda::rdbms::pgwire::QueryResult) -> Vec<String> {
+    result
+        .rows
+        .iter()
+        .map(|row| row[0].clone())
+        .filter(|l| l.ends_with(':') || l.starts_with("  [slot") || l.starts_with("  predicted"))
+        .collect()
+}
+
+/// Under `backend=sql` what is observable is the statement that ran —
+/// the SQL text read back — not the reformulation it was printed from:
+/// `EXPLAIN ANALYZE` prices the lowered statement's plan, its estimates
+/// feed the cost-accuracy counters, and the per-execution parse + lower
+/// + plan shows as `plan_us`, not as execution.
+#[test]
+fn sql_backend_observability_reports_the_lowered_statement() {
+    let mut fx = fixture(PgConfig::default());
+    let addr = fx.listener.local_addr();
+
+    // In process: the analysis explains exactly what the outcome says ran.
+    let snap = fx.server.snapshot();
+    let analyzed = fx
+        .server
+        .explain_analyze(&snap, &fx.q1, obda::rdbms::Backend::Sql)
+        .expect("EXPLAIN ANALYZE under the SQL backend");
+    let lowered = analyzed
+        .outcome
+        .lowered
+        .as_ref()
+        .expect("the SQL path reports the lowered statement");
+    assert_eq!(
+        analyzed.explain.to_string(),
+        snap.engine().explain_plan(&lowered.fol).to_string()
+    );
+    let planned: f64 = lowered.plans.plans.iter().map(|p| p.est_cost()).sum();
+    let explained: f64 = analyzed
+        .explain
+        .arms
+        .iter()
+        .map(|a| a.plan.est_cost())
+        .sum();
+    assert!(planned > 0.0 && (planned - explained).abs() <= 1e-9 * planned);
+    assert!(analyzed.spans.plan >= lowered.took);
+    assert_eq!(
+        analyzed.spans.execute,
+        analyzed.outcome.metrics.wall - lowered.took
+    );
+
+    // Over the wire: lowering inverts generation, so the SQL session's
+    // priced steps are the native session's, arm for arm.
+    let stmt = format!("EXPLAIN ANALYZE {Q1_WIRE}");
+    let mut native = WireClient::connect(&addr, &[("backend", "native")]).expect("startup");
+    let mut sql = WireClient::connect(&addr, &[("backend", "sql")]).expect("startup");
+    let before: f64 = metrics_map(&mut native)["cost_predicted_units"]
+        .parse()
+        .unwrap();
+    let native_plan = priced_steps(&native.simple_query(&stmt).expect("native EXPLAIN")[0]);
+    let between: f64 = metrics_map(&mut native)["cost_predicted_units"]
+        .parse()
+        .unwrap();
+    let sql_plan = priced_steps(&sql.simple_query(&stmt).expect("sql EXPLAIN")[0]);
+    let after: f64 = metrics_map(&mut native)["cost_predicted_units"]
+        .parse()
+        .unwrap();
+    assert!(native_plan.iter().any(|l| l.starts_with("  [slot")));
+    assert_eq!(sql_plan, native_plan);
+    // Both executions fed the accuracy counters the same estimate.
+    assert!(between > before);
+    assert!((after - between - (between - before)).abs() <= 1e-6 * after);
+
+    // A warm SQL statement still pays its text round trip, and says so
+    // under plan_us; a warm native statement plans nothing.
+    for client in [&mut native, &mut sql] {
+        client.simple_query(Q1_WIRE).expect("warm Q1");
+    }
+    let slow = native
+        .simple_query("SHOW slow_queries")
+        .expect("SHOW slow_queries");
+    let warm = |backend: &str| -> Vec<u64> {
+        slow[0]
+            .rows
+            .iter()
+            .filter(|r| r[8] == backend && r[9] == "t" && !r[12].contains("EXPLAIN"))
+            .map(|r| r[4].parse().expect("plan_us is numeric"))
+            .collect()
+    };
+    assert!(!warm("sql").is_empty() && warm("sql").iter().all(|&us| us > 0));
+    assert!(!warm("native").is_empty() && warm("native").iter().all(|&us| us == 0));
+
+    native.terminate();
+    sql.terminate();
     fx.listener.shutdown();
 }
 

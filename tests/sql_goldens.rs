@@ -14,14 +14,14 @@
 //! OBDA_BLESS=1 cargo test --test sql_goldens && cargo test --test sql_goldens
 //! ```
 //!
-//! Every golden must also parse: the snapshot files double as parser
-//! conformance inputs for `obda::rdbms::sqlexec`.
+//! Every golden must also parse and lower: the snapshot files double as
+//! conformance inputs for the `obda::rdbms::sqlexec` front end.
 
 use std::path::PathBuf;
 
 use obda::dllite::{ConceptId, RoleId, Vocabulary};
 use obda::query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, SCQ, UCQ};
-use obda::rdbms::sqlexec::parse;
+use obda::rdbms::sqlexec::{lower, parse};
 use obda::rdbms::{LayoutKind, SqlGenerator, SqlNames};
 
 fn names() -> SqlNames {
@@ -67,8 +67,10 @@ fn check_golden(name: &str, actual: &str) {
         "generated SQL drifted from tests/goldens/{name}; review the dialect \
          change and re-bless with OBDA_BLESS=1 if intended"
     );
-    // The snapshot is also a parser conformance input.
-    parse(actual).unwrap_or_else(|e| panic!("golden {name} no longer parses: {e}"));
+    // The snapshot is also a front-end conformance input.
+    parse(actual)
+        .and_then(|parsed| lower(&parsed, &names(), false))
+        .unwrap_or_else(|e| panic!("golden {name} no longer parses and lowers: {e}"));
 }
 
 #[test]
