@@ -139,11 +139,16 @@ const _: () = {
     assert_send_sync::<Engine>();
 };
 
-/// Cloning an engine clones the stored tables and indexes behind the
-/// trait object (a table memcpy — no re-hashing, no re-statistics). This
-/// is the copy-on-write half of the incremental apply path: the serving
-/// layer clones the published engine, [`Engine::apply_delta`]s the clone,
-/// and swaps it in as the next snapshot generation.
+/// Cloning an engine clones the storage behind the trait object
+/// ([`Storage::boxed_clone`]): under the simple and triple layouts that
+/// is one reference-count bump per predicate table and per statistics
+/// map, and the clone shares them all with the original until
+/// [`Engine::apply_delta`] writes to one, which copies that one. This is
+/// how the serving layer opens a generation — clone the published
+/// engine, apply the delta, swap it in — at the cost of the tables the
+/// delta touches, and how a transaction's overlay reads its own writes.
+/// The entity layout copies its two wide tables whole (its only path;
+/// see `layout::dph`).
 impl Clone for Engine {
     fn clone(&self) -> Self {
         Engine {

@@ -136,6 +136,16 @@ pub fn primary_column(pred_code: u32) -> usize {
 }
 
 /// Entity-layout storage: DPH + RPH.
+///
+/// Unlike the per-predicate layouts, a clone copies both wide tables
+/// whole, every generation. There is no smaller unit to share: a wide
+/// row bundles *every* predicate of its subject, so a delta naming one
+/// predicate rewrites rows that all the subject's other predicates live
+/// in, and a predicate's extent is scattered over the whole row vector.
+/// Measured at the benchmark's 60 533-fact LUBM ABox: 2.9–3.1 ms per
+/// clone (the simple layout's pointer-bump clone is 0.01 ms). No
+/// benchmark workload and no default configuration serves from this
+/// layout; it exists for the paper's §6.3 comparison.
 #[derive(Clone)]
 pub struct DphStorage {
     dph: WideTable,

@@ -1,15 +1,15 @@
 //! Small-inline posting lists for the hash indexes of the storage
 //! layouts.
 //!
-//! The copy-on-write apply path ([`super::Storage::boxed_clone`] +
-//! `apply_delta`) clones a whole storage per published generation; with
-//! `HashMap<key, Vec<u32>>` indexes that clone pays one heap allocation
-//! per *key*, and entity-shaped data (LUBM: advisors, memberships,
-//! types) has enormous numbers of keys with fan-out 1–2. [`Posting`]
-//! inlines up to two values in the map entry itself, so cloning the
-//! index is one table memcpy plus allocations only for the rare
-//! high-fan-out keys — the difference between the incremental path
-//! merely matching a full reload and beating it comfortably.
+//! A delta copies each table it writes the first time it writes to it
+//! ([`super::Storage::apply_delta`] on a clone that shares its tables
+//! with the previous generation). With `HashMap<key, Vec<u32>>` indexes
+//! that copy pays one heap allocation per *key*, and entity-shaped data
+//! (LUBM: advisors, memberships, types) has enormous numbers of keys
+//! with fan-out 1–2. [`Posting`] inlines up to two values in the map
+//! entry itself, so copying an index is one table memcpy plus
+//! allocations only for the rare high-fan-out keys; a bulk load, which
+//! builds every index once, saves the same allocations.
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;

@@ -2,13 +2,15 @@
 //! role, with all one- and two-attribute indexes (§6.1). Facts are
 //! dictionary-encoded `u32`s (the `Vocabulary` is the dictionary).
 
+use std::sync::Arc;
+
 use obda_dllite::{ABox, AboxDelta, ConceptId, RoleId};
 
 use crate::fxhash::FxHashMap;
 use crate::layout::posting::{push_posting, remove_posting, Posting};
 use crate::layout::{LayoutKind, Storage, BATCH_SIZE};
 use crate::meter::{tk_concept, tk_role, Meter};
-use crate::stats::CatalogStats;
+use crate::stats::{share_values, CatalogStats};
 
 /// A unary (concept) table: member vector plus membership index. The
 /// index stores each member's row position, making deletion O(1)
@@ -39,38 +41,47 @@ impl UnaryTable {
     }
 }
 
+/// Object column value of a row that has no object: the triple layout
+/// keeps a concept's members in a [`BinaryTable`] as `(member,
+/// NO_OBJECT)`. Never a dictionary id (those are dense from 0).
+pub(super) const NO_OBJECT: u32 = u32::MAX;
+
 /// A binary (role) table: parallel subject/object column vectors plus
 /// hash indexes on each attribute and on the pair. The columnar split
 /// (rather than a `Vec<(u32, u32)>` row vector) lets block scans hand
 /// zero-copy `&[u32]` slices to the vectorized executor. Posting lists
-/// inline small fan-outs ([`Posting`]) so the copy-on-write clone of the
-/// apply path stays a near-memcpy, and the pair index stores row
-/// positions so deletion is O(1) like [`UnaryTable`]'s.
+/// inline small fan-outs ([`Posting`]) so the copy a delta's first write
+/// to the table pays stays a near-memcpy, and the pair index stores row
+/// positions so deletion is O(1) like [`UnaryTable`]'s. [`NO_OBJECT`]
+/// is not indexed by object — it would be one posting as long as the
+/// table.
 #[derive(Debug, Default, Clone)]
-struct BinaryTable {
-    subs: Vec<u32>,
-    objs: Vec<u32>,
-    by_subject: FxHashMap<u32, Posting>,
-    by_object: FxHashMap<u32, Posting>,
-    pairs: FxHashMap<(u32, u32), u32>,
+pub(super) struct BinaryTable {
+    pub(super) subs: Vec<u32>,
+    pub(super) objs: Vec<u32>,
+    pub(super) by_subject: FxHashMap<u32, Posting>,
+    pub(super) by_object: FxHashMap<u32, Posting>,
+    pub(super) pairs: FxHashMap<(u32, u32), u32>,
 }
 
 impl BinaryTable {
-    fn len(&self) -> usize {
+    pub(super) fn len(&self) -> usize {
         self.subs.len()
     }
 
-    fn insert(&mut self, a: u32, b: u32) {
+    pub(super) fn insert(&mut self, a: u32, b: u32) {
         if let std::collections::hash_map::Entry::Vacant(e) = self.pairs.entry((a, b)) {
             e.insert(self.subs.len() as u32);
             self.subs.push(a);
             self.objs.push(b);
             push_posting(&mut self.by_subject, a, b);
-            push_posting(&mut self.by_object, b, a);
+            if b != NO_OBJECT {
+                push_posting(&mut self.by_object, b, a);
+            }
         }
     }
 
-    fn delete(&mut self, a: u32, b: u32) {
+    pub(super) fn delete(&mut self, a: u32, b: u32) {
         if let Some(pos) = self.pairs.remove(&(a, b)) {
             self.subs.swap_remove(pos as usize);
             self.objs.swap_remove(pos as usize);
@@ -79,16 +90,22 @@ impl BinaryTable {
                 self.pairs.insert((s, o), pos);
             }
             remove_posting(&mut self.by_subject, &a, b);
-            remove_posting(&mut self.by_object, &b, a);
+            if b != NO_OBJECT {
+                remove_posting(&mut self.by_object, &b, a);
+            }
         }
     }
 }
 
-/// Simple-layout storage.
+/// Simple-layout storage. Each table sits behind its own `Arc`: a clone
+/// is one pointer bump per predicate, and [`Storage::apply_delta`]
+/// copies a table the first time it writes to it
+/// ([`Arc::make_mut`]), so a generation shares with its predecessor
+/// every table the delta between them did not name.
 #[derive(Clone)]
 pub struct SimpleStorage {
-    concepts: FxHashMap<u32, UnaryTable>,
-    roles: FxHashMap<u32, BinaryTable>,
+    concepts: FxHashMap<u32, Arc<UnaryTable>>,
+    roles: FxHashMap<u32, Arc<BinaryTable>>,
     stats: CatalogStats,
 }
 
@@ -103,8 +120,8 @@ impl SimpleStorage {
             roles.entry(r.0).or_default().insert(a.0, b.0);
         }
         SimpleStorage {
-            concepts,
-            roles,
+            concepts: share_values(concepts),
+            roles: share_values(roles),
             stats: CatalogStats::from_abox(abox),
         }
     }
@@ -197,13 +214,14 @@ impl Storage for SimpleStorage {
 
     fn apply_delta(&mut self, delta: &AboxDelta) {
         for &(c, i) in &delta.insert_concepts {
-            self.concepts.entry(c.0).or_default().insert(i.0);
+            Arc::make_mut(self.concepts.entry(c.0).or_default()).insert(i.0);
         }
         for &(r, a, b) in &delta.insert_roles {
-            self.roles.entry(r.0).or_default().insert(a.0, b.0);
+            Arc::make_mut(self.roles.entry(r.0).or_default()).insert(a.0, b.0);
         }
         for &(c, i) in &delta.delete_concepts {
             if let Some(t) = self.concepts.get_mut(&c.0) {
+                let t = Arc::make_mut(t);
                 t.delete(i.0);
                 if t.rows.is_empty() {
                     self.concepts.remove(&c.0);
@@ -212,6 +230,7 @@ impl Storage for SimpleStorage {
         }
         for &(r, a, b) in &delta.delete_roles {
             if let Some(t) = self.roles.get_mut(&r.0) {
+                let t = Arc::make_mut(t);
                 t.delete(a.0, b.0);
                 if t.subs.is_empty() {
                     self.roles.remove(&r.0);
@@ -265,5 +284,35 @@ mod tests {
         crate::layout::testutil::check_incremental_matches_reload(|abox| {
             Box::new(SimpleStorage::load(abox))
         });
+    }
+
+    #[test]
+    fn a_delta_copies_exactly_the_tables_it_writes() {
+        let (voc, mut abox) = small_abox();
+        let (a, b) = (
+            voc.find_concept("A").unwrap(),
+            voc.find_concept("B").unwrap(),
+        );
+        let (r, s) = (voc.find_role("r").unwrap(), voc.find_role("s").unwrap());
+        let i3 = voc.find_individual("i3").unwrap();
+        let base = SimpleStorage::load(&abox);
+        let mut next = base.clone();
+        let delta = AboxDelta::new()
+            .insert_concept(a, i3)
+            .delete_role(s, voc.find_individual("i1").unwrap(), i3) // a miss: not effective
+            .insert_role(r, i3, i3);
+        next.apply_delta(&abox.apply(&delta));
+        // Written: concept A and role r. Everything else is the same
+        // allocation in both generations.
+        assert!(!Arc::ptr_eq(&base.concepts[&a.0], &next.concepts[&a.0]));
+        assert!(Arc::ptr_eq(&base.concepts[&b.0], &next.concepts[&b.0]));
+        assert!(!Arc::ptr_eq(&base.roles[&r.0], &next.roles[&r.0]));
+        assert!(Arc::ptr_eq(&base.roles[&s.0], &next.roles[&s.0]));
+        assert_eq!(
+            base.concepts[&a.0].rows.len(),
+            2,
+            "the original kept its rows"
+        );
+        assert_eq!(next.concepts[&a.0].rows.len(), 3);
     }
 }

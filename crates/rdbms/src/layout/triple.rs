@@ -6,23 +6,28 @@
 //! touch wider rows than the simple layout (the predicate column rides
 //! along), modeled as a per-tuple width factor.
 //!
-//! Physically the predicate clustering is represented as one extent
-//! (row vector) per predicate code — the in-memory image of a
-//! predicate-clustered B-tree: a predicate scan touches exactly its
-//! extent, and an insert lands at the end of its predicate's cluster
-//! instead of rewriting a global sorted vector. That makes incremental
-//! maintenance ([`Storage::apply_delta`]) O(1) per inserted triple and
-//! O(extent) per deleted one, while the metering (`WIDTH_FACTOR` per
-//! scanned tuple, per-row probe counts) is unchanged from the sorted
-//! representation it replaces.
+//! Physically the predicate clustering is represented as one cluster
+//! per predicate code — the in-memory image of a predicate-clustered
+//! B-tree with its `(pred, subj)` and `(pred, obj)` index ranges: a
+//! predicate scan touches exactly its cluster's rows, and an insert
+//! lands at the end of its predicate's cluster instead of rewriting a
+//! global sorted vector. That makes incremental maintenance
+//! ([`Storage::apply_delta`]) O(1) per inserted or deleted triple, while
+//! the metering (`WIDTH_FACTOR` per scanned tuple, per-row probe counts)
+//! is unchanged from the sorted representation it replaces. A cluster is
+//! the simple layout's `BinaryTable` (a concept's rows carry
+//! `NO_OBJECT`), each behind its own `Arc`, so a clone is a pointer
+//! bump per predicate and a delta copies only the clusters it writes.
+
+use std::sync::Arc;
 
 use obda_dllite::{ABox, AboxDelta, ConceptId, RoleId};
 
 use crate::fxhash::FxHashMap;
-use crate::layout::posting::{push_posting, remove_posting, Posting};
+use crate::layout::simple::{BinaryTable, NO_OBJECT};
 use crate::layout::{LayoutKind, Storage, BATCH_SIZE};
 use crate::meter::{Meter, TK_TRIPLES};
-use crate::stats::CatalogStats;
+use crate::stats::{share_values, CatalogStats};
 
 /// Predicate code disambiguating concepts from roles in the shared table.
 fn code_concept(c: u32) -> u32 {
@@ -37,102 +42,54 @@ fn code_role(r: u32) -> u32 {
 /// predicate column).
 const WIDTH_FACTOR: f64 = 1.5;
 
-/// Object column value for concept-membership triples.
-const NO_OBJECT: u32 = u32::MAX;
-
-/// One predicate's cluster as parallel subject/object columns; concepts
-/// store `o == NO_OBJECT`. Columnar (rather than `Vec<(u32, u32)>`) so
-/// block scans hand zero-copy slices to the vectorized executor.
-#[derive(Debug, Default, Clone)]
-struct Extent {
-    subs: Vec<u32>,
-    objs: Vec<u32>,
-}
-
-impl Extent {
-    fn len(&self) -> usize {
-        self.subs.len()
-    }
-}
-
 /// Triple-table storage.
 #[derive(Clone)]
 pub struct TripleStorage {
-    /// Predicate code → its cluster of `(s, o)` rows. The ABox guarantees
-    /// row uniqueness.
-    extents: FxHashMap<u32, Extent>,
-    /// `(code, s, o)` → position in its extent: O(1) deletion
-    /// (`swap_remove` + one fix-up) instead of an extent scan inside the
-    /// serving layer's writer critical section.
-    row_pos: FxHashMap<(u32, u32, u32), u32>,
-    /// `(code, s)` → objects; `(code, o)` → subjects. Small fan-outs
-    /// inline ([`Posting`]) to keep copy-on-write clones cheap.
-    by_subject: FxHashMap<(u32, u32), Posting>,
-    by_object: FxHashMap<(u32, u32), Posting>,
+    /// Predicate code → its cluster of `(s, o)` rows with their indexes.
+    /// The ABox guarantees row uniqueness.
+    clusters: FxHashMap<u32, Arc<BinaryTable>>,
     stats: CatalogStats,
 }
 
 impl TripleStorage {
     pub fn load(abox: &ABox) -> Self {
-        let mut storage = TripleStorage {
-            extents: FxHashMap::default(),
-            row_pos: FxHashMap::default(),
-            by_subject: FxHashMap::default(),
-            by_object: FxHashMap::default(),
-            stats: CatalogStats::from_abox(abox),
-        };
+        let mut clusters: FxHashMap<u32, BinaryTable> = FxHashMap::default();
         for &(c, i) in abox.concept_assertions() {
-            storage.insert_triple(code_concept(c.0), i.0, NO_OBJECT);
+            let cluster = clusters.entry(code_concept(c.0)).or_default();
+            cluster.insert(i.0, NO_OBJECT);
         }
         for &(r, a, b) in abox.role_assertions() {
-            storage.insert_triple(code_role(r.0), a.0, b.0);
+            clusters.entry(code_role(r.0)).or_default().insert(a.0, b.0);
         }
-        storage
+        TripleStorage {
+            clusters: share_values(clusters),
+            stats: CatalogStats::from_abox(abox),
+        }
     }
 
     fn insert_triple(&mut self, code: u32, s: u32, o: u32) {
-        let extent = self.extents.entry(code).or_default();
-        self.row_pos.insert((code, s, o), extent.len() as u32);
-        extent.subs.push(s);
-        extent.objs.push(o);
-        push_posting(&mut self.by_subject, (code, s), o);
-        if o != NO_OBJECT {
-            push_posting(&mut self.by_object, (code, o), s);
-        }
+        Arc::make_mut(self.clusters.entry(code).or_default()).insert(s, o);
     }
 
     fn delete_triple(&mut self, code: u32, s: u32, o: u32) {
-        let Some(pos) = self.row_pos.remove(&(code, s, o)) else {
-            return;
-        };
-        let extent = self
-            .extents
-            .get_mut(&code)
-            .expect("row-position index mirrors the extents");
-        extent.subs.swap_remove(pos as usize);
-        extent.objs.swap_remove(pos as usize);
-        if let Some(&ms) = extent.subs.get(pos as usize) {
-            let mo = extent.objs[pos as usize];
-            self.row_pos.insert((code, ms, mo), pos);
-        }
-        if extent.subs.is_empty() {
-            self.extents.remove(&code);
-        }
-        remove_posting(&mut self.by_subject, &(code, s), o);
-        if o != NO_OBJECT {
-            remove_posting(&mut self.by_object, &(code, o), s);
+        if let Some(cluster) = self.clusters.get_mut(&code) {
+            let cluster = Arc::make_mut(cluster);
+            cluster.delete(s, o);
+            if cluster.subs.is_empty() {
+                self.clusters.remove(&code);
+            }
         }
     }
 
-    fn extent(&self, code: u32) -> Option<&Extent> {
-        self.extents.get(&code)
+    fn cluster(&self, code: u32) -> Option<&BinaryTable> {
+        self.clusters.get(&code).map(|c| &**c)
     }
 
-    /// Width-factor metering for one full extent scan — a single
+    /// Width-factor metering for one full cluster scan — a single
     /// [`Meter::on_scan`] for the whole logical scan regardless of how
     /// many blocks it is delivered in, so batched and row execution
     /// meter identically.
-    fn meter_extent_scan(m: &mut Meter, len: usize) {
+    fn meter_cluster_scan(m: &mut Meter, len: usize) {
         m.on_scan(TK_TRIPLES, (len as f64 * WIDTH_FACTOR) as u64);
     }
 }
@@ -147,43 +104,43 @@ impl Storage for TripleStorage {
     }
 
     fn for_each_concept(&self, c: ConceptId, m: &mut Meter, f: &mut dyn FnMut(u32)) {
-        let extent = self.extent(code_concept(c.0));
-        Self::meter_extent_scan(m, extent.map_or(0, Extent::len));
-        if let Some(extent) = extent {
-            for &s in &extent.subs {
+        let cluster = self.cluster(code_concept(c.0));
+        Self::meter_cluster_scan(m, cluster.map_or(0, BinaryTable::len));
+        if let Some(cluster) = cluster {
+            for &s in &cluster.subs {
                 f(s);
             }
         }
     }
 
     fn for_each_role(&self, r: RoleId, m: &mut Meter, f: &mut dyn FnMut(u32, u32)) {
-        let extent = self.extent(code_role(r.0));
-        Self::meter_extent_scan(m, extent.map_or(0, Extent::len));
-        if let Some(extent) = extent {
-            for (&s, &o) in extent.subs.iter().zip(&extent.objs) {
+        let cluster = self.cluster(code_role(r.0));
+        Self::meter_cluster_scan(m, cluster.map_or(0, BinaryTable::len));
+        if let Some(cluster) = cluster {
+            for (&s, &o) in cluster.subs.iter().zip(&cluster.objs) {
                 f(s, o);
             }
         }
     }
 
     fn concept_blocks(&self, c: ConceptId, m: &mut Meter, f: &mut dyn FnMut(&[u32])) {
-        let extent = self.extent(code_concept(c.0));
-        Self::meter_extent_scan(m, extent.map_or(0, Extent::len));
-        if let Some(extent) = extent {
-            for block in extent.subs.chunks(BATCH_SIZE) {
+        let cluster = self.cluster(code_concept(c.0));
+        Self::meter_cluster_scan(m, cluster.map_or(0, BinaryTable::len));
+        if let Some(cluster) = cluster {
+            for block in cluster.subs.chunks(BATCH_SIZE) {
                 f(block);
             }
         }
     }
 
     fn role_blocks(&self, r: RoleId, m: &mut Meter, f: &mut dyn FnMut(&[u32], &[u32])) {
-        let extent = self.extent(code_role(r.0));
-        Self::meter_extent_scan(m, extent.map_or(0, Extent::len));
-        if let Some(extent) = extent {
-            for (bs, bo) in extent
+        let cluster = self.cluster(code_role(r.0));
+        Self::meter_cluster_scan(m, cluster.map_or(0, BinaryTable::len));
+        if let Some(cluster) = cluster {
+            for (bs, bo) in cluster
                 .subs
                 .chunks(BATCH_SIZE)
-                .zip(extent.objs.chunks(BATCH_SIZE))
+                .zip(cluster.objs.chunks(BATCH_SIZE))
             {
                 f(bs, bo);
             }
@@ -192,11 +149,15 @@ impl Storage for TripleStorage {
 
     fn probe_concept(&self, c: ConceptId, v: u32, m: &mut Meter) -> bool {
         m.on_probe(1);
-        self.by_subject.contains_key(&(code_concept(c.0), v))
+        self.cluster(code_concept(c.0))
+            .is_some_and(|t| t.by_subject.contains_key(&v))
     }
 
     fn role_objects(&self, r: RoleId, s: u32, m: &mut Meter, f: &mut dyn FnMut(u32)) {
-        match self.by_subject.get(&(code_role(r.0), s)) {
+        match self
+            .cluster(code_role(r.0))
+            .and_then(|t| t.by_subject.get(&s))
+        {
             Some(objs) => {
                 m.on_probe(objs.len() as u64);
                 for &o in objs.slice() {
@@ -208,7 +169,10 @@ impl Storage for TripleStorage {
     }
 
     fn role_subjects(&self, r: RoleId, o: u32, m: &mut Meter, f: &mut dyn FnMut(u32)) {
-        match self.by_object.get(&(code_role(r.0), o)) {
+        match self
+            .cluster(code_role(r.0))
+            .and_then(|t| t.by_object.get(&o))
+        {
             Some(subs) => {
                 m.on_probe(subs.len() as u64);
                 for &s in subs.slice() {
@@ -221,10 +185,8 @@ impl Storage for TripleStorage {
 
     fn probe_role(&self, r: RoleId, s: u32, o: u32, m: &mut Meter) -> bool {
         m.on_probe(1);
-        match self.by_subject.get(&(code_role(r.0), s)) {
-            Some(objs) => objs.contains(o),
-            None => false,
-        }
+        self.cluster(code_role(r.0))
+            .is_some_and(|t| t.pairs.contains_key(&(s, o)))
     }
 
     fn apply_delta(&mut self, delta: &AboxDelta) {
@@ -310,5 +272,27 @@ mod tests {
         storage.for_each_role(r, &mut m, &mut |_, _| n += 1);
         assert_eq!(n, 0);
         assert_eq!(m.metrics.scanned, 0.0, "empty extent scans zero tuples");
+    }
+
+    #[test]
+    fn a_delta_copies_exactly_the_clusters_it_writes() {
+        let (voc, mut abox) = small_abox();
+        let (a, r) = (voc.find_concept("A").unwrap(), voc.find_role("r").unwrap());
+        let i3 = voc.find_individual("i3").unwrap();
+        let base = TripleStorage::load(&abox);
+        let mut next = base.clone();
+        let delta = AboxDelta::new()
+            .insert_concept(a, i3)
+            .insert_role(r, i3, i3);
+        next.apply_delta(&abox.apply(&delta));
+        let written = [code_concept(a.0), code_role(r.0)];
+        assert_eq!(base.clusters.len(), 4, "A, B, r, s");
+        for (code, cluster) in &base.clusters {
+            assert_eq!(
+                Arc::ptr_eq(cluster, &next.clusters[code]),
+                !written.contains(code),
+                "cluster {code} shared iff the delta did not write it"
+            );
+        }
     }
 }

@@ -96,7 +96,7 @@ impl Histogram {
     }
 
     pub fn observe(&self, d: Duration) {
-        self.observe_micros(d.as_micros().min(u64::MAX as u128) as u64);
+        self.observe_micros(micros(d));
     }
 
     pub fn observe_micros(&self, micros: u64) {
@@ -157,6 +157,27 @@ pub const STAGE_NAMES: [&str; 6] = [
     "execute",
     "serialize",
 ];
+
+/// What a commit spends its time on, in order: staging (id resolution,
+/// first-committer-wins validation, queueing), the group's WAL append
+/// and fsync, the apply phase (engine clone + deltas), the published
+/// vocabulary, the publish (snapshot swap, plan-cache purge, conflict
+/// registry prune), and waiting for another leader's commit seat. The
+/// first and last are paid per committer, the rest once per group by
+/// its leader, so together they sum to the committers' commit time.
+pub const COMMIT_STAGE_NAMES: [&str; 6] =
+    ["stage", "wal", "apply", "vocabulary", "publish", "wait"];
+
+/// Index into [`COMMIT_STAGE_NAMES`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CommitStage {
+    Stage,
+    Wal,
+    Apply,
+    Vocabulary,
+    Publish,
+    Wait,
+}
 
 /// Per-stage wall-clock spans of one statement. Stages a statement
 /// skipped (a warm cache hit skips reformulate/plan/sqlgen; a library
@@ -250,6 +271,14 @@ pub struct MetricsRegistry {
     wal_appends: AtomicU64,
     wal_fsyncs: AtomicU64,
     wal_bytes: AtomicU64,
+    /// Accumulated commit time (µs), indexed like [`COMMIT_STAGE_NAMES`].
+    commit_stage_micros: [AtomicU64; 6],
+    /// Accumulated time committers spent in `Txn::commit` /
+    /// `Server::apply_batch` — what the stage totals should add up to.
+    commit_micros: AtomicU64,
+    /// Overlay snapshots built for in-transaction reads, and their time.
+    txn_overlays: AtomicU64,
+    txn_overlay_micros: AtomicU64,
     checkpoints: AtomicU64,
     checkpoint_micros: AtomicU64,
     conns_admitted: AtomicU64,
@@ -270,6 +299,11 @@ pub struct MetricsRegistry {
     /// Statements slower than this also log one structured line to
     /// stderr (`u64::MAX` = off).
     slow_log_micros: AtomicU64,
+}
+
+/// A duration as whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// Stable index of a backend in per-backend counter arrays.
@@ -304,6 +338,10 @@ impl MetricsRegistry {
             wal_appends: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
+            commit_stage_micros: Default::default(),
+            commit_micros: AtomicU64::new(0),
+            txn_overlays: AtomicU64::new(0),
+            txn_overlay_micros: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             checkpoint_micros: AtomicU64::new(0),
             conns_admitted: AtomicU64::new(0),
@@ -336,10 +374,8 @@ impl MetricsRegistry {
     /// Statements slower than `threshold` log one structured line to
     /// stderr; `None` turns the log off.
     pub fn set_slow_log_threshold(&self, threshold: Option<Duration>) {
-        let micros = threshold
-            .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
-            .unwrap_or(u64::MAX);
-        self.slow_log_micros.store(micros, Ordering::Relaxed);
+        self.slow_log_micros
+            .store(threshold.map_or(u64::MAX, micros), Ordering::Relaxed);
     }
 
     /// Record one served query: per-backend count + latency histogram,
@@ -407,12 +443,9 @@ impl MetricsRegistry {
             return;
         }
         for (slot, span) in self.stage_micros.iter().zip(trace.spans.as_array()) {
-            slot.fetch_add(
-                span.as_micros().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
+            slot.fetch_add(micros(span), Ordering::Relaxed);
         }
-        let total_micros = trace.total.as_micros().min(u64::MAX as u128) as u64;
+        let total_micros = micros(trace.total);
         if total_micros >= self.slow_log_micros.load(Ordering::Relaxed) {
             log_slow_query(&trace);
         }
@@ -438,10 +471,8 @@ impl MetricsRegistry {
             }
             if ring.len() >= SLOW_RING_CAPACITY {
                 let floor = ring.iter().map(|t| t.total).min().unwrap_or(Duration::ZERO);
-                self.slow_threshold_micros.store(
-                    floor.as_micros().min(u64::MAX as u128) as u64,
-                    Ordering::Relaxed,
-                );
+                self.slow_threshold_micros
+                    .store(micros(floor), Ordering::Relaxed);
             }
         }
     }
@@ -469,15 +500,38 @@ impl MetricsRegistry {
         }
     }
 
+    /// Time one committer (`Stage`, `Wait`) or one group's leader (the
+    /// rest) spent in a commit stage.
+    pub fn record_commit_stage(&self, stage: CommitStage, took: Duration) {
+        if self.is_enabled() {
+            self.commit_stage_micros[stage as usize].fetch_add(micros(took), Ordering::Relaxed);
+        }
+    }
+
+    /// One commit call's wall clock, stage to acknowledgement.
+    pub fn record_commit(&self, took: Duration) {
+        if self.is_enabled() {
+            self.commit_micros
+                .fetch_add(micros(took), Ordering::Relaxed);
+        }
+    }
+
+    /// One overlay snapshot built for a read inside a dirty transaction.
+    pub fn record_txn_overlay(&self, took: Duration) {
+        if self.is_enabled() {
+            self.txn_overlays.fetch_add(1, Ordering::Relaxed);
+            self.txn_overlay_micros
+                .fetch_add(micros(took), Ordering::Relaxed);
+        }
+    }
+
     pub fn record_checkpoint(&self, took: Duration) {
         if !self.is_enabled() {
             return;
         }
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.checkpoint_micros.fetch_add(
-            took.as_micros().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
+        self.checkpoint_micros
+            .fetch_add(micros(took), Ordering::Relaxed);
     }
 
     pub fn record_admission(&self) {
@@ -538,6 +592,22 @@ impl MetricsRegistry {
 
     pub fn wal_bytes_total(&self) -> u64 {
         self.wal_bytes.load(Ordering::Relaxed)
+    }
+
+    pub fn commit_stage_micros_total(&self, stage: usize) -> u64 {
+        self.commit_stage_micros[stage].load(Ordering::Relaxed)
+    }
+
+    pub fn commit_micros_total(&self) -> u64 {
+        self.commit_micros.load(Ordering::Relaxed)
+    }
+
+    /// `(overlays built, accumulated µs)`.
+    pub fn txn_overlay_totals(&self) -> (u64, u64) {
+        (
+            self.txn_overlays.load(Ordering::Relaxed),
+            self.txn_overlay_micros.load(Ordering::Relaxed),
+        )
     }
 
     pub fn checkpoints_total(&self) -> u64 {
@@ -811,6 +881,45 @@ pub fn render_prometheus(server: &Server) -> String {
         "Bytes appended to the WAL.",
         reg.wal_bytes_total(),
     );
+    let _ = writeln!(
+        out,
+        "# HELP obda_commit_stage_seconds_total Accumulated commit time per stage (stage and wait per committer, the rest per group)."
+    );
+    let _ = writeln!(out, "# TYPE obda_commit_stage_seconds_total counter");
+    for (i, stage) in COMMIT_STAGE_NAMES.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "obda_commit_stage_seconds_total{{stage=\"{stage}\"}} {}",
+            reg.commit_stage_micros_total(i) as f64 / 1e6
+        );
+    }
+    let _ = writeln!(
+        out,
+        "# HELP obda_commit_seconds_total Accumulated commit call time, stage to acknowledgement."
+    );
+    let _ = writeln!(out, "# TYPE obda_commit_seconds_total counter");
+    let _ = writeln!(
+        out,
+        "obda_commit_seconds_total {}",
+        reg.commit_micros_total() as f64 / 1e6
+    );
+    let (overlays, overlay_micros) = reg.txn_overlay_totals();
+    counter(
+        &mut out,
+        "obda_txn_overlays_total",
+        "Overlay snapshots built for reads inside dirty transactions.",
+        overlays,
+    );
+    let _ = writeln!(
+        out,
+        "# HELP obda_txn_overlay_seconds_total Accumulated overlay build time."
+    );
+    let _ = writeln!(out, "# TYPE obda_txn_overlay_seconds_total counter");
+    let _ = writeln!(
+        out,
+        "obda_txn_overlay_seconds_total {}",
+        overlay_micros as f64 / 1e6
+    );
     counter(
         &mut out,
         "obda_checkpoints_total",
@@ -1083,8 +1192,13 @@ mod tests {
         reg.record_query(Backend::Native, Duration::from_millis(5), 3);
         reg.record_trace(trace(1, 50));
         reg.record_wal_append(100, true);
+        reg.record_commit_stage(CommitStage::Wait, Duration::from_millis(5));
+        reg.record_commit(Duration::from_millis(5));
+        reg.record_txn_overlay(Duration::from_millis(5));
         reg.record_admission();
         assert_eq!(reg.queries_total(Backend::Native), 0);
+        assert_eq!(reg.commit_micros_total(), 0);
+        assert_eq!(reg.txn_overlay_totals(), (0, 0));
         assert_eq!(reg.latency(Backend::Native).count(), 0);
         assert!(reg.slow_queries().is_empty());
         assert_eq!(reg.wal_appends_total(), 0);
@@ -1092,6 +1206,12 @@ mod tests {
         reg.set_enabled(true);
         reg.record_query(Backend::Sql, Duration::from_millis(5), 3);
         assert_eq!(reg.queries_total(Backend::Sql), 1);
+        // A commit stage lands under its own name.
+        reg.record_commit_stage(CommitStage::Wait, Duration::from_millis(5));
+        for (i, stage) in COMMIT_STAGE_NAMES.iter().enumerate() {
+            let want = if *stage == "wait" { 5_000 } else { 0 };
+            assert_eq!(reg.commit_stage_micros_total(i), want, "{stage}");
+        }
     }
 
     /// The exposition renders labelled and unlabelled histograms and the

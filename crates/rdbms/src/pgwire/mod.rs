@@ -45,5 +45,7 @@ pub mod session;
 pub use client::{ClientError, QueryResult, WireClient};
 pub use framing::{FrameError, MAX_MESSAGE_LEN, MAX_STARTUP_LEN};
 pub use listener::{PgConfig, PgListener};
-pub use query::{parse_statement, split_statements, ParseWireError, ShowTopic, WireStatement};
+pub use query::{
+    parse_statement, split_statements, Names, ParseWireError, ShowTopic, WireStatement,
+};
 pub use session::{SessionEnd, SERVER_VERSION};

@@ -26,15 +26,60 @@
 //!
 //! Predicate names resolve by arity: one argument looks up a concept,
 //! two arguments a role. Constants in *queries* resolve in the
-//! snapshot's interned individuals — an unknown name is a parse-time
+//! snapshot's interned individuals (and, inside a transaction, the names
+//! it introduced: see [`Names`]) — an unknown name is a parse-time
 //! error (SQLSTATE 42601 at the session layer), not an empty result, so
 //! typos are loud. Constants in `INSERT` facts stay *names*: an unknown
 //! individual there is new data, interned transaction-locally by the
 //! session and globally at commit.
 
-use obda_dllite::{ConceptId, RoleId, Vocabulary};
+use obda_dllite::{ConceptId, IndividualId, RoleId, Vocabulary};
 use obda_query::{Atom, Term, VarId, CQ};
 use std::collections::HashMap;
+
+use crate::txn::Txn;
+
+/// What a statement's names resolve against. Parsing only ever looks
+/// names up, so it needs no snapshot and no engine: a [`Vocabulary`]
+/// outside a transaction, and inside one the pinned vocabulary plus the
+/// transaction's own new individuals ([`Txn`]) — which is how
+/// a dirty transaction parses `COMMIT`, or anything else, without
+/// building its overlay.
+pub trait Names {
+    fn find_concept(&self, name: &str) -> Option<ConceptId>;
+    fn find_role(&self, name: &str) -> Option<RoleId>;
+    fn find_individual(&self, name: &str) -> Option<IndividualId>;
+}
+
+impl Names for Vocabulary {
+    fn find_concept(&self, name: &str) -> Option<ConceptId> {
+        Vocabulary::find_concept(self, name)
+    }
+
+    fn find_role(&self, name: &str) -> Option<RoleId> {
+        Vocabulary::find_role(self, name)
+    }
+
+    fn find_individual(&self, name: &str) -> Option<IndividualId> {
+        Vocabulary::find_individual(self, name)
+    }
+}
+
+/// Inside a transaction: predicates from the pinned snapshot,
+/// individuals from it and from the transaction's own new names.
+impl Names for Txn<'_> {
+    fn find_concept(&self, name: &str) -> Option<ConceptId> {
+        self.snapshot().vocabulary().find_concept(name)
+    }
+
+    fn find_role(&self, name: &str) -> Option<RoleId> {
+        self.snapshot().vocabulary().find_role(name)
+    }
+
+    fn find_individual(&self, name: &str) -> Option<IndividualId> {
+        Txn::find_individual(self, name)
+    }
+}
 
 /// A parsed wire statement, ready for the session to execute.
 #[derive(Debug)]
@@ -173,9 +218,9 @@ enum Token<'a> {
     Punct(char),
 }
 
-/// Parse one statement against `voc`. The vocabulary is only read —
+/// Parse one statement against `voc`. The names are only read —
 /// unknown predicate or individual names are errors, never interned.
-pub fn parse_statement(text: &str, voc: &Vocabulary) -> Result<WireStatement, ParseWireError> {
+pub fn parse_statement(text: &str, voc: &dyn Names) -> Result<WireStatement, ParseWireError> {
     let trimmed = text.trim();
     let first = trimmed
         .split_whitespace()
@@ -216,7 +261,7 @@ pub fn parse_statement(text: &str, voc: &Vocabulary) -> Result<WireStatement, Pa
 /// `EXPLAIN ANALYZE <select|ask>`: plain `EXPLAIN` (estimate without
 /// running) is deliberately not offered — the cost model's predictions
 /// are only interesting next to the measured run.
-fn parse_explain(rest: &str, voc: &Vocabulary) -> Result<WireStatement, ParseWireError> {
+fn parse_explain(rest: &str, voc: &dyn Names) -> Result<WireStatement, ParseWireError> {
     let rest = rest.trim();
     let first = rest.split_whitespace().next().unwrap_or("");
     if !first.eq_ignore_ascii_case("ANALYZE") {
@@ -260,7 +305,7 @@ fn parse_txn_control(
 fn parse_mutate(
     rest: &str,
     insert: bool,
-    voc: &Vocabulary,
+    voc: &dyn Names,
 ) -> Result<WireStatement, ParseWireError> {
     let verb = if insert { "INSERT" } else { "DELETE" };
     let tokens = tokenize(rest)?;
@@ -349,11 +394,7 @@ fn parse_show(rest: &str) -> Result<WireStatement, ParseWireError> {
     Ok(WireStatement::Show(topic))
 }
 
-fn parse_query(
-    rest: &str,
-    is_ask: bool,
-    voc: &Vocabulary,
-) -> Result<WireStatement, ParseWireError> {
+fn parse_query(rest: &str, is_ask: bool, voc: &dyn Names) -> Result<WireStatement, ParseWireError> {
     // Split on the WHERE keyword (case-insensitive, word boundary).
     let upper = rest.to_ascii_uppercase();
     let where_pos = find_keyword(&upper, "WHERE")

@@ -43,7 +43,7 @@ use super::query::{
     parse_statement, split_statements, FactAtom, ParseWireError, ShowTopic, WireStatement,
 };
 use crate::engine::EngineError;
-use crate::observe::{truncate_query, QueryTrace, StageSpans};
+use crate::observe::{truncate_query, QueryTrace, StageSpans, COMMIT_STAGE_NAMES};
 use crate::server::{AnalyzedQuery, EngineSnapshot, Server, ServerError};
 use crate::sqlexec::Backend;
 use crate::txn::Txn;
@@ -426,9 +426,8 @@ impl Session<'_> {
 
     fn on_parse(&mut self, body: &[u8], out: &mut OutBuf) -> Result<(), ExecError> {
         let parse = msg::decode_parse(body).map_err(frame_to_exec)?;
-        // Validate eagerly against the current session view so Parse
+        // Validate eagerly against the session's current names so Parse
         // errors surface at Parse time, like PostgreSQL's.
-        let snap = self.session_view();
         let statements = split_statements(&parse.query);
         if statements.len() != 1 {
             return Err(ExecError::Wire {
@@ -436,7 +435,7 @@ impl Session<'_> {
                 message: "Parse takes exactly one statement".into(),
             });
         }
-        parse_statement(statements[0], snap.vocabulary())?;
+        self.parse(statements[0], &self.pinned())?;
         self.prepared.insert(
             parse.statement,
             Prepared {
@@ -474,8 +473,7 @@ impl Session<'_> {
     fn on_describe(&mut self, body: &[u8], out: &mut OutBuf) -> Result<(), ExecError> {
         let target = msg::decode_target(body, "Describe").map_err(frame_to_exec)?;
         let text = self.resolve_target(&target)?;
-        let snap = self.session_view();
-        let stmt = parse_statement(&text, snap.vocabulary())?;
+        let stmt = self.parse(&text, &self.pinned())?;
         if target.kind == b'S' {
             msg::parameter_description(out);
         }
@@ -564,19 +562,30 @@ impl Session<'_> {
         }
     }
 
-    /// The snapshot statements parse and render against: the open
-    /// transaction's view (pinned generation + buffered writes + new
-    /// names) when one exists, the current published snapshot otherwise.
-    fn session_view(&mut self) -> Arc<EngineSnapshot> {
-        match &mut self.txn {
-            Some(txn) => txn.view(),
+    /// The snapshot a statement runs against: the open transaction's
+    /// pinned generation when one exists, the current published
+    /// snapshot otherwise.
+    fn pinned(&self) -> Arc<EngineSnapshot> {
+        match &self.txn {
+            Some(txn) => Arc::clone(txn.snapshot()),
             None => self.server.snapshot(),
         }
     }
 
+    /// Parse one statement: names resolve through the open transaction
+    /// (pinned names plus its own new individuals), else in `snap`'s
+    /// vocabulary. Never builds a transaction's overlay.
+    fn parse(&self, text: &str, snap: &EngineSnapshot) -> Result<WireStatement, ParseWireError> {
+        match &self.txn {
+            Some(txn) => parse_statement(text, txn),
+            None => parse_statement(text, snap.vocabulary()),
+        }
+    }
+
     /// Parse and execute one statement text: pin a snapshot (the open
-    /// transaction's view, if any), resolve names against its
-    /// vocabulary, run under `catch_unwind`.
+    /// transaction's, if any), resolve names, run under `catch_unwind`.
+    /// Only a statement that reads data pays for a dirty transaction's
+    /// overlay.
     fn execute_text(&mut self, text: &str) -> Result<Rendered, ExecError> {
         // Failed-transaction discipline: nothing but COMMIT/ROLLBACK is
         // even parsed until the transaction block ends.
@@ -597,9 +606,9 @@ impl Session<'_> {
             }
         }
         let statement_started = Instant::now();
-        let snap = self.session_view();
+        let snap = self.pinned();
         let parse_started = Instant::now();
-        let stmt = parse_statement(text, snap.vocabulary())?;
+        let stmt = self.parse(text, &snap)?;
         let parse_span = parse_started.elapsed();
         match stmt {
             WireStatement::Set => Ok(tag_only("SET")),
@@ -621,11 +630,13 @@ impl Session<'_> {
             }
             WireStatement::Select { head_names, cq } => {
                 let backend = self.backend;
-                let outcome = match &mut self.txn {
+                // Rows render against the view that answered: a dirty
+                // transaction's overlay knows its provisional ids.
+                let (outcome, view) = match &mut self.txn {
                     Some(txn) => {
                         let result = catch_unwind(AssertUnwindSafe(|| txn.query_as(&cq, backend)));
                         match result {
-                            Ok(r) => r.map_err(ExecError::from)?,
+                            Ok(r) => (r.map_err(ExecError::from)?, txn.view()),
                             Err(payload) => return Err(ExecError::Panicked(panic_detail(payload))),
                         }
                     }
@@ -636,13 +647,13 @@ impl Session<'_> {
                             server.query_on_as(snap_ref, &cq, backend)
                         }));
                         match result {
-                            Ok(r) => r.map_err(ExecError::from)?,
+                            Ok(r) => (r.map_err(ExecError::from)?, snap),
                             Err(payload) => return Err(ExecError::Panicked(panic_detail(payload))),
                         }
                     }
                 };
                 let serialize_started = Instant::now();
-                let rendered = render_select(&head_names, &outcome.outcome.rows, &snap);
+                let rendered = render_select(&head_names, &outcome.outcome.rows, &view);
                 let mut spans = outcome.spans;
                 spans.parse = parse_span;
                 spans.serialize = serialize_started.elapsed();
@@ -934,6 +945,16 @@ impl Session<'_> {
         push("wal_appends", observe.wal_appends_total().to_string());
         push("wal_fsyncs", observe.wal_fsyncs_total().to_string());
         push("wal_bytes", observe.wal_bytes_total().to_string());
+        for (i, stage) in COMMIT_STAGE_NAMES.iter().enumerate() {
+            push(
+                &format!("commit_us.{stage}"),
+                observe.commit_stage_micros_total(i).to_string(),
+            );
+        }
+        push("commit_us.total", observe.commit_micros_total().to_string());
+        let (overlays, overlay_micros) = observe.txn_overlay_totals();
+        push("txn_overlays", overlays.to_string());
+        push("txn_overlay_us", overlay_micros.to_string());
         push("checkpoints", observe.checkpoints_total().to_string());
         push(
             "checkpoint_micros",

@@ -54,11 +54,15 @@
 //! paths then differ in mechanism but not in visibility semantics:
 //!
 //! * [`Server::apply_batch`] — the incremental path: the batch is
-//!   appended to the WAL *first*, then applied **in place** to a
-//!   copy-on-write clone of the current engine (tables, indexes and
-//!   statistics maintained under the delta — no rebuild), and published
-//!   as generation `g+1`. Cost: O(|tables| memcpy + |δ|), vs. the full
-//!   reload's O(|tables| rebuild + statistics pass).
+//!   appended to the WAL *first*, then applied to a clone of the
+//!   current engine that shares every table, index and statistics map
+//!   with it and copies the ones the batch writes (no rebuild), and
+//!   published as generation `g+1` with a vocabulary that shares its
+//!   frozen prefix with the last one. Cost: a pointer bump per
+//!   predicate, plus the tables the batch touches, plus |δ| — vs. the
+//!   full reload's O(|tables| rebuild + statistics pass). Where a commit
+//!   spends its time is exported per stage (`commit_us.*` in `SHOW
+//!   metrics`, `obda_commit_stage_seconds_total` on `/metrics`).
 //! * [`Server::reload_abox`] / [`Server::reload_kb`] — the bulk path:
 //!   storage and statistics rebuilt from scratch; on a durable server
 //!   this is also a compaction point (fresh snapshot, WAL reset).
@@ -68,8 +72,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    TryLockError,
+    Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
 };
 use std::time::{Duration, Instant};
 
@@ -85,7 +88,7 @@ use crate::estimators::ExplainEstimator;
 use crate::executor::PreparedPlans;
 use crate::fxhash::FxHashMap;
 use crate::layout::LayoutKind;
-use crate::observe::{MetricsRegistry, StageSpans};
+use crate::observe::{CommitStage, MetricsRegistry, StageSpans};
 use crate::planner::{ExecMode, JoinStrategy};
 use crate::profile::EngineProfile;
 use crate::sqlexec::Backend;
@@ -438,11 +441,12 @@ struct StagedTxn {
     slot: Arc<CommitSlot>,
 }
 
-/// Rendezvous between a staged transaction and the group-commit leader
-/// that eventually makes it durable (or fails the whole group).
+/// What a staged transaction's committer learns from the group-commit
+/// leader that made it durable (or failed the whole group). Nobody
+/// blocks on a slot: committers queue on the leader seat itself (see
+/// [`Server::commit_wait`]) and read the slot once they hold it.
 pub(crate) struct CommitSlot {
     state: Mutex<SlotState>,
-    ready: Condvar,
 }
 
 enum SlotState {
@@ -458,7 +462,6 @@ impl CommitSlot {
     fn new() -> Self {
         CommitSlot {
             state: Mutex::new(SlotState::Queued),
-            ready: Condvar::new(),
         }
     }
 
@@ -468,7 +471,6 @@ impl CommitSlot {
             Ok(generation) => SlotState::Committed(generation),
             Err(detail) => SlotState::Failed(detail),
         };
-        self.ready.notify_all();
     }
 
     fn poll(&self) -> Option<Result<u64, String>> {
@@ -478,28 +480,20 @@ impl CommitSlot {
             SlotState::Failed(detail) => Some(Err(detail.clone())),
         }
     }
-
-    /// Block briefly until resolved (or a timeout — the caller re-polls
-    /// and may become the next leader itself, so a missed wakeup can
-    /// only cost one timeout, never a hang).
-    fn wait_brief(&self) {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(*state, SlotState::Queued) {
-            drop(
-                self.ready
-                    .wait_timeout(state, std::time::Duration::from_millis(10)),
-            );
-        }
-    }
 }
 
 /// The authoritative writer-side state: the master vocabulary and ABox
 /// every commit applies to, plus the group-commit staging area. Guarded
 /// by one mutex held only *briefly* — staging a transaction, or the
-/// leader's apply phase — never across a WAL write or fsync, which is
-/// what lets commits group under concurrency. Readers never touch it:
-/// they see only published [`EngineSnapshot`]s.
+/// leader's apply phase, which costs what the group's deltas touch —
+/// never across a WAL write or fsync, which is what lets commits group
+/// under concurrency. Readers never touch it: they see only published
+/// [`EngineSnapshot`]s.
 struct WriterState {
+    /// Shares its frozen prefix with the vocabulary of every published
+    /// generation since the last fold, so the per-generation clone in
+    /// [`Server::run_leader`] and the checkpoint's pin copy only the
+    /// names interned since (`obda_dllite::Vocabulary`).
     voc: Vocabulary,
     abox: ABox,
     /// Generation of the last *published* snapshot; `voc`/`abox` are
@@ -545,7 +539,8 @@ pub struct Server {
     store: Mutex<Option<DurableStore>>,
     /// Group-commit leader election: the first committer to acquire
     /// this drains the staged queue and commits it as ONE WAL record;
-    /// the rest wait on their slots. Reloads take it (blocking) to
+    /// the rest queue on it and find their slots resolved when their
+    /// turn comes (or lead whatever staged since). Reloads take it to
     /// flush the queue before replacing the KB.
     commit_leader: Mutex<()>,
     /// At most one fuzzy checkpoint runs at a time.
@@ -753,14 +748,6 @@ impl Server {
 
     fn lock_leader(&self) -> MutexGuard<'_, ()> {
         self.commit_leader.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn try_lock_leader(&self) -> Option<MutexGuard<'_, ()>> {
-        match self.commit_leader.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
     }
 
     pub(crate) fn lock_active(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
@@ -999,10 +986,14 @@ impl Server {
     ///    with nothing applied — callers can treat `Err` as "retry
     ///    safely";
     /// 3. **apply + publish** — the leader interns names, folds each
-    ///    delta into the master ABox and a copy-on-write engine clone
-    ///    (tables, indexes and statistics maintained in place — no
-    ///    rebuild), and publishes the group's last generation as one
-    ///    snapshot, dropping stale plan-cache entries;
+    ///    delta into the master ABox and into one clone of the current
+    ///    engine (the clone shares every per-predicate table and
+    ///    statistics map with its original; a delta copies the ones it
+    ///    writes, then maintains them in place — no rebuild), and
+    ///    publishes the group's last generation as one snapshot whose
+    ///    vocabulary shares the master's frozen prefix, dropping stale
+    ///    plan-cache entries. The retired generation is released after
+    ///    the writer lock;
     /// 4. if the WAL has accumulated `compact_every` transactions, a
     ///    fuzzy checkpoint folds it into a fresh snapshot. A checkpoint
     ///    failure never revokes the commit: it poisons the store so the
@@ -1013,11 +1004,12 @@ impl Server {
     /// generation. In-flight queries keep the snapshot they started
     /// with (snapshot isolation).
     pub fn apply_batch(&self, delta: &AboxDelta) -> Result<u64, ServerError> {
+        let started = Instant::now();
         let slot = {
             let mut writer = self.lock_writer()?;
             Self::enqueue(&mut writer, delta.clone())
         };
-        self.commit_wait(&slot)
+        self.commit_wait(&slot, started)
     }
 
     /// Predict interning for `delta`'s new names, record its fact keys
@@ -1121,25 +1113,37 @@ impl Server {
         Ok(Self::enqueue(writer, delta))
     }
 
-    /// Drive a staged transaction to its outcome: become the
-    /// group-commit leader if the seat is free, otherwise wait on the
-    /// slot until some leader resolves it.
-    pub(crate) fn commit_wait(&self, slot: &CommitSlot) -> Result<u64, ServerError> {
-        loop {
-            match slot.poll() {
-                Some(Ok(generation)) => {
-                    self.txn_commits.fetch_add(1, Ordering::Relaxed);
-                    self.maybe_auto_checkpoint();
-                    return Ok(generation);
-                }
-                Some(Err(detail)) => return Err(ServerError::CommitFailed { detail }),
-                None => {}
+    /// Drive a transaction staged since `started` to its outcome. The
+    /// leader seat is the rendezvous: its holder commits everything
+    /// staged so far as one group, so a committer queues on the seat
+    /// and, once it has it, either finds its slot resolved by the
+    /// previous holder or leads the group that contains it. Waiting on
+    /// the seat itself (not on a timed per-slot signal) is what wakes a
+    /// committer that staged just after a leader drained the queue the
+    /// moment that leader is done.
+    pub(crate) fn commit_wait(
+        &self,
+        slot: &CommitSlot,
+        started: Instant,
+    ) -> Result<u64, ServerError> {
+        let staged = started.elapsed();
+        self.observe.record_commit_stage(CommitStage::Stage, staged);
+        let leader = self.lock_leader();
+        self.observe
+            .record_commit_stage(CommitStage::Wait, started.elapsed() - staged);
+        if slot.poll().is_none() {
+            self.run_leader()?;
+        }
+        drop(leader);
+        self.observe.record_commit(started.elapsed());
+        match slot.poll() {
+            Some(Ok(generation)) => {
+                self.txn_commits.fetch_add(1, Ordering::Relaxed);
+                self.maybe_auto_checkpoint();
+                Ok(generation)
             }
-            if let Some(_leader) = self.try_lock_leader() {
-                self.run_leader()?;
-            } else {
-                slot.wait_brief();
-            }
+            Some(Err(detail)) => Err(ServerError::CommitFailed { detail }),
+            None => unreachable!("whoever drains the queue resolves every slot in it"),
         }
     }
 
@@ -1161,6 +1165,7 @@ impl Server {
         // Durability first (write-ahead): one record, one flush/fsync
         // for the whole group. The writer lock is NOT held here, so
         // later transactions keep staging behind this group.
+        let stage_started = Instant::now();
         let logged = {
             let mut store = self.lock_store();
             match store.as_mut() {
@@ -1181,12 +1186,14 @@ impl Server {
             self.observe
                 .record_wal_append(wal_bytes, self.config.sync_commits);
         }
+        let stage_started = self.commit_stage_done(CommitStage::Wal, stage_started);
 
         // Apply phase: intern names (consuming their staged
         // predictions — in staging order, so every prediction lands on
         // its id), fold each delta into the master ABox and one engine
         // clone, and publish the group's last generation as ONE
-        // snapshot.
+        // snapshot. The clone shares every table with `cur`; a delta
+        // copies the tables it writes.
         let mut writer = self.lock_writer()?;
         let cur = self.read_snapshot();
         debug_assert_eq!(cur.generation, writer.applied_generation);
@@ -1202,13 +1209,16 @@ impl Server {
         }
         let generation = slots.last().map(|(g, _)| *g).unwrap_or(cur.generation);
         writer.applied_generation = generation;
-        // The snapshot vocabulary is frozen per generation; reuse the
-        // current one unless this group interned new individuals.
+        let stage_started = self.commit_stage_done(CommitStage::Apply, stage_started);
+        // The snapshot vocabulary is frozen per generation: the current
+        // one if this group interned nothing, else a clone of the
+        // master — its shared prefix by reference plus its tail.
         let voc = if writer.voc.num_individuals() > interned_before {
             Arc::new(writer.voc.clone())
         } else {
             cur.voc.clone()
         };
+        let stage_started = self.commit_stage_done(CommitStage::Vocabulary, stage_started);
         let next = Arc::new(EngineSnapshot {
             engine,
             // An ABox write cannot change what the TBox entails: the
@@ -1241,7 +1251,20 @@ impl Server {
         for (generation, slot) in slots {
             slot.resolve(Ok(generation));
         }
+        // Possibly the last reference to the retired generation: what
+        // it did not share with its successor is freed here, outside
+        // the writer lock.
+        drop(cur);
+        self.commit_stage_done(CommitStage::Publish, stage_started);
         Ok(())
+    }
+
+    /// Charge the time since `started` to `stage`; returns the start of
+    /// the next stage.
+    fn commit_stage_done(&self, stage: CommitStage, started: Instant) -> Instant {
+        let now = Instant::now();
+        self.observe.record_commit_stage(stage, now - started);
+        now
     }
 
     /// A group's WAL append failed: nothing from it was applied (the
@@ -1301,7 +1324,9 @@ impl Server {
     ///
     /// 1. **pin** — clone the master vocabulary/ABox at the applied
     ///    generation `g` under a brief writer lock (clones only, no
-    ///    I/O);
+    ///    I/O: the vocabulary by reference to its frozen prefix, the
+    ///    ABox's fact vectors by copy — 0.18 ms at 60 k facts, once per
+    ///    `compact_every` commits);
     /// 2. **write** — serialize the clone to `snapshot.ckpt` with *no*
     ///    server lock held: commits keep flowing into the WAL the
     ///    whole time;
@@ -1832,6 +1857,38 @@ mod tests {
         assert_eq!(g1, 1);
         let out = srv.query(&q).unwrap();
         assert_eq!(out.generation, 1);
+    }
+
+    /// A committer that stages while a leader is mid-group (the leader
+    /// drained the queue before it arrived) must lead its own group the
+    /// moment the seat frees. It used to sleep on its own slot, which
+    /// nobody would ever signal, until a 10 ms poll timed out. The
+    /// interleaving is forced: this thread *is* that leader — it holds
+    /// the seat, lets the committer stage behind it, and leaves without
+    /// draining again.
+    #[test]
+    fn a_committer_staged_behind_a_leader_wakes_when_the_seat_frees() {
+        const OLD_POLL: Duration = Duration::from_millis(10);
+        let (srv, _) = server(ServerConfig::default());
+        let mut waits = Vec::new();
+        for round in 0..9 {
+            let seat = srv.lock_leader();
+            std::thread::scope(|s| {
+                let committer = s.spawn(|| srv.apply_batch(&AboxDelta::new()).unwrap());
+                while srv.lock_writer().unwrap().queue.is_empty() {
+                    std::thread::yield_now();
+                }
+                let freed = Instant::now();
+                drop(seat);
+                assert_eq!(committer.join().unwrap(), round + 1);
+                waits.push(freed.elapsed());
+            });
+        }
+        waits.sort();
+        assert!(
+            waits[waits.len() / 2] < OLD_POLL / 2,
+            "a staged committer waited out a poll instead of being woken: {waits:?}"
+        );
     }
 
     #[test]

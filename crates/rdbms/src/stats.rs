@@ -12,6 +12,15 @@
 //! deltas, `apply_delta` leaves the catalog structurally equal
 //! (`PartialEq`) to [`CatalogStats::from_abox`] on the resulting ABox.
 //! The differential suite asserts exactly that property.
+//!
+//! The per-value counter maps are as large as the data (one entry per
+//! distinct subject and object of every role, one per individual), and
+//! every published generation owns a catalog. Each map therefore sits
+//! behind its own `Arc` and is written through [`Arc::make_mut`]: a clone
+//! bumps pointers, and a delta copies the maps of the roles it names
+//! (and the individual reference counts, which every fact touches).
+
+use std::sync::Arc;
 
 use obda_dllite::{ABox, AboxDelta};
 
@@ -30,18 +39,25 @@ type Counts = FxHashMap<u32, u64>;
 /// Statistics over the stored ABox, layout-independent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogStats {
-    concept_rows: FxHashMap<u32, u64>,
-    role_rows: FxHashMap<u32, u64>,
+    concept_rows: Counts,
+    role_rows: Counts,
     /// Per role: subject value → number of pairs with that subject.
-    role_subj_counts: FxHashMap<u32, Counts>,
+    role_subj_counts: FxHashMap<u32, Arc<Counts>>,
     /// Per role: object value → number of pairs with that object.
-    role_obj_counts: FxHashMap<u32, Counts>,
+    role_obj_counts: FxHashMap<u32, Arc<Counts>>,
     /// Individual id → number of facts mentioning it (concept membership
     /// counts once; a role pair counts each position, so a reflexive pair
     /// counts its individual twice).
-    individual_refs: Counts,
+    individual_refs: Arc<Counts>,
     pub num_individuals: u64,
     pub total_facts: u64,
+}
+
+/// Put each value of a per-predicate map, built unshared, behind its
+/// own `Arc` — once, so a bulk load pays no reference-count check per
+/// fact (what [`Arc::make_mut`] on the write path would cost it).
+pub(crate) fn share_values<T>(map: FxHashMap<u32, T>) -> FxHashMap<u32, Arc<T>> {
+    map.into_iter().map(|(k, v)| (k, Arc::new(v))).collect()
 }
 
 /// Bump a counter in a canonical count map.
@@ -61,16 +77,36 @@ fn count_down(map: &mut Counts, key: u32) {
 }
 
 impl CatalogStats {
-    /// Compute statistics from an ABox.
+    /// Compute statistics from an ABox (whose assertions are distinct).
+    /// Counts into unshared maps and wraps them at the end; the
+    /// counter-exactness property holds [`CatalogStats::apply_delta`],
+    /// which counts through the `Arc`s, to this.
     pub fn from_abox(abox: &ABox) -> Self {
-        let mut stats = CatalogStats::default();
+        let mut concept_rows = Counts::default();
+        let mut role_rows = Counts::default();
+        let mut subj_counts: FxHashMap<u32, Counts> = FxHashMap::default();
+        let mut obj_counts: FxHashMap<u32, Counts> = FxHashMap::default();
+        let mut individual_refs = Counts::default();
         for &(c, i) in abox.concept_assertions() {
-            stats.add_concept(c.0, i.0);
+            count_up(&mut concept_rows, c.0);
+            count_up(&mut individual_refs, i.0);
         }
         for &(r, a, b) in abox.role_assertions() {
-            stats.add_role(r.0, a.0, b.0);
+            count_up(&mut role_rows, r.0);
+            count_up(subj_counts.entry(r.0).or_default(), a.0);
+            count_up(obj_counts.entry(r.0).or_default(), b.0);
+            count_up(&mut individual_refs, a.0);
+            count_up(&mut individual_refs, b.0);
         }
-        stats
+        CatalogStats {
+            concept_rows,
+            role_rows,
+            role_subj_counts: share_values(subj_counts),
+            role_obj_counts: share_values(obj_counts),
+            num_individuals: individual_refs.len() as u64,
+            individual_refs: Arc::new(individual_refs),
+            total_facts: abox.len() as u64,
+        }
     }
 
     /// Maintain the catalog under one **effective** delta (the sub-delta
@@ -93,7 +129,7 @@ impl CatalogStats {
     }
 
     fn add_concept(&mut self, c: u32, i: u32) {
-        *self.concept_rows.entry(c).or_insert(0) += 1;
+        count_up(&mut self.concept_rows, c);
         self.touch_individual(i);
         self.total_facts += 1;
     }
@@ -105,9 +141,12 @@ impl CatalogStats {
     }
 
     fn add_role(&mut self, r: u32, a: u32, b: u32) {
-        *self.role_rows.entry(r).or_insert(0) += 1;
-        count_up(self.role_subj_counts.entry(r).or_default(), a);
-        count_up(self.role_obj_counts.entry(r).or_default(), b);
+        count_up(&mut self.role_rows, r);
+        count_up(
+            Arc::make_mut(self.role_subj_counts.entry(r).or_default()),
+            a,
+        );
+        count_up(Arc::make_mut(self.role_obj_counts.entry(r).or_default()), b);
         self.touch_individual(a);
         self.touch_individual(b);
         self.total_facts += 1;
@@ -118,6 +157,7 @@ impl CatalogStats {
         let subj = self
             .role_subj_counts
             .get_mut(&r)
+            .map(Arc::make_mut)
             .expect("role with pairs has a subject-count map");
         count_down(subj, a);
         if subj.is_empty() {
@@ -126,6 +166,7 @@ impl CatalogStats {
         let obj = self
             .role_obj_counts
             .get_mut(&r)
+            .map(Arc::make_mut)
             .expect("role with pairs has an object-count map");
         count_down(obj, b);
         if obj.is_empty() {
@@ -137,7 +178,9 @@ impl CatalogStats {
     }
 
     fn touch_individual(&mut self, i: u32) {
-        let refs = self.individual_refs.entry(i).or_insert(0);
+        let refs = Arc::make_mut(&mut self.individual_refs)
+            .entry(i)
+            .or_insert(0);
         if *refs == 0 {
             self.num_individuals += 1;
         }
@@ -145,8 +188,9 @@ impl CatalogStats {
     }
 
     fn release_individual(&mut self, i: u32) {
-        count_down(&mut self.individual_refs, i);
-        if !self.individual_refs.contains_key(&i) {
+        let refs = Arc::make_mut(&mut self.individual_refs);
+        count_down(refs, i);
+        if !refs.contains_key(&i) {
             self.num_individuals -= 1;
         }
     }
@@ -226,7 +270,7 @@ impl CatalogStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obda_dllite::Vocabulary;
+    use obda_dllite::{IndividualId, Vocabulary};
 
     fn sample() -> (Vocabulary, ABox) {
         let mut voc = Vocabulary::new();
@@ -352,5 +396,38 @@ mod tests {
             stats.role_matches_per_key(r.0, KeySide::Object),
             stats.role_fanout_o(r.0)
         );
+    }
+
+    #[test]
+    fn a_delta_copies_only_the_count_maps_of_the_roles_it_names() {
+        let (mut voc, mut abox) = sample();
+        let r = voc.find_role("r").unwrap();
+        let s = voc.role("s");
+        let (i0, i1) = (IndividualId(0), IndividualId(1));
+        abox.assert_role(s, i0, i1);
+        let base = CatalogStats::from_abox(&abox);
+        let rebuilt = CatalogStats::from_abox(&abox);
+        let mut next = base.clone();
+        assert!(Arc::ptr_eq(&base.individual_refs, &next.individual_refs));
+        next.apply_delta(&abox.apply(&AboxDelta::new().insert_role(s, i1, i0)));
+        assert!(Arc::ptr_eq(
+            &base.role_subj_counts[&r.0],
+            &next.role_subj_counts[&r.0]
+        ));
+        assert!(Arc::ptr_eq(
+            &base.role_obj_counts[&r.0],
+            &next.role_obj_counts[&r.0]
+        ));
+        assert!(!Arc::ptr_eq(
+            &base.role_subj_counts[&s.0],
+            &next.role_subj_counts[&s.0]
+        ));
+        assert!(!Arc::ptr_eq(
+            &base.role_obj_counts[&s.0],
+            &next.role_obj_counts[&s.0]
+        ));
+        assert!(!Arc::ptr_eq(&base.individual_refs, &next.individual_refs));
+        assert_eq!(base, rebuilt, "the original kept its counts");
+        assert_eq!(next, CatalogStats::from_abox(&abox));
     }
 }

@@ -16,18 +16,23 @@
 //!
 //! ## Overlay queries
 //!
-//! An in-transaction query runs against a private overlay snapshot: the
-//! pinned engine cloned copy-on-write, the effective working-set delta
-//! applied to the clone, and the pinned vocabulary extended with the
-//! transaction's new names. Provisional ids are allocated densely above
-//! the pinned vocabulary (`base + k`), so extending a clone of that
-//! vocabulary in allocation order makes every provisional id resolve by
-//! the ordinary vocabulary API — parsing and row rendering need no
-//! special cases. Overlay compilations bypass the server's plan cache:
-//! the overlay shares the pinned generation number, and caching under it
-//! would leak transaction-private plans to other sessions.
+//! An in-transaction query runs against a private overlay snapshot: a
+//! clone of the pinned engine (which shares every table with it), the
+//! effective working-set delta applied to the clone (which copies the
+//! tables it writes), and the pinned vocabulary extended with the
+//! transaction's new names (its shared prefix by reference). Provisional
+//! ids are allocated densely above the pinned vocabulary (`base + k`),
+//! so extending a clone of that vocabulary in allocation order makes
+//! every provisional id resolve by the ordinary vocabulary API — row
+//! rendering needs no special cases. Only a statement that reads data
+//! builds the overlay: names resolve through [`Txn::find_individual`]
+//! without one, so buffering writes and committing never pay for it.
+//! Overlay compilations bypass the server's plan cache: the overlay
+//! shares the pinned generation number, and caching under it would leak
+//! transaction-private plans to other sessions.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use obda_dllite::{AboxDelta, ConceptId, IndividualId, RoleId, WorkingSet};
 use obda_query::CQ;
@@ -185,7 +190,7 @@ impl<'s> Txn<'s> {
 
     /// A read view of the transaction: the overlay snapshot when the
     /// working set is dirty, the pinned snapshot otherwise. The wire
-    /// front end parses names and renders rows against this.
+    /// front end renders result rows against this.
     pub fn view(&mut self) -> Arc<EngineSnapshot> {
         if self.ws.is_empty() {
             return Arc::clone(&self.snapshot);
@@ -202,6 +207,7 @@ impl<'s> Txn<'s> {
                 return Arc::clone(snap);
             }
         }
+        let started = Instant::now();
         let base = &self.snapshot;
         // Extending a clone of the pinned vocabulary in allocation order
         // assigns each new name exactly its provisional id.
@@ -250,6 +256,7 @@ impl<'s> Txn<'s> {
             constraints: std::sync::OnceLock::new(),
         });
         self.overlay = Some((self.ws.version(), Arc::clone(&snap)));
+        self.server.observe().record_txn_overlay(started.elapsed());
         snap
     }
 
@@ -269,10 +276,11 @@ impl<'s> Txn<'s> {
         // Stage (which validates conflicts) *before* deregistering: the
         // conflict registry must stay protected by this transaction's
         // begin generation until its own check has run.
+        let started = Instant::now();
         let staged = self.server.stage_txn(&self.ws, self.snapshot.generation());
         self.server.deregister_txn(self.id);
         let slot = staged?;
-        self.server.commit_wait(&slot)
+        self.server.commit_wait(&slot, started)
     }
 
     /// Helper for the wire front end: commit by reference semantics are

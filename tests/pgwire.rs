@@ -471,6 +471,52 @@ fn wire_transaction_commit_publishes_and_isolation_holds() {
     fx.listener.shutdown();
 }
 
+/// A transaction block pays for an overlay snapshot only when it reads
+/// data: `BEGIN; INSERT; COMMIT` builds none (names resolve through the
+/// transaction, and `COMMIT` is a keyword), `BEGIN; INSERT; SELECT`
+/// builds exactly one, sees its own write, and accepts the individual
+/// it just introduced as a query constant.
+#[test]
+fn only_in_transaction_reads_build_an_overlay() {
+    let mut fx = fixture(PgConfig::default());
+    let addr = fx.listener.local_addr();
+    let (concept, known, _) = sample_names(&fx);
+    let overlays = || fx.server.observe().txn_overlay_totals().0;
+    let mut client = WireClient::connect(&addr, &[]).expect("startup");
+
+    client
+        .simple_query(&format!(
+            "BEGIN; INSERT {concept}(ov_first), {concept}({known}); SET x = y; \
+             DELETE {concept}(ov_first); SHOW transaction; COMMIT"
+        ))
+        .expect("a write-only block");
+    assert_eq!(overlays(), 0, "no statement of the block read data");
+
+    client
+        .simple_query(&format!("BEGIN; INSERT {concept}(ov_second)"))
+        .expect("dirty transaction");
+    assert_eq!(overlays(), 0);
+    let r = client
+        .simple_query(&format!("SELECT ?x WHERE {concept}(?x)"))
+        .expect("in-transaction SELECT");
+    assert!(names(&r[0].rows).contains("ov_second"), "own write visible");
+    assert_eq!(overlays(), 1);
+    // The new name parses as a constant, and the unchanged working set
+    // reuses the overlay it already built.
+    let r = client
+        .simple_query(&format!("ASK WHERE {concept}(ov_second)"))
+        .expect("own new name as a constant");
+    assert_eq!(r[0].rows, vec![vec!["t".to_string()]]);
+    assert_eq!(overlays(), 1);
+    client.simple_query("COMMIT").expect("COMMIT");
+    assert_eq!(overlays(), 1, "COMMIT of a dirty transaction builds none");
+
+    let m = metrics_map(&mut client);
+    assert_eq!(m["txn_overlays"], "1");
+    client.terminate();
+    fx.listener.shutdown();
+}
+
 #[test]
 fn wire_rollback_discards_buffered_writes() {
     let mut fx = fixture(PgConfig::default());
