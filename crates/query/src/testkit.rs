@@ -540,7 +540,7 @@ fn map_head(map: &mut Vec<(VarId, Term)>, a: &CQ, b: &CQ) -> bool {
             .all(|(&t, &u)| map_term(map, t, u))
 }
 
-/// Reference for [`homomorphism`](crate::homomorphism): try **every**
+/// Reference for [`homomorphism`](crate::homomorphism()): try **every**
 /// function from `from`'s atoms to `to`'s atoms and accept one that a
 /// single variable mapping, agreeing with the heads, induces.
 /// `|to|^|from|` candidates — for small test queries only.

@@ -25,6 +25,16 @@
 //! The pipeline therefore mirrors the row executor's step structure —
 //! atom-order prescans, per-row probes, no mid-pipeline dedup — and
 //! differs only in data representation and counting granularity.
+//!
+//! **Existence steps** ([`crate::planner::PlanStep::exists`]) are part of
+//! the contract. Both pipelines emit at most one extension per input row
+//! (the first witness any atom of the slot finds), and a row an earlier
+//! atom witnessed is not probed by the slot's later atoms. The row
+//! executor walks rows, then atoms; this module walks atoms, then rows.
+//! Skipping witnessed rows makes both orders probe exactly the same
+//! (row, atom) pairs: pair (i, j) is probed iff no atom before j
+//! witnessed row i. A pipeline that probed every atom, or kept more than
+//! one witness, would change (c) and with it every later count.
 
 use obda_query::{Atom, Slot, Term, VarId};
 
@@ -96,12 +106,24 @@ pub(crate) fn run_plan(
             }
         }
         data = match step.op {
-            PhysicalOp::HashJoin { .. } | PhysicalOp::BatchHashJoin { .. } => {
-                hash_join_batch(storage, slot, &data, &var_pos, &new_var_order, meter)
-            }
-            PhysicalOp::IndexNestedLoop(_) => {
-                inl_batch(storage, slot, &data, &var_pos, &new_var_order, meter)
-            }
+            PhysicalOp::HashJoin { .. } | PhysicalOp::BatchHashJoin { .. } => hash_join_batch(
+                storage,
+                slot,
+                &data,
+                &var_pos,
+                &new_var_order,
+                step.exists,
+                meter,
+            ),
+            PhysicalOp::IndexNestedLoop(_) => inl_batch(
+                storage,
+                slot,
+                &data,
+                &var_pos,
+                &new_var_order,
+                step.exists,
+                meter,
+            ),
         };
         for v in new_var_order {
             let len = var_pos.len();
@@ -199,18 +221,68 @@ fn prescan_if_unbound(
     }
 }
 
+/// The input rows an existence step has already witnessed. A
+/// non-existence step never marks a row, so every row stays pending.
+struct Witnesses(Option<Vec<bool>>);
+
+impl Witnesses {
+    fn new(exists: bool, rows: usize) -> Self {
+        Witnesses(exists.then(|| vec![false; rows]))
+    }
+
+    fn pending(&self, i: usize) -> bool {
+        self.0.as_ref().is_none_or(|seen| !seen[i])
+    }
+
+    fn mark(&mut self, i: usize) {
+        if let Some(seen) = &mut self.0 {
+            seen[i] = true;
+        }
+    }
+}
+
+/// Extend every pending input row with every tuple of a prescan, given
+/// column-wise as `(new column, values)` parts of one length (a prefix of
+/// one tuple for an existence step).
+fn extend_pending(
+    rows: usize,
+    witnesses: &mut Witnesses,
+    sel: &mut Vec<u32>,
+    new_cols: &mut [Vec<u32>],
+    parts: &[(usize, &[u32])],
+) {
+    let n = parts[0].1.len();
+    for i in 0..rows {
+        if !witnesses.pending(i) {
+            continue;
+        }
+        sel.extend(std::iter::repeat_n(i as u32, n));
+        for &(col, values) in parts {
+            new_cols[col].extend_from_slice(values);
+        }
+        if n > 0 {
+            witnesses.mark(i);
+        }
+    }
+}
+
 /// One index-nested-loop step over the column batch. Atom-major instead
 /// of the row executor's row-major loop: per atom, every input row is
 /// probed/extended into the shared selection + new-value columns (the
 /// output multiset — and with it every later meter count — is
 /// identical; only the intermediate order differs, which a set-semantics
 /// result never observes).
+///
+/// An existence step keeps each row's first witness and skips rows an
+/// earlier atom of the slot already witnessed — exactly the (row, atom)
+/// pairs the row executor's loop probes before it moves to the next row.
 fn inl_batch(
     storage: &dyn Storage,
     slot: &Slot,
     data: &Cols,
     var_pos: &FxHashMap<VarId, usize>,
     new_var_order: &[VarId],
+    exists: bool,
     meter: &mut Meter,
 ) -> Cols {
     // Prescans run once per atom, in atom order, before any per-row
@@ -221,6 +293,8 @@ fn inl_batch(
         .map(|a| prescan_if_unbound(storage, a, var_pos, meter))
         .collect();
 
+    let limit = if exists { 1 } else { usize::MAX };
+    let mut witnesses = Witnesses::new(exists, data.len);
     let mut sel: Vec<u32> = Vec::new();
     let mut new_cols: Vec<Vec<u32>> = vec![Vec::new(); new_var_order.len()];
     let value_of = |t: &Term, i: usize| -> Option<u32> {
@@ -229,7 +303,6 @@ fn inl_batch(
             Term::Var(v) => var_pos.get(v).map(|&p| data.cols[p][i]),
         }
     };
-    let scan_stage = data.len == 1 && data.cols.is_empty();
 
     for (atom, prescan) in slot.atoms().iter().zip(&prescans) {
         match atom {
@@ -239,26 +312,26 @@ fn inl_batch(
                     // new variable — slot atoms share one variable set).
                     debug_assert!(new_var_order.is_empty());
                     for i in 0..data.len {
+                        if !witnesses.pending(i) {
+                            continue;
+                        }
                         let val = value_of(t, i).expect("filter term is bound");
                         if storage.probe_concept(*c, val, meter) {
                             sel.push(i as u32);
+                            witnesses.mark(i);
                         }
                     }
                 }
                 Some(Prescan::Concept(members)) => {
                     debug_assert_eq!(new_var_order.len(), 1);
-                    if scan_stage {
-                        // Unit input: the members column IS the output.
-                        sel.resize(sel.len() + members.len(), 0);
-                        new_cols[0].extend_from_slice(members);
-                    } else {
-                        for i in 0..data.len {
-                            for &m in members {
-                                sel.push(i as u32);
-                                new_cols[0].push(m);
-                            }
-                        }
-                    }
+                    let members = &members[..members.len().min(limit)];
+                    extend_pending(
+                        data.len,
+                        &mut witnesses,
+                        &mut sel,
+                        &mut new_cols,
+                        &[(0, members)],
+                    );
                 }
                 Some(Prescan::Role(..)) => unreachable!("concept atom prescans members"),
             },
@@ -271,33 +344,41 @@ fn inl_batch(
                     (true, true) => {
                         debug_assert!(new_var_order.is_empty());
                         for i in 0..data.len {
+                            if !witnesses.pending(i) {
+                                continue;
+                            }
                             let s = value_of(t1, i).expect("bound");
                             let o = value_of(t2, i).expect("bound");
                             if storage.probe_role(*r, s, o, meter) {
                                 sel.push(i as u32);
+                                witnesses.mark(i);
                             }
                         }
                     }
-                    (true, false) => {
+                    (true, false) | (false, true) => {
                         debug_assert_eq!(new_var_order.len(), 1);
                         let col = &mut new_cols[0];
                         for i in 0..data.len {
-                            let s = value_of(t1, i).expect("bound");
-                            storage.role_objects(*r, s, meter, &mut |o| {
-                                sel.push(i as u32);
-                                col.push(o);
-                            });
-                        }
-                    }
-                    (false, true) => {
-                        debug_assert_eq!(new_var_order.len(), 1);
-                        let col = &mut new_cols[0];
-                        for i in 0..data.len {
-                            let o = value_of(t2, i).expect("bound");
-                            storage.role_subjects(*r, o, meter, &mut |s| {
-                                sel.push(i as u32);
-                                col.push(s);
-                            });
+                            if !witnesses.pending(i) {
+                                continue;
+                            }
+                            let before = sel.len();
+                            let mut emit = |v: u32| {
+                                if sel.len() - before < limit {
+                                    sel.push(i as u32);
+                                    col.push(v);
+                                }
+                            };
+                            if bound1 {
+                                let s = value_of(t1, i).expect("bound");
+                                storage.role_objects(*r, s, meter, &mut emit);
+                            } else {
+                                let o = value_of(t2, i).expect("bound");
+                                storage.role_subjects(*r, o, meter, &mut emit);
+                            }
+                            if sel.len() > before {
+                                witnesses.mark(i);
+                            }
                         }
                     }
                     (false, false) => {
@@ -309,14 +390,20 @@ fn inl_batch(
                         if v1 == v2 {
                             // Self-join r(x, x): keep only s == o pairs.
                             debug_assert_eq!(new_var_order.len(), 1);
-                            for i in 0..data.len {
-                                for (&s, &o) in psubs.iter().zip(pobjs) {
-                                    if s == o {
-                                        sel.push(i as u32);
-                                        new_cols[0].push(s);
-                                    }
-                                }
-                            }
+                            let diagonal: Vec<u32> = psubs
+                                .iter()
+                                .zip(pobjs)
+                                .filter(|(s, o)| s == o)
+                                .map(|(&s, _)| s)
+                                .take(limit)
+                                .collect();
+                            extend_pending(
+                                data.len,
+                                &mut witnesses,
+                                &mut sel,
+                                &mut new_cols,
+                                &[(0, &diagonal)],
+                            );
                         } else {
                             // Atoms may list the shared variable set in
                             // either order; bind by variable identity.
@@ -325,19 +412,14 @@ fn inl_batch(
                             let (Some(p1), Some(p2)) = (p1, p2) else {
                                 unreachable!("slot atoms share one variable set")
                             };
-                            if scan_stage {
-                                sel.resize(sel.len() + psubs.len(), 0);
-                                new_cols[p1].extend_from_slice(psubs);
-                                new_cols[p2].extend_from_slice(pobjs);
-                            } else {
-                                for i in 0..data.len {
-                                    for (&s, &o) in psubs.iter().zip(pobjs) {
-                                        sel.push(i as u32);
-                                        new_cols[p1].push(s);
-                                        new_cols[p2].push(o);
-                                    }
-                                }
-                            }
+                            let n = psubs.len().min(limit);
+                            extend_pending(
+                                data.len,
+                                &mut witnesses,
+                                &mut sel,
+                                &mut new_cols,
+                                &[(p1, &psubs[..n]), (p2, &pobjs[..n])],
+                            );
                         }
                     }
                 }
@@ -359,6 +441,7 @@ fn hash_join_batch(
     data: &Cols,
     var_pos: &FxHashMap<VarId, usize>,
     new_var_order: &[VarId],
+    exists: bool,
     meter: &mut Meter,
 ) -> Cols {
     let key_vars: Vec<VarId> = slot
@@ -404,6 +487,7 @@ fn hash_join_batch(
         meter.on_join_probe((end - start) as u64);
         for (i, key) in key_col[start..end].iter().enumerate() {
             if let Some(vals) = table.get(key) {
+                let vals = if exists { &vals[..1] } else { &vals[..] };
                 for &val in vals {
                     sel.push((start + i) as u32);
                     out_col.push(val);
@@ -417,14 +501,16 @@ fn hash_join_batch(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use obda_dllite::{ABox, ConceptId, IndividualId, RoleId, Vocabulary};
-    use obda_query::{Atom, FolQuery, Term, VarId, CQ, UCQ};
+    use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, SCQ, UCQ};
 
     use crate::executor::{execute_mode, Row};
     use crate::layout::{dph::DphStorage, simple::SimpleStorage, triple::TripleStorage, Storage};
     use crate::meter::Meter;
     use crate::metrics::ExecMetrics;
-    use crate::planner::{ExecMode, JoinStrategy};
+    use crate::planner::{plan_conjunction, ExecMode, JoinStrategy, PhysicalOp};
     use crate::profile::EngineProfile;
 
     fn v(i: u32) -> Term {
@@ -472,29 +558,43 @@ mod tests {
         assert_eq!(b.output, r.output, "{ctx}: output");
     }
 
-    /// Run `q` in both pipelines on one storage; rows and every meter
-    /// counter must match.
+    /// Every join strategy, in the order [`modes_agree_per_strategy`]
+    /// reports them.
+    const STRATEGIES: [JoinStrategy; 3] = [
+        JoinStrategy::ForcedInl,
+        JoinStrategy::ForcedHash,
+        JoinStrategy::CostChosen,
+    ];
+
+    /// Run `q` in both pipelines on one storage under every strategy;
+    /// rows and every meter counter must match. Returns the forced-INL
+    /// rows.
     fn assert_modes_agree(storage: &dyn Storage, q: &FolQuery, ctx: &str) -> Vec<Row> {
+        modes_agree_per_strategy(storage, q, ctx).swap_remove(0).0
+    }
+
+    /// [`assert_modes_agree`], returning each strategy's rows and
+    /// counters in [`STRATEGIES`] order.
+    fn modes_agree_per_strategy(
+        storage: &dyn Storage,
+        q: &FolQuery,
+        ctx: &str,
+    ) -> Vec<(Vec<Row>, ExecMetrics)> {
         let profile = EngineProfile::pg_like();
-        let mut rows_per_mode: Vec<(Vec<Row>, ExecMetrics)> = Vec::new();
-        for strategy in [
-            JoinStrategy::ForcedInl,
-            JoinStrategy::ForcedHash,
-            JoinStrategy::CostChosen,
-        ] {
-            let mut per_strategy = Vec::new();
-            for mode in [ExecMode::Batched, ExecMode::Row] {
-                let mut meter = Meter::new(&profile);
-                let mut rows = execute_mode(storage, q, &mut meter, strategy, mode);
-                rows.sort();
-                per_strategy.push((rows, meter.metrics));
-            }
-            let (batched, row) = (&per_strategy[0], &per_strategy[1]);
-            assert_eq!(batched.0, row.0, "{ctx}/{strategy:?}: rows drifted");
-            assert_metrics_eq(&batched.1, &row.1, &format!("{ctx}/{strategy:?}"));
-            rows_per_mode.push(per_strategy.remove(0));
-        }
-        rows_per_mode.remove(0).0
+        STRATEGIES
+            .iter()
+            .map(|&strategy| {
+                let [batched, row] = [ExecMode::Batched, ExecMode::Row].map(|mode| {
+                    let mut meter = Meter::new(&profile);
+                    let mut rows = execute_mode(storage, q, &mut meter, strategy, mode);
+                    rows.sort();
+                    (rows, meter.metrics)
+                });
+                assert_eq!(batched.0, row.0, "{ctx}/{strategy:?}: rows drifted");
+                assert_metrics_eq(&batched.1, &row.1, &format!("{ctx}/{strategy:?}"));
+                batched
+            })
+            .collect()
     }
 
     /// Extents of exactly BATCH_SIZE−1 / BATCH_SIZE / BATCH_SIZE+1 rows:
@@ -588,5 +688,178 @@ mod tests {
                 && sum.hash_build == meter.metrics.hash_build,
             "arm deltas sum to statement totals"
         );
+    }
+
+    /// Existence fixture: `A` = x0..x9; `r` fans x0..x7 out to 100 objects
+    /// each (x8 and x9 have none); `p` gives x0..x4 three objects each and
+    /// `q` gives x3..x9 two each, so x3 and x4 have witnesses under both.
+    fn witness_abox() -> ABox {
+        let mut voc = Vocabulary::new();
+        let a = voc.concept("A");
+        let (r, p, q) = (voc.role("r"), voc.role("p"), voc.role("q"));
+        let xs: Vec<_> = (0..10).map(|i| voc.individual(&format!("x{i}"))).collect();
+        let ys: Vec<_> = (0..100).map(|i| voc.individual(&format!("y{i}"))).collect();
+        let mut abox = ABox::new();
+        for (i, &x) in xs.iter().enumerate() {
+            abox.assert_concept(a, x);
+            let fan = |role, n| ys[..n].iter().map(move |&y| (role, y));
+            let facts = fan(r, if i < 8 { 100 } else { 0 })
+                .chain(fan(p, if i < 5 { 3 } else { 0 }))
+                .chain(fan(q, if i >= 3 { 2 } else { 0 }));
+            for (role, y) in facts {
+                abox.assert_role(role, x, y);
+            }
+        }
+        abox
+    }
+
+    fn a(t: Term) -> Atom {
+        Atom::Concept(ConceptId(0), t)
+    }
+
+    fn role(id: u32, s: Term, o: Term) -> Atom {
+        Atom::Role(RoleId(id), s, o)
+    }
+
+    /// `A(x) ∧ r(x, y)` projecting `x`, fan-out 100: the r step is an
+    /// existence step, so each of the 8 witnessed rows is extended once and
+    /// the DISTINCT projection inserts the 8 answers, not r's 800 pairs —
+    /// under every strategy, layout and mode. Probes stay one per row.
+    #[test]
+    fn existence_step_extends_each_input_row_once() {
+        let abox = witness_abox();
+        let q = FolQuery::Cq(CQ::with_var_head(
+            vec![VarId(0)],
+            vec![a(v(0)), role(0, v(0), v(1))],
+        ));
+        for (name, storage) in layouts(&abox) {
+            let runs = modes_agree_per_strategy(storage.as_ref(), &q, name);
+            for ((rows, m), strategy) in runs.iter().zip(STRATEGIES) {
+                assert_eq!(rows.len(), 8, "{name}/{strategy:?}: answers");
+                assert_eq!(m.hash_build, 8, "{name}/{strategy:?}: projection inserts");
+            }
+            assert_eq!(runs[0].1.index_probes, 10, "{name}: one r probe per A row");
+        }
+    }
+
+    /// `A(x) ∧ (p(x, y) ∨ q(x, y))` projecting `x`: p witnesses x0..x4, so
+    /// q is probed only for x5..x9 — 15 probes, not 20 — and x3, x4 (which
+    /// have witnesses under both atoms) are extended once.
+    #[test]
+    fn existence_slot_skips_rows_an_earlier_atom_witnessed() {
+        let abox = witness_abox();
+        let q = FolQuery::Scq(SCQ::new(
+            vec![v(0)],
+            vec![
+                Slot::single(a(v(0))),
+                Slot::new(vec![role(1, v(0), v(1)), role(2, v(0), v(1))]),
+            ],
+        ));
+        for (name, storage) in layouts(&abox) {
+            let runs = modes_agree_per_strategy(storage.as_ref(), &q, name);
+            for ((rows, m), strategy) in runs.iter().zip(STRATEGIES) {
+                assert_eq!(rows.len(), 10, "{name}/{strategy:?}: answers");
+                assert_eq!(m.hash_build, 10, "{name}/{strategy:?}: projection inserts");
+            }
+            assert_eq!(
+                runs[0].1.index_probes,
+                10 + 5,
+                "{name}: witnessed rows skip q"
+            );
+        }
+    }
+
+    /// A hash-join existence step still builds the slot's whole extension,
+    /// probes once per row, and emits at most one value per probe.
+    #[test]
+    fn existence_hash_step_builds_everything_and_emits_once() {
+        let abox = witness_abox();
+        let storage = SimpleStorage::load(&abox);
+        let body = [a(v(0)), role(0, v(0), v(1))];
+        let slots: Vec<Slot> = body.iter().map(|&at| Slot::single(at)).collect();
+        let plan = plan_conjunction(
+            &slots,
+            &[v(0)],
+            &BTreeSet::new(),
+            storage.stats(),
+            storage.layout(),
+            JoinStrategy::ForcedHash,
+        );
+        let r_step = &plan.steps[1];
+        assert!(
+            matches!(r_step.op, PhysicalOp::BatchHashJoin { .. }) && r_step.exists,
+            "{r_step:?}"
+        );
+        let q = FolQuery::Cq(CQ::with_var_head(vec![VarId(0)], body.to_vec()));
+        let (rows, m) = &modes_agree_per_strategy(&storage, &q, "hash")[1];
+        assert_eq!(rows.len(), 8);
+        assert_eq!((m.join_build, m.join_probe), (800, 10));
+        assert_eq!(m.hash_build, 8, "one emitted value per matching probe");
+    }
+
+    /// `r(x, y)` projecting `y` binds a live and a dead variable in one
+    /// step: it is not an existence step, and all 800 pairs reach the
+    /// projection.
+    #[test]
+    fn step_binding_a_live_variable_enumerates_every_witness() {
+        let abox = witness_abox();
+        let storage = SimpleStorage::load(&abox);
+        let slots = [Slot::single(role(0, v(0), v(1)))];
+        for strategy in STRATEGIES {
+            let plan = plan_conjunction(
+                &slots,
+                &[v(1)],
+                &BTreeSet::new(),
+                storage.stats(),
+                storage.layout(),
+                strategy,
+            );
+            assert!(!plan.steps[0].exists, "{strategy:?}");
+        }
+        let q = FolQuery::Cq(CQ::with_var_head(vec![VarId(1)], vec![role(0, v(0), v(1))]));
+        for (rows, m) in modes_agree_per_strategy(&storage, &q, "live") {
+            assert_eq!(rows.len(), 100);
+            assert_eq!(m.hash_build, 800);
+        }
+    }
+
+    /// A prescanned atom whose variables are all dead: a scan-stage step
+    /// emits one tuple (a boolean CQ stops at its first witness) and a
+    /// cartesian step emits one pair per input row. The prescans still
+    /// meter the whole extent (`scanned`, forced INL, simple layout).
+    #[test]
+    fn dead_prescans_emit_one_witness() {
+        let abox = witness_abox();
+        let cases = [
+            // ∃x. A(x): one scan-stage tuple.
+            (vec![], vec![a(v(0))], 1, 1, 10.0),
+            // ∃x,y. r(x, y): one scan-stage pair.
+            (vec![], vec![role(0, v(0), v(1))], 1, 1, 800.0),
+            // ∃x,y. A(x) ∧ r(x, y): one witness per A row that has one
+            // (each probe still fetches its 100 results at 0.1).
+            (vec![], vec![a(v(0)), role(0, v(0), v(1))], 1, 8, 90.0),
+            // q(x) ← A(x) ∧ p(z, w): one p pair per A row.
+            (
+                vec![VarId(0)],
+                vec![a(v(0)), role(1, v(2), v(3))],
+                10,
+                10,
+                25.0,
+            ),
+        ];
+        for (head, body, answers, inserts, scanned) in cases {
+            let q = FolQuery::Cq(CQ::with_var_head(head, body));
+            for (name, storage) in layouts(&abox) {
+                let runs = modes_agree_per_strategy(storage.as_ref(), &q, name);
+                for ((rows, m), strategy) in runs.iter().zip(STRATEGIES) {
+                    let ctx = format!("{name}/{strategy:?}: {q:?}");
+                    assert_eq!(rows.len(), answers, "{ctx}");
+                    assert_eq!(m.hash_build, inserts, "{ctx}");
+                }
+                if name == "simple" {
+                    assert!((runs[0].1.scanned - scanned).abs() < 1e-9, "{q:?}");
+                }
+            }
+        }
     }
 }

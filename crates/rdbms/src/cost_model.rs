@@ -210,13 +210,19 @@ impl CostModel {
     }
 
     /// Cost a conjunction the way the executor runs it: the shared
-    /// [`plan_conjunction`] fixes slot order and per-step physical
+    /// [`crate::planner::plan_conjunction`] fixes slot order and per-step physical
     /// operators; this prices each step, adding the model's engine quirks
     /// (rescan discounts, degraded flat estimates).
+    ///
+    /// An existence step ([`crate::planner::PlanStep::exists`], decided by
+    /// the planner and only read here) costs what its probes cost — the
+    /// executor still probes every (row, atom) pair not yet witnessed —
+    /// but leaves `rows_in × min(1, fan-out)` rows, so later steps and the
+    /// union's dedup are priced on the rows that actually reach them.
     fn est_conjunction(
         &self,
         slots: &[Slot],
-        _head: &[Term],
+        head: &[Term],
         scans: &mut ScanTracker,
         degraded: bool,
     ) -> Estimate {
@@ -228,6 +234,7 @@ impl CostModel {
         }
         let plan = plan_conjunction_mode(
             slots,
+            head,
             &BTreeSet::new(),
             &self.stats,
             self.layout,
@@ -273,7 +280,7 @@ impl CostModel {
                         scans.bump(key);
                     }
                     cost += build_scan + HASH_BUILD_WEIGHT * build_rows + HASH_PROBE_WEIGHT * card;
-                    card *= mult.max(1e-9);
+                    card *= step.fanout(mult);
                 }
                 _ if step.scan_stage => {
                     // Scans happen once per conjunction (prescan); apply
@@ -290,12 +297,12 @@ impl CostModel {
                         scans.bump(key);
                     }
                     cost += scan_work;
-                    card *= mult.max(1e-9);
+                    card *= step.fanout(mult);
                 }
                 _ => {
                     // Index-nested-loop: one probe per atom per row.
                     cost += card * (INDEX_PROBE_WEIGHT * slot.len() as f64);
-                    card *= mult.max(1e-9);
+                    card *= step.fanout(mult);
                 }
             }
             for atom in slot.atoms() {

@@ -14,7 +14,7 @@ use obda_query::FolQuery;
 
 use std::collections::BTreeSet;
 
-use obda_query::{Slot, CQ};
+use obda_query::{Slot, Term, CQ};
 
 use crate::cost_model::CostModel;
 use crate::executor::{execute_parallel, prepare_plans_mode, PreparedPlans, Row};
@@ -512,7 +512,7 @@ impl Engine {
         let mut arms = Vec::new();
         let mut add_cq = |label: String, cq: &CQ| {
             let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
-            arms.push(self.arm_plan(label, &slots));
+            arms.push(self.arm_plan(label, &slots, cq.head()));
         };
         match q {
             FolQuery::Cq(cq) => add_cq("cq".into(), cq),
@@ -521,10 +521,10 @@ impl Engine {
                     add_cq(format!("arm{i}"), cq);
                 }
             }
-            FolQuery::Scq(scq) => arms.push(self.arm_plan("scq".into(), scq.slots())),
+            FolQuery::Scq(scq) => arms.push(self.arm_plan("scq".into(), scq.slots(), scq.head())),
             FolQuery::Uscq(uscq) => {
                 for (i, scq) in uscq.scqs().iter().enumerate() {
-                    arms.push(self.arm_plan(format!("arm{i}"), scq.slots()));
+                    arms.push(self.arm_plan(format!("arm{i}"), scq.slots(), scq.head()));
                 }
             }
             FolQuery::Jucq(jucq) => {
@@ -537,7 +537,7 @@ impl Engine {
             FolQuery::Juscq(juscq) => {
                 for (ci, comp) in juscq.components().iter().enumerate() {
                     for (i, scq) in comp.scqs().iter().enumerate() {
-                        arms.push(self.arm_plan(format!("c{ci}.arm{i}"), scq.slots()));
+                        arms.push(self.arm_plan(format!("c{ci}.arm{i}"), scq.slots(), scq.head()));
                     }
                 }
             }
@@ -549,9 +549,10 @@ impl Engine {
         }
     }
 
-    fn arm_plan(&self, label: String, slots: &[Slot]) -> ArmPlan {
+    fn arm_plan(&self, label: String, slots: &[Slot], head: &[Term]) -> ArmPlan {
         let plan = plan_conjunction_mode(
             slots,
+            head,
             &BTreeSet::new(),
             self.storage.stats(),
             self.storage.layout(),
@@ -610,14 +611,7 @@ impl fmt::Display for ExplainPlan {
         for arm in &self.arms {
             write!(f, "{}:", arm.label)?;
             for step in &arm.plan.steps {
-                write!(
-                    f,
-                    " [slot{} {} cost={:.1} rows={:.1}]",
-                    step.slot,
-                    step.op.name(),
-                    step.est_cost,
-                    step.est_rows
-                )?;
+                write!(f, " {step}")?;
             }
             writeln!(f)?;
         }

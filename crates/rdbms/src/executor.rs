@@ -7,9 +7,16 @@
 //!   **index-nested-loop** probes or **hash joins** (build the slot's
 //!   extension once, probe per intermediate row), as chosen per step by
 //!   the planner's [`JoinStrategy`];
+//! * a step whose newly bound variables are all dead — read by neither
+//!   the head nor a later step — is an **existence step**
+//!   ([`crate::planner::PlanStep::exists`], decided by the planner): a
+//!   semi-join that keeps one witness per input row instead of every
+//!   one (`memberOf(x, y) ∧ subOrganizationOf(z, y)` only needs *some*
+//!   `z`);
 //! * each UCQ/USCQ arm runs **independently** — no common-subexpression
 //!   sharing across union terms (§2.3: no major engine does MQO/CSE); the
-//!   only cross-arm effect is the profile's repeated-scan discount;
+//!   only cross-arm effect is the profile's repeated-scan discount.
+//!   Existence steps change what happens inside an arm, not between arms;
 //! * a JUCQ materializes each component (`WITH … AS`, `DISTINCT`) and
 //!   hash-joins the materialized tables, smallest first (§3's SQL shape);
 //! * `SELECT DISTINCT` set semantics everywhere.
@@ -85,10 +92,11 @@ pub fn prepare_plans_mode(
         plans: Vec<ConjunctionPlan>,
     }
     impl Prep<'_> {
-        fn add(&mut self, slots: &[Slot]) {
+        fn add(&mut self, slots: &[Slot], head: &[Term]) {
             if !slots.is_empty() {
                 self.plans.push(plan_conjunction_mode(
                     slots,
+                    head,
                     &BTreeSet::new(),
                     self.stats,
                     self.layout,
@@ -99,7 +107,7 @@ pub fn prepare_plans_mode(
         }
         fn add_cq(&mut self, cq: &CQ) {
             let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
-            self.add(&slots);
+            self.add(&slots, cq.head());
         }
     }
     let mut p = Prep {
@@ -112,8 +120,8 @@ pub fn prepare_plans_mode(
     match q {
         FolQuery::Cq(cq) => p.add_cq(cq),
         FolQuery::Ucq(ucq) => ucq.cqs().iter().for_each(|c| p.add_cq(c)),
-        FolQuery::Scq(scq) => p.add(scq.slots()),
-        FolQuery::Uscq(uscq) => uscq.scqs().iter().for_each(|s| p.add(s.slots())),
+        FolQuery::Scq(scq) => p.add(scq.slots(), scq.head()),
+        FolQuery::Uscq(uscq) => uscq.scqs().iter().for_each(|s| p.add(s.slots(), s.head())),
         FolQuery::Jucq(jucq) => {
             for comp in jucq.components() {
                 comp.cqs().iter().for_each(|c| p.add_cq(c));
@@ -121,7 +129,7 @@ pub fn prepare_plans_mode(
         }
         FolQuery::Juscq(juscq) => {
             for comp in juscq.components() {
-                comp.scqs().iter().for_each(|s| p.add(s.slots()));
+                comp.scqs().iter().for_each(|s| p.add(s.slots(), s.head()));
             }
         }
     }
@@ -592,6 +600,7 @@ fn eval_conjunction(
         PlanSource::Inline(strategy, mode) => {
             inline_plan = plan_conjunction_mode(
                 slots,
+                head,
                 &BTreeSet::new(),
                 storage.stats(),
                 storage.layout(),
@@ -632,12 +641,24 @@ fn eval_conjunction(
             // A row-mode run only ever sees `HashJoin`, but a plan is
             // data — accept both spellings so a batched plan replayed
             // through the row pipeline still executes correctly.
-            PhysicalOp::HashJoin { .. } | PhysicalOp::BatchHashJoin { .. } => {
-                hash_join_step(storage, slot, &rows, &var_pos, &new_var_order, meter)
-            }
-            PhysicalOp::IndexNestedLoop(_) => {
-                inl_step(storage, slot, &rows, &var_pos, &new_var_order, meter)
-            }
+            PhysicalOp::HashJoin { .. } | PhysicalOp::BatchHashJoin { .. } => hash_join_step(
+                storage,
+                slot,
+                &rows,
+                &var_pos,
+                &new_var_order,
+                step.exists,
+                meter,
+            ),
+            PhysicalOp::IndexNestedLoop(_) => inl_step(
+                storage,
+                slot,
+                &rows,
+                &var_pos,
+                &new_var_order,
+                step.exists,
+                meter,
+            ),
         };
         for v in new_var_order {
             let len = var_pos.len();
@@ -669,13 +690,16 @@ fn eval_conjunction(
 }
 
 /// One index-nested-loop step: per current row, probe/extend through each
-/// atom of the slot (unbound atoms share one prescan).
+/// atom of the slot (unbound atoms share one prescan). An existence step
+/// keeps a row's first witness and skips the slot's remaining atoms for
+/// that row.
 fn inl_step(
     storage: &dyn Storage,
     slot: &Slot,
     rows: &[Row],
     var_pos: &FxHashMap<VarId, usize>,
     new_var_order: &[VarId],
+    exists: bool,
     meter: &mut Meter,
 ) -> Vec<Row> {
     // Pre-scan unbound atoms once (shared across current rows).
@@ -687,6 +711,7 @@ fn inl_step(
     let mut next: Vec<Row> = Vec::new();
     for row in rows {
         for (atom, prescan) in slot.atoms().iter().zip(&prescans) {
+            let before = next.len();
             extend_row(
                 storage,
                 atom,
@@ -694,19 +719,18 @@ fn inl_step(
                 row,
                 var_pos,
                 new_var_order,
+                exists,
                 meter,
                 &mut next,
             );
+            if exists && next.len() > before {
+                break;
+            }
         }
     }
     next
 }
 
-/// The build side of one hash-join step. A slot has at most two
-/// variables, so keys pack into one `u64` and at most one variable is
-/// newly bound — both cases stay allocation-free per tuple (hash joins
-/// must beat INL in wall time where the cost model says they do, not
-/// just in work units).
 /// One hash-join step: scan each atom's extension once into a hash table
 /// keyed on the already-bound slot variable, then probe every current
 /// row. Equivalent to [`inl_step`] up to intermediate-row order (the
@@ -720,13 +744,15 @@ fn inl_step(
 /// variable, no constants. The build therefore inserts `u32 → u32`
 /// straight from the scan callbacks, allocation-free per tuple — hash
 /// joins must beat INL in wall time where the cost model says they do,
-/// not just in work units.
+/// not just in work units. An existence step still builds the whole
+/// table, but each probe emits at most one value.
 fn hash_join_step(
     storage: &dyn Storage,
     slot: &Slot,
     rows: &[Row],
     var_pos: &FxHashMap<VarId, usize>,
     new_var_order: &[VarId],
+    exists: bool,
     meter: &mut Meter,
 ) -> Vec<Row> {
     let key_vars: Vec<VarId> = slot
@@ -770,6 +796,7 @@ fn hash_join_step(
     for row in rows {
         meter.on_join_probe(1);
         if let Some(vals) = table.get(&row[key_pos]) {
+            let vals = if exists { &vals[..1] } else { &vals[..] };
             for &val in vals {
                 let mut rr = row.clone();
                 rr.push(val);
@@ -813,7 +840,8 @@ fn prescan_if_unbound(
 
 /// Extend one row through one atom. New bindings are keyed by variable and
 /// appended in `new_var_order`, so every atom of a slot emits rows with
-/// identical column layout.
+/// identical column layout. An existence step emits at most one
+/// extension: the first witness.
 #[allow(clippy::too_many_arguments)]
 fn extend_row(
     storage: &dyn Storage,
@@ -822,9 +850,12 @@ fn extend_row(
     row: &Row,
     var_pos: &FxHashMap<VarId, usize>,
     new_var_order: &[VarId],
+    exists: bool,
     meter: &mut Meter,
     out: &mut Vec<Row>,
 ) {
+    let limit = if exists { 1 } else { usize::MAX };
+    let start = out.len();
     let resolve = |t: &Term| -> Option<u32> {
         match t {
             Term::Const(c) => Some(c.0),
@@ -834,6 +865,9 @@ fn extend_row(
     // Append `bindings` (var → value pairs) to a copy of `row`, following
     // the slot's canonical new-variable order.
     let emit = |bindings: &[(VarId, u32)], out: &mut Vec<Row>| {
+        if out.len() - start >= limit {
+            return;
+        }
         let mut rr = row.clone();
         for v in new_var_order {
             match bindings.iter().find(|(w, _)| w == v) {
@@ -855,7 +889,7 @@ fn extend_row(
                     unreachable!("unbound concept atom must have a prescan")
                 };
                 let var = t.as_var().expect("unbound term is a variable");
-                for &m in members {
+                for &m in members.iter().take(limit) {
                     emit(&[(var, m)], out);
                 }
             }
@@ -888,13 +922,11 @@ fn extend_row(
                     let v1 = t1.as_var().expect("unbound term is a variable");
                     let v2 = t2.as_var().expect("unbound term is a variable");
                     if v1 == v2 {
-                        for &(s, o) in pairs {
-                            if s == o {
-                                emit(&[(v1, s)], out);
-                            }
+                        for &(s, _) in pairs.iter().filter(|(s, o)| s == o).take(limit) {
+                            emit(&[(v1, s)], out);
                         }
                     } else {
-                        for &(s, o) in pairs {
+                        for &(s, o) in pairs.iter().take(limit) {
                             emit(&[(v1, s), (v2, o)], out);
                         }
                     }

@@ -6,7 +6,7 @@
 //! and surfaces server errors as typed [`ClientError::Server`] values
 //! carrying the SQLSTATE — which is what the tests assert on.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -57,9 +57,11 @@ pub struct QueryResult {
     pub tag: String,
 }
 
-/// A connected, authenticated session.
+/// A connected, authenticated session. Reads go through a buffer, so a
+/// result's `DataRow`s arrive a socket read at a time rather than two
+/// `read` calls per message; writes go straight to the socket.
 pub struct WireClient {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     /// ParameterStatus values announced at startup (server_version, …).
     pub parameters: Vec<(String, String)>,
 }
@@ -107,7 +109,7 @@ impl WireClient {
         stream.write_all(&body)?;
 
         let mut client = WireClient {
-            stream,
+            stream: BufReader::new(stream),
             parameters: Vec::new(),
         };
         // Drain until ReadyForQuery, collecting ParameterStatus.
@@ -153,7 +155,7 @@ impl WireClient {
         frame.extend_from_slice(&((text.len() + 5) as i32).to_be_bytes());
         frame.extend_from_slice(text.as_bytes());
         frame.push(0);
-        self.stream.write_all(&frame)?;
+        self.stream.get_mut().write_all(&frame)?;
 
         let mut results = Vec::new();
         let mut current = QueryResult::default();
@@ -220,7 +222,7 @@ impl WireClient {
             b.extend_from_slice(&0i32.to_be_bytes());
         });
         frame(&mut buf, b'S', |_| {});
-        self.stream.write_all(&buf)?;
+        self.stream.get_mut().write_all(&buf)?;
 
         let mut result = QueryResult::default();
         let mut error: Option<ClientError> = None;
@@ -255,13 +257,14 @@ impl WireClient {
 
     /// Send Terminate and close.
     pub fn terminate(mut self) {
-        let _ = self.stream.write_all(&[b'X', 0, 0, 0, 4]);
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let stream = self.stream.get_mut();
+        let _ = stream.write_all(&[b'X', 0, 0, 0, 4]);
+        let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 
     /// Raw access for protocol-abuse tests: send arbitrary bytes.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        self.stream.write_all(bytes)?;
+        self.stream.get_mut().write_all(bytes)?;
         Ok(())
     }
 
@@ -299,7 +302,7 @@ fn frame(buf: &mut Vec<u8>, tag: u8, fill: impl FnOnce(&mut Vec<u8>)) {
     buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
-fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), ClientError> {
+fn read_full(stream: &mut impl Read, buf: &mut [u8]) -> Result<(), ClientError> {
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {

@@ -1088,13 +1088,7 @@ fn render_explain(analyzed: &AnalyzedQuery) -> Rendered {
     for (i, arm) in analyzed.explain.arms.iter().enumerate() {
         lines.push(format!("{}:", arm.label));
         for step in &arm.plan.steps {
-            lines.push(format!(
-                "  [slot{} {} cost={:.1} rows={:.1}]",
-                step.slot,
-                step.op.name(),
-                step.est_cost,
-                step.est_rows,
-            ));
+            lines.push(format!("  {step}"));
         }
         lines.push(format!("  predicted: cost={:.1}", arm.plan.est_cost()));
         if annotate_arms {

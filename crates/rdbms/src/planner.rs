@@ -10,8 +10,16 @@
 //! extension once and probes it with every intermediate row. Executor and
 //! cost model call the same functions, so the estimate ("explain") prices
 //! exactly the plan that runs.
+//!
+//! The planner also decides, once per step, whether the step is an
+//! **existence step** ([`PlanStep::exists`]): every variable it newly
+//! binds is dead — absent from the head and from every later step — so
+//! the step is a semi-join that only has to show a witness exists. The
+//! executor (both pipelines), the cost model and EXPLAIN read the flag;
+//! none of them re-derives it.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use obda_query::{Atom, Slot, Term, VarId};
 
@@ -264,10 +272,40 @@ pub struct PlanStep {
     /// True when no slot variable was bound yet (prescan / cartesian
     /// stage) — hash joins are ineligible there.
     pub scan_stage: bool,
+    /// True when every variable the step newly binds is dead (in neither
+    /// the head nor any later step's slot): the executor emits at most
+    /// one extension per input row — the first witness of any atom of the
+    /// slot — and the estimate caps the step's fan-out at 1.
+    pub exists: bool,
     /// Estimated work units of this step under the chosen operator.
     pub est_cost: f64,
     /// Estimated intermediate rows after the step.
     pub est_rows: f64,
+}
+
+impl PlanStep {
+    /// Rows out per row in, given the slot's estimated multiplier: an
+    /// existence step keeps at most one extension per input row.
+    pub(crate) fn fanout(&self, mult: f64) -> f64 {
+        let mult = if self.exists { mult.min(1.0) } else { mult };
+        mult.max(1e-9)
+    }
+}
+
+/// EXPLAIN's rendering of one step, e.g. `[slot1 inl exists cost=2.0
+/// rows=1.0]` — shared by the structured explain and `EXPLAIN ANALYZE`.
+impl fmt::Display for PlanStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[slot{} {}{} cost={:.1} rows={:.1}]",
+            self.slot,
+            self.op.name(),
+            if self.exists { " exists" } else { "" },
+            self.est_cost,
+            self.est_rows
+        )
+    }
 }
 
 /// An ordered, operator-annotated plan for one conjunction.
@@ -332,12 +370,13 @@ pub fn slot_is_scan_stage(slot: &Slot, bound: &BTreeSet<VarId>) -> bool {
         .all(|a| access_kind(a, bound) == AccessKind::Scan)
 }
 
-/// Plan a conjunction: greedy slot order (identical to [`order_slots`],
-/// so all strategies evaluate slots in the same sequence and differ only
-/// in physical operators), then per-step operator choice driven by the
-/// tracked cardinality estimate.
+/// Plan a conjunction projecting `head`: greedy slot order (identical to
+/// [`order_slots`], so all strategies evaluate slots in the same sequence
+/// and differ only in physical operators), then per-step operator choice
+/// driven by the tracked cardinality estimate.
 pub fn plan_conjunction(
     slots: &[Slot],
+    head: &[Term],
     initially_bound: &BTreeSet<VarId>,
     stats: &CatalogStats,
     layout: LayoutKind,
@@ -345,6 +384,7 @@ pub fn plan_conjunction(
 ) -> ConjunctionPlan {
     plan_conjunction_mode(
         slots,
+        head,
         initially_bound,
         stats,
         layout,
@@ -356,9 +396,11 @@ pub fn plan_conjunction(
 /// [`plan_conjunction`] with an explicit [`ExecMode`]: hash steps come
 /// out as [`PhysicalOp::HashJoin`] (row mode) or
 /// [`PhysicalOp::BatchHashJoin`] (batched mode). Slot order, operator
-/// choices and estimated costs are identical across modes.
+/// choices, existence flags and estimated costs are identical across
+/// modes.
 pub fn plan_conjunction_mode(
     slots: &[Slot],
+    head: &[Term],
     initially_bound: &BTreeSet<VarId>,
     stats: &CatalogStats,
     layout: LayoutKind,
@@ -366,12 +408,24 @@ pub fn plan_conjunction_mode(
     mode: ExecMode,
 ) -> ConjunctionPlan {
     let order = order_slots(slots, initially_bound, stats, layout);
+    // live[k]: the variables read after step k — the head's and those of
+    // every slot that runs later.
+    let mut live: Vec<BTreeSet<VarId>> = vec![BTreeSet::new(); order.len()];
+    let mut acc: BTreeSet<VarId> = head.iter().filter_map(|t| t.as_var()).collect();
+    for (k, &idx) in order.iter().enumerate().rev() {
+        live[k] = acc.clone();
+        acc.extend(slots[idx].vars());
+    }
     let mut bound = initially_bound.clone();
     let mut rows = 1.0f64;
     let mut steps = Vec::with_capacity(order.len());
-    for idx in order {
+    for (k, idx) in order.into_iter().enumerate() {
         let slot = &slots[idx];
         let scan_stage = slot_is_scan_stage(slot, &bound);
+        let exists = slot
+            .vars()
+            .iter()
+            .all(|v| bound.contains(v) || !live[k].contains(v));
         let (_, mult) = slot_estimate(slot, &bound, stats, layout);
         let inl = inl_cost(slot, &bound, rows, stats, layout);
         let (hash, build_rows) = hash_join_cost(slot, rows, stats, layout);
@@ -408,14 +462,17 @@ pub fn plan_conjunction_mode(
             let kind = access_kind(&slot.atoms()[0], &bound);
             (PhysicalOp::IndexNestedLoop(kind), inl)
         };
-        rows = (rows * mult.max(1e-9)).max(0.0);
-        steps.push(PlanStep {
+        let mut step = PlanStep {
             slot: idx,
             op,
             scan_stage,
+            exists,
             est_cost,
-            est_rows: rows,
-        });
+            est_rows: 0.0,
+        };
+        rows = (rows * step.fanout(mult)).max(0.0);
+        step.est_rows = rows;
+        steps.push(step);
         for atom in slot.atoms() {
             bound.extend(atom.vars());
         }
@@ -431,6 +488,13 @@ mod tests {
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
     }
+
+    /// A head naming every fixture variable: no step is an existence step.
+    const LIVE: &[Term] = &[
+        Term::Var(VarId(0)),
+        Term::Var(VarId(1)),
+        Term::Var(VarId(2)),
+    ];
 
     /// Either hash variant — most operator-choice assertions are
     /// mode-independent.
@@ -530,6 +594,7 @@ mod tests {
         ] {
             let plan = plan_conjunction(
                 &slots,
+                LIVE,
                 &BTreeSet::new(),
                 &stats,
                 LayoutKind::Simple,
@@ -546,6 +611,7 @@ mod tests {
         let slots = fanout_slots();
         let inl = plan_conjunction(
             &slots,
+            LIVE,
             &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
@@ -559,6 +625,7 @@ mod tests {
         // B(y) stays an INL membership filter (no new variable).
         let hash = plan_conjunction(
             &slots,
+            LIVE,
             &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
@@ -654,6 +721,7 @@ mod tests {
         let stats = chain_stats();
         let plan = plan_conjunction(
             &chain_slots(),
+            LIVE,
             &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
@@ -678,6 +746,7 @@ mod tests {
         for strategy in [JoinStrategy::ForcedInl, JoinStrategy::ForcedHash] {
             let forced = plan_conjunction(
                 &chain_slots(),
+                LIVE,
                 &BTreeSet::new(),
                 &stats,
                 LayoutKind::Simple,
@@ -696,6 +765,7 @@ mod tests {
         let stats = fanout_stats();
         let plan = plan_conjunction(
             &fanout_slots(),
+            LIVE,
             &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
@@ -719,6 +789,7 @@ mod tests {
         ];
         let plan = plan_conjunction(
             &slots,
+            LIVE,
             &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
@@ -765,6 +836,7 @@ mod tests {
         ] {
             let row = plan_conjunction_mode(
                 &chain_slots(),
+                LIVE,
                 &BTreeSet::new(),
                 &stats,
                 LayoutKind::Simple,
@@ -773,6 +845,7 @@ mod tests {
             );
             let batched = plan_conjunction_mode(
                 &chain_slots(),
+                LIVE,
                 &BTreeSet::new(),
                 &stats,
                 LayoutKind::Simple,
@@ -799,5 +872,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The existence flag is set iff every variable the step newly binds
+    /// is dead (absent from the head and from every later slot), checked
+    /// against a brute-force reading of the definition for every head
+    /// over the chain and fan-out fixtures; a flagged step never leaves
+    /// more estimated rows than it receives.
+    #[test]
+    fn existence_flag_marks_exactly_the_steps_whose_new_variables_are_dead() {
+        let vars = [VarId(0), VarId(1), VarId(2)];
+        for (stats, slots) in [
+            (chain_stats(), chain_slots()),
+            (fanout_stats(), fanout_slots()),
+        ] {
+            for mask in 0..8u32 {
+                let head: Vec<Term> = (0..3)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| Term::Var(vars[i]))
+                    .collect();
+                for strategy in [
+                    JoinStrategy::ForcedInl,
+                    JoinStrategy::ForcedHash,
+                    JoinStrategy::CostChosen,
+                ] {
+                    let plan = plan_conjunction(
+                        &slots,
+                        &head,
+                        &BTreeSet::new(),
+                        &stats,
+                        LayoutKind::Simple,
+                        strategy,
+                    );
+                    let mut bound = BTreeSet::new();
+                    let mut rows_in = 1.0;
+                    for (k, step) in plan.steps.iter().enumerate() {
+                        let new: Vec<VarId> = slots[step.slot]
+                            .vars()
+                            .into_iter()
+                            .filter(|v| !bound.contains(v))
+                            .collect();
+                        let dead = |v: &VarId| {
+                            !head.contains(&Term::Var(*v))
+                                && plan.steps[k + 1..]
+                                    .iter()
+                                    .all(|later| !slots[later.slot].vars().contains(v))
+                        };
+                        let ctx = format!("head {head:?} {strategy:?} step {k}: {step:?}");
+                        assert_eq!(step.exists, new.iter().all(dead), "{ctx}");
+                        if step.exists {
+                            assert!(step.est_rows <= rows_in, "{ctx}");
+                        }
+                        bound.extend(new);
+                        rows_in = step.est_rows;
+                    }
+                }
+            }
+        }
+        // Concretely: C(x) ∧ r1(x, y) ∧ r2(y, z) projecting x flags only
+        // the r2 step (y is read by r2, z by nobody), which keeps ~10 000
+        // rows instead of fanning out ten-fold.
+        let plan = plan_conjunction(
+            &chain_slots(),
+            &[v(0)],
+            &BTreeSet::new(),
+            &chain_stats(),
+            LayoutKind::Simple,
+            JoinStrategy::CostChosen,
+        );
+        let flags: Vec<(usize, bool)> = plan.steps.iter().map(|s| (s.slot, s.exists)).collect();
+        assert_eq!(flags, vec![(0, false), (1, false), (2, true)]);
+        assert_eq!(plan.steps[2].est_rows, plan.steps[1].est_rows);
+        assert!(
+            plan.steps[2].to_string().contains(" exists "),
+            "{}",
+            plan.steps[2]
+        );
     }
 }

@@ -188,9 +188,9 @@ fn golden_explain_plans_for_example3() {
         plan.to_string(),
         "strategy=cost-chosen cost=5.0\n\
          arm0: [slot0 scan cost=2.0 rows=2.0]\n\
-         arm1: [slot0 scan cost=0.0 rows=0.0] [slot1 inl cost=0.0 rows=0.0]\n\
-         arm2: [slot0 scan cost=0.0 rows=0.0] [slot1 inl cost=0.0 rows=0.0]\n\
-         arm3: [slot0 scan cost=0.0 rows=0.0] [slot1 inl cost=0.0 rows=0.0]\n",
+         arm1: [slot0 scan cost=0.0 rows=0.0] [slot1 inl exists cost=0.0 rows=0.0]\n\
+         arm2: [slot0 scan cost=0.0 rows=0.0] [slot1 inl exists cost=0.0 rows=0.0]\n\
+         arm3: [slot0 scan cost=0.0 rows=0.0] [slot1 inl exists cost=0.0 rows=0.0]\n",
         "cost-chosen golden plan drifted"
     );
 
@@ -209,9 +209,9 @@ fn golden_explain_plans_for_example3() {
         plan.to_string(),
         "strategy=forced-hash cost=15.0\n\
          arm0: [slot0 scan cost=2.0 rows=2.0]\n\
-         arm1: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash cost=2.5 rows=0.0]\n\
-         arm2: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash cost=2.5 rows=0.0]\n\
-         arm3: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash cost=5.0 rows=0.0]\n",
+         arm1: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash exists cost=2.5 rows=0.0]\n\
+         arm2: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash exists cost=2.5 rows=0.0]\n\
+         arm3: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash exists cost=5.0 rows=0.0]\n",
         "forced-hash golden plan drifted"
     );
 }
@@ -251,8 +251,8 @@ fn golden_explain_plan_for_example9_root_cover() {
         plan.to_string(),
         "strategy=cost-chosen cost=17.0\n\
          c0.arm0: [slot0 scan cost=1.0 rows=1.0]\n\
-         c1.arm0: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash cost=0.0 rows=0.0]\n\
-         c1.arm1: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash cost=0.0 rows=0.0]\n\
+         c1.arm0: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash exists cost=0.0 rows=0.0]\n\
+         c1.arm1: [slot0 scan cost=0.0 rows=0.0] [slot1 vhash exists cost=0.0 rows=0.0]\n\
          c1.arm2: [slot0 scan cost=0.0 rows=0.0]\n\
          c1.arm3: [slot0 scan cost=1.0 rows=1.0]\n",
         "root-cover golden plan drifted"
