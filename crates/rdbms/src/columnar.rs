@@ -8,11 +8,19 @@
 //! variable. Steps produce a *selection vector* (input-row index per
 //! output row) plus the newly bound value columns, then a chunked gather
 //! rebuilds the carried columns — no per-tuple allocation anywhere in
-//! the pipeline. Leaves scan storage through the block iterators
-//! ([`Storage::concept_blocks`] / [`Storage::role_blocks`], blocks of
-//! [`BATCH_SIZE`] values), hash-join probes and the DISTINCT projection
-//! process one block at a time, and their meter hooks fire once per
-//! block with the tuple count instead of once per tuple.
+//! the pipeline, projection included. Leaves scan storage through the
+//! block iterators ([`Storage::concept_blocks`] /
+//! [`Storage::role_blocks`], blocks of [`BATCH_SIZE`] values), hash-join
+//! probes and the DISTINCT projection process one block at a time, and
+//! their meter hooks fire once per block with the tuple count instead of
+//! once per tuple.
+//!
+//! Answers leave this module as a flat row set (`RowSet`): the
+//! projection gathers each row's head values into one reused tuple
+//! buffer and inserts it, so an answer is `arity` words in the set's one
+//! buffer, not a heap vector of its own. The executor's unions and
+//! component joins keep it in that form up to the API edge (see
+//! [`crate::executor`]).
 //!
 //! **Exact parity contract** with the row pipeline, enforced by the
 //! differential harness and the equivalence property suite: identical
@@ -38,13 +46,12 @@
 
 use obda_query::{Atom, Slot, Term, VarId};
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::executor::{fill_tuple, head_sources};
+use crate::fxhash::FxHashMap;
 use crate::layout::{Storage, BATCH_SIZE};
 use crate::meter::Meter;
 use crate::planner::{ConjunctionPlan, PhysicalOp};
-
-/// A result tuple (re-exported shape of [`crate::executor::Row`]).
-type Row = Vec<u32>;
+use crate::rowset::RowSet;
 
 /// A column-major intermediate relation: one value column per bound
 /// variable (indexed by the executor's `var_pos` layout), all of length
@@ -92,7 +99,7 @@ pub(crate) fn run_plan(
     head: &[Term],
     plan: &ConjunctionPlan,
     meter: &mut Meter,
-) -> FxHashSet<Row> {
+) -> RowSet {
     let mut var_pos: FxHashMap<VarId, usize> = FxHashMap::default();
     let mut data = Cols::unit();
     for step in &plan.steps {
@@ -136,49 +143,31 @@ pub(crate) fn run_plan(
     project(head, &var_pos, &data, meter)
 }
 
-/// How a head term is filled during projection. Resolution is
-/// all-or-nothing per conjunction (column layout is fixed), so it is
-/// computed once instead of per row.
-enum HeadSrc {
-    Const(u32),
-    Col(usize),
-}
-
 /// Batched DISTINCT projection: resolve the head against the column
-/// layout once, then insert block-sized runs into the answer set with
-/// one amortized `on_hash_build` per block.
+/// layout once, then gather each row into one reused tuple buffer and
+/// insert it into the answer set, with one amortized `on_hash_build` per
+/// block.
 fn project(
     head: &[Term],
     var_pos: &FxHashMap<VarId, usize>,
     data: &Cols,
     meter: &mut Meter,
-) -> FxHashSet<Row> {
-    let mut srcs = Vec::with_capacity(head.len());
-    for t in head {
-        match t {
-            Term::Const(c) => srcs.push(HeadSrc::Const(c.0)),
-            Term::Var(v) => match var_pos.get(v) {
-                Some(&p) if p < data.cols.len() => srcs.push(HeadSrc::Col(p)),
-                // Unresolvable head variable: the row pipeline drops
-                // every row (unmetered) — so does the batched one.
-                _ => return FxHashSet::default(),
-            },
-        }
-    }
-    let mut out = FxHashSet::default();
+) -> RowSet {
+    let mut out = RowSet::new(head.len());
+    // An unresolvable head variable: the row pipeline drops every row
+    // (unmetered) — so does the batched one.
+    let column = |v| var_pos.get(&v).copied().filter(|&p| p < data.cols.len());
+    let Some(srcs) = head_sources(head, column) else {
+        return out;
+    };
+    let mut tuple = vec![0; head.len()];
     let mut start = 0usize;
     while start < data.len {
         let end = (start + BATCH_SIZE).min(data.len);
         meter.on_hash_build((end - start) as u64);
         for i in start..end {
-            let tuple: Row = srcs
-                .iter()
-                .map(|s| match s {
-                    HeadSrc::Const(c) => *c,
-                    HeadSrc::Col(p) => data.cols[*p][i],
-                })
-                .collect();
-            out.insert(tuple);
+            fill_tuple(&mut tuple, &srcs, |p| data.cols[p][i]);
+            out.insert(&tuple);
         }
         start = end;
     }
@@ -504,7 +493,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use obda_dllite::{ABox, ConceptId, IndividualId, RoleId, Vocabulary};
-    use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, SCQ, UCQ};
+    use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, SCQ, UCQ};
 
     use crate::executor::{execute_mode, Row};
     use crate::layout::{dph::DphStorage, simple::SimpleStorage, triple::TripleStorage, Storage};
@@ -820,6 +809,53 @@ mod tests {
         for (rows, m) in modes_agree_per_strategy(&storage, &q, "live") {
             assert_eq!(rows.len(), 100);
             assert_eq!(m.hash_build, 800);
+        }
+    }
+
+    /// A one-component JUCQ books what the general component join books:
+    /// its component's own work plus `materialized += n`,
+    /// `hash_build += 2n` (build the `n` component rows, project `n`
+    /// joined rows) and `hash_probe += 1` (the unit row) — whether the
+    /// component's set is handed over (the head is its columns), projected
+    /// onto fewer columns, or read past a constant column.
+    #[test]
+    fn one_component_join_books_the_general_join() {
+        let abox = witness_abox();
+        let body = vec![a(v(0)), role(0, v(0), v(1))];
+        let tag = Term::Const(IndividualId(0));
+        let cases = [
+            // (component head, JUCQ head, answers)
+            (vec![v(0), v(1)], vec![v(0), v(1)], 800),
+            (vec![v(0), v(1)], vec![v(1)], 100),
+            (vec![tag, v(0)], vec![v(0)], 8),
+            (vec![tag, v(0)], vec![v(0), tag], 8),
+        ];
+        for (comp_head, head, answers) in cases {
+            let comp = UCQ::single(CQ::new(comp_head, body.clone()));
+            let jucq = FolQuery::Jucq(JUCQ::new(head, vec![comp.clone()]));
+            let want = crate::testkit::reference_rows(&abox, &jucq);
+            assert_eq!(want.len(), answers, "{jucq:?}");
+            for (name, storage) in layouts(&abox) {
+                let ctx = format!("{name}: {jucq:?}");
+                let alone =
+                    modes_agree_per_strategy(storage.as_ref(), &FolQuery::Ucq(comp.clone()), &ctx);
+                let joined = modes_agree_per_strategy(storage.as_ref(), &jucq, &ctx);
+                for ((rows, c), (got, j)) in alone.iter().zip(&joined) {
+                    let n = rows.len() as u64;
+                    assert_eq!(got, &want, "{ctx}");
+                    assert_eq!(j.hash_build, c.hash_build + 2 * n, "{ctx}: hash_build");
+                    assert_eq!(j.hash_probe, c.hash_probe + 1, "{ctx}: hash_probe");
+                    assert_eq!(j.materialized, c.materialized + n, "{ctx}: materialized");
+                    let same = ExecMetrics {
+                        hash_build: c.hash_build,
+                        hash_probe: c.hash_probe,
+                        materialized: c.materialized,
+                        output: c.output,
+                        ..*j
+                    };
+                    assert_metrics_eq(&same, c, &ctx);
+                }
+            }
         }
     }
 

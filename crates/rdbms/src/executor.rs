@@ -20,25 +20,80 @@
 //! * a JUCQ materializes each component (`WITH … AS`, `DISTINCT`) and
 //!   hash-joins the materialized tables, smallest first (§3's SQL shape);
 //! * `SELECT DISTINCT` set semantics everywhere.
+//!
+//! **The result path.** Answers are fixed-arity rows in one flat row set
+//! (`RowSet`, in `rowset.rs`) from the first DISTINCT to the API edge: a
+//! conjunction's projection fills one reused tuple buffer and inserts it;
+//! a union absorbs its first non-empty arm whole and inserts the rest; a
+//! materialized component keeps its set, one column per *head position*
+//! (constants included), and [`Row`] vectors are made once, at the end
+//! of [`execute_planned`]/[`execute_parallel`] and their siblings. The
+//! component join carries its intermediate rows in one flat `Vec<u32>`
+//! and indexes the build side by distinct key with row chains, so no row
+//! is cloned.
+//!
+//! **A one-component join is its component.** Eight of the nine light
+//! LUBM shapes are one-component JUCQs. Their join is an identity: the
+//! component's set is projected onto the head, or handed over unchanged
+//! when the head is exactly its columns in order. The meter still books
+//! what the logical plan does — `hash_build += 2n` (build the component's
+//! `n` rows, project `n` joined rows) and `hash_probe += 1` (the unit
+//! row) — so EXPLAIN ANALYZE and cost accounting do not see the shortcut.
 
 use std::collections::BTreeSet;
 
 use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, USCQ};
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::layout::{LayoutKind, Storage};
 use crate::meter::Meter;
 use crate::planner::{plan_conjunction_mode, ConjunctionPlan, ExecMode, JoinStrategy, PhysicalOp};
+use crate::rowset::RowSet;
 use crate::stats::CatalogStats;
 
 /// A result tuple of dictionary-encoded values.
 pub type Row = Vec<u32>;
 
-/// A materialized relation: variable layout + rows.
-#[derive(Debug, Clone)]
-pub struct Relation {
-    pub vars: Vec<VarId>,
-    pub rows: Vec<Row>,
+/// A materialized JUCQ/JUSCQ component: column `i` of every row holds the
+/// value of `head[i]`, constant or variable.
+struct Relation<'q> {
+    head: &'q [Term],
+    rows: RowSet,
+}
+
+/// Where a head term's value comes from during a projection. A head
+/// resolves against a column layout once per conjunction (or join), not
+/// per row.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HeadSrc {
+    Const(u32),
+    Col(usize),
+}
+
+/// Resolve `head` against a column layout; `None` when a head variable
+/// has no column, in which case no row projects and none is metered.
+pub(crate) fn head_sources(
+    head: &[Term],
+    column: impl Fn(VarId) -> Option<usize>,
+) -> Option<Vec<HeadSrc>> {
+    head.iter()
+        .map(|t| match *t {
+            Term::Const(c) => Some(HeadSrc::Const(c.0)),
+            Term::Var(v) => column(v).map(HeadSrc::Col),
+        })
+        .collect()
+}
+
+/// Fill the projection buffer `tuple` from one row, given column `p`'s
+/// value as `value(p)`.
+#[inline]
+pub(crate) fn fill_tuple(tuple: &mut [u32], srcs: &[HeadSrc], value: impl Fn(usize) -> u32) {
+    for (slot, src) in tuple.iter_mut().zip(srcs) {
+        *slot = match *src {
+            HeadSrc::Const(c) => c,
+            HeadSrc::Col(p) => value(p),
+        };
+    }
 }
 
 /// The operator-annotated plans of every conjunction in a statement, in
@@ -240,7 +295,7 @@ fn execute_from(
         FolQuery::Juscq(juscq) => eval_juscq_set(storage, juscq, meter, source),
     };
     meter.metrics.output = set.len() as u64;
-    set.into_iter().collect()
+    set.into_rows()
 }
 
 // ---------------------------------------------------------------------
@@ -291,7 +346,7 @@ pub fn execute_parallel(
                 delta.wall = arm_started.elapsed();
                 (rows, delta)
             });
-            let mut out = FxHashSet::default();
+            let mut out = RowSet::new(ucq.head().len());
             for (rows, delta) in results {
                 meter.merge_arm(delta);
                 out.extend(rows);
@@ -316,7 +371,7 @@ pub fn execute_parallel(
                 delta.wall = arm_started.elapsed();
                 (rows, delta)
             });
-            let mut out = FxHashSet::default();
+            let mut out = RowSet::new(uscq.head().len());
             for (rows, delta) in results {
                 meter.merge_arm(delta);
                 out.extend(rows);
@@ -369,7 +424,7 @@ pub fn execute_parallel(
         _ => return sequential(meter),
     };
     meter.metrics.output = set.len() as u64;
-    set.into_iter().collect()
+    set.into_rows()
 }
 
 /// Prefix offsets into [`PreparedPlans::plans`]: unit `i` (union arm or
@@ -437,7 +492,7 @@ fn eval_cq_set(
     cq: &CQ,
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> FxHashSet<Row> {
+) -> RowSet {
     let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
     eval_conjunction(storage, &slots, cq.head(), meter, source)
 }
@@ -447,7 +502,7 @@ fn eval_ucq_set(
     ucq: &obda_query::UCQ,
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> FxHashSet<Row> {
+) -> RowSet {
     eval_ucq_set_inner(storage, ucq, meter, source, true)
 }
 
@@ -461,8 +516,8 @@ fn eval_ucq_set_inner(
     meter: &mut Meter,
     source: &mut PlanSource,
     track_arms: bool,
-) -> FxHashSet<Row> {
-    let mut out = FxHashSet::default();
+) -> RowSet {
+    let mut out = RowSet::new(ucq.head().len());
     for cq in ucq.cqs() {
         if track_arms {
             meter.begin_arm();
@@ -482,7 +537,7 @@ fn eval_scq_set(
     scq: &SCQ,
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> FxHashSet<Row> {
+) -> RowSet {
     eval_conjunction(storage, scq.slots(), scq.head(), meter, source)
 }
 
@@ -491,7 +546,7 @@ fn eval_uscq_set(
     uscq: &USCQ,
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> FxHashSet<Row> {
+) -> RowSet {
     eval_uscq_set_inner(storage, uscq, meter, source, true)
 }
 
@@ -501,8 +556,8 @@ fn eval_uscq_set_inner(
     meter: &mut Meter,
     source: &mut PlanSource,
     track_arms: bool,
-) -> FxHashSet<Row> {
-    let mut out = FxHashSet::default();
+) -> RowSet {
+    let mut out = RowSet::new(uscq.head().len());
     for scq in uscq.scqs() {
         if track_arms {
             meter.begin_arm();
@@ -522,7 +577,7 @@ fn eval_jucq_set(
     jucq: &JUCQ,
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> FxHashSet<Row> {
+) -> RowSet {
     let relations: Vec<Relation> = jucq
         .components()
         .iter()
@@ -539,7 +594,7 @@ fn eval_juscq_set(
     juscq: &JUSCQ,
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> FxHashSet<Row> {
+) -> RowSet {
     let relations: Vec<Relation> = juscq
         .components()
         .iter()
@@ -552,13 +607,10 @@ fn eval_juscq_set(
 }
 
 /// Materialize a component result (the `WITH sqlN AS (SELECT DISTINCT …)`
-/// of §3).
-fn materialize(head: &[Term], set: FxHashSet<Row>, meter: &mut Meter) -> Relation {
-    meter.on_materialize(set.len() as u64);
-    Relation {
-        vars: head.iter().filter_map(|t| t.as_var()).collect(),
-        rows: set.into_iter().collect(),
-    }
+/// of §3): its row set, one column per head position.
+fn materialize<'q>(head: &'q [Term], rows: RowSet, meter: &mut Meter) -> Relation<'q> {
+    meter.on_materialize(rows.len() as u64);
+    Relation { head, rows }
 }
 
 // ---------------------------------------------------------------------
@@ -574,7 +626,7 @@ fn eval_conjunction(
     head: &[Term],
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> FxHashSet<Row> {
+) -> RowSet {
     if slots.is_empty() {
         // Empty body: true, the empty tuple (constants in head allowed).
         // No plan is consumed — prepare_plans skips empty conjunctions
@@ -586,10 +638,10 @@ fn eval_conjunction(
                 Term::Var(_) => None,
             })
             .collect();
-        let mut out = FxHashSet::default();
+        let mut out = RowSet::new(head.len());
         if let Some(r) = row {
             meter.on_hash_build(1);
-            out.insert(r);
+            out.insert(&r);
         }
         return out;
     }
@@ -670,21 +722,17 @@ fn eval_conjunction(
         }
     }
 
-    // Project the head.
-    let mut out = FxHashSet::default();
-    'rows: for row in rows {
-        let mut tuple = Vec::with_capacity(head.len());
-        for t in head {
-            match t {
-                Term::Const(c) => tuple.push(c.0),
-                Term::Var(v) => match var_pos.get(v) {
-                    Some(&p) if p < row.len() => tuple.push(row[p]),
-                    _ => continue 'rows,
-                },
-            }
-        }
-        meter.on_hash_build(1);
-        out.insert(tuple);
+    // Project the head (every row has the same width).
+    let mut out = RowSet::new(head.len());
+    let width = rows.first().map_or(0, Vec::len);
+    let Some(srcs) = head_sources(head, |v| var_pos.get(&v).copied().filter(|&p| p < width)) else {
+        return out;
+    };
+    meter.on_hash_build(rows.len() as u64);
+    let mut tuple = vec![0; head.len()];
+    for row in &rows {
+        fill_tuple(&mut tuple, &srcs, |p| row[p]);
+        out.insert(&tuple);
     }
     out
 }
@@ -942,66 +990,119 @@ fn extend_row(
 
 /// Join materialized component relations on shared variables (smallest
 /// relation first) and project `head` with DISTINCT.
-fn join_relations(
-    mut relations: Vec<Relation>,
-    head: &[Term],
-    meter: &mut Meter,
-) -> FxHashSet<Row> {
+fn join_relations(mut relations: Vec<Relation>, head: &[Term], meter: &mut Meter) -> RowSet {
+    if relations.len() == 1 {
+        let rel = relations.pop().expect("one relation");
+        return project_component(rel, head, meter);
+    }
     relations.sort_by_key(|r| r.rows.len());
+    // The join so far, row-major: `acc_len` rows of `acc_vars.len()`
+    // values. It starts as the unit relation (one row, no columns).
     let mut acc_vars: Vec<VarId> = Vec::new();
-    let mut acc_rows: Vec<Row> = vec![Vec::new()];
-    for rel in relations {
-        // Join positions: (acc idx, rel idx); new vars keep rel order.
-        let mut join_pos: Vec<(usize, usize)> = Vec::new();
-        let mut new_vars: Vec<(usize, VarId)> = Vec::new();
-        for (ri, v) in rel.vars.iter().enumerate() {
-            match acc_vars.iter().position(|w| w == v) {
-                Some(ai) => join_pos.push((ai, ri)),
-                None => new_vars.push((ri, *v)),
+    let mut acc: Vec<u32> = Vec::new();
+    let mut acc_len = 1usize;
+    let mut key: Vec<u32> = Vec::new();
+    for rel in &relations {
+        // Join columns as (acc column, rel column); a variable new to the
+        // join contributes its first rel column, in head order.
+        let width = acc_vars.len();
+        let mut key_cols: Vec<(usize, usize)> = Vec::new();
+        let mut new_cols: Vec<usize> = Vec::new();
+        for (col, t) in rel.head.iter().enumerate() {
+            let Term::Var(v) = *t else { continue };
+            match acc_vars[..width].iter().position(|&w| w == v) {
+                Some(a) => key_cols.push((a, col)),
+                None if !acc_vars[width..].contains(&v) => {
+                    acc_vars.push(v);
+                    new_cols.push(col);
+                }
+                None => {}
             }
         }
-        // Build hash on the (smaller) new relation.
-        let mut index: FxHashMap<Vec<u32>, Vec<&Row>> = FxHashMap::default();
-        for row in &rel.rows {
-            let key: Vec<u32> = join_pos.iter().map(|&(_, ri)| row[ri]).collect();
-            index.entry(key).or_default().push(row);
-        }
-        meter.on_hash_build(rel.rows.len() as u64);
-        let mut next: Vec<Row> = Vec::new();
-        for arow in &acc_rows {
-            let key: Vec<u32> = join_pos.iter().map(|&(ai, _)| arow[ai]).collect();
-            meter.on_hash_probe(1);
-            if let Some(matches) = index.get(&key) {
-                for m in matches {
-                    let mut combined = arow.clone();
-                    for &(ri, _) in &new_vars {
-                        combined.push(m[ri]);
-                    }
-                    next.push(combined);
+        // Build: the distinct join keys, each heading a chain of the rel
+        // rows that carry it (`first` per key, `next` per row).
+        key.resize(key_cols.len(), 0);
+        let mut keys = RowSet::with_capacity(key_cols.len(), rel.rows.len());
+        let mut first: Vec<u32> = Vec::new();
+        let mut next = vec![u32::MAX; rel.rows.len()];
+        for (i, row) in rel.rows.iter().enumerate() {
+            for (k, &(_, col)) in key.iter_mut().zip(&key_cols) {
+                *k = row[col];
+            }
+            match keys.insert_full(&key) {
+                (_, true) => first.push(i as u32),
+                (k, false) => {
+                    next[i] = first[k];
+                    first[k] = i as u32;
                 }
             }
         }
-        acc_vars.extend(new_vars.iter().map(|&(_, v)| v));
-        acc_rows = next;
-        if acc_rows.is_empty() {
+        meter.on_hash_build(rel.rows.len() as u64);
+        // Probe: one lookup per accumulated row.
+        meter.on_hash_probe(acc_len as u64);
+        let mut joined: Vec<u32> = Vec::new();
+        let mut joined_len = 0usize;
+        for a in 0..acc_len {
+            let arow = &acc[a * width..(a + 1) * width];
+            for (k, &(col, _)) in key.iter_mut().zip(&key_cols) {
+                *k = arow[col];
+            }
+            let Some(k) = keys.get_index_of(&key) else {
+                continue;
+            };
+            let mut m = first[k];
+            while m != u32::MAX {
+                let mrow = rel.rows.row(m as usize);
+                joined.extend_from_slice(arow);
+                joined.extend(new_cols.iter().map(|&col| mrow[col]));
+                joined_len += 1;
+                m = next[m as usize];
+            }
+        }
+        acc = joined;
+        acc_len = joined_len;
+        if acc_len == 0 {
             break;
         }
     }
     // DISTINCT projection.
-    let mut out = FxHashSet::default();
-    'rows: for row in acc_rows {
-        let mut tuple = Vec::with_capacity(head.len());
-        for t in head {
-            match t {
-                Term::Const(c) => tuple.push(c.0),
-                Term::Var(v) => match acc_vars.iter().position(|w| w == v) {
-                    Some(p) => tuple.push(row[p]),
-                    None => continue 'rows,
-                },
-            }
-        }
-        meter.on_hash_build(1);
-        out.insert(tuple);
+    let mut out = RowSet::new(head.len());
+    let Some(srcs) = head_sources(head, |v| acc_vars.iter().position(|&w| w == v)) else {
+        return out;
+    };
+    meter.on_hash_build(acc_len as u64);
+    let width = acc_vars.len();
+    let mut tuple = vec![0; head.len()];
+    for a in 0..acc_len {
+        let arow = &acc[a * width..(a + 1) * width];
+        fill_tuple(&mut tuple, &srcs, |p| arow[p]);
+        out.insert(&tuple);
+    }
+    out
+}
+
+/// The join of one component: its rows projected onto `head`, booked as
+/// [`join_relations`] would book them (build `n`, probe the unit row
+/// once, project `n` joined rows). A head that is exactly the
+/// component's columns in order takes the set as it is.
+fn project_component(rel: Relation, head: &[Term], meter: &mut Meter) -> RowSet {
+    let n = rel.rows.len() as u64;
+    meter.on_hash_build(n);
+    meter.on_hash_probe(1);
+    let column = |v: VarId| rel.head.iter().position(|t| *t == Term::Var(v));
+    let Some(srcs) = head_sources(head, column) else {
+        return RowSet::new(head.len());
+    };
+    meter.on_hash_build(n);
+    let identity = (0..rel.rows.arity()).map(HeadSrc::Col);
+    if srcs.iter().copied().eq(identity) {
+        return rel.rows;
+    }
+    let mut out = RowSet::new(head.len());
+    let mut tuple = vec![0; head.len()];
+    for row in rel.rows.iter() {
+        fill_tuple(&mut tuple, &srcs, |p| row[p]);
+        out.insert(&tuple);
     }
     out
 }
@@ -1098,6 +1199,31 @@ mod tests {
         ));
         let j = JUCQ::new(vec![v(0)], vec![c1, c2]);
         assert_eq!(run(FolQuery::Jucq(j)), run(FolQuery::Cq(flat)));
+    }
+
+    /// A constant in a component head occupies a column of its own, so
+    /// the variables after it are read from their own head positions —
+    /// with one component and when joined with another.
+    #[test]
+    fn constant_in_component_head_keeps_columns_aligned() {
+        let (mut voc, abox) = small_abox();
+        let i3 = voc.individual("i3");
+        let tagged = UCQ::single(CQ::new(
+            vec![Term::Const(i3), v(0)],
+            vec![Atom::Concept(ConceptId(0), v(0))],
+        ));
+        let r = UCQ::single(CQ::with_var_head(
+            vec![VarId(0), VarId(1)],
+            vec![Atom::Role(RoleId(0), v(0), v(1))],
+        ));
+        for (components, want) in [
+            (vec![tagged.clone()], vec![vec![0], vec![1]]),
+            (vec![tagged, r], vec![vec![0]]),
+        ] {
+            let q = FolQuery::Jucq(JUCQ::new(vec![v(0)], components));
+            assert_eq!(crate::testkit::reference_rows(&abox, &q), want);
+            assert_eq!(run(q), want);
+        }
     }
 
     #[test]

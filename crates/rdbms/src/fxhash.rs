@@ -55,6 +55,18 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The [`FxHasher`] hash of `words` fed one `write_u32` at a time, without
+/// going through the `Hash` trait (no length prefix). The high bits mix
+/// every input bit; open-addressing tables index by them.
+#[inline]
+pub(crate) fn hash_words(words: &[u32]) -> u64 {
+    let mut h = FxHasher::default();
+    for &w in words {
+        h.add_to_hash(w as u64);
+    }
+    h.hash
+}
+
 /// `HashMap` with the fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` with the fast hasher.

@@ -107,6 +107,7 @@ pub mod observe;
 pub mod pgwire;
 pub mod planner;
 pub mod profile;
+mod rowset;
 pub mod server;
 pub mod sql;
 pub mod sqlexec;
@@ -120,7 +121,7 @@ pub use engine::{ArmPlan, Engine, EngineError, EvalOptions, ExplainPlan, Lowered
 pub use estimators::ExplainEstimator;
 pub use executor::{
     execute, execute_mode, execute_parallel, execute_planned, execute_with, prepare_plans,
-    prepare_plans_mode, PreparedPlans, Relation, Row,
+    prepare_plans_mode, PreparedPlans, Row,
 };
 pub use layout::{LayoutKind, Storage};
 pub use meter::Meter;

@@ -160,8 +160,9 @@ impl WireClient {
         let mut results = Vec::new();
         let mut current = QueryResult::default();
         let mut error: Option<ClientError> = None;
+        let mut body = Vec::new();
         loop {
-            let (tag, body) = self.read_message()?;
+            let tag = self.read_message_into(&mut body)?;
             match tag {
                 b'T' => current.columns = decode_row_description(&body)?,
                 b'D' => current.rows.push(decode_data_row(&body)?),
@@ -226,8 +227,9 @@ impl WireClient {
 
         let mut result = QueryResult::default();
         let mut error: Option<ClientError> = None;
+        let mut body = Vec::new();
         loop {
-            let (tag, body) = self.read_message()?;
+            let tag = self.read_message_into(&mut body)?;
             match tag {
                 b'1' | b'2' | b'3' | b'n' | b't' => {}
                 b'T' => result.columns = decode_row_description(&body)?,
@@ -277,6 +279,15 @@ impl WireClient {
     /// [`ClientError::Protocol`], never an underflow panic or an
     /// allocation-of-death.
     pub fn read_message(&mut self) -> Result<(u8, Vec<u8>), ClientError> {
+        let mut body = Vec::new();
+        let tag = self.read_message_into(&mut body)?;
+        Ok((tag, body))
+    }
+
+    /// [`WireClient::read_message`] into a caller-owned body buffer, so
+    /// the messages of one result (a `DataRow` each) reuse one allocation.
+    /// The declared length is validated before the buffer grows.
+    fn read_message_into(&mut self, body: &mut Vec<u8>) -> Result<u8, ClientError> {
         let mut header = [0u8; 5];
         read_full(&mut self.stream, &mut header)?;
         let tag = header[0];
@@ -287,9 +298,10 @@ impl WireClient {
                 tag.escape_ascii()
             )));
         }
-        let mut body = vec![0u8; len as usize - 4];
-        read_full(&mut self.stream, &mut body)?;
-        Ok((tag, body))
+        body.clear();
+        body.resize(len as usize - 4, 0);
+        read_full(&mut self.stream, body)?;
+        Ok(tag)
     }
 }
 

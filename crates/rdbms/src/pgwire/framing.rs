@@ -234,6 +234,12 @@ impl OutBuf {
         self
     }
 
+    /// Append the complete frames queued in `other`.
+    pub fn append(&mut self, other: &OutBuf) -> &mut Self {
+        self.buf.extend_from_slice(&other.buf);
+        self
+    }
+
     /// A raw single byte *outside* any frame (the one-byte `'N'` answer
     /// to SSLRequest predates the typed-message framing).
     pub fn raw_byte(&mut self, b: u8) -> &mut Self {

@@ -87,18 +87,12 @@ pub fn row_description(out: &mut OutBuf, columns: &[String]) {
     out.end();
 }
 
-/// `DataRow` in text format; `None` encodes SQL NULL (length -1).
-pub fn data_row(out: &mut OutBuf, values: &[Option<&str>]) {
+/// `DataRow` in text format, one value per column, encoded straight from
+/// the borrowed strings.
+pub fn data_row<'a>(out: &mut OutBuf, values: impl ExactSizeIterator<Item = &'a str>) {
     out.begin(b'D').i16(values.len() as i16);
-    for v in values {
-        match v {
-            Some(s) => {
-                out.i32(s.len() as i32).bytes(s.as_bytes());
-            }
-            None => {
-                out.i32(-1);
-            }
-        }
+    for s in values {
+        out.i32(s.len() as i32).bytes(s.as_bytes());
     }
     out.end();
 }

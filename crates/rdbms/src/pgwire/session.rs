@@ -236,11 +236,45 @@ fn send_error_and_close(stream: &mut TcpStream, out: &mut OutBuf, sqlstate: &str
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// A statement's outcome, ready to encode: column names plus text rows.
+/// A statement's outcome, ready to send: column names, the result's
+/// `DataRow` frames already encoded, and the CommandComplete tag.
 struct Rendered {
     columns: Vec<String>,
-    rows: Vec<Vec<String>>,
+    rows: OutBuf,
     tag: String,
+}
+
+impl Rendered {
+    /// Encode `rows` of text values under `columns`, tagged
+    /// `{verb} {row count}`.
+    fn table<'a, R>(columns: Vec<String>, verb: &str, rows: impl IntoIterator<Item = R>) -> Self
+    where
+        R: IntoIterator<Item = &'a str>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let mut frames = OutBuf::new();
+        let mut n = 0usize;
+        for row in rows {
+            msg::data_row(&mut frames, row.into_iter());
+            n += 1;
+        }
+        Rendered {
+            columns,
+            rows: frames,
+            tag: format!("{verb} {n}"),
+        }
+    }
+
+    /// Queue the response: RowDescription when `describe` (the simple
+    /// protocol; Describe sends it in the extended one) and the statement
+    /// has columns, then the DataRows and CommandComplete.
+    fn send(&self, out: &mut OutBuf, describe: bool) {
+        if describe && !self.columns.is_empty() {
+            msg::row_description(out, &self.columns);
+        }
+        out.append(&self.rows);
+        msg::command_complete(out, &self.tag);
+    }
 }
 
 /// What executing one statement can produce.
@@ -407,19 +441,9 @@ impl Session<'_> {
             return Ok(());
         }
         for stmt_text in statements {
-            let rendered = self.execute_text(stmt_text)?;
             // Row-less statements (SET) get just a CommandComplete,
             // matching PostgreSQL.
-            if rendered.columns.is_empty() {
-                msg::command_complete(out, &rendered.tag);
-                continue;
-            }
-            msg::row_description(out, &rendered.columns);
-            for row in &rendered.rows {
-                let vals: Vec<Option<&str>> = row.iter().map(|s| Some(s.as_str())).collect();
-                msg::data_row(out, &vals);
-            }
-            msg::command_complete(out, &rendered.tag);
+            self.execute_text(stmt_text)?.send(out, true);
         }
         Ok(())
     }
@@ -501,13 +525,8 @@ impl Session<'_> {
                 sqlstate: msg::SQLSTATE_SYNTAX_ERROR,
                 message: format!("prepared statement \"{}\" does not exist", portal.statement),
             })?;
-        let rendered = self.execute_text(&text)?;
         // Execute does not send RowDescription (Describe does).
-        for row in &rendered.rows {
-            let vals: Vec<Option<&str>> = row.iter().map(|s| Some(s.as_str())).collect();
-            msg::data_row(out, &vals);
-        }
-        msg::command_complete(out, &rendered.tag);
+        self.execute_text(&text)?.send(out, false);
         Ok(())
     }
 
@@ -841,21 +860,21 @@ impl Session<'_> {
                 ),
                 None => ("idle", 0, 0, snap.generation()),
             };
-            return Rendered {
-                columns: vec![
+            let (pending, new_names, generation) = (
+                pending.to_string(),
+                new_names.to_string(),
+                generation.to_string(),
+            );
+            return Rendered::table(
+                vec![
                     "transaction_status".into(),
                     "pending_ops".into(),
                     "new_names".into(),
                     "pinned_generation".into(),
                 ],
-                rows: vec![vec![
-                    status.to_string(),
-                    pending.to_string(),
-                    new_names.to_string(),
-                    generation.to_string(),
-                ]],
-                tag: "SELECT 1".into(),
-            };
+                "SELECT",
+                [[status, &pending, &new_names, &generation]],
+            );
         }
         let (name, value) = match topic {
             ShowTopic::Generation => ("generation", snap.generation().to_string()),
@@ -875,11 +894,7 @@ impl Session<'_> {
                 unreachable!("handled above")
             }
         };
-        Rendered {
-            columns: vec![name.to_string()],
-            rows: vec![vec![value]],
-            tag: "SELECT 1".into(),
-        }
+        Rendered::table(vec![name.to_string()], "SELECT", [[value.as_str()]])
     }
 
     /// `SHOW metrics`: the whole registry (plus the serving layer's
@@ -890,8 +905,8 @@ impl Session<'_> {
         let cache = self.server.cache_stats();
         let txn = self.server.txn_stats();
         let (predicted, measured) = observe.cost_totals();
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        let mut push = |name: &str, value: String| rows.push(vec![name.to_string(), value]);
+        let mut rows: Vec<[String; 2]> = Vec::new();
+        let mut push = |name: &str, value: String| rows.push([name.to_string(), value]);
         for backend in [Backend::Native, Backend::Sql] {
             push(
                 &format!("queries_total.{}", backend.name()),
@@ -981,12 +996,11 @@ impl Session<'_> {
             );
         }
         push("generation", snap.generation().to_string());
-        let n = rows.len();
-        Rendered {
-            columns: vec!["metric".into(), "value".into()],
-            rows,
-            tag: format!("SELECT {n}"),
-        }
+        Rendered::table(
+            vec!["metric".into(), "value".into()],
+            "SELECT",
+            rows.iter().map(|r| r.iter().map(String::as_str)),
+        )
     }
 }
 
@@ -1030,12 +1044,11 @@ fn run_show_slow_queries(server: &Server) -> Rendered {
             ]
         })
         .collect();
-    let n = rows.len();
-    Rendered {
-        columns: SLOW_QUERY_COLUMNS.iter().map(|c| c.to_string()).collect(),
-        rows,
-        tag: format!("SELECT {n}"),
-    }
+    Rendered::table(
+        SLOW_QUERY_COLUMNS.iter().map(|c| c.to_string()).collect(),
+        "SELECT",
+        rows.iter().map(|r| r.iter().map(String::as_str)),
+    )
 }
 
 /// Render an [`AnalyzedQuery`] as `QUERY PLAN` text lines: the plan's
@@ -1101,19 +1114,18 @@ fn render_explain(analyzed: &AnalyzedQuery) -> Rendered {
             ));
         }
     }
-    let n = lines.len();
-    Rendered {
-        columns: vec!["QUERY PLAN".into()],
-        rows: lines.into_iter().map(|l| vec![l]).collect(),
-        tag: format!("EXPLAIN {n}"),
-    }
+    Rendered::table(
+        vec!["QUERY PLAN".into()],
+        "EXPLAIN",
+        lines.iter().map(|l| [l.as_str()]),
+    )
 }
 
 /// A row-less result carrying only a CommandComplete tag.
 fn tag_only(tag: &str) -> Rendered {
     Rendered {
         columns: Vec::new(),
-        rows: Vec::new(),
+        rows: OutBuf::new(),
         tag: tag.to_string(),
     }
 }
@@ -1206,30 +1218,21 @@ fn describe_columns(stmt: &WireStatement) -> Option<Vec<String>> {
     }
 }
 
-/// Render result rows to wire text. A boolean query (empty head) renders
-/// as a single `t`/`f` row under the `answer` column.
+/// Encode result rows as `DataRow`s, each value the individual's name
+/// straight from the vocabulary. A boolean query (empty head) renders as
+/// a single `t`/`f` row under the `answer` column.
 fn render_select(head_names: &[String], rows: &[Vec<u32>], snap: &Arc<EngineSnapshot>) -> Rendered {
-    let voc = snap.vocabulary();
     if head_names.len() == 1 && head_names[0] == "answer" {
-        let yes = !rows.is_empty();
-        return Rendered {
-            columns: vec!["answer".into()],
-            rows: vec![vec![if yes { "t" } else { "f" }.into()]],
-            tag: "SELECT 1".into(),
-        };
+        let answer = if rows.is_empty() { "f" } else { "t" };
+        return Rendered::table(vec!["answer".into()], "SELECT", [[answer]]);
     }
-    let mut text_rows = Vec::with_capacity(rows.len());
-    for row in rows {
-        text_rows.push(
+    let voc = snap.vocabulary();
+    Rendered::table(
+        head_names.to_vec(),
+        "SELECT",
+        rows.iter().map(|row| {
             row.iter()
-                .map(|&v| voc.individual_name(IndividualId(v)).to_string())
-                .collect(),
-        );
-    }
-    let n = text_rows.len();
-    Rendered {
-        columns: head_names.to_vec(),
-        rows: text_rows,
-        tag: format!("SELECT {n}"),
-    }
+                .map(move |&v| voc.individual_name(IndividualId(v)))
+        }),
+    )
 }
