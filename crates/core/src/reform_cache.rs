@@ -7,7 +7,8 @@
 //! cheap only since the containment kernel rejects by predicate
 //! signature (ARCHITECTURE.md §2) — until then it was 99 % of a cold
 //! cover search, the reverse of the paper's §6.4, where cost estimation
-//! dominates. On the LUBM shapes estimation is now ≈ 7 % of the search.
+//! dominates. It is still the larger part: on a traced cold compile of
+//! the LUBM shapes estimation is ≈ 5 % of the search (21 of 390 ms).
 //!
 //! Two lifetimes are involved. A [`ReformCache`] lives for one search
 //! over one query and is keyed by fragment *position* (atom mask +
@@ -23,7 +24,7 @@ use std::sync::{Arc, RwLock};
 
 use obda_dllite::TBox;
 use obda_query::{minimize_ucq, Term, CQ, JUCQ, UCQ};
-use obda_reform::{fragment_query, perfect_ref_pruned};
+use obda_reform::{fragment_query, perfect_ref_pruned_with_stats};
 
 use crate::cover::{AtomMask, Cover};
 
@@ -98,6 +99,11 @@ impl FragmentMemo {
 pub struct FragmentStats {
     pub memoised: usize,
     pub computed: usize,
+    /// Candidate CQs the computed fragments' PerfectRef runs built, and
+    /// how many of them were canonically labelled (the
+    /// [`ReformStats`](obda_reform::ReformStats) counts, summed).
+    pub perfectref_candidates: usize,
+    pub perfectref_canonicalised: usize,
 }
 
 /// The UCQ reformulation of one fragment query — the single place
@@ -115,7 +121,9 @@ pub(crate) fn reformulate_fragment(
         return hit;
     }
     stats.computed += 1;
-    let mut ucq = perfect_ref_pruned(fq, tbox);
+    let (mut ucq, run) = perfect_ref_pruned_with_stats(fq, tbox);
+    stats.perfectref_candidates += run.candidates;
+    stats.perfectref_canonicalised += run.canonicalised;
     if minimize {
         ucq = minimize_ucq(&ucq);
     }

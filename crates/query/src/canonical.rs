@@ -10,9 +10,12 @@
 //! sequence over all atom orders, with existential variables numbered by
 //! first appearance. A branch-and-bound search keeps this exact; queries in
 //! this domain have ≤ ~12 atoms and very few ties, so few branches are
-//! explored; each step works on dense arrays prepared once per query (no
-//! hashing or allocation inside the search — PerfectRef canonicalises every
-//! candidate it generates, ~91 000 for LUBM Q13).
+//! explored; each step works on dense arrays prepared once per query, and
+//! a [`Canonicaliser`] keeps those arrays across queries, so labelling
+//! allocates nothing. PerfectRef labels every candidate that does not
+//! repeat a recent one exactly — 60 919 of the 90 994 it builds for LUBM
+//! Q13 — and keeps the keys [packed](Canonicaliser::packed_key) into
+//! `u32` words.
 
 use crate::atom::Atom;
 use crate::cq::CQ;
@@ -41,7 +44,12 @@ pub struct CanonKey {
 
 /// Compute the canonical key of `cq`.
 pub fn canonical_key(cq: &CQ) -> CanonKey {
-    Labelling::of(cq).key
+    let mut labeller = Canonicaliser::new();
+    labeller.label(cq.head(), cq.atoms());
+    CanonKey {
+        head: labeller.head,
+        atoms: labeller.best,
+    }
 }
 
 /// Rewrite `cq` into its canonical form: atoms in canonical order,
@@ -49,7 +57,8 @@ pub fn canonical_key(cq: &CQ) -> CanonKey {
 /// Two CQs are equal modulo renaming iff their canonical forms are
 /// structurally equal. Used by the USCQ factorizer to align disjuncts.
 pub fn canonicalize(cq: &CQ) -> CQ {
-    let labelling = Labelling::of(cq);
+    let mut labelling = Canonicaliser::new();
+    labelling.label(cq.head(), cq.atoms());
     // Head variables keep their ids; existential variables are packed after
     // the largest head id to avoid collisions.
     let base = cq
@@ -63,7 +72,7 @@ pub fn canonicalize(cq: &CQ) -> CQ {
         None => Term::Var(v), // head var
     };
     let atoms = labelling
-        .perm
+        .best_perm
         .iter()
         .map(|&i| cq.atoms()[i].map_vars(rename))
         .collect();
@@ -93,102 +102,113 @@ type SlotAtom = (u8, u32, [Slot; 2]);
 
 const UNNUMBERED: u32 = u32::MAX;
 
-/// The result of the canonical-labelling search.
-struct Labelling {
-    key: CanonKey,
-    /// Atom indices of `cq` in canonical order.
-    perm: Vec<usize>,
-    /// Existential variables by dense index, and the number each got.
+/// The canonical-labelling search, with buffers that outlive one query.
+///
+/// [`canonical_key`] and [`canonicalize`] label one query with a fresh
+/// labeller. A caller that labels many queries — PerfectRef canonicalises
+/// tens of thousands of candidates per run — keeps one and asks for
+/// [`packed_key`](Self::packed_key): once the first queries have sized the
+/// buffers, labelling and packing allocate nothing.
+#[derive(Default)]
+pub struct Canonicaliser {
+    /// Head encoding, and head variables by first head occurrence.
+    head: Vec<Code>,
+    head_vars: Vec<VarId>,
+    /// Existential variables by dense index (first body occurrence).
     exist_vars: Vec<VarId>,
-    exist_num: Vec<u32>,
-}
-
-impl Labelling {
-    fn of(cq: &CQ) -> Labelling {
-        // Head variables get stable numbers by first head occurrence.
-        let mut head_vars: Vec<VarId> = Vec::new();
-        let head = cq
-            .head()
-            .iter()
-            .map(|&t| match t {
-                Term::Const(c) => Code::Const(c.0),
-                Term::Var(v) => Code::Head(index_of(&mut head_vars, v) as u32),
-            })
-            .collect();
-        let mut exist_vars: Vec<VarId> = Vec::new();
-        let mut slot = |t: Term| match t {
-            Term::Const(c) => Slot::Const(c.0),
-            Term::Var(v) => match head_vars.iter().position(|&h| h == v) {
-                Some(h) => Slot::Head(h as u32),
-                None => Slot::Exist(index_of(&mut exist_vars, v)),
-            },
-        };
-        let atoms: Vec<SlotAtom> = cq
-            .atoms()
-            .iter()
-            .map(|a| match *a {
-                Atom::Concept(c, t) => (0, c.0, [slot(t), Slot::Const(0)]),
-                Atom::Role(r, t1, t2) => (1, r.0, [slot(t1), slot(t2)]),
-            })
-            .collect();
-
-        let n = atoms.len();
-        let mut search = Search {
-            atoms: &atoms,
-            used: vec![false; n],
-            exist_num: vec![UNNUMBERED; exist_vars.len()],
-            numbered: 0,
-            prefix: Vec::with_capacity(n),
-            perm: Vec::with_capacity(n),
-            best: Vec::with_capacity(n),
-            best_perm: Vec::with_capacity(n),
-            best_exist_num: vec![UNNUMBERED; exist_vars.len()],
-            found: false,
-        };
-        search.run();
-        Labelling {
-            key: CanonKey {
-                head,
-                atoms: search.best,
-            },
-            perm: search.best_perm,
-            exist_vars,
-            exist_num: search.best_exist_num,
-        }
-    }
-
-    fn exist_number(&self, v: VarId) -> Option<u32> {
-        let i = self.exist_vars.iter().position(|&w| w == v)?;
-        Some(self.exist_num[i])
-    }
-}
-
-/// Position of `v` in `vars`, appending it if absent. Queries have a few
-/// dozen variables at most, so a scan beats hashing.
-fn index_of(vars: &mut Vec<VarId>, v: VarId) -> usize {
-    vars.iter().position(|&w| w == v).unwrap_or_else(|| {
-        vars.push(v);
-        vars.len() - 1
-    })
-}
-
-/// Branch-and-bound state. Every buffer is sized once in
-/// [`Labelling::of`]; the search itself allocates nothing.
-struct Search<'a> {
-    atoms: &'a [SlotAtom],
+    atoms: Vec<SlotAtom>,
     used: Vec<bool>,
     /// Number given to each existential so far, or [`UNNUMBERED`].
     exist_num: Vec<u32>,
     numbered: u32,
     prefix: Vec<AtomCode>,
     perm: Vec<usize>,
+    /// The atoms achieving each open level's minimal encoding, as a stack
+    /// of per-level runs.
+    ties: Vec<usize>,
     best: Vec<AtomCode>,
+    /// Atom indices in canonical order, and the number each existential
+    /// got, in the best labelling.
     best_perm: Vec<usize>,
     best_exist_num: Vec<u32>,
     found: bool,
+    packed: Vec<u32>,
 }
 
-impl Search<'_> {
+impl Canonicaliser {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The canonical key of the query `head ← atoms`, packed into `u32`
+    /// words: two queries' packed keys are equal exactly when their
+    /// [`CanonKey`]s are (the encoding is at `pack_key`). The slice lives
+    /// until the next call.
+    pub fn packed_key(&mut self, head: &[Term], atoms: &[Atom]) -> &[u32] {
+        self.label(head, atoms);
+        self.packed.clear();
+        pack_key(&self.head, &self.best, &mut self.packed);
+        &self.packed
+    }
+
+    /// The [`CanonKey`] of the query labelled last.
+    pub fn key(&self) -> CanonKey {
+        CanonKey {
+            head: self.head.clone(),
+            atoms: self.best.clone(),
+        }
+    }
+
+    /// Run the search on `head ← atoms`, leaving its result in `head`,
+    /// `best`, `best_perm` and `best_exist_num`.
+    fn label(&mut self, head: &[Term], atoms: &[Atom]) {
+        // Head variables get stable numbers by first head occurrence.
+        self.head_vars.clear();
+        self.head.clear();
+        for &t in head {
+            let code = match t {
+                Term::Const(c) => Code::Const(c.0),
+                Term::Var(v) => Code::Head(index_of(&mut self.head_vars, v) as u32),
+            };
+            self.head.push(code);
+        }
+        self.exist_vars.clear();
+        let (head_vars, exist_vars) = (&self.head_vars, &mut self.exist_vars);
+        let mut slot = |t: Term| match t {
+            Term::Const(c) => Slot::Const(c.0),
+            Term::Var(v) => match head_vars.iter().position(|&h| h == v) {
+                Some(h) => Slot::Head(h as u32),
+                None => Slot::Exist(index_of(exist_vars, v)),
+            },
+        };
+        self.atoms.clear();
+        self.atoms.extend(atoms.iter().map(|a| match *a {
+            Atom::Concept(c, t) => (0, c.0, [slot(t), Slot::Const(0)]),
+            Atom::Role(r, t1, t2) => (1, r.0, [slot(t1), slot(t2)]),
+        }));
+
+        let (n, vars) = (self.atoms.len(), self.exist_vars.len());
+        self.used.clear();
+        self.used.resize(n, false);
+        self.exist_num.clear();
+        self.exist_num.resize(vars, UNNUMBERED);
+        self.numbered = 0;
+        self.prefix.clear();
+        self.perm.clear();
+        self.ties.clear();
+        self.best.clear();
+        self.best_perm.clear();
+        self.best_exist_num.clear();
+        self.best_exist_num.resize(vars, UNNUMBERED);
+        self.found = false;
+        self.search(false);
+    }
+
+    fn exist_number(&self, v: VarId) -> Option<u32> {
+        let i = self.exist_vars.iter().position(|&w| w == v)?;
+        Some(self.best_exist_num[i])
+    }
+
     fn encode_slot(&self, s: Slot) -> Code {
         match s {
             Slot::Const(c) => Code::Const(c),
@@ -205,57 +225,81 @@ impl Search<'_> {
         (tag, pred, self.encode_slot(s1), self.encode_slot(s2))
     }
 
-    fn run(&mut self) {
+    /// Branch and bound below the current prefix; returns whether it
+    /// improved `best`. `tied` says the prefix equals `best`'s prefix of
+    /// the same length; otherwise it is smaller, or nothing is found yet.
+    /// The comparison is carried down one code at a time instead of
+    /// re-comparing whole prefixes at every node, and each level encodes
+    /// its atoms once to find its minimum. The tree, the order it is
+    /// walked in and the leaf kept (the first smallest) are those of the
+    /// plain exhaustive search, so keys and canonical forms are too.
+    fn search(&mut self, mut tied: bool) -> bool {
         let n = self.atoms.len();
         let d = self.prefix.len();
         if d == n {
             // Fresh codes in the final encoding would mean un-numbered vars,
             // impossible: numbering happens as atoms are committed.
-            if !self.found || self.prefix < self.best {
-                self.found = true;
-                self.best.clone_from(&self.prefix);
-                self.best_perm.clone_from(&self.perm);
-                self.best_exist_num.clone_from(&self.exist_num);
+            if self.found && tied {
+                return false; // equal to the best: the first one stays
             }
-            return;
+            self.found = true;
+            self.best.clone_from(&self.prefix);
+            self.best_perm.clone_from(&self.perm);
+            self.best_exist_num.clone_from(&self.exist_num);
+            return true;
         }
-        // Prune: if the current prefix already exceeds the best at this
-        // depth, stop. (Compare prefix against best's prefix.)
-        if self.found && self.prefix.as_slice() > &self.best[..d] {
-            return;
-        }
-        // Find minimal encoding among unused atoms.
-        let min_code = (0..n)
-            .filter(|&i| !self.used[i])
-            .map(|i| self.encode_atom(i))
-            .min()
-            .expect("at least one unused atom");
-        // Branch on every unused atom achieving the minimum.
+        // Branch on every unused atom achieving the minimal encoding, in
+        // index order.
+        let start = self.ties.len();
+        let mut min_code = None;
         for i in 0..n {
-            if self.used[i] || self.encode_atom(i) != min_code {
+            if self.used[i] {
                 continue;
             }
+            let code = self.encode_atom(i);
+            match min_code {
+                Some(m) if code > m => continue,
+                Some(m) if code == m => {}
+                _ => {
+                    min_code = Some(code);
+                    self.ties.truncate(start);
+                }
+            }
+            self.ties.push(i);
+        }
+        let end = self.ties.len();
+        let mut improved = false;
+        for k in start..end {
+            let i = self.ties[k];
             // Commit: number fresh existential vars by position order.
             let before = self.numbered;
             let mut newly = [usize::MAX; 2];
-            for (k, s) in self.atoms[i].2.into_iter().enumerate() {
+            for (p, s) in self.atoms[i].2.into_iter().enumerate() {
                 if let Slot::Exist(e) = s {
                     if self.exist_num[e] == UNNUMBERED {
                         self.exist_num[e] = self.numbered;
                         self.numbered += 1;
-                        newly[k] = e;
+                        newly[p] = e;
                     }
                 }
             }
-            // Re-encode with the numbering applied.
+            // Re-encode with the numbering applied; a prefix tied with the
+            // best stops where it first exceeds it.
             let committed = self.encode_atom(i);
-            self.used[i] = true;
-            self.prefix.push(committed);
-            self.perm.push(i);
-            self.run();
-            self.perm.pop();
-            self.prefix.pop();
-            self.used[i] = false;
+            let bounded = self.found && tied;
+            if !(bounded && committed > self.best[d]) {
+                self.used[i] = true;
+                self.prefix.push(committed);
+                self.perm.push(i);
+                if self.search(bounded && committed == self.best[d]) {
+                    // The new best extends this prefix.
+                    improved = true;
+                    tied = true;
+                }
+                self.perm.pop();
+                self.prefix.pop();
+                self.used[i] = false;
+            }
             for e in newly {
                 if e != usize::MAX {
                     self.exist_num[e] = UNNUMBERED;
@@ -263,7 +307,54 @@ impl Search<'_> {
             }
             self.numbered = before;
         }
+        self.ties.truncate(start);
+        improved
     }
+}
+
+/// Pack a canonical key into `u32` words, injectively: the head's length,
+/// the head's codes, then per atom a header (predicate id and kind) and
+/// its codes — one for a concept, whose padding code is always
+/// `Const(0)`, two for a role. A code is `value << 2 | tag` (tag 0 const,
+/// 1 head, 2 existential) and a header `id << 2 | kind`; a value of 2^30
+/// or more is escaped as `3 | tag << 2` followed by the value. Every item
+/// is self-delimiting, so equal words mean equal keys and conversely.
+fn pack_key(head: &[Code], atoms: &[AtomCode], out: &mut Vec<u32>) {
+    fn push(out: &mut Vec<u32>, tag: u32, value: u32) {
+        if value < 1 << 30 {
+            out.push(value << 2 | tag);
+        } else {
+            out.extend([3 | tag << 2, value]);
+        }
+    }
+    fn push_code(out: &mut Vec<u32>, code: Code) {
+        match code {
+            Code::Const(c) => push(out, 0, c),
+            Code::Head(h) => push(out, 1, h),
+            Code::Exist(e) => push(out, 2, e),
+            Code::Fresh => unreachable!("a complete labelling numbers every variable"),
+        }
+    }
+    out.push(head.len() as u32);
+    for &code in head {
+        push_code(out, code);
+    }
+    for &(kind, pred, c1, c2) in atoms {
+        push(out, u32::from(kind), pred);
+        push_code(out, c1);
+        if kind == 1 {
+            push_code(out, c2);
+        }
+    }
+}
+
+/// Position of `v` in `vars`, appending it if absent. Queries have a few
+/// dozen variables at most, so a scan beats hashing.
+fn index_of(vars: &mut Vec<VarId>, v: VarId) -> usize {
+    vars.iter().position(|&w| w == v).unwrap_or_else(|| {
+        vars.push(v);
+        vars.len() - 1
+    })
 }
 
 #[cfg(test)]
@@ -478,6 +569,40 @@ mod tests {
             ],
         );
         assert_eq!(canonical_key(&q), canonical_key(&q.clone()));
+    }
+
+    /// Ids of 2^30 and above take the escaped packing, so packed keys
+    /// stay as distinct as the keys they pack (a plain `id << 2` would
+    /// wrap 2^30 onto 0).
+    #[test]
+    fn packed_keys_escape_large_ids() {
+        let q = |c: u32, r: u32| {
+            CQ::with_var_head(
+                vec![VarId(0)],
+                vec![Atom::Role(RoleId(r), v(0), Term::Const(IndividualId(c)))],
+            )
+        };
+        let ids = [
+            (0, 0),
+            (1 << 30, 0),
+            ((1 << 30) + 1, 0),
+            (0, 1 << 30),
+            (u32::MAX, u32::MAX),
+        ];
+        let mut labeller = Canonicaliser::new();
+        let packed: Vec<Vec<u32>> = ids
+            .iter()
+            .map(|&(c, r)| {
+                labeller
+                    .packed_key(q(c, r).head(), q(c, r).atoms())
+                    .to_vec()
+            })
+            .collect();
+        for i in 0..ids.len() {
+            for j in 0..i {
+                assert_ne!(packed[i], packed[j], "{:?} vs {:?}", ids[i], ids[j]);
+            }
+        }
     }
 
     #[test]

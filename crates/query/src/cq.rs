@@ -129,24 +129,43 @@ impl CQ {
 
     /// Is `v` *unbound* in the PerfectRef sense: an existential variable
     /// with a single occurrence in the body? Such a variable behaves like
-    /// the anonymous `_` of the reformulation literature.
+    /// the anonymous `_` of the reformulation literature. Counts with an
+    /// early exit at the second occurrence; allocates nothing.
     pub fn is_unbound(&self, v: VarId) -> bool {
         if self.head_vars().any(|h| h == v) {
             return false;
         }
-        self.var_occurrences().get(&v).copied().unwrap_or(0) == 1
+        let mut occurrences = self.atoms.iter().flat_map(Atom::vars).filter(|&w| w == v);
+        occurrences.next().is_some() && occurrences.next().is_none()
     }
 
-    /// First variable id strictly greater than every id in use.
+    /// Every unbound variable (see [`CQ::is_unbound`]), sorted: one sort of
+    /// the body's variable occurrences, for callers that test many
+    /// positions of one query.
+    pub fn unbound_vars(&self) -> Vec<VarId> {
+        let mut vars: Vec<VarId> = self.atoms.iter().flat_map(Atom::vars).collect();
+        vars.sort_unstable();
+        let mut kept = 0;
+        let mut i = 0;
+        while i < vars.len() {
+            let v = vars[i];
+            let run = vars[i..].iter().take_while(|&&w| w == v).count();
+            if run == 1 && !self.head_vars().any(|h| h == v) {
+                vars[kept] = v;
+                kept += 1;
+            }
+            i += run;
+        }
+        vars.truncate(kept);
+        vars
+    }
+
+    /// First variable id strictly greater than every id in use. Scans the
+    /// terms; allocates nothing.
     pub fn fresh_var(&self) -> VarId {
-        let max = self
-            .all_vars()
-            .iter()
-            .map(|v| v.0)
-            .max()
-            .map(|m| m + 1)
-            .unwrap_or(0);
-        VarId(max)
+        let body = self.atoms.iter().flat_map(Atom::vars);
+        let max = self.head_vars().chain(body).map(|v| v.0).max();
+        VarId(max.map_or(0, |m| m + 1))
     }
 
     /// Apply a substitution to body and head.
@@ -305,6 +324,10 @@ mod tests {
         );
         assert!(!q2.is_unbound(VarId(1)));
         assert!(q2.is_unbound(VarId(2)));
+        assert_eq!(q2.unbound_vars(), vec![VarId(2)]);
+        assert_eq!(q.unbound_vars(), vec![VarId(1)]);
+        // A variable absent from the body is not unbound.
+        assert!(!q2.is_unbound(VarId(9)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A fast, non-cryptographic hasher for integer-keyed hot paths.
 //!
 //! The engine hashes millions of `u32`/`u64` keys per query (hash joins,
-//! DISTINCT); SipHash (std default) is needlessly slow for that. This is
+//! DISTINCT) and PerfectRef tens of thousands of packed canonical keys per
+//! reformulation; SipHash (std default) is needlessly slow for that. This is
 //! the word-folding multiply hash popularized by rustc's `FxHasher`,
 //! reimplemented here to stay within the workspace's allowed dependency
 //! set. HashDoS is not a concern: keys are dictionary-encoded ids, not
@@ -59,7 +60,7 @@ impl Hasher for FxHasher {
 /// going through the `Hash` trait (no length prefix). The high bits mix
 /// every input bit; open-addressing tables index by them.
 #[inline]
-pub(crate) fn hash_words(words: &[u32]) -> u64 {
+pub fn hash_words(words: &[u32]) -> u64 {
     let mut h = FxHasher::default();
     for &w in words {
         h.add_to_hash(w as u64);

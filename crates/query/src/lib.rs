@@ -12,6 +12,7 @@ pub mod canonical;
 pub mod cq;
 pub mod eval;
 pub mod fol;
+pub mod fxhash;
 pub mod homomorphism;
 pub mod jucq;
 pub mod mgu;
@@ -22,7 +23,7 @@ pub mod testkit;
 pub mod ucq;
 
 pub use atom::Atom;
-pub use canonical::{canonical_key, canonicalize, same_modulo_renaming, CanonKey};
+pub use canonical::{canonical_key, canonicalize, same_modulo_renaming, CanonKey, Canonicaliser};
 pub use cq::{connected_subset, PredSig, CQ};
 pub use eval::{certain_answers, eval_fol, eval_over_abox};
 pub use fol::FolQuery;

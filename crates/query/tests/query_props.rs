@@ -9,7 +9,7 @@ use obda_query::testkit::{
 };
 use obda_query::{
     canonical_key, canonicalize, contained_in, cq_core, equivalent, homomorphism, mgu,
-    same_modulo_renaming, Atom, Subst, Term, VarId, CQ,
+    same_modulo_renaming, Atom, Canonicaliser, Subst, Term, VarId, CQ,
 };
 
 fn cq_from(seed: u64, atoms: usize) -> CQ {
@@ -178,10 +178,11 @@ proptest! {
         }
     }
 
-    /// Equal canonical keys ⇔ equal modulo renaming, against the reference
-    /// that tries every atom bijection (≤ 6 atoms, so ≤ 720 of them): on
-    /// renamed-and-shuffled variants, on variants with one atom replaced,
-    /// and on unrelated queries.
+    /// Equal canonical keys ⇔ equal packed keys ⇔ equal modulo renaming,
+    /// against the reference that tries every atom bijection (≤ 6 atoms,
+    /// so ≤ 720 of them): on renamed-and-shuffled variants, on variants
+    /// with one atom replaced, and on unrelated queries. A reused
+    /// labeller's key is the one-shot `canonical_key`.
     #[test]
     fn canonical_key_agrees_with_brute_force(seed in 0u64..1_000_000) {
         let mut rng = Rng::new(seed);
@@ -193,10 +194,40 @@ proptest! {
         atoms[i] = random_kernel_cq(&mut rng, 1).atoms()[0];
         let mutated = CQ::new(variant.head().to_vec(), atoms);
         let unrelated = random_kernel_cq(&mut rng, 6);
+        let mut labeller = Canonicaliser::new();
+        let packed = labeller.packed_key(a.head(), a.atoms()).to_vec();
         for b in [&variant, &mutated, &unrelated] {
             let same = brute_force_same_modulo_renaming(&a, b);
             prop_assert_eq!(canonical_key(&a) == canonical_key(b), same, "{:?} vs {:?}", a, b);
             prop_assert_eq!(same_modulo_renaming(&a, b), same);
+            prop_assert_eq!(labeller.packed_key(b.head(), b.atoms()) == packed.as_slice(), same);
+            prop_assert_eq!(labeller.key(), canonical_key(b));
+        }
+    }
+
+    /// The allocation-free occurrence tests equal their definitions:
+    /// `is_unbound` and `unbound_vars` the head-free single occurrences
+    /// counted by `var_occurrences`, `fresh_var` one past the largest of
+    /// `all_vars`. Variants spread the variable ids.
+    #[test]
+    fn occurrence_tests_match_their_definitions(seed in 0u64..1_000_000) {
+        let mut rng = Rng::new(seed);
+        let mut cq = random_kernel_cq(&mut rng, 6);
+        if rng.chance(0.5) {
+            cq = random_variant(&mut rng, &cq);
+        }
+        let occurrences = cq.var_occurrences();
+        let head: Vec<VarId> = cq.head_vars().collect();
+        let unbound: Vec<VarId> = cq
+            .all_vars()
+            .into_iter()
+            .filter(|v| !head.contains(v) && occurrences.get(v) == Some(&1))
+            .collect();
+        let fresh = VarId(cq.all_vars().iter().map(|v| v.0 + 1).max().unwrap_or(0));
+        prop_assert_eq!(cq.fresh_var(), fresh);
+        prop_assert_eq!(&cq.unbound_vars(), &unbound);
+        for v in cq.all_vars().into_iter().chain([fresh]) {
+            prop_assert_eq!(cq.is_unbound(v), unbound.contains(&v), "{:?} in {:?}", v, cq);
         }
     }
 }

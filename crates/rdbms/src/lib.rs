@@ -99,7 +99,7 @@ pub mod cost_model;
 pub mod engine;
 pub mod estimators;
 pub mod executor;
-pub mod fxhash;
+pub use obda_query::fxhash;
 pub mod layout;
 pub mod meter;
 pub mod metrics;

@@ -808,6 +808,19 @@ pub fn render_prometheus(server: &Server) -> String {
         "obda_fragment_memo_entries {}",
         cache.fragment_memo_entries
     );
+    // What those computed reformulations cost inside PerfectRef.
+    counter(
+        &mut out,
+        "obda_perfectref_candidates_total",
+        "Candidate CQs PerfectRef built for the fragment reformulations cold compilations computed.",
+        cache.perfectref_candidates,
+    );
+    counter(
+        &mut out,
+        "obda_perfectref_canonicalised_total",
+        "PerfectRef candidates canonically labelled (the rest repeated an earlier candidate exactly).",
+        cache.perfectref_canonicalised,
+    );
 
     // Constraint mining, once per generation that compiled a query.
     let _ = writeln!(
@@ -1247,6 +1260,17 @@ mod tests {
         assert_eq!(value("obda_fragment_memo_misses_total "), 1.0);
         assert_eq!(value("obda_fragment_memo_hits_total "), 1.0);
         assert_eq!(value("obda_fragment_memo_entries "), 1.0);
+        // PerfectRef ran once, for the memo miss.
+        let stats = server.cache_stats();
+        assert!(stats.perfectref_candidates > 0);
+        assert_eq!(
+            value("obda_perfectref_candidates_total "),
+            stats.perfectref_candidates as f64
+        );
+        assert_eq!(
+            value("obda_perfectref_canonicalised_total "),
+            stats.perfectref_canonicalised as f64
+        );
         // Mined once per generation served, reported without labels.
         assert_eq!(value("obda_constraint_mining_seconds_count "), 2.0);
         assert_eq!(

@@ -943,6 +943,14 @@ impl Session<'_> {
             "fragment_memo_entries",
             cache.fragment_memo_entries.to_string(),
         );
+        push(
+            "perfectref_candidates",
+            cache.perfectref_candidates.to_string(),
+        );
+        push(
+            "perfectref_canonicalised",
+            cache.perfectref_canonicalised.to_string(),
+        );
         let mining = observe.constraint_mining();
         push("constraint_mining_runs", mining.count().to_string());
         push(

@@ -416,6 +416,12 @@ pub struct CacheStats {
     pub fragment_memo_misses: u64,
     /// Reformulations the current TBox scope's memo holds.
     pub fragment_memo_entries: usize,
+    /// Candidate CQs the PerfectRef runs of those computed reformulations
+    /// built, and how many of them were canonically labelled — the rest
+    /// repeated an earlier candidate exactly. Both are pure functions of
+    /// the fragments computed, so they say why a cold compile was slow.
+    pub perfectref_candidates: u64,
+    pub perfectref_canonicalised: u64,
 }
 
 /// Point-in-time transaction counters.
@@ -562,6 +568,8 @@ pub struct Server {
     invalidated: AtomicU64,
     fragment_memo_hits: AtomicU64,
     fragment_memo_misses: AtomicU64,
+    perfectref_candidates: AtomicU64,
+    perfectref_canonicalised: AtomicU64,
     /// The server-wide metrics registry every layer reports through;
     /// `Arc` so the metrics endpoint and wire sessions can share it.
     observe: Arc<MetricsRegistry>,
@@ -661,6 +669,8 @@ impl Server {
             invalidated: AtomicU64::new(0),
             fragment_memo_hits: AtomicU64::new(0),
             fragment_memo_misses: AtomicU64::new(0),
+            perfectref_candidates: AtomicU64::new(0),
+            perfectref_canonicalised: AtomicU64::new(0),
             observe: Arc::new(MetricsRegistry::new()),
         }
     }
@@ -929,6 +939,14 @@ impl Server {
             .fetch_add(chosen.fragments.memoised as u64, Ordering::Relaxed);
         self.fragment_memo_misses
             .fetch_add(chosen.fragments.computed as u64, Ordering::Relaxed);
+        self.perfectref_candidates.fetch_add(
+            chosen.fragments.perfectref_candidates as u64,
+            Ordering::Relaxed,
+        );
+        self.perfectref_canonicalised.fetch_add(
+            chosen.fragments.perfectref_canonicalised as u64,
+            Ordering::Relaxed,
+        );
         spans.reformulate = stage_started.elapsed();
         let stage_started = Instant::now();
         // The SQL backend plans what it lowers from the text, on every
@@ -1599,6 +1617,8 @@ impl Server {
             fragment_memo_hits: self.fragment_memo_hits.load(Ordering::Relaxed),
             fragment_memo_misses: self.fragment_memo_misses.load(Ordering::Relaxed),
             fragment_memo_entries: self.read_snapshot().scope.fragments.len(),
+            perfectref_candidates: self.perfectref_candidates.load(Ordering::Relaxed),
+            perfectref_canonicalised: self.perfectref_canonicalised.load(Ordering::Relaxed),
         }
     }
 
@@ -2035,6 +2055,14 @@ mod tests {
         assert_eq!(twice.fragment_memo_hits, 0);
         assert_eq!(twice.fragment_memo_entries, 0);
         assert_eq!(twice.fragment_memo_misses, 2 * once.fragment_memo_misses);
+        // PerfectRef's work repeats exactly with its runs.
+        assert!(once.perfectref_candidates > 0);
+        assert!(once.perfectref_canonicalised <= once.perfectref_candidates);
+        assert_eq!(twice.perfectref_candidates, 2 * once.perfectref_candidates);
+        assert_eq!(
+            twice.perfectref_canonicalised,
+            2 * once.perfectref_canonicalised
+        );
     }
 
     /// The poison-robustness contract: one session thread panicking while

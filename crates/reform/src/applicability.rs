@@ -26,10 +26,15 @@ pub struct Specialization {
 /// mint (callers pass `q.fresh_var()`).
 pub fn specializations(q: &CQ, tbox: &TBox, fresh: VarId) -> Vec<Specialization> {
     let mut out = Vec::new();
+    // The occurrence information every role atom's ∃-tests read, computed
+    // once per query rather than once per atom position.
+    let unbound = q.unbound_vars();
     for (idx, atom) in q.atoms().iter().enumerate() {
         match *atom {
             Atom::Concept(c, t) => concept_atom_specs(tbox, idx, c, t, fresh, &mut out),
-            Atom::Role(r, t1, t2) => role_atom_specs(q, tbox, idx, r, t1, t2, fresh, &mut out),
+            Atom::Role(r, t1, t2) => {
+                role_atom_specs(&unbound, tbox, idx, r, t1, t2, fresh, &mut out)
+            }
         }
     }
     out
@@ -61,7 +66,7 @@ fn concept_atom_specs(
 /// * concept inclusions `X ⊑ ∃R⁻` when `t1` is unbound.
 #[allow(clippy::too_many_arguments)]
 fn role_atom_specs(
-    q: &CQ,
+    unbound: &[VarId],
     tbox: &TBox,
     idx: usize,
     role: RoleId,
@@ -80,7 +85,7 @@ fn role_atom_specs(
         });
     }
     // X ⊑ ∃R: applicable when the object position is unbound.
-    if is_unbound_term(q, t2) {
+    if is_unbound_term(unbound, t2) {
         for ci in tbox.concept_inclusions_into(BasicConcept::Exists(Role::direct(role))) {
             let replacement = lhs_to_atom(ci.lhs, t1, fresh);
             out.push(Specialization {
@@ -91,7 +96,7 @@ fn role_atom_specs(
         }
     }
     // X ⊑ ∃R⁻: applicable when the subject position is unbound.
-    if is_unbound_term(q, t1) {
+    if is_unbound_term(unbound, t1) {
         for ci in tbox.concept_inclusions_into(BasicConcept::Exists(Role::inv(role))) {
             let replacement = lhs_to_atom(ci.lhs, t2, fresh);
             out.push(Specialization {
@@ -103,10 +108,11 @@ fn role_atom_specs(
     }
 }
 
-/// Is the term an unbound (anonymous-like) variable of `q`?
-fn is_unbound_term(q: &CQ, t: Term) -> bool {
+/// Is the term one of the query's unbound (anonymous-like) variables,
+/// given as [`CQ::unbound_vars`]?
+fn is_unbound_term(unbound: &[VarId], t: Term) -> bool {
     match t {
-        Term::Var(v) => q.is_unbound(v),
+        Term::Var(v) => unbound.contains(&v),
         Term::Const(_) => false,
     }
 }

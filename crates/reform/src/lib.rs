@@ -18,6 +18,7 @@ pub mod fragment;
 pub mod perfectref;
 pub mod prune;
 pub mod rdfs;
+pub mod testkit;
 pub mod uscq_factorize;
 pub mod violations;
 

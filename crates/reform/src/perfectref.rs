@@ -11,11 +11,19 @@
 //! each producing a CQ contained in its parent w.r.t. the TBox, until a
 //! fixpoint. The union of all generated CQs is the UCQ reformulation:
 //! `ans(q, ⟨T, A⟩) = ans(qUCQ, ⟨∅, A⟩)` for every `T`-consistent `A`.
-
-use std::collections::HashSet;
+//!
+//! Recognising repeats is most of the fixpoint's work: on LUBM Q13 it
+//! builds 90 994 candidate CQs, of which 19 004 are new. A candidate is
+//! spelled into reused buffers and becomes a `CQ` only when it is new; a
+//! bounded table of exact forms (`RecentForms`) settles most repeats
+//! without a canonical labelling, and the rest are labelled into packed
+//! `u32` keys held in an Fx-hashed set (`Run::push_new`).
 
 use obda_dllite::TBox;
-use obda_query::{canonical_key, contained_in, mgu_preferring, CanonKey, VarId, CQ, UCQ};
+use obda_query::fxhash::{hash_words, FxHashSet};
+use obda_query::{
+    contained_in, mgu_preferring, Atom, Canonicaliser, PredSig, Term, VarId, CQ, UCQ,
+};
 
 use crate::applicability::specializations;
 
@@ -34,6 +42,13 @@ pub struct ReformStats {
     pub containment_searches: usize,
     /// Forward-subsumption tests the signature test answered on its own.
     pub containment_filtered: usize,
+    /// Candidate CQs the fixpoint built: one per backward axiom
+    /// application and per reduce step with a non-trivial unifier.
+    pub candidates: usize,
+    /// Candidates that were canonically labelled to be looked up among the
+    /// CQs generated so far. The others repeated, variable for variable, a
+    /// candidate the run still remembered (see `Run::push_new`).
+    pub canonicalised: usize,
 }
 
 /// Reformulate `q` w.r.t. `tbox` into its UCQ reformulation — the
@@ -73,18 +88,27 @@ fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
     let mut run = Run {
         stats: ReformStats::default(),
         ucq: UCQ::single(q.clone()),
-        seen: HashSet::from([canonical_key(q)]),
+        signatures: vec![q.signature()],
+        seen: FxHashSet::default(),
+        labeller: Canonicaliser::new(),
+        forms: RecentForms::new(),
         frontier: vec![q.clone()],
         prune,
     };
+    let key = run.labeller.packed_key(q.head(), q.atoms());
+    run.seen.insert(key.into());
     let head_vars: Vec<VarId> = q.head_vars().collect();
+    // Each candidate is spelled out in these buffers; only a new one
+    // becomes a `CQ`.
+    let (mut head, mut atoms) = (Vec::new(), Vec::new());
     while let Some(current) = run.frontier.pop() {
         // (a) backward constraint applications.
         for spec in specializations(&current, tbox, current.fresh_var()) {
             run.stats.axiom_applications += 1;
-            let mut atoms = current.atoms().to_vec();
+            atoms.clear();
+            atoms.extend_from_slice(current.atoms());
             atoms[spec.atom_idx] = spec.replacement;
-            run.push_new(CQ::new(current.head().to_vec(), atoms));
+            run.push_new(current.head(), &mut atoms);
         }
         // (b) reduce: unify each pair of atoms.
         let n = current.num_atoms();
@@ -96,7 +120,12 @@ fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
                     if sigma.is_empty() {
                         continue; // identical atoms — CQ::new dedups anyway
                     }
-                    run.push_new(current.apply(&sigma));
+                    // `current.apply(&sigma)`, spelled into the buffers.
+                    head.clear();
+                    head.extend(current.head().iter().map(|&t| sigma.resolve(t)));
+                    atoms.clear();
+                    atoms.extend(current.atoms().iter().map(|a| a.apply(&sigma)));
+                    run.push_new(&head, &mut atoms);
                 }
             }
         }
@@ -108,29 +137,60 @@ fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
 /// The state of one fixpoint computation.
 struct Run {
     stats: ReformStats,
-    /// The output union.
+    /// The output union, and its disjuncts' signatures in one dense
+    /// array for the forward-subsumption scan.
     ucq: UCQ,
-    /// Every CQ generated so far, emitted or not.
-    seen: HashSet<CanonKey>,
+    signatures: Vec<PredSig>,
+    /// The packed canonical key of every CQ generated so far, emitted or
+    /// not.
+    seen: FxHashSet<Box<[u32]>>,
+    labeller: Canonicaliser,
+    /// Candidates labelled lately, exactly as they were built.
+    forms: RecentForms,
     frontier: Vec<CQ>,
     prune: bool,
 }
 
 impl Run {
-    fn push_new(&mut self, candidate: CQ) {
-        let key = canonical_key(&candidate);
-        if self.seen.contains(&key) {
+    /// Offer the candidate `head ← atoms`, its atoms as built: repeats
+    /// are dropped here, keeping first occurrences, as `CQ::new` would.
+    ///
+    /// Most candidates were generated before: two independent
+    /// specialisations applied in either order build the same CQ twice,
+    /// with the same variable ids. So before labelling, the candidate is
+    /// looked up exactly in `forms`. That is sound because a form enters
+    /// `forms` only below, once its canonical key is in `seen` (inserted
+    /// by this call or an earlier one), and `seen` never shrinks: a form
+    /// found there is a CQ already generated, and skipping it is what the
+    /// key lookup would have done. Eviction only costs a later repeat its
+    /// labelling. The output — the disjuncts, their order and their
+    /// variable ids — does not depend on what `forms` holds.
+    fn push_new(&mut self, head: &[Term], atoms: &mut Vec<Atom>) {
+        dedup_atoms(atoms);
+        self.stats.candidates += 1;
+        if self.forms.contains(head, atoms) {
             return;
         }
+        self.stats.canonicalised += 1;
+        let key = self.labeller.packed_key(head, atoms);
+        let new = !self.seen.contains(key);
+        if new {
+            self.seen.insert(key.into());
+        }
+        self.forms.remember();
+        if !new {
+            return;
+        }
+        let candidate = CQ::new(head.to_vec(), atoms.clone());
         // Exploration always continues from the candidate — only the
         // *output* is filtered, which preserves completeness.
-        self.frontier.push(candidate.clone());
         if !(self.prune && self.subsumed(&candidate)) {
             // Emitted disjuncts are a subset of `seen`, so the key is new
             // to the union as well.
-            self.ucq.push_keyed(candidate, key.clone());
+            self.signatures.push(candidate.signature());
+            self.ucq.push_keyed(candidate.clone(), self.labeller.key());
         }
-        self.seen.insert(key);
+        self.frontier.push(candidate);
     }
 
     /// Is `candidate` contained in an already-emitted disjunct? A linear
@@ -138,8 +198,8 @@ impl Run {
     /// of the pairs in one AND each, counted here so that a test can pin
     /// how many searches a reformulation enters.
     fn subsumed(&mut self, candidate: &CQ) -> bool {
-        for d in self.ucq.cqs() {
-            if !d.signature().is_subset_of(candidate.signature()) {
+        for (sig, d) in self.signatures.iter().zip(self.ucq.cqs()) {
+            if !sig.is_subset_of(candidate.signature()) {
                 self.stats.containment_filtered += 1;
             } else {
                 self.stats.containment_searches += 1;
@@ -150,6 +210,137 @@ impl Run {
         }
         false
     }
+}
+
+/// Drop repeated atoms in place, keeping first occurrences in order.
+fn dedup_atoms(atoms: &mut Vec<Atom>) {
+    let mut kept = 0;
+    for i in 0..atoms.len() {
+        let atom = atoms[i];
+        if !atoms[..kept].contains(&atom) {
+            atoms[kept] = atom;
+            kept += 1;
+        }
+    }
+    atoms.truncate(kept);
+}
+
+/// log2 of the slots a [`RecentForms`] table grows to.
+const FORM_SLOT_BITS: u32 = 12;
+/// log2 of the slots a run starts with; the table grows 4× at a time.
+const FORM_FIRST_SLOT_BITS: u32 = 6;
+/// Words per slot: a length, then up to 31 words of spelled form.
+const FORM_STRIDE: usize = 32;
+
+/// The candidates a run labelled most recently, spelled exactly (see
+/// [`spell`]) in a direct-mapped table indexed by the spelling's Fx hash.
+///
+/// The size is a memory/recall trade. On Q13, 52 375 of the 90 994
+/// candidates repeat an earlier candidate exactly, but a repeat usually
+/// comes back only after the whole subtree of the other specialisation
+/// order has been explored (the frontier is a stack), so recall grows
+/// slowly with the table: with 2^12 slots 60 919 candidates are still
+/// labelled, with 2^14 53 091, and only a set of every form (≈ 39 k CQs
+/// alive for the run) would get down to 38 619. 2^12 slots of 128 bytes
+/// are 512 KiB, well under what packing saves on the 19 004 keys of
+/// `seen`; 2^14 slots (2 MiB) did not run measurably faster. Q6 and Q9
+/// repeat within any of these sizes (10 271 and 7 432 labelled). A run
+/// starts with 2^6 slots and grows 4× each time it has written twice its
+/// slot count, so the many small fragment runs of a cover search touch a
+/// few pages only.
+struct RecentForms {
+    table: Vec<u32>,
+    slot_bits: u32,
+    /// Forms written since the table last grew.
+    written: usize,
+    /// The form looked up last, and its slot (`None`: it does not fit).
+    form: Vec<u32>,
+    slot: Option<usize>,
+}
+
+impl RecentForms {
+    fn new() -> Self {
+        RecentForms {
+            table: vec![0; FORM_STRIDE << FORM_FIRST_SLOT_BITS],
+            slot_bits: FORM_FIRST_SLOT_BITS,
+            written: 0,
+            form: Vec::with_capacity(FORM_STRIDE),
+            slot: None,
+        }
+    }
+
+    /// Does the table hold exactly `head ← atoms`? The form and its slot
+    /// are kept for [`remember`](Self::remember).
+    fn contains(&mut self, head: &[Term], atoms: &[Atom]) -> bool {
+        self.slot = None;
+        if spell(head, atoms, &mut self.form).is_none() {
+            return false;
+        }
+        let slot = (hash_words(&self.form) >> (64 - self.slot_bits)) as usize;
+        self.slot = Some(slot);
+        let stored = &self.table[slot * FORM_STRIDE..][..FORM_STRIDE];
+        stored[0] as usize == self.form.len() && stored[1..=self.form.len()] == self.form[..]
+    }
+
+    /// Store the form looked up last, whose key the caller has put in
+    /// `seen`, over whatever its slot held.
+    fn remember(&mut self) {
+        let Some(slot) = self.slot else {
+            return;
+        };
+        let stored = &mut self.table[slot * FORM_STRIDE..][..FORM_STRIDE];
+        stored[0] = self.form.len() as u32;
+        stored[1..=self.form.len()].copy_from_slice(&self.form);
+        self.written += 1;
+        if self.written > 2 << self.slot_bits && self.slot_bits < FORM_SLOT_BITS {
+            self.grow();
+        }
+    }
+
+    /// A long run: move every form into a table 4× larger.
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.table);
+        self.slot_bits = (self.slot_bits + 2).min(FORM_SLOT_BITS);
+        self.table = vec![0; FORM_STRIDE << self.slot_bits];
+        self.written = 0;
+        for stored in old.chunks_exact(FORM_STRIDE) {
+            let form = &stored[..=stored[0] as usize][1..];
+            if !form.is_empty() {
+                let slot = (hash_words(form) >> (64 - self.slot_bits)) as usize;
+                self.table[slot * FORM_STRIDE..][..=form.len()]
+                    .copy_from_slice(&stored[..=form.len()]);
+            }
+        }
+    }
+}
+
+/// Spell `head ← atoms` into `out`: the head's length, each head term,
+/// then per atom its predicate (`id << 1 | is_role`) and its terms
+/// (`var << 1`, `const << 1 | 1`). The predicate word says how many terms
+/// follow, so equal spellings mean equal forms. `None` when an id needs
+/// the top bit or the spelling does not fit a slot.
+fn spell(head: &[Term], atoms: &[Atom], out: &mut Vec<u32>) -> Option<()> {
+    fn word(id: u32, bit: u32) -> Option<u32> {
+        (id < 1 << 31).then_some(id << 1 | bit)
+    }
+    fn term(t: Term) -> Option<u32> {
+        match t {
+            Term::Var(v) => word(v.0, 0),
+            Term::Const(c) => word(c.0, 1),
+        }
+    }
+    out.clear();
+    out.push(head.len() as u32);
+    for &t in head {
+        out.push(term(t)?);
+    }
+    for atom in atoms {
+        match *atom {
+            Atom::Concept(c, t) => out.extend([word(c.0, 0)?, term(t)?]),
+            Atom::Role(r, t1, t2) => out.extend([word(r.0, 1)?, term(t1)?, term(t2)?]),
+        }
+    }
+    (out.len() < FORM_STRIDE).then_some(())
 }
 
 #[cfg(test)]

@@ -31,8 +31,6 @@
 //! relation degenerates to the classic homomorphism containment used by
 //! UCQ minimization.
 
-use std::collections::HashMap;
-
 use obda_dllite::constraints::ConstraintSet;
 use obda_dllite::{BasicConcept, Role};
 use obda_query::{Atom, FolQuery, Term, VarId, CQ, JUCQ, UCQ};
@@ -114,7 +112,19 @@ pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
     // Pairwise data-subsumption, mirroring `minimize_ucq`: arm `j` is
     // dropped when a still-kept arm `i` data-contains it; mutual
     // containment keeps the earlier arm (deterministic given the input
-    // order, which the reformulation fixes).
+    // order, which the reformulation fixes). Each arm's unbound variables
+    // are worked out once, not once per pair.
+    let unbound: Vec<Vec<VarId>> = live.iter().map(CQ::unbound_vars).collect();
+    let mut bindings = Vec::new();
+    let mut contained = |sub: usize, keeper: usize| {
+        covered_by(
+            &live[sub],
+            &live[keeper],
+            &unbound[keeper],
+            &mut bindings,
+            cons,
+        )
+    };
     let n = live.len();
     let mut keep = vec![true; n];
     for i in 0..n {
@@ -125,8 +135,8 @@ pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
             if i == j || !keep[j] || !keep[i] {
                 continue;
             }
-            if data_contained(&live[j], &live[i], cons) {
-                if data_contained(&live[i], &live[j], cons) && j < i {
+            if contained(j, i) {
+                if contained(i, j) && j < i {
                     keep[i] = false;
                 } else {
                     keep[j] = false;
@@ -184,34 +194,42 @@ pub fn prune_fol(fol: &FolQuery, cons: &ConstraintSet) -> (FolQuery, PruneStats)
 /// Reflexive over the classic containment: with no mined constraints
 /// this is exactly `contained_in(sub, keeper)`.
 pub fn data_contained(sub: &CQ, keeper: &CQ, cons: &ConstraintSet) -> bool {
+    covered_by(sub, keeper, &keeper.unbound_vars(), &mut Vec::new(), cons)
+}
+
+/// [`data_contained`], given `keeper`'s unbound variables
+/// ([`CQ::unbound_vars`]) and a buffer for the mapping.
+fn covered_by(
+    sub: &CQ,
+    keeper: &CQ,
+    unbound: &[VarId],
+    bindings: &mut Vec<(VarId, Term)>,
+    cons: &ConstraintSet,
+) -> bool {
     if keeper.head().len() != sub.head().len() {
         return false;
     }
-    let mut bindings: HashMap<VarId, Term> = HashMap::new();
+    bindings.clear();
     // Seed the mapping from the heads: position i of keeper must land on
     // position i of sub.
     for (kt, st) in keeper.head().iter().zip(sub.head()) {
-        if !bind(&mut bindings, *kt, *st) {
+        if !bind(bindings, *kt, *st) {
             return false;
         }
     }
-    let unbound: Vec<VarId> = keeper
-        .all_vars()
-        .into_iter()
-        .filter(|&v| keeper.is_unbound(v))
-        .collect();
-    let atoms = keeper.atoms();
-    search(atoms, 0, sub, &unbound, &mut bindings, cons)
+    search(keeper.atoms(), 0, sub, unbound, bindings, cons)
 }
 
-/// Try to extend the mapping with `keeper-term ↦ sub-term`.
-fn bind(bindings: &mut HashMap<VarId, Term>, kt: Term, st: Term) -> bool {
+/// Try to extend the mapping with `keeper-term ↦ sub-term`. The mapping
+/// is a short list of `(keeper variable, sub term)` pairs that doubles as
+/// its own undo trail: backtracking truncates it.
+fn bind(bindings: &mut Vec<(VarId, Term)>, kt: Term, st: Term) -> bool {
     match kt {
         Term::Const(c) => st == Term::Const(c),
-        Term::Var(v) => match bindings.get(&v) {
-            Some(&prev) => prev == st,
+        Term::Var(v) => match bindings.iter().find(|(w, _)| *w == v) {
+            Some(&(_, prev)) => prev == st,
             None => {
-                bindings.insert(v, st);
+                bindings.push((v, st));
                 true
             }
         },
@@ -310,7 +328,7 @@ fn search(
     idx: usize,
     sub: &CQ,
     unbound: &[VarId],
-    bindings: &mut HashMap<VarId, Term>,
+    bindings: &mut Vec<(VarId, Term)>,
     cons: &ConstraintSet,
 ) -> bool {
     let Some(a) = atoms.get(idx) else {
@@ -318,26 +336,13 @@ fn search(
     };
     for t in sub.atoms() {
         for mode in coverage_modes(a, t, unbound, cons) {
-            let mut added: Vec<VarId> = Vec::new();
-            let mut ok = true;
-            for (kt, st) in mode {
-                let newly = matches!(kt, Term::Var(v) if !bindings.contains_key(&v));
-                if !bind(bindings, kt, st) {
-                    ok = false;
-                    break;
-                }
-                if newly {
-                    if let Term::Var(v) = kt {
-                        added.push(v);
-                    }
-                }
-            }
-            if ok && search(atoms, idx + 1, sub, unbound, bindings, cons) {
+            let mark = bindings.len();
+            if mode.into_iter().all(|(kt, st)| bind(bindings, kt, st))
+                && search(atoms, idx + 1, sub, unbound, bindings, cons)
+            {
                 return true;
             }
-            for v in added {
-                bindings.remove(&v);
-            }
+            bindings.truncate(mark);
         }
     }
     false

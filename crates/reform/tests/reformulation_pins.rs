@@ -1,8 +1,9 @@
 //! Pinned reformulations of the LUBM workload: for Q1–Q13 and the A4
 //! star query, the raw (`perfect_ref_pruned`) and minimal
 //! (`minimize_ucq`) arm counts, an order-sensitive digest of the
-//! disjuncts of each, and a ceiling on the containment searches
-//! PerfectRef enters.
+//! disjuncts of each, a ceiling on the containment searches PerfectRef
+//! enters, and for the two heaviest shapes the candidates it builds and a
+//! ceiling on how many of them it canonically labels.
 //!
 //! The containment kernel may only skip work whose answer is `false`, so
 //! a kernel change must leave every UCQ with the same disjuncts in the
@@ -14,7 +15,9 @@
 //!
 //! The search ceilings are counts, not timings: they repeat exactly, so
 //! the gate cannot flake. Without the signature filter Q13 enters
-//! 8 046 629 searches and Q6 6 728 982.
+//! 8 046 629 searches and Q6 6 728 982. The candidate counts are the
+//! fixpoint's own and may not move; before the exact-form check every
+//! candidate was labelled (Q13 90 994, Q6 25 758).
 
 use std::path::PathBuf;
 
@@ -43,6 +46,10 @@ const ARMS: [(&str, usize, usize); 14] = [
 /// Ceilings on `ReformStats::containment_searches` for the two shapes
 /// that dominated a cold compile (measured: Q13 38 823, Q6 6 132).
 const SEARCH_CEILINGS: [(&str, usize); 2] = [("Q13", 50_000), ("Q6", 10_000)];
+
+/// (shape, `ReformStats::candidates`, ceiling on
+/// `ReformStats::canonicalised`) — measured: Q13 60 919, Q6 10 271.
+const CANDIDATES: [(&str, usize, usize); 2] = [("Q13", 90_994, 70_000), ("Q6", 25_758, 12_000)];
 
 /// FNV-1a over the canonical form of every disjunct, in order. The
 /// canonical form is the canonical key spelled with vocabulary names, so
@@ -82,6 +89,17 @@ fn lubm_reformulations_are_pinned() {
                 stats.containment_filtered,
             );
             assert!(stats.containment_filtered > stats.containment_searches);
+        }
+        if let Some((_, candidates, ceiling)) = CANDIDATES.iter().find(|(n, ..)| n == name) {
+            assert_eq!(
+                stats.candidates, *candidates,
+                "{name}: the fixpoint changed"
+            );
+            assert!(
+                stats.canonicalised <= *ceiling,
+                "{name}: {} of {candidates} candidates labelled (ceiling {ceiling})",
+                stats.canonicalised,
+            );
         }
         actual.push_str(&format!(
             "{name} raw={:016x} minimal={:016x}\n",

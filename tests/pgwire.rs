@@ -729,6 +729,13 @@ fn show_metrics_reports_served_counters() {
     assert!(computed >= 1, "fragment_memo_misses: {computed}");
     assert!(m["fragment_memo_hits"].parse::<u64>().unwrap() >= computed);
     assert_eq!(m["fragment_memo_entries"], computed.to_string());
+    // Those PerfectRef runs built candidates; some repeated exactly.
+    let candidates: u64 = m["perfectref_candidates"].parse().unwrap();
+    let canonicalised: u64 = m["perfectref_canonicalised"].parse().unwrap();
+    assert!(
+        candidates >= 1 && canonicalised <= candidates,
+        "{candidates} / {canonicalised}"
+    );
     // Constraints were mined once, for the one generation served.
     assert_eq!(m["constraint_mining_runs"], "1");
     assert!(m.contains_key("constraint_mining_p50_us"));
