@@ -21,9 +21,7 @@
 
 use obda_dllite::TBox;
 use obda_query::fxhash::{hash_words, FxHashSet};
-use obda_query::{
-    contained_in, mgu_preferring, Atom, Canonicaliser, PredSig, Term, VarId, CQ, UCQ,
-};
+use obda_query::{contained_in, mgu_preferring, Atom, Canonicaliser, Term, VarId, CQ, UCQ};
 
 use crate::applicability::specializations;
 
@@ -88,7 +86,6 @@ fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
     let mut run = Run {
         stats: ReformStats::default(),
         ucq: UCQ::single(q.clone()),
-        signatures: vec![q.signature()],
         seen: FxHashSet::default(),
         labeller: Canonicaliser::new(),
         forms: RecentForms::new(),
@@ -137,10 +134,8 @@ fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
 /// The state of one fixpoint computation.
 struct Run {
     stats: ReformStats,
-    /// The output union, and its disjuncts' signatures in one dense
-    /// array for the forward-subsumption scan.
+    /// The output union.
     ucq: UCQ,
-    signatures: Vec<PredSig>,
     /// The packed canonical key of every CQ generated so far, emitted or
     /// not.
     seen: FxHashSet<Box<[u32]>>,
@@ -187,7 +182,6 @@ impl Run {
         if !(self.prune && self.subsumed(&candidate)) {
             // Emitted disjuncts are a subset of `seen`, so the key is new
             // to the union as well.
-            self.signatures.push(candidate.signature());
             self.ucq.push_keyed(candidate.clone(), self.labeller.key());
         }
         self.frontier.push(candidate);
@@ -198,8 +192,8 @@ impl Run {
     /// of the pairs in one AND each, counted here so that a test can pin
     /// how many searches a reformulation enters.
     fn subsumed(&mut self, candidate: &CQ) -> bool {
-        for (sig, d) in self.signatures.iter().zip(self.ucq.cqs()) {
-            if !sig.is_subset_of(candidate.signature()) {
+        for d in self.ucq.cqs() {
+            if !d.signature().is_subset_of(candidate.signature()) {
                 self.stats.containment_filtered += 1;
             } else {
                 self.stats.containment_searches += 1;
@@ -244,10 +238,16 @@ const FORM_STRIDE: usize = 32;
 /// alive for the run) would get down to 38 619. 2^12 slots of 128 bytes
 /// are 512 KiB, well under what packing saves on the 19 004 keys of
 /// `seen`; 2^14 slots (2 MiB) did not run measurably faster. Q6 and Q9
-/// repeat within any of these sizes (10 271 and 7 432 labelled). A run
-/// starts with 2^6 slots and grows 4× each time it has written twice its
-/// slot count, so the many small fragment runs of a cover search touch a
-/// few pages only.
+/// repeat within any of these sizes (10 271 and 7 432 labelled).
+///
+/// A run starts with 2^6 slots and grows 4× each time it has written
+/// twice its slot count. Most runs are small: a `cold_compile` pass of
+/// the benchmark (LUBM, seed 1) makes ≈ 200 PerfectRef runs building
+/// ≈ 208 k candidates, the median run builds 11, and 1 404 of 2 046
+/// runs never leave 2^6 slots while 40 reach 2^12. Against a table of
+/// 2^12 slots from the start (10 alternated 12 s pairs, 2 cores), growing
+/// keeps `cold_compile` at the same speed (77.5 vs 76.4 ops/s, 5/10)
+/// and its peak RSS 0.8 MB lower (24.4 → 23.6 MB, 10/10).
 struct RecentForms {
     table: Vec<u32>,
     slot_bits: u32,
@@ -276,7 +276,7 @@ impl RecentForms {
         if spell(head, atoms, &mut self.form).is_none() {
             return false;
         }
-        let slot = (hash_words(&self.form) >> (64 - self.slot_bits)) as usize;
+        let slot = self.slot_of(&self.form);
         self.slot = Some(slot);
         let stored = &self.table[slot * FORM_STRIDE..][..FORM_STRIDE];
         stored[0] as usize == self.form.len() && stored[1..=self.form.len()] == self.form[..]
@@ -297,7 +297,9 @@ impl RecentForms {
         }
     }
 
-    /// A long run: move every form into a table 4× larger.
+    /// A long run: move every form into a table 4× larger. Forms in
+    /// distinct slots differ in the top bits of their hashes, so they
+    /// land in distinct slots again and none is lost.
     fn grow(&mut self) {
         let old = std::mem::take(&mut self.table);
         self.slot_bits = (self.slot_bits + 2).min(FORM_SLOT_BITS);
@@ -306,11 +308,16 @@ impl RecentForms {
         for stored in old.chunks_exact(FORM_STRIDE) {
             let form = &stored[..=stored[0] as usize][1..];
             if !form.is_empty() {
-                let slot = (hash_words(form) >> (64 - self.slot_bits)) as usize;
+                let slot = self.slot_of(form);
                 self.table[slot * FORM_STRIDE..][..=form.len()]
                     .copy_from_slice(&stored[..=form.len()]);
             }
         }
+    }
+
+    /// The slot of a spelled form: the top bits of its Fx hash.
+    fn slot_of(&self, form: &[u32]) -> usize {
+        (hash_words(form) >> (64 - self.slot_bits)) as usize
     }
 }
 
@@ -493,6 +500,76 @@ mod tests {
         assert_eq!(stats.generated, 10);
         assert!(stats.axiom_applications > 0);
         assert!(stats.reduce_steps > 0);
+    }
+
+    fn concept(id: u32, x: u32) -> Atom {
+        Atom::Concept(obda_dllite::ConceptId(id), v(x))
+    }
+
+    /// A hit in `RecentForms` drops the candidate, so a lookup must match
+    /// the slot's occupant word for word and in length. Two forms that
+    /// share a slot with a stored one are brute-forced: one differs from
+    /// it only in its last word, the other only by one more atom.
+    #[test]
+    fn recent_forms_match_whole_forms_only() {
+        let head = [v(0)];
+        let slot = |atoms: &[Atom]| {
+            let mut form = Vec::new();
+            spell(&head, atoms, &mut form).unwrap();
+            RecentForms::new().slot_of(&form)
+        };
+        let stored = vec![concept(0, 0), concept(1, 1)];
+        let home = slot(&stored);
+        let last_word = (2..)
+            .map(|x| vec![concept(0, 0), concept(1, x)])
+            .find(|atoms| slot(atoms) == home)
+            .unwrap();
+        let one_more = (2..)
+            .map(|x| vec![concept(0, 0), concept(1, 1), concept(2, x)])
+            .find(|atoms| slot(atoms) == home)
+            .unwrap();
+        for other in [&last_word, &one_more] {
+            for (kept, probe) in [(&stored, other), (other, &stored)] {
+                let mut forms = RecentForms::new();
+                assert!(!forms.contains(&head, kept));
+                forms.remember();
+                assert!(forms.contains(&head, kept));
+                assert!(
+                    !forms.contains(&head, probe),
+                    "{probe:?} taken for {kept:?}"
+                );
+            }
+        }
+    }
+
+    /// Growing the table keeps every form it held, at each size up to
+    /// the largest.
+    #[test]
+    fn recent_forms_keep_every_form_when_growing() {
+        let head = [v(0)];
+        let mut forms = RecentForms::new();
+        let candidates: Vec<Vec<Atom>> = (0..48).map(|id| vec![concept(id, 0)]).collect();
+        for atoms in &candidates {
+            assert!(!forms.contains(&head, atoms));
+            forms.remember();
+        }
+        let held: Vec<bool> = candidates
+            .iter()
+            .map(|atoms| forms.contains(&head, atoms))
+            .collect();
+        // 48 forms in 64 slots: some collided, most are held.
+        assert!(held.iter().filter(|&&h| h).count() > 24);
+        while forms.slot_bits < FORM_SLOT_BITS {
+            forms.grow();
+            for (atoms, &h) in candidates.iter().zip(&held) {
+                assert_eq!(
+                    forms.contains(&head, atoms),
+                    h,
+                    "{atoms:?} at 2^{}",
+                    forms.slot_bits
+                );
+            }
+        }
     }
 
     /// Concept hierarchies alone: A ⊑ B means q(x) ← B(x) reformulates to
