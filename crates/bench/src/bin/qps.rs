@@ -195,6 +195,8 @@ fn main() {
         overhead * 100.0
     );
 
+    // The cache counters live in the registry, so the metrics-off runs
+    // above are not in them.
     let stats = warm_srv.cache_stats();
     println!(
         "cache: {} hits / {} misses / {} entries",

@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use obda_bench::{benchjson, ms, percentile};
 use obda_core::Strategy;
 use obda_lubm::{generate, GenConfig, UnivOntology};
+use obda_rdbms::observe::Counter;
 use obda_rdbms::pgwire::{PgConfig, PgListener, WireClient};
 use obda_rdbms::{Backend, MetricsEndpoint, Server, ServerConfig};
 
@@ -308,23 +309,25 @@ fn main() {
     // soak, straight from the registry (not the scrape text).
     let observe = server.observe();
     let txn = server.txn_stats();
+    let [admitted, rejected, panics, wal_appends] = [
+        Counter::ConnectionsAdmitted,
+        Counter::ConnectionsRejected,
+        Counter::PanicsRecovered,
+        Counter::WalAppends,
+    ]
+    .map(|c| observe.get(c));
     println!(
-        "observe: txn_commits={} txn_conflicts={} admitted={} rejected={} \
-         panics_recovered={} wal_appends={}",
-        txn.committed,
-        txn.conflicts,
-        observe.connections_admitted_total(),
-        observe.connections_rejected_total(),
-        observe.panics_recovered_total(),
-        observe.wal_appends_total(),
+        "observe: txn_commits={} txn_conflicts={} admitted={admitted} rejected={rejected} \
+         panics_recovered={panics} wal_appends={wal_appends}",
+        txn.committed, txn.conflicts,
     );
     let observe_section = benchjson::JsonObj::new()
         .int("txn_commits", txn.committed)
         .int("txn_conflicts", txn.conflicts)
-        .int("admission_admitted", observe.connections_admitted_total())
-        .int("admission_rejected", observe.connections_rejected_total())
-        .int("panics_recovered", observe.panics_recovered_total())
-        .int("wal_appends", observe.wal_appends_total());
+        .int("admission_admitted", admitted)
+        .int("admission_rejected", rejected)
+        .int("panics_recovered", panics)
+        .int("wal_appends", wal_appends);
     if let Err(e) = benchjson::merge_section(&path, "soak_observe", &observe_section) {
         eprintln!("cannot write {}: {e}", path.display());
     } else {

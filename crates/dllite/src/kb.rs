@@ -54,11 +54,6 @@ impl KnowledgeBase {
         &mut self.voc
     }
 
-    pub fn tbox_mut(&mut self) -> &mut TBox {
-        self.deps = None; // axioms affect dependencies
-        &mut self.tbox
-    }
-
     pub fn abox_mut(&mut self) -> &mut ABox {
         &mut self.abox
     }

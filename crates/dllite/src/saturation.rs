@@ -93,19 +93,6 @@ impl TBoxClosure {
         self.pos_role.iter().copied()
     }
 
-    /// All entailed negative concept inclusions (used by consistency
-    /// checking via reformulation).
-    pub fn negative_concept_inclusions(
-        &self,
-    ) -> impl Iterator<Item = (BasicConcept, BasicConcept)> + '_ {
-        self.neg_concept.iter().copied()
-    }
-
-    /// All entailed negative role inclusions.
-    pub fn negative_role_inclusions(&self) -> impl Iterator<Item = (Role, Role)> + '_ {
-        self.neg_role.iter().copied()
-    }
-
     pub fn num_positive_concept(&self) -> usize {
         self.pos_concept.len()
     }

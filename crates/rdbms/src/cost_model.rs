@@ -105,26 +105,6 @@ impl CostModel {
         }
     }
 
-    /// Estimated output cardinality of a FOL query.
-    pub fn cardinality_fol(&self, q: &FolQuery) -> f64 {
-        let mut scans = ScanTracker::default();
-        match q {
-            FolQuery::Cq(cq) => self.est_cq(cq, &mut scans, false).card,
-            FolQuery::Ucq(ucq) => self.est_ucq(ucq, &mut scans).card,
-            FolQuery::Scq(scq) => self.est_scq(scq, &mut scans, false).card,
-            FolQuery::Uscq(uscq) => self.est_uscq(uscq, &mut scans).card,
-            FolQuery::Jucq(jucq) => {
-                let comps: Vec<Estimate> = jucq
-                    .components()
-                    .iter()
-                    .map(|c| self.est_ucq(c, &mut scans))
-                    .collect();
-                self.join_card(&comps, jucq)
-            }
-            FolQuery::Juscq(_) => f64::NAN, // not needed currently
-        }
-    }
-
     fn est_cq(&self, cq: &CQ, scans: &mut ScanTracker, degraded: bool) -> Estimate {
         let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
         self.est_conjunction(&slots, cq.head(), scans, degraded)

@@ -339,37 +339,6 @@ impl Engine {
         )
     }
 
-    /// Evaluate replaying [`PreparedPlans`] — skips all planning work.
-    pub fn evaluate_prepared(
-        &self,
-        q: &FolQuery,
-        prepared: &PreparedPlans,
-    ) -> Result<QueryOutcome, EngineError> {
-        self.evaluate_opts(
-            q,
-            &EvalOptions {
-                prepared: Some(prepared),
-                ..EvalOptions::default()
-            },
-        )
-    }
-
-    /// Evaluate fanning union arms (or JUCQ/JUSCQ components) across up
-    /// to `threads` worker threads; see [`execute_parallel`].
-    pub fn evaluate_parallel(
-        &self,
-        q: &FolQuery,
-        threads: usize,
-    ) -> Result<QueryOutcome, EngineError> {
-        self.evaluate_opts(
-            q,
-            &EvalOptions {
-                threads,
-                ..EvalOptions::default()
-            },
-        )
-    }
-
     /// The full-control evaluation entry point: optional strategy
     /// override, optional stored plans, optional intra-query parallelism,
     /// optional precomputed SQL size (the serving layer's hot path skips

@@ -98,7 +98,7 @@ pub(crate) fn fill_tuple(tuple: &mut [u32], srcs: &[HeadSrc], value: impl Fn(usi
 
 /// The operator-annotated plans of every conjunction in a statement, in
 /// executor traversal order — the cacheable artifact of the serving
-/// layer's plan cache. Produced by [`prepare_plans`], consumed by
+/// layer's plan cache. Produced by [`prepare_plans_mode`], consumed by
 /// [`execute_planned`]: a repeated query skips `plan_conjunction`
 /// entirely and replays the stored [`ConjunctionPlan`]s.
 #[derive(Debug, Clone)]
@@ -118,20 +118,11 @@ pub struct PreparedPlans {
 }
 
 /// Plan every conjunction of `q` in executor traversal order, without
-/// executing anything. `execute_planned` replays the result; the walk
-/// order here and the executor's traversal must stay in lockstep.
-pub fn prepare_plans(
-    q: &FolQuery,
-    stats: &CatalogStats,
-    layout: LayoutKind,
-    strategy: JoinStrategy,
-) -> PreparedPlans {
-    prepare_plans_mode(q, stats, layout, strategy, ExecMode::default())
-}
-
-/// [`prepare_plans`] with an explicit [`ExecMode`]: the mode decides the
-/// physical join operator recorded per step (`hash` vs `vhash`) and is
-/// stored in the result so replay re-enters the matching pipeline.
+/// executing anything; `execute_planned` replays the result, so the walk
+/// order here and the executor's traversal must stay in lockstep. The
+/// [`ExecMode`] decides the physical join operator recorded per step
+/// (`hash` vs `vhash`) and is stored in the result so replay re-enters
+/// the matching pipeline.
 pub fn prepare_plans_mode(
     q: &FolQuery,
     stats: &CatalogStats,
@@ -431,7 +422,7 @@ pub fn execute_parallel(
 /// JUCQ/JUSCQ component) owns the stored plans in
 /// `plans[offsets[i]..offsets[i + 1]]`. `plan_counts` yields, per unit,
 /// how many *non-empty* conjunctions it contains (0 or 1 for UCQ/USCQ
-/// arms — empty bodies plan nothing, mirroring `prepare_plans`).
+/// arms — empty bodies plan nothing, mirroring `prepare_plans_mode`).
 fn plan_offsets(plan_counts: impl Iterator<Item = usize>) -> Vec<usize> {
     let mut offsets = vec![0usize];
     for count in plan_counts {
@@ -629,7 +620,7 @@ fn eval_conjunction(
 ) -> RowSet {
     if slots.is_empty() {
         // Empty body: true, the empty tuple (constants in head allowed).
-        // No plan is consumed — prepare_plans skips empty conjunctions
+        // No plan is consumed — prepare_plans_mode skips empty conjunctions
         // with the same rule, keeping the stored-plan cursor aligned.
         let row: Option<Row> = head
             .iter()

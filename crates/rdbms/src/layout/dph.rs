@@ -186,10 +186,6 @@ impl DphStorage {
     pub fn dph_rows(&self) -> usize {
         self.dph.rows.len()
     }
-
-    pub fn rph_rows(&self) -> usize {
-        self.rph.rows.len()
-    }
 }
 
 /// Pack entry lists into wide rows of at most [`DPH_COLUMNS`] entries,

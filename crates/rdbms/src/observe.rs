@@ -13,14 +13,21 @@
 //!   that *is* the §6.4 amortization, now observable), the engine fills
 //!   `execute` ([`crate::metrics::ExecMetrics::wall`]), and the wire
 //!   session brackets the whole thing with `parse`/`serialize`.
-//! * [`MetricsRegistry`] — atomic counters and fixed-bucket latency
-//!   [`Histogram`]s, no locks on the hot path. Query latency per
-//!   backend, plan-cache and transaction counters, WAL appends/fsyncs/
-//!   bytes, checkpoint durations, connection admission, contained
-//!   panics, and the running predicted-vs-measured cost totals that
-//!   make cost-model accuracy a first-class observable. A disabled
-//!   registry reduces every record call to one relaxed load — the
-//!   bench guard holds the warm-path overhead under 5%.
+//! * [`MetricsRegistry`] — every server counter, and fixed-bucket
+//!   latency [`Histogram`]s, no locks on the hot path. Each counter
+//!   family is declared once in [`CATALOGUE`] (its `SHOW metrics` name,
+//!   Prometheus family, labels, HELP text and unit) and updated through
+//!   one indexed [`MetricsRegistry::add`]: query and row counts, stage
+//!   and commit-stage time, plan-cache, fragment-memo and PerfectRef
+//!   counts, pruned arms, transactions, WAL appends/fsyncs/bytes,
+//!   checkpoints, connection admission, contained panics, and the
+//!   running predicted-vs-measured cost totals that make cost-model
+//!   accuracy a first-class observable. A disabled registry reduces
+//!   every record call to one relaxed load — the bench guard holds the
+//!   warm-path overhead under 5%.
+//! * [`render_prometheus`] and [`show_metrics`] — the two renderings of
+//!   the registry, both walking [`CATALOGUE`]; histograms, gauges and
+//!   derived rows are the only metrics either writes by name.
 //! * [`MetricsEndpoint`] — `GET /metrics` over a plain
 //!   `std::net::TcpListener`, serving [`render_prometheus`] text
 //!   exposition (format 0.0.4). Malformed requests get `400`/`404`,
@@ -247,6 +254,272 @@ pub fn truncate_query(text: &str) -> String {
     format!("{}…", &text[..end])
 }
 
+/// How a counter's stored value renders.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// A count: the same integer in both renderings.
+    Count,
+    /// Accumulated µs: `SHOW metrics` prints µs, Prometheus seconds.
+    Micros,
+    /// Accumulated milli-work-units: both print work units, `SHOW
+    /// metrics` to one decimal.
+    MilliUnits,
+}
+
+impl Unit {
+    fn show(self, value: u64) -> String {
+        match self {
+            Unit::Count | Unit::Micros => value.to_string(),
+            Unit::MilliUnits => format!("{:.1}", value as f64 / 1000.0),
+        }
+    }
+
+    fn prom(self, value: u64) -> String {
+        match self {
+            Unit::Count => value.to_string(),
+            Unit::Micros => (value as f64 / 1e6).to_string(),
+            Unit::MilliUnits => (value as f64 / 1000.0).to_string(),
+        }
+    }
+}
+
+/// The label of a counter family: one sample per value.
+#[derive(Clone, Copy, Debug)]
+pub struct Label {
+    /// Prometheus label key; `SHOW metrics` names a sample
+    /// `<show>.<value>`.
+    pub key: &'static str,
+    pub values: &'static [&'static str],
+}
+
+/// Why constraint-driven pruning dropped a union arm; indexes
+/// [`Counter::PrunedArms`] in [`PRUNE_REASONS`] order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PruneReason {
+    /// The arm is provably empty.
+    Empty,
+    /// The data subsumes the arm by another.
+    Subsumed,
+}
+
+pub const PRUNE_REASONS: [&str; 2] = ["empty", "subsumed"];
+
+/// A counter family of the registry; [`CATALOGUE`] declares each one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Counter {
+    Queries,
+    QueryErrors,
+    QueryRows,
+    StageMicros,
+    PlanCacheHits,
+    PlanCacheMisses,
+    PlanCacheInvalidated,
+    FragmentMemoHits,
+    FragmentMemoMisses,
+    PerfectRefCandidates,
+    PerfectRefCanonicalised,
+    PrunedArms,
+    TxnCommits,
+    TxnConflicts,
+    TxnCommitGroups,
+    WalAppends,
+    WalFsyncs,
+    WalBytes,
+    CommitStageMicros,
+    CommitMicros,
+    TxnOverlays,
+    TxnOverlayMicros,
+    Checkpoints,
+    CheckpointMicros,
+    ConnectionsAdmitted,
+    ConnectionsRejected,
+    PanicsRecovered,
+    CostPredicted,
+    CostMeasured,
+}
+
+/// One counter family, declared once: `SHOW metrics` and the Prometheus
+/// exposition both render it from this entry.
+#[derive(Clone, Copy, Debug)]
+pub struct Family {
+    pub counter: Counter,
+    /// `SHOW metrics` row name.
+    pub show: &'static str,
+    /// Prometheus family name.
+    pub prom: &'static str,
+    pub help: &'static str,
+    pub unit: Unit,
+    pub label: Option<Label>,
+    /// Prometheus also labels the samples with the server's layout.
+    pub layout: bool,
+}
+
+impl Family {
+    const fn new(
+        counter: Counter,
+        show: &'static str,
+        prom: &'static str,
+        unit: Unit,
+        help: &'static str,
+    ) -> Family {
+        Family {
+            counter,
+            show,
+            prom,
+            help,
+            unit,
+            label: None,
+            layout: false,
+        }
+    }
+
+    const fn by(self, key: &'static str, values: &'static [&'static str]) -> Family {
+        Family {
+            label: Some(Label { key, values }),
+            ..self
+        }
+    }
+
+    const fn with_layout(self) -> Family {
+        Family {
+            layout: true,
+            ..self
+        }
+    }
+
+    /// Samples (registry slots) of the family.
+    pub const fn samples(&self) -> usize {
+        match self.label {
+            Some(label) => label.values.len(),
+            None => 1,
+        }
+    }
+
+    /// The `SHOW metrics` name of sample `i`.
+    fn show_name(&self, i: usize) -> String {
+        match self.label {
+            Some(label) => format!("{}.{}", self.show, label.values[i]),
+            None => self.show.to_string(),
+        }
+    }
+}
+
+use self::Unit::{Count, Micros, MilliUnits};
+
+/// Every counter the server keeps, in exposition order. Adding one is an
+/// entry here plus a [`MetricsRegistry::add`] where it happens; both
+/// renderers pick it up. Histograms, gauges and derived rows are not
+/// counters and are written by the renderers themselves.
+#[rustfmt::skip]
+pub const CATALOGUE: [Family; 29] = [
+    Family::new(Counter::Queries, "queries_total", "obda_queries_total", Count,
+        "Queries served.").by("backend", &BACKEND_NAMES).with_layout(),
+    Family::new(Counter::QueryErrors, "query_errors_total", "obda_query_errors_total", Count,
+        "Queries that returned an error."),
+    Family::new(Counter::QueryRows, "query_rows_total", "obda_query_rows_total", Count,
+        "Result rows returned."),
+    Family::new(Counter::StageMicros, "stage_us", "obda_stage_seconds_total", Micros,
+        "Accumulated per-stage statement time.").by("stage", &STAGE_NAMES),
+    Family::new(Counter::PlanCacheHits, "plan_cache_hits", "obda_plan_cache_hits_total", Count,
+        "Plan-cache hits."),
+    Family::new(Counter::PlanCacheMisses, "plan_cache_misses", "obda_plan_cache_misses_total",
+        Count, "Plan-cache misses (cold compilations)."),
+    Family::new(Counter::PlanCacheInvalidated, "plan_cache_invalidated",
+        "obda_plan_cache_invalidated_total", Count,
+        "Stale plan-cache entries dropped by publishes."),
+    Family::new(Counter::FragmentMemoHits, "fragment_memo_hits", "obda_fragment_memo_hits_total",
+        Count, "Fragment reformulations cold compilations took from the TBox scope's memo."),
+    Family::new(Counter::FragmentMemoMisses, "fragment_memo_misses",
+        "obda_fragment_memo_misses_total", Count,
+        "Fragment reformulations cold compilations computed (PerfectRef runs)."),
+    Family::new(Counter::PerfectRefCandidates, "perfectref_candidates",
+        "obda_perfectref_candidates_total", Count,
+        "Candidate CQs PerfectRef built for the fragment reformulations cold compilations computed."),
+    Family::new(Counter::PerfectRefCanonicalised, "perfectref_canonicalised",
+        "obda_perfectref_canonicalised_total", Count,
+        "PerfectRef candidates canonically labelled (the rest repeated an earlier candidate exactly)."),
+    Family::new(Counter::PrunedArms, "pruned_arms", "obda_pruned_arms_total", Count,
+        "Union arms dropped by constraint-driven pruning.").by("reason", &PRUNE_REASONS),
+    Family::new(Counter::TxnCommits, "txn_commits", "obda_txn_commits_total", Count,
+        "Transactions committed."),
+    Family::new(Counter::TxnConflicts, "txn_conflicts", "obda_txn_conflicts_total", Count,
+        "Commits refused by first-committer-wins validation."),
+    Family::new(Counter::TxnCommitGroups, "txn_commit_groups", "obda_txn_commit_groups_total",
+        Count, "Group-commit WAL records (group size = commits / groups)."),
+    Family::new(Counter::WalAppends, "wal_appends", "obda_wal_appends_total", Count,
+        "WAL group records appended."),
+    Family::new(Counter::WalFsyncs, "wal_fsyncs", "obda_wal_fsyncs_total", Count,
+        "WAL group records fsynced (sync_commits)."),
+    Family::new(Counter::WalBytes, "wal_bytes", "obda_wal_bytes_total", Count,
+        "Bytes appended to the WAL."),
+    Family::new(Counter::CommitStageMicros, "commit_us", "obda_commit_stage_seconds_total", Micros,
+        "Accumulated commit time per stage (stage and wait per committer, the rest per group).")
+        .by("stage", &COMMIT_STAGE_NAMES),
+    Family::new(Counter::CommitMicros, "commit_us.total", "obda_commit_seconds_total", Micros,
+        "Accumulated commit call time, stage to acknowledgement."),
+    Family::new(Counter::TxnOverlays, "txn_overlays", "obda_txn_overlays_total", Count,
+        "Overlay snapshots built for reads inside dirty transactions."),
+    Family::new(Counter::TxnOverlayMicros, "txn_overlay_us", "obda_txn_overlay_seconds_total",
+        Micros, "Accumulated overlay build time."),
+    Family::new(Counter::Checkpoints, "checkpoints", "obda_checkpoints_total", Count,
+        "Fuzzy checkpoints taken."),
+    Family::new(Counter::CheckpointMicros, "checkpoint_micros", "obda_checkpoint_seconds_total",
+        Micros, "Accumulated checkpoint time."),
+    Family::new(Counter::ConnectionsAdmitted, "connections_admitted",
+        "obda_connections_admitted_total", Count, "Wire connections admitted."),
+    Family::new(Counter::ConnectionsRejected, "connections_rejected",
+        "obda_connections_rejected_total", Count,
+        "Wire connections refused at the session limit (53300)."),
+    Family::new(Counter::PanicsRecovered, "panics_recovered", "obda_panics_recovered_total", Count,
+        "Statement panics contained per-session (XX000)."),
+    Family::new(Counter::CostPredicted, "cost_predicted_units", "obda_cost_predicted_units_total",
+        MilliUnits, "Accumulated predicted plan cost (work units)."),
+    Family::new(Counter::CostMeasured, "cost_measured_units", "obda_cost_measured_units_total",
+        MilliUnits, "Accumulated measured executor work (work units)."),
+];
+
+/// Each family's first slot in the registry's counter array.
+const FIRST_SLOT: [usize; CATALOGUE.len()] = {
+    let mut first = [0; CATALOGUE.len()];
+    let mut i = 0;
+    while i < CATALOGUE.len() {
+        assert!(
+            CATALOGUE[i].counter as usize == i,
+            "CATALOGUE is indexed by Counter"
+        );
+        if i > 0 {
+            first[i] = first[i - 1] + CATALOGUE[i - 1].samples();
+        }
+        i += 1;
+    }
+    first
+};
+
+const SLOTS: usize = FIRST_SLOT[CATALOGUE.len() - 1] + CATALOGUE[CATALOGUE.len() - 1].samples();
+
+/// One sample of a counter family: a registry slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot(usize);
+
+impl Counter {
+    /// The sample for the `label`-th value of a labelled family.
+    #[inline]
+    pub fn at(self, label: usize) -> Slot {
+        debug_assert!(
+            label < CATALOGUE[self as usize].samples(),
+            "{self:?} has no label {label}"
+        );
+        Slot(FIRST_SLOT[self as usize] + label)
+    }
+}
+
+impl From<Counter> for Slot {
+    #[inline]
+    fn from(counter: Counter) -> Slot {
+        counter.at(0)
+    }
+}
+
 /// The server-wide metrics registry. Hot-path recording is one relaxed
 /// atomic per counter — the only lock is the slow-query ring, taken only
 /// when a statement beats the ring's admission threshold. Disabling the
@@ -256,38 +529,10 @@ pub fn truncate_query(text: &str) -> String {
 pub struct MetricsRegistry {
     enabled: AtomicBool,
     trace_ids: AtomicU64,
+    /// Every [`CATALOGUE`] counter, one slot per sample.
+    counters: [AtomicU64; SLOTS],
     /// Indexed by [`backend_index`].
-    queries: [AtomicU64; 2],
-    query_errors: AtomicU64,
-    rows_returned: AtomicU64,
     latency: [Histogram; 2],
-    /// Accumulated stage time (µs), indexed like [`STAGE_NAMES`].
-    stage_micros: [AtomicU64; 6],
-    /// Predicted plan cost and measured executor work, both in
-    /// milli-work-units: their running ratio is the live cost-model
-    /// accuracy (§6.1's predicted-vs-actual, as a counter pair).
-    predicted_milli_units: AtomicU64,
-    measured_milli_units: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_fsyncs: AtomicU64,
-    wal_bytes: AtomicU64,
-    /// Accumulated commit time (µs), indexed like [`COMMIT_STAGE_NAMES`].
-    commit_stage_micros: [AtomicU64; 6],
-    /// Accumulated time committers spent in `Txn::commit` /
-    /// `Server::apply_batch` — what the stage totals should add up to.
-    commit_micros: AtomicU64,
-    /// Overlay snapshots built for in-transaction reads, and their time.
-    txn_overlays: AtomicU64,
-    txn_overlay_micros: AtomicU64,
-    checkpoints: AtomicU64,
-    checkpoint_micros: AtomicU64,
-    conns_admitted: AtomicU64,
-    conns_rejected: AtomicU64,
-    panics_recovered: AtomicU64,
-    /// Union arms dropped by constraint-driven pruning, split by reason
-    /// (provably empty vs data-subsumed).
-    pruned_arms_empty: AtomicU64,
-    pruned_arms_subsumed: AtomicU64,
     /// One observation per generation whose constraints were mined
     /// (extent extraction + inclusion checks; the TBox closure is
     /// per-scope and not in it) — what a write costs its first reader.
@@ -302,7 +547,7 @@ pub struct MetricsRegistry {
 }
 
 /// A duration as whole microseconds, saturating.
-fn micros(d: Duration) -> u64 {
+pub(crate) fn micros(d: Duration) -> u64 {
     d.as_micros().min(u64::MAX as u128) as u64
 }
 
@@ -328,27 +573,8 @@ impl MetricsRegistry {
         MetricsRegistry {
             enabled: AtomicBool::new(true),
             trace_ids: AtomicU64::new(0),
-            queries: Default::default(),
-            query_errors: AtomicU64::new(0),
-            rows_returned: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: Default::default(),
-            stage_micros: Default::default(),
-            predicted_milli_units: AtomicU64::new(0),
-            measured_milli_units: AtomicU64::new(0),
-            wal_appends: AtomicU64::new(0),
-            wal_fsyncs: AtomicU64::new(0),
-            wal_bytes: AtomicU64::new(0),
-            commit_stage_micros: Default::default(),
-            commit_micros: AtomicU64::new(0),
-            txn_overlays: AtomicU64::new(0),
-            txn_overlay_micros: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            checkpoint_micros: AtomicU64::new(0),
-            conns_admitted: AtomicU64::new(0),
-            conns_rejected: AtomicU64::new(0),
-            panics_recovered: AtomicU64::new(0),
-            pruned_arms_empty: AtomicU64::new(0),
-            pruned_arms_subsumed: AtomicU64::new(0),
             constraint_mining: Histogram::new(),
             slow_threshold_micros: AtomicU64::new(0),
             slow: Mutex::new(Vec::new()),
@@ -363,6 +589,25 @@ impl MetricsRegistry {
 
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Add `n` to a counter sample: `add(Counter::WalBytes, n)`, or
+    /// `add(Counter::Queries.at(i), 1)` in a labelled family.
+    #[inline]
+    pub fn add(&self, slot: impl Into<Slot>, n: u64) {
+        if self.is_enabled() {
+            self.bump(slot, n);
+        }
+    }
+
+    /// A counter sample's current value.
+    pub fn get(&self, slot: impl Into<Slot>) -> u64 {
+        self.counters[slot.into().0].load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn bump(&self, slot: impl Into<Slot>, n: u64) {
+        self.counters[slot.into().0].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Allocate the next trace id (ids keep flowing when disabled so a
@@ -386,27 +631,9 @@ impl MetricsRegistry {
             return;
         }
         let i = backend_index(backend);
-        self.queries[i].fetch_add(1, Ordering::Relaxed);
-        self.rows_returned.fetch_add(rows, Ordering::Relaxed);
+        self.bump(Counter::Queries.at(i), 1);
+        self.bump(Counter::QueryRows, rows);
         self.latency[i].observe(latency);
-    }
-
-    pub fn record_query_error(&self) {
-        if self.is_enabled() {
-            self.query_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one cold compilation's constraint-pruning outcome: union
-    /// arms dropped as provably empty and as data-subsumed.
-    pub fn record_pruned_arms(&self, empty: usize, subsumed: usize) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.pruned_arms_empty
-            .fetch_add(empty as u64, Ordering::Relaxed);
-        self.pruned_arms_subsumed
-            .fetch_add(subsumed as u64, Ordering::Relaxed);
     }
 
     /// Record one generation's constraint-mining run.
@@ -417,7 +644,9 @@ impl MetricsRegistry {
     }
 
     /// Accumulate one cost-model accuracy sample: the plan's predicted
-    /// cost vs the executor's measured work units.
+    /// cost vs the executor's measured work units, both kept in
+    /// milli-work-units so their running ratio is the live cost-model
+    /// accuracy (§6.1's predicted-vs-actual, as a counter pair).
     pub fn record_cost_sample(&self, predicted: f64, measured: f64) {
         if !self.is_enabled() {
             return;
@@ -429,10 +658,8 @@ impl MetricsRegistry {
                 0
             }
         };
-        self.predicted_milli_units
-            .fetch_add(clamp(predicted), Ordering::Relaxed);
-        self.measured_milli_units
-            .fetch_add(clamp(measured), Ordering::Relaxed);
+        self.bump(Counter::CostPredicted, clamp(predicted));
+        self.bump(Counter::CostMeasured, clamp(measured));
     }
 
     /// Record a completed statement trace: stage-time totals, the
@@ -442,8 +669,8 @@ impl MetricsRegistry {
         if !self.is_enabled() {
             return;
         }
-        for (slot, span) in self.stage_micros.iter().zip(trace.spans.as_array()) {
-            slot.fetch_add(micros(span), Ordering::Relaxed);
+        for (i, span) in trace.spans.as_array().into_iter().enumerate() {
+            self.bump(Counter::StageMicros.at(i), micros(span));
         }
         let total_micros = micros(trace.total);
         if total_micros >= self.slow_log_micros.load(Ordering::Relaxed) {
@@ -493,154 +720,19 @@ impl MetricsRegistry {
         if !self.is_enabled() {
             return;
         }
-        self.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.bump(Counter::WalAppends, 1);
+        self.bump(Counter::WalBytes, bytes);
         if fsynced {
-            self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::WalFsyncs, 1);
         }
-    }
-
-    /// Time one committer (`Stage`, `Wait`) or one group's leader (the
-    /// rest) spent in a commit stage.
-    pub fn record_commit_stage(&self, stage: CommitStage, took: Duration) {
-        if self.is_enabled() {
-            self.commit_stage_micros[stage as usize].fetch_add(micros(took), Ordering::Relaxed);
-        }
-    }
-
-    /// One commit call's wall clock, stage to acknowledgement.
-    pub fn record_commit(&self, took: Duration) {
-        if self.is_enabled() {
-            self.commit_micros
-                .fetch_add(micros(took), Ordering::Relaxed);
-        }
-    }
-
-    /// One overlay snapshot built for a read inside a dirty transaction.
-    pub fn record_txn_overlay(&self, took: Duration) {
-        if self.is_enabled() {
-            self.txn_overlays.fetch_add(1, Ordering::Relaxed);
-            self.txn_overlay_micros
-                .fetch_add(micros(took), Ordering::Relaxed);
-        }
-    }
-
-    pub fn record_checkpoint(&self, took: Duration) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.checkpoint_micros
-            .fetch_add(micros(took), Ordering::Relaxed);
-    }
-
-    pub fn record_admission(&self) {
-        if self.is_enabled() {
-            self.conns_admitted.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn record_rejection(&self) {
-        if self.is_enabled() {
-            self.conns_rejected.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn record_panic_recovered(&self) {
-        if self.is_enabled() {
-            self.panics_recovered.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    // Point-in-time reads (used by SHOW metrics, exposition, and tests).
-
-    pub fn queries_total(&self, backend: Backend) -> u64 {
-        self.queries[backend_index(backend)].load(Ordering::Relaxed)
-    }
-
-    pub fn query_errors_total(&self) -> u64 {
-        self.query_errors.load(Ordering::Relaxed)
-    }
-
-    pub fn rows_returned_total(&self) -> u64 {
-        self.rows_returned.load(Ordering::Relaxed)
     }
 
     pub fn latency(&self, backend: Backend) -> &Histogram {
         &self.latency[backend_index(backend)]
     }
 
-    pub fn stage_micros_total(&self, stage: usize) -> u64 {
-        self.stage_micros[stage].load(Ordering::Relaxed)
-    }
-
-    /// `(predicted, measured)` accumulated work units.
-    pub fn cost_totals(&self) -> (f64, f64) {
-        (
-            self.predicted_milli_units.load(Ordering::Relaxed) as f64 / 1000.0,
-            self.measured_milli_units.load(Ordering::Relaxed) as f64 / 1000.0,
-        )
-    }
-
-    pub fn wal_appends_total(&self) -> u64 {
-        self.wal_appends.load(Ordering::Relaxed)
-    }
-
-    pub fn wal_fsyncs_total(&self) -> u64 {
-        self.wal_fsyncs.load(Ordering::Relaxed)
-    }
-
-    pub fn wal_bytes_total(&self) -> u64 {
-        self.wal_bytes.load(Ordering::Relaxed)
-    }
-
-    pub fn commit_stage_micros_total(&self, stage: usize) -> u64 {
-        self.commit_stage_micros[stage].load(Ordering::Relaxed)
-    }
-
-    pub fn commit_micros_total(&self) -> u64 {
-        self.commit_micros.load(Ordering::Relaxed)
-    }
-
-    /// `(overlays built, accumulated µs)`.
-    pub fn txn_overlay_totals(&self) -> (u64, u64) {
-        (
-            self.txn_overlays.load(Ordering::Relaxed),
-            self.txn_overlay_micros.load(Ordering::Relaxed),
-        )
-    }
-
-    pub fn checkpoints_total(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-
-    pub fn checkpoint_micros_total(&self) -> u64 {
-        self.checkpoint_micros.load(Ordering::Relaxed)
-    }
-
-    pub fn connections_admitted_total(&self) -> u64 {
-        self.conns_admitted.load(Ordering::Relaxed)
-    }
-
-    pub fn connections_rejected_total(&self) -> u64 {
-        self.conns_rejected.load(Ordering::Relaxed)
-    }
-
-    pub fn panics_recovered_total(&self) -> u64 {
-        self.panics_recovered.load(Ordering::Relaxed)
-    }
-
     pub fn constraint_mining(&self) -> &Histogram {
         &self.constraint_mining
-    }
-
-    /// Union arms dropped by constraint-driven pruning, as
-    /// `(provably_empty, data_subsumed)`.
-    pub fn pruned_arms_total(&self) -> (u64, u64) {
-        (
-            self.pruned_arms_empty.load(Ordering::Relaxed),
-            self.pruned_arms_subsumed.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -669,327 +761,185 @@ fn log_slow_query(trace: &QueryTrace) {
 }
 
 /// Render the full server state as Prometheus text exposition (0.0.4):
-/// the registry's counters and histograms plus the serving layer's plan
-/// cache and transaction stats, labelled with the configured layout.
+/// every [`CATALOGUE`] counter, the histograms, and the serving layer's
+/// gauges, the query counters labelled with the configured layout.
 pub fn render_prometheus(server: &Server) -> String {
     use std::fmt::Write;
     let reg = server.observe();
     let layout = server.config().layout.name();
+    let cache = server.cache_stats();
     let mut out = String::with_capacity(4096);
-    let counter = |out: &mut String, name: &str, help: &str, value: u64| {
+    let header = |out: &mut String, name: &str, kind: &str, help: &str| {
         let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+    };
+    let gauge = |out: &mut String, name: &str, help: &str, value: u64| {
+        header(out, name, "gauge", help);
         let _ = writeln!(out, "{name} {value}");
     };
-    // One histogram series; `label` is `key="value"` or empty.
-    let histogram = |out: &mut String, name: &str, label: &str, hist: &Histogram| {
-        let snap = hist.snapshot();
-        let (series, bucket_labels) = if label.is_empty() {
-            (String::new(), String::new())
-        } else {
-            (format!("{{{label}}}"), format!("{label},"))
-        };
-        let mut cumulative = 0u64;
-        for (b, &n) in snap.buckets.iter().enumerate() {
-            cumulative += n;
-            let le = LATENCY_BUCKETS_US
-                .get(b)
-                .map(|&us| format!("{}", us as f64 / 1e6))
-                .unwrap_or_else(|| "+Inf".to_string());
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{bucket_labels}le=\"{le}\"}} {cumulative}"
-            );
+    // One histogram family; each series' label is `key="value"` or empty.
+    let histogram = |out: &mut String, name: &str, help: &str, series: &[(String, &Histogram)]| {
+        header(out, name, "histogram", help);
+        for (label, hist) in series {
+            let snap = hist.snapshot();
+            let (series, bucket_labels) = if label.is_empty() {
+                (String::new(), String::new())
+            } else {
+                (format!("{{{label}}}"), format!("{label},"))
+            };
+            let mut cumulative = 0u64;
+            for (b, &n) in snap.buckets.iter().enumerate() {
+                cumulative += n;
+                let le = LATENCY_BUCKETS_US
+                    .get(b)
+                    .map(|&us| format!("{}", us as f64 / 1e6))
+                    .unwrap_or_else(|| "+Inf".to_string());
+                let _ = writeln!(
+                    out,
+                    "{name}_bucket{{{bucket_labels}le=\"{le}\"}} {cumulative}"
+                );
+            }
+            let _ = writeln!(out, "{name}_sum{series} {}", snap.sum_micros as f64 / 1e6);
+            let _ = writeln!(out, "{name}_count{series} {}", snap.count);
         }
-        let _ = writeln!(out, "{name}_sum{series} {}", snap.sum_micros as f64 / 1e6);
-        let _ = writeln!(out, "{name}_count{series} {}", snap.count);
     };
 
-    // Query counters, per backend.
-    let _ = writeln!(out, "# HELP obda_queries_total Queries served.");
-    let _ = writeln!(out, "# TYPE obda_queries_total counter");
-    for (i, name) in BACKEND_NAMES.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "obda_queries_total{{backend=\"{name}\",layout=\"{layout}\"}} {}",
-            reg.queries[i].load(Ordering::Relaxed)
-        );
+    for family in &CATALOGUE {
+        header(&mut out, family.prom, "counter", family.help);
+        for i in 0..family.samples() {
+            let labels = match family.label {
+                Some(l) if family.layout => {
+                    format!("{{{}=\"{}\",layout=\"{layout}\"}}", l.key, l.values[i])
+                }
+                Some(l) => format!("{{{}=\"{}\"}}", l.key, l.values[i]),
+                None => String::new(),
+            };
+            let value = family.unit.prom(reg.get(family.counter.at(i)));
+            let _ = writeln!(out, "{}{labels} {value}", family.prom);
+        }
+        // The rest of the surface, each after the family it follows.
+        match family.counter {
+            Counter::QueryRows => {
+                let series: Vec<_> = BACKEND_NAMES
+                    .iter()
+                    .zip(&reg.latency)
+                    .map(|(name, hist)| (format!("backend=\"{name}\""), hist))
+                    .collect();
+                histogram(
+                    &mut out,
+                    "obda_query_latency_seconds",
+                    "Serving-layer query latency (compile + execute).",
+                    &series,
+                );
+            }
+            Counter::PlanCacheInvalidated => gauge(
+                &mut out,
+                "obda_plan_cache_entries",
+                "Live plan-cache entries.",
+                cache.entries as u64,
+            ),
+            Counter::FragmentMemoMisses => gauge(
+                &mut out,
+                "obda_fragment_memo_entries",
+                "Reformulations the current TBox scope's memo holds.",
+                cache.fragment_memo_entries as u64,
+            ),
+            Counter::PerfectRefCanonicalised => histogram(
+                &mut out,
+                "obda_constraint_mining_seconds",
+                "Per-generation constraint mining (extents + inclusion checks).",
+                &[(String::new(), &reg.constraint_mining)],
+            ),
+            Counter::TxnCommitGroups => gauge(
+                &mut out,
+                "obda_txn_active",
+                "Currently open transactions.",
+                server.txn_stats().active as u64,
+            ),
+            _ => {}
+        }
     }
-    counter(
+    gauge(
         &mut out,
-        "obda_query_errors_total",
-        "Queries that returned an error.",
-        reg.query_errors_total(),
+        "obda_generation",
+        "Published snapshot generation.",
+        server.generation(),
     );
-    counter(
-        &mut out,
-        "obda_query_rows_total",
-        "Result rows returned.",
-        reg.rows_returned_total(),
-    );
-
-    // Latency histograms, per backend.
-    let _ = writeln!(
-        out,
-        "# HELP obda_query_latency_seconds Serving-layer query latency (compile + execute)."
-    );
-    let _ = writeln!(out, "# TYPE obda_query_latency_seconds histogram");
-    for (i, name) in BACKEND_NAMES.iter().enumerate() {
-        histogram(
-            &mut out,
-            "obda_query_latency_seconds",
-            &format!("backend=\"{name}\""),
-            &reg.latency[i],
-        );
-    }
-
-    // Stage time totals.
-    let _ = writeln!(
-        out,
-        "# HELP obda_stage_seconds_total Accumulated per-stage statement time."
-    );
-    let _ = writeln!(out, "# TYPE obda_stage_seconds_total counter");
-    for (i, stage) in STAGE_NAMES.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "obda_stage_seconds_total{{stage=\"{stage}\"}} {}",
-            reg.stage_micros_total(i) as f64 / 1e6
-        );
-    }
-
-    // Plan cache.
-    let cache = server.cache_stats();
-    counter(
-        &mut out,
-        "obda_plan_cache_hits_total",
-        "Plan-cache hits.",
-        cache.hits,
-    );
-    counter(
-        &mut out,
-        "obda_plan_cache_misses_total",
-        "Plan-cache misses (cold compilations).",
-        cache.misses,
-    );
-    counter(
-        &mut out,
-        "obda_plan_cache_invalidated_total",
-        "Stale plan-cache entries dropped by publishes.",
-        cache.invalidated,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP obda_plan_cache_entries Live plan-cache entries."
-    );
-    let _ = writeln!(out, "# TYPE obda_plan_cache_entries gauge");
-    let _ = writeln!(out, "obda_plan_cache_entries {}", cache.entries);
-
-    // The TBox scope's fragment memo: what recompiles after a write
-    // did not have to reformulate.
-    counter(
-        &mut out,
-        "obda_fragment_memo_hits_total",
-        "Fragment reformulations cold compilations took from the TBox scope's memo.",
-        cache.fragment_memo_hits,
-    );
-    counter(
-        &mut out,
-        "obda_fragment_memo_misses_total",
-        "Fragment reformulations cold compilations computed (PerfectRef runs).",
-        cache.fragment_memo_misses,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP obda_fragment_memo_entries Reformulations the current TBox scope's memo holds."
-    );
-    let _ = writeln!(out, "# TYPE obda_fragment_memo_entries gauge");
-    let _ = writeln!(
-        out,
-        "obda_fragment_memo_entries {}",
-        cache.fragment_memo_entries
-    );
-    // What those computed reformulations cost inside PerfectRef.
-    counter(
-        &mut out,
-        "obda_perfectref_candidates_total",
-        "Candidate CQs PerfectRef built for the fragment reformulations cold compilations computed.",
-        cache.perfectref_candidates,
-    );
-    counter(
-        &mut out,
-        "obda_perfectref_canonicalised_total",
-        "PerfectRef candidates canonically labelled (the rest repeated an earlier candidate exactly).",
-        cache.perfectref_canonicalised,
-    );
-
-    // Constraint mining, once per generation that compiled a query.
-    let _ = writeln!(
-        out,
-        "# HELP obda_constraint_mining_seconds Per-generation constraint mining (extents + inclusion checks)."
-    );
-    let _ = writeln!(out, "# TYPE obda_constraint_mining_seconds histogram");
-    histogram(
-        &mut out,
-        "obda_constraint_mining_seconds",
-        "",
-        &reg.constraint_mining,
-    );
-
-    // Constraint-driven reformulation pruning, by reason.
-    let (pruned_empty, pruned_subsumed) = reg.pruned_arms_total();
-    let _ = writeln!(
-        out,
-        "# HELP obda_pruned_arms_total Union arms dropped by constraint-driven pruning."
-    );
-    let _ = writeln!(out, "# TYPE obda_pruned_arms_total counter");
-    let _ = writeln!(
-        out,
-        "obda_pruned_arms_total{{reason=\"empty\"}} {pruned_empty}"
-    );
-    let _ = writeln!(
-        out,
-        "obda_pruned_arms_total{{reason=\"subsumed\"}} {pruned_subsumed}"
-    );
-
-    // Transactions.
-    let txn = server.txn_stats();
-    counter(
-        &mut out,
-        "obda_txn_commits_total",
-        "Transactions committed.",
-        txn.committed,
-    );
-    counter(
-        &mut out,
-        "obda_txn_conflicts_total",
-        "Commits refused by first-committer-wins validation.",
-        txn.conflicts,
-    );
-    counter(
-        &mut out,
-        "obda_txn_commit_groups_total",
-        "Group-commit WAL records (group size = commits / groups).",
-        txn.commit_groups,
-    );
-    let _ = writeln!(out, "# HELP obda_txn_active Currently open transactions.");
-    let _ = writeln!(out, "# TYPE obda_txn_active gauge");
-    let _ = writeln!(out, "obda_txn_active {}", txn.active);
-
-    // WAL and checkpoints.
-    counter(
-        &mut out,
-        "obda_wal_appends_total",
-        "WAL group records appended.",
-        reg.wal_appends_total(),
-    );
-    counter(
-        &mut out,
-        "obda_wal_fsyncs_total",
-        "WAL group records fsynced (sync_commits).",
-        reg.wal_fsyncs_total(),
-    );
-    counter(
-        &mut out,
-        "obda_wal_bytes_total",
-        "Bytes appended to the WAL.",
-        reg.wal_bytes_total(),
-    );
-    let _ = writeln!(
-        out,
-        "# HELP obda_commit_stage_seconds_total Accumulated commit time per stage (stage and wait per committer, the rest per group)."
-    );
-    let _ = writeln!(out, "# TYPE obda_commit_stage_seconds_total counter");
-    for (i, stage) in COMMIT_STAGE_NAMES.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "obda_commit_stage_seconds_total{{stage=\"{stage}\"}} {}",
-            reg.commit_stage_micros_total(i) as f64 / 1e6
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP obda_commit_seconds_total Accumulated commit call time, stage to acknowledgement."
-    );
-    let _ = writeln!(out, "# TYPE obda_commit_seconds_total counter");
-    let _ = writeln!(
-        out,
-        "obda_commit_seconds_total {}",
-        reg.commit_micros_total() as f64 / 1e6
-    );
-    let (overlays, overlay_micros) = reg.txn_overlay_totals();
-    counter(
-        &mut out,
-        "obda_txn_overlays_total",
-        "Overlay snapshots built for reads inside dirty transactions.",
-        overlays,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP obda_txn_overlay_seconds_total Accumulated overlay build time."
-    );
-    let _ = writeln!(out, "# TYPE obda_txn_overlay_seconds_total counter");
-    let _ = writeln!(
-        out,
-        "obda_txn_overlay_seconds_total {}",
-        overlay_micros as f64 / 1e6
-    );
-    counter(
-        &mut out,
-        "obda_checkpoints_total",
-        "Fuzzy checkpoints taken.",
-        reg.checkpoints_total(),
-    );
-    let _ = writeln!(
-        out,
-        "# HELP obda_checkpoint_seconds_total Accumulated checkpoint time."
-    );
-    let _ = writeln!(out, "# TYPE obda_checkpoint_seconds_total counter");
-    let _ = writeln!(
-        out,
-        "obda_checkpoint_seconds_total {}",
-        reg.checkpoint_micros_total() as f64 / 1e6
-    );
-
-    // Connections and contained panics.
-    counter(
-        &mut out,
-        "obda_connections_admitted_total",
-        "Wire connections admitted.",
-        reg.connections_admitted_total(),
-    );
-    counter(
-        &mut out,
-        "obda_connections_rejected_total",
-        "Wire connections refused at the session limit (53300).",
-        reg.connections_rejected_total(),
-    );
-    counter(
-        &mut out,
-        "obda_panics_recovered_total",
-        "Statement panics contained per-session (XX000).",
-        reg.panics_recovered_total(),
-    );
-
-    // Cost-model accuracy.
-    let (predicted, measured) = reg.cost_totals();
-    let _ = writeln!(
-        out,
-        "# HELP obda_cost_predicted_units_total Accumulated predicted plan cost (work units)."
-    );
-    let _ = writeln!(out, "# TYPE obda_cost_predicted_units_total counter");
-    let _ = writeln!(out, "obda_cost_predicted_units_total {predicted}");
-    let _ = writeln!(
-        out,
-        "# HELP obda_cost_measured_units_total Accumulated measured executor work (work units)."
-    );
-    let _ = writeln!(out, "# TYPE obda_cost_measured_units_total counter");
-    let _ = writeln!(out, "obda_cost_measured_units_total {measured}");
-
-    // Server identity.
-    let _ = writeln!(out, "# HELP obda_generation Published snapshot generation.");
-    let _ = writeln!(out, "# TYPE obda_generation gauge");
-    let _ = writeln!(out, "obda_generation {}", server.generation());
     out
+}
+
+/// `SHOW metrics` as `(metric, value)` rows: every [`CATALOGUE`]
+/// counter (µs where Prometheus has seconds), latency and mining
+/// quantiles, the serving layer's gauges, the cost-model accuracy ratio,
+/// and `generation` — the snapshot the session reads.
+pub fn show_metrics(server: &Server, generation: u64) -> Vec<(String, String)> {
+    let reg = server.observe();
+    let cache = server.cache_stats();
+    let mut rows: Vec<(String, String)> = Vec::new();
+    // Each backend's query count is followed by its latency quantiles.
+    let latency_quantiles = |backend: usize| {
+        [50, 99].map(|p| {
+            let us = reg.latency[backend].quantile(p as f64).as_micros();
+            let name = format!("query_latency_p{p}_us.{}", BACKEND_NAMES[backend]);
+            (name, us.to_string())
+        })
+    };
+    // The stage totals and pruned arms joined `SHOW metrics` after its
+    // row order was fixed, so their rows come last.
+    let mut late = Vec::new();
+    for family in &CATALOGUE {
+        let appended = matches!(family.counter, Counter::StageMicros | Counter::PrunedArms);
+        for i in 0..family.samples() {
+            let row = (
+                family.show_name(i),
+                family.unit.show(reg.get(family.counter.at(i))),
+            );
+            if appended {
+                late.push(row);
+            } else {
+                rows.push(row);
+            }
+            if family.counter == Counter::Queries {
+                rows.extend(latency_quantiles(i));
+            }
+        }
+        // The rest of the surface, each after the row it follows.
+        match family.counter {
+            Counter::PlanCacheMisses => {
+                rows.push(("plan_cache_entries".into(), cache.entries.to_string()))
+            }
+            Counter::FragmentMemoMisses => rows.push((
+                "fragment_memo_entries".into(),
+                cache.fragment_memo_entries.to_string(),
+            )),
+            Counter::PerfectRefCanonicalised => {
+                let mining = &reg.constraint_mining;
+                rows.push(("constraint_mining_runs".into(), mining.count().to_string()));
+                for p in [50, 99] {
+                    let us = mining.quantile(p as f64).as_micros();
+                    rows.push((format!("constraint_mining_p{p}_us"), us.to_string()));
+                }
+            }
+            Counter::TxnCommitGroups => {
+                rows.push(("txn_active".into(), server.txn_stats().active.to_string()))
+            }
+            Counter::CostMeasured => {
+                let units = |c: Counter| reg.get(c) as f64 / 1000.0;
+                let (predicted, measured) =
+                    (units(Counter::CostPredicted), units(Counter::CostMeasured));
+                if predicted > 0.0 {
+                    rows.push((
+                        "cost_accuracy_ratio".into(),
+                        format!("{:.3}", measured / predicted),
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+    rows.push(("generation".into(), generation.to_string()));
+    rows.extend(late);
+    rows
 }
 
 /// A running `GET /metrics` endpoint over a plain `TcpListener`.
@@ -1047,7 +997,7 @@ fn metrics_loop(listener: TcpListener, server: Arc<Server>, stop: Arc<AtomicBool
                 // however malformed, can take the endpoint down.
                 let result = catch_unwind(AssertUnwindSafe(|| handle_scrape(stream, &server)));
                 if result.is_err() {
-                    server.observe().record_panic_recovered();
+                    server.observe().add(Counter::PanicsRecovered, 1);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1205,25 +1155,61 @@ mod tests {
         reg.record_query(Backend::Native, Duration::from_millis(5), 3);
         reg.record_trace(trace(1, 50));
         reg.record_wal_append(100, true);
-        reg.record_commit_stage(CommitStage::Wait, Duration::from_millis(5));
-        reg.record_commit(Duration::from_millis(5));
-        reg.record_txn_overlay(Duration::from_millis(5));
-        reg.record_admission();
-        assert_eq!(reg.queries_total(Backend::Native), 0);
-        assert_eq!(reg.commit_micros_total(), 0);
-        assert_eq!(reg.txn_overlay_totals(), (0, 0));
+        let wait = Counter::CommitStageMicros.at(CommitStage::Wait as usize);
+        reg.add(wait, 5_000);
+        reg.add(Counter::CommitMicros, 5_000);
+        reg.add(Counter::TxnOverlays, 1);
+        reg.add(Counter::TxnOverlayMicros, 5_000);
+        reg.add(Counter::ConnectionsAdmitted, 1);
+        let native = Counter::Queries.at(backend_index(Backend::Native));
+        assert_eq!(reg.get(native), 0);
+        assert_eq!(reg.get(Counter::CommitMicros), 0);
+        assert_eq!(
+            (
+                reg.get(Counter::TxnOverlays),
+                reg.get(Counter::TxnOverlayMicros)
+            ),
+            (0, 0)
+        );
         assert_eq!(reg.latency(Backend::Native).count(), 0);
         assert!(reg.slow_queries().is_empty());
-        assert_eq!(reg.wal_appends_total(), 0);
-        assert_eq!(reg.connections_admitted_total(), 0);
+        assert_eq!(reg.get(Counter::WalAppends), 0);
+        assert_eq!(reg.get(Counter::ConnectionsAdmitted), 0);
         reg.set_enabled(true);
         reg.record_query(Backend::Sql, Duration::from_millis(5), 3);
-        assert_eq!(reg.queries_total(Backend::Sql), 1);
+        assert_eq!(reg.get(Counter::Queries.at(backend_index(Backend::Sql))), 1);
         // A commit stage lands under its own name.
-        reg.record_commit_stage(CommitStage::Wait, Duration::from_millis(5));
+        reg.add(wait, 5_000);
         for (i, stage) in COMMIT_STAGE_NAMES.iter().enumerate() {
             let want = if *stage == "wait" { 5_000 } else { 0 };
-            assert_eq!(reg.commit_stage_micros_total(i), want, "{stage}");
+            assert_eq!(reg.get(Counter::CommitStageMicros.at(i)), want, "{stage}");
+        }
+    }
+
+    /// Every family has its own slots: a sample written through one
+    /// family and label reads back there and nowhere else.
+    #[test]
+    fn catalogue_slots_are_disjoint() {
+        let reg = MetricsRegistry::new();
+        let mut written = 0;
+        for family in &CATALOGUE {
+            for i in 0..family.samples() {
+                written += 1;
+                reg.add(family.counter.at(i), written);
+            }
+        }
+        assert_eq!(written as usize, SLOTS);
+        let mut expect = 0;
+        for family in &CATALOGUE {
+            for i in 0..family.samples() {
+                expect += 1;
+                assert_eq!(
+                    reg.get(family.counter.at(i)),
+                    expect,
+                    "{}[{i}]",
+                    family.show
+                );
+            }
         }
     }
 

@@ -29,6 +29,7 @@ use std::time::Duration;
 use super::framing::{read_startup, OutBuf, GSSENC_REQUEST, SSL_REQUEST};
 use super::messages as msg;
 use super::session::{run_session, SessionConfig, SessionEnd};
+use crate::observe::Counter;
 use crate::server::Server;
 use crate::sqlexec::Backend;
 
@@ -181,14 +182,14 @@ fn accept_loop(
         let prev = active.fetch_add(1, Ordering::SeqCst);
         if prev >= config.max_connections {
             active.fetch_sub(1, Ordering::SeqCst);
-            server.observe().record_rejection();
+            server.observe().add(Counter::ConnectionsRejected, 1);
             let stop2 = stop.clone();
             let _ = std::thread::Builder::new()
                 .name("pgwire-reject".into())
                 .spawn(move || reject_saturated(stream, &stop2));
             continue;
         }
-        server.observe().record_admission();
+        server.observe().add(Counter::ConnectionsAdmitted, 1);
 
         let server2 = server.clone();
         let stop2 = stop.clone();
@@ -212,7 +213,7 @@ fn accept_loop(
                 let _slot = Slot(active2);
                 let end = run_session(&server2, stream, &stop2, &cfg);
                 if end == SessionEnd::Panicked {
-                    server2.observe().record_panic_recovered();
+                    server2.observe().add(Counter::PanicsRecovered, 1);
                 }
                 end
             });

@@ -121,21 +121,6 @@ pub fn error_response(out: &mut OutBuf, sqlstate: &str, message: &str) {
         .end();
 }
 
-/// `NoticeResponse` — same field layout as an error, severity `NOTICE`.
-pub fn notice_response(out: &mut OutBuf, message: &str) {
-    out.begin(b'N')
-        .u8(b'S')
-        .cstr("NOTICE")
-        .u8(b'V')
-        .cstr("NOTICE")
-        .u8(b'C')
-        .cstr("00000")
-        .u8(b'M')
-        .cstr(message)
-        .u8(0)
-        .end();
-}
-
 pub fn parse_complete(out: &mut OutBuf) {
     out.begin(b'1').end();
 }

@@ -43,7 +43,7 @@ use super::query::{
     parse_statement, split_statements, FactAtom, ParseWireError, ShowTopic, WireStatement,
 };
 use crate::engine::EngineError;
-use crate::observe::{truncate_query, QueryTrace, StageSpans, COMMIT_STAGE_NAMES};
+use crate::observe::{show_metrics, truncate_query, QueryTrace, StageSpans};
 use crate::server::{AnalyzedQuery, EngineSnapshot, Server, ServerError};
 use crate::sqlexec::Backend;
 use crate::txn::Txn;
@@ -897,117 +897,15 @@ impl Session<'_> {
         Rendered::table(vec![name.to_string()], "SELECT", [[value.as_str()]])
     }
 
-    /// `SHOW metrics`: the whole registry (plus the serving layer's
-    /// cache/txn counters) as `metric | value` rows — the wire-level
-    /// twin of the Prometheus endpoint.
+    /// `SHOW metrics`: [`crate::observe::show_metrics`] as `metric |
+    /// value` rows — the wire-level twin of the Prometheus endpoint.
     fn run_show_metrics(&self, snap: &EngineSnapshot) -> Rendered {
-        let observe = self.server.observe();
-        let cache = self.server.cache_stats();
-        let txn = self.server.txn_stats();
-        let (predicted, measured) = observe.cost_totals();
-        let mut rows: Vec<[String; 2]> = Vec::new();
-        let mut push = |name: &str, value: String| rows.push([name.to_string(), value]);
-        for backend in [Backend::Native, Backend::Sql] {
-            push(
-                &format!("queries_total.{}", backend.name()),
-                observe.queries_total(backend).to_string(),
-            );
-            let hist = observe.latency(backend);
-            push(
-                &format!("query_latency_p50_us.{}", backend.name()),
-                hist.quantile(50.0).as_micros().to_string(),
-            );
-            push(
-                &format!("query_latency_p99_us.{}", backend.name()),
-                hist.quantile(99.0).as_micros().to_string(),
-            );
-        }
-        push(
-            "query_errors_total",
-            observe.query_errors_total().to_string(),
-        );
-        push(
-            "query_rows_total",
-            observe.rows_returned_total().to_string(),
-        );
-        push("plan_cache_hits", cache.hits.to_string());
-        push("plan_cache_misses", cache.misses.to_string());
-        push("plan_cache_entries", cache.entries.to_string());
-        push("plan_cache_invalidated", cache.invalidated.to_string());
-        push("fragment_memo_hits", cache.fragment_memo_hits.to_string());
-        push(
-            "fragment_memo_misses",
-            cache.fragment_memo_misses.to_string(),
-        );
-        push(
-            "fragment_memo_entries",
-            cache.fragment_memo_entries.to_string(),
-        );
-        push(
-            "perfectref_candidates",
-            cache.perfectref_candidates.to_string(),
-        );
-        push(
-            "perfectref_canonicalised",
-            cache.perfectref_canonicalised.to_string(),
-        );
-        let mining = observe.constraint_mining();
-        push("constraint_mining_runs", mining.count().to_string());
-        push(
-            "constraint_mining_p50_us",
-            mining.quantile(50.0).as_micros().to_string(),
-        );
-        push(
-            "constraint_mining_p99_us",
-            mining.quantile(99.0).as_micros().to_string(),
-        );
-        push("txn_commits", txn.committed.to_string());
-        push("txn_conflicts", txn.conflicts.to_string());
-        push("txn_commit_groups", txn.commit_groups.to_string());
-        push("txn_active", txn.active.to_string());
-        push("wal_appends", observe.wal_appends_total().to_string());
-        push("wal_fsyncs", observe.wal_fsyncs_total().to_string());
-        push("wal_bytes", observe.wal_bytes_total().to_string());
-        for (i, stage) in COMMIT_STAGE_NAMES.iter().enumerate() {
-            push(
-                &format!("commit_us.{stage}"),
-                observe.commit_stage_micros_total(i).to_string(),
-            );
-        }
-        push("commit_us.total", observe.commit_micros_total().to_string());
-        let (overlays, overlay_micros) = observe.txn_overlay_totals();
-        push("txn_overlays", overlays.to_string());
-        push("txn_overlay_us", overlay_micros.to_string());
-        push("checkpoints", observe.checkpoints_total().to_string());
-        push(
-            "checkpoint_micros",
-            observe.checkpoint_micros_total().to_string(),
-        );
-        push(
-            "connections_admitted",
-            observe.connections_admitted_total().to_string(),
-        );
-        push(
-            "connections_rejected",
-            observe.connections_rejected_total().to_string(),
-        );
-        push(
-            "panics_recovered",
-            observe.panics_recovered_total().to_string(),
-        );
-        push("cost_predicted_units", format!("{predicted:.1}"));
-        push("cost_measured_units", format!("{measured:.1}"));
-        if predicted > 0.0 {
-            push(
-                "cost_accuracy_ratio",
-                format!("{:.3}", measured / predicted),
-            );
-        }
-        push("generation", snap.generation().to_string());
+        let rows = show_metrics(self.server, snap.generation());
         Rendered::table(
             vec!["metric".into(), "value".into()],
             "SELECT",
-            rows.iter().map(|r| r.iter().map(String::as_str)),
+            rows.iter()
+                .map(|(name, value)| [name.as_str(), value.as_str()]),
         )
     }
 }

@@ -88,7 +88,7 @@ use crate::estimators::ExplainEstimator;
 use crate::executor::PreparedPlans;
 use crate::fxhash::FxHashMap;
 use crate::layout::LayoutKind;
-use crate::observe::{CommitStage, MetricsRegistry, StageSpans};
+use crate::observe::{micros, CommitStage, Counter, MetricsRegistry, PruneReason, StageSpans};
 use crate::planner::{ExecMode, JoinStrategy};
 use crate::profile::EngineProfile;
 use crate::sqlexec::Backend;
@@ -399,7 +399,9 @@ pub struct AnalyzedQuery {
     pub fragments: FragmentStats,
 }
 
-/// Point-in-time cache counters.
+/// Point-in-time cache counters. All but the two `entries` gauges are
+/// views over the server's [`MetricsRegistry`], so they stop counting
+/// while it is disabled ([`MetricsRegistry::set_enabled`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -424,7 +426,8 @@ pub struct CacheStats {
     pub perfectref_canonicalised: u64,
 }
 
-/// Point-in-time transaction counters.
+/// Point-in-time transaction counters; like [`CacheStats`], all but
+/// `active` are views over the server's [`MetricsRegistry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
     /// Transactions (including one-shot `apply_batch` calls) committed.
@@ -554,22 +557,13 @@ pub struct Server {
     /// Open transactions: id → begin generation. The minimum begin
     /// generation bounds how far the conflict registry may be pruned.
     active_txns: Mutex<HashMap<u64, u64>>,
+    /// Allocates transaction ids (not a metric).
     txn_counter: AtomicU64,
-    txn_commits: AtomicU64,
-    txn_conflicts: AtomicU64,
-    commit_groups: AtomicU64,
     /// Keyed by (generation, backend, canonical query): a session served
     /// under [`Backend::Sql`] needs the SQL text a native compilation
     /// does not carry (and vice versa for stored plans), so the two
     /// backends cache independent entries for the same query.
     cache: RwLock<PlanCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidated: AtomicU64,
-    fragment_memo_hits: AtomicU64,
-    fragment_memo_misses: AtomicU64,
-    perfectref_candidates: AtomicU64,
-    perfectref_canonicalised: AtomicU64,
     /// The server-wide metrics registry every layer reports through;
     /// `Arc` so the metrics endpoint and wire sessions can share it.
     observe: Arc<MetricsRegistry>,
@@ -660,17 +654,7 @@ impl Server {
             ckpt: Mutex::new(()),
             active_txns: Mutex::new(HashMap::new()),
             txn_counter: AtomicU64::new(0),
-            txn_commits: AtomicU64::new(0),
-            txn_conflicts: AtomicU64::new(0),
-            commit_groups: AtomicU64::new(0),
             cache: RwLock::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
-            fragment_memo_hits: AtomicU64::new(0),
-            fragment_memo_misses: AtomicU64::new(0),
-            perfectref_candidates: AtomicU64::new(0),
-            perfectref_canonicalised: AtomicU64::new(0),
             observe: Arc::new(MetricsRegistry::new()),
         }
     }
@@ -812,7 +796,7 @@ impl Server {
         let outcome = match snap.engine.evaluate_opts(&compiled.fol, &opts) {
             Ok(outcome) => outcome,
             Err(e) => {
-                self.observe.record_query_error();
+                self.observe.add(Counter::QueryErrors, 1);
                 return Err(e);
             }
         };
@@ -876,14 +860,14 @@ impl Server {
         }
         let key = (snap.generation, backend, canonical_key(cq));
         if let Some(hit) = self.read_cache().get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.observe.add(Counter::PlanCacheHits, 1);
             return (hit, true);
         }
         // Compile outside the lock: reformulation dominates (§6.4), and
         // concurrent misses on the same key are idempotent (last insert
         // wins; both compute the same deterministic compilation).
         let compiled = Arc::new(self.compile_cold(snap, cq, backend));
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.observe.add(Counter::PlanCacheMisses, 1);
         {
             let mut cache = self.write_cache();
             // A reload may have published a newer generation (and purged
@@ -931,21 +915,22 @@ impl Server {
             constraints.as_deref(),
             memo,
         );
+        let reg = &self.observe;
         if let Some(stats) = &chosen.pruned {
-            self.observe
-                .record_pruned_arms(stats.empty_pruned, stats.subsumed_pruned);
+            let arms = |reason: PruneReason| Counter::PrunedArms.at(reason as usize);
+            reg.add(arms(PruneReason::Empty), stats.empty_pruned as u64);
+            reg.add(arms(PruneReason::Subsumed), stats.subsumed_pruned as u64);
         }
-        self.fragment_memo_hits
-            .fetch_add(chosen.fragments.memoised as u64, Ordering::Relaxed);
-        self.fragment_memo_misses
-            .fetch_add(chosen.fragments.computed as u64, Ordering::Relaxed);
-        self.perfectref_candidates.fetch_add(
-            chosen.fragments.perfectref_candidates as u64,
-            Ordering::Relaxed,
+        let fragments = &chosen.fragments;
+        reg.add(Counter::FragmentMemoHits, fragments.memoised as u64);
+        reg.add(Counter::FragmentMemoMisses, fragments.computed as u64);
+        reg.add(
+            Counter::PerfectRefCandidates,
+            fragments.perfectref_candidates as u64,
         );
-        self.perfectref_canonicalised.fetch_add(
-            chosen.fragments.perfectref_canonicalised as u64,
-            Ordering::Relaxed,
+        reg.add(
+            Counter::PerfectRefCanonicalised,
+            fragments.perfectref_canonicalised as u64,
         );
         spans.reformulate = stage_started.elapsed();
         let stage_started = Instant::now();
@@ -1122,7 +1107,7 @@ impl Server {
             .filter(|&g| g > begin_generation)
             .max();
         if let Some(committed_in) = conflicting {
-            self.txn_conflicts.fetch_add(1, Ordering::Relaxed);
+            self.observe.add(Counter::TxnConflicts, 1);
             return Err(ServerError::Conflict { committed_in });
         }
         for (name, id) in fresh {
@@ -1144,19 +1129,18 @@ impl Server {
         slot: &CommitSlot,
         started: Instant,
     ) -> Result<u64, ServerError> {
-        let staged = started.elapsed();
-        self.observe.record_commit_stage(CommitStage::Stage, staged);
+        let staged = self.commit_stage_done(CommitStage::Stage, started);
         let leader = self.lock_leader();
-        self.observe
-            .record_commit_stage(CommitStage::Wait, started.elapsed() - staged);
+        self.commit_stage_done(CommitStage::Wait, staged);
         if slot.poll().is_none() {
             self.run_leader()?;
         }
         drop(leader);
-        self.observe.record_commit(started.elapsed());
+        self.observe
+            .add(Counter::CommitMicros, micros(started.elapsed()));
         match slot.poll() {
             Some(Ok(generation)) => {
-                self.txn_commits.fetch_add(1, Ordering::Relaxed);
+                self.observe.add(Counter::TxnCommits, 1);
                 self.maybe_auto_checkpoint();
                 Ok(generation)
             }
@@ -1199,7 +1183,7 @@ impl Server {
                 return Ok(());
             }
         };
-        self.commit_groups.fetch_add(1, Ordering::Relaxed);
+        self.observe.add(Counter::TxnCommitGroups, 1);
         if wal_bytes > 0 {
             self.observe
                 .record_wal_append(wal_bytes, self.config.sync_commits);
@@ -1281,7 +1265,10 @@ impl Server {
     /// the next stage.
     fn commit_stage_done(&self, stage: CommitStage, started: Instant) -> Instant {
         let now = Instant::now();
-        self.observe.record_commit_stage(stage, now - started);
+        self.observe.add(
+            Counter::CommitStageMicros.at(stage as usize),
+            micros(now - started),
+        );
         now
     }
 
@@ -1389,7 +1376,9 @@ impl Server {
                 .install_checkpoint(generation)
                 .map_err(ServerError::Store)?;
         }
-        self.observe.record_checkpoint(ckpt_started.elapsed());
+        self.observe.add(Counter::Checkpoints, 1);
+        self.observe
+            .add(Counter::CheckpointMicros, micros(ckpt_started.elapsed()));
         Ok(())
     }
 
@@ -1423,7 +1412,7 @@ impl Server {
         let outcome = match snap.engine.evaluate_opts(&compiled.fol, &opts) {
             Ok(outcome) => outcome,
             Err(e) => {
-                self.observe.record_query_error();
+                self.observe.add(Counter::QueryErrors, 1);
                 return Err(e);
             }
         };
@@ -1460,7 +1449,7 @@ impl Server {
         let outcome = match snap.engine.evaluate_opts(&compiled.fol, &opts) {
             Ok(outcome) => outcome,
             Err(e) => {
-                self.observe.record_query_error();
+                self.observe.add(Counter::QueryErrors, 1);
                 return Err(e);
             }
         };
@@ -1566,8 +1555,8 @@ impl Server {
         let mut cache = self.write_cache();
         let before = cache.len();
         cache.retain(|(gen, _, _), _| *gen >= generation);
-        self.invalidated
-            .fetch_add((before - cache.len()) as u64, Ordering::Relaxed);
+        self.observe
+            .add(Counter::PlanCacheInvalidated, (before - cache.len()) as u64);
     }
 
     /// The currently published snapshot generation.
@@ -1584,9 +1573,9 @@ impl Server {
     /// Point-in-time transaction counters.
     pub fn txn_stats(&self) -> TxnStats {
         TxnStats {
-            committed: self.txn_commits.load(Ordering::Relaxed),
-            conflicts: self.txn_conflicts.load(Ordering::Relaxed),
-            commit_groups: self.commit_groups.load(Ordering::Relaxed),
+            committed: self.observe.get(Counter::TxnCommits),
+            conflicts: self.observe.get(Counter::TxnConflicts),
+            commit_groups: self.observe.get(Counter::TxnCommitGroups),
             active: self.lock_active().len(),
         }
     }
@@ -1609,16 +1598,17 @@ impl Server {
     }
 
     pub fn cache_stats(&self) -> CacheStats {
+        let reg = &self.observe;
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: reg.get(Counter::PlanCacheHits),
+            misses: reg.get(Counter::PlanCacheMisses),
             entries: self.read_cache().len(),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-            fragment_memo_hits: self.fragment_memo_hits.load(Ordering::Relaxed),
-            fragment_memo_misses: self.fragment_memo_misses.load(Ordering::Relaxed),
+            invalidated: reg.get(Counter::PlanCacheInvalidated),
+            fragment_memo_hits: reg.get(Counter::FragmentMemoHits),
+            fragment_memo_misses: reg.get(Counter::FragmentMemoMisses),
             fragment_memo_entries: self.read_snapshot().scope.fragments.len(),
-            perfectref_candidates: self.perfectref_candidates.load(Ordering::Relaxed),
-            perfectref_canonicalised: self.perfectref_canonicalised.load(Ordering::Relaxed),
+            perfectref_candidates: reg.get(Counter::PerfectRefCandidates),
+            perfectref_canonicalised: reg.get(Counter::PerfectRefCanonicalised),
         }
     }
 

@@ -38,6 +38,7 @@ use obda_dllite::{AboxDelta, ConceptId, IndividualId, RoleId, WorkingSet};
 use obda_query::CQ;
 
 use crate::engine::EngineError;
+use crate::observe::{micros, Counter};
 use crate::server::{EngineSnapshot, Server, ServerError, ServerOutcome};
 use crate::sqlexec::Backend;
 
@@ -162,13 +163,6 @@ impl<'s> Txn<'s> {
             .unwrap_or_else(|| self.snapshot.engine().probe_concept(c, a))
     }
 
-    /// Read-your-own-writes visibility of `R(a, b)`.
-    pub fn contains_role(&self, r: RoleId, a: IndividualId, b: IndividualId) -> bool {
-        self.ws
-            .role_write((r, a, b))
-            .unwrap_or_else(|| self.snapshot.engine().probe_role(r, a, b))
-    }
-
     /// Answer a conjunctive query inside the transaction: against the
     /// pinned snapshot overlaid with the working set, under the server's
     /// configured backend.
@@ -256,7 +250,9 @@ impl<'s> Txn<'s> {
             constraints: std::sync::OnceLock::new(),
         });
         self.overlay = Some((self.ws.version(), Arc::clone(&snap)));
-        self.server.observe().record_txn_overlay(started.elapsed());
+        let reg = self.server.observe();
+        reg.add(Counter::TxnOverlays, 1);
+        reg.add(Counter::TxnOverlayMicros, micros(started.elapsed()));
         snap
     }
 

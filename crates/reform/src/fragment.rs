@@ -55,14 +55,6 @@ impl FragmentSpec {
             .flat_map(|&i| q.atoms()[i].vars().collect::<Vec<_>>())
             .collect()
     }
-
-    /// Variables of the `f`-atoms (whole body).
-    pub fn f_vars(&self, q: &CQ) -> BTreeSet<VarId> {
-        self.f
-            .iter()
-            .flat_map(|&i| q.atoms()[i].vars().collect::<Vec<_>>())
-            .collect()
-    }
 }
 
 /// Compute the fragment query `q|f‖g` (Def. 7; Def. 2 when `f == g`).

@@ -8,6 +8,7 @@
 use obda::core::root_cover;
 use obda::dllite::Dependencies;
 use obda::prelude::*;
+use obda::rdbms::observe::{backend_index, Counter};
 use obda::rdbms::testkit::{assert_arm_metrics_sum, assert_same_execution};
 use obda::rdbms::EvalOptions;
 
@@ -298,20 +299,22 @@ fn metrics_registry_counts_exactly_under_contention() {
                     };
                     reg.record_query(backend, Duration::from_micros(i % 500), 3);
                     reg.record_wal_append(10, false);
-                    reg.record_admission();
+                    reg.add(Counter::ConnectionsAdmitted, 1);
                 }
             });
         }
     });
     let total = threads as u64 * per_thread;
+    let queries =
+        |reg: &MetricsRegistry, b: Backend| reg.get(Counter::Queries.at(backend_index(b)));
     assert_eq!(
-        reg.queries_total(Backend::Native) + reg.queries_total(Backend::Sql),
+        queries(&reg, Backend::Native) + queries(&reg, Backend::Sql),
         total
     );
-    assert_eq!(reg.rows_returned_total(), total * 3);
-    assert_eq!(reg.wal_appends_total(), total);
-    assert_eq!(reg.wal_bytes_total(), total * 10);
-    assert_eq!(reg.connections_admitted_total(), total);
+    assert_eq!(reg.get(Counter::QueryRows), total * 3);
+    assert_eq!(reg.get(Counter::WalAppends), total);
+    assert_eq!(reg.get(Counter::WalBytes), total * 10);
+    assert_eq!(reg.get(Counter::ConnectionsAdmitted), total);
     // The histograms saw every observation exactly once.
     assert_eq!(
         reg.latency(Backend::Native).count() + reg.latency(Backend::Sql).count(),
@@ -331,7 +334,7 @@ fn metrics_registry_counts_exactly_under_contention() {
     for (_, cq) in &fx.queries {
         primed_rows += srv.query(cq).unwrap().outcome.rows.len() as u64;
     }
-    let primed = srv.observe().queries_total(Backend::Native);
+    let primed = queries(srv.observe(), Backend::Native);
     assert_eq!(
         primed,
         fx.queries.len() as u64,
@@ -362,7 +365,7 @@ fn metrics_registry_counts_exactly_under_contention() {
     let replayed = (clients * rounds * fx.queries.len()) as u64;
     let observe = srv.observe();
     assert_eq!(
-        observe.queries_total(Backend::Native),
+        queries(observe, Backend::Native),
         primed + replayed,
         "served-query counter must match the exact number of calls"
     );
@@ -372,7 +375,7 @@ fn metrics_registry_counts_exactly_under_contention() {
         "latency histogram must see every served query"
     );
     assert_eq!(
-        observe.rows_returned_total(),
+        observe.get(Counter::QueryRows),
         primed_rows + rows_served.load(std::sync::atomic::Ordering::Relaxed),
         "row counter must equal the rows actually returned"
     );

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use obda::prelude::*;
+use obda::rdbms::observe::Counter;
 use obda::rdbms::pgwire::{ClientError, PgConfig, PgListener, WireClient};
 
 /// Q1's wire-language rendering (the six-atom star; see
@@ -481,7 +482,7 @@ fn only_in_transaction_reads_build_an_overlay() {
     let mut fx = fixture(PgConfig::default());
     let addr = fx.listener.local_addr();
     let (concept, known, _) = sample_names(&fx);
-    let overlays = || fx.server.observe().txn_overlay_totals().0;
+    let overlays = || fx.server.observe().get(Counter::TxnOverlays);
     let mut client = WireClient::connect(&addr, &[]).expect("startup");
 
     client
@@ -1040,4 +1041,239 @@ fn explain_analyze_covers_all_layouts_and_backends() {
         }
         listener.shutdown();
     }
+}
+
+// ---------------------------------------------------------------------------
+// The metric surface: SHOW metrics and /metrics render one catalogue.
+// ---------------------------------------------------------------------------
+
+/// A durable server that has served a scripted workload touching every
+/// counter family: reads on both backends, a constrained cold compile
+/// that prunes a union arm (`Apprentice ⊑ Builder` with no apprentice),
+/// an autocommit `INSERT`, a `BEGIN`/`INSERT`/`COMMIT` block and a
+/// checkpoint. Returns the server, its listener, a `/metrics` endpoint
+/// and the store directory (removed by the caller).
+fn scripted_metrics_server(
+    tag: &str,
+) -> (
+    Arc<Server>,
+    PgListener,
+    obda::rdbms::MetricsEndpoint,
+    std::path::PathBuf,
+) {
+    let dir = std::env::temp_dir().join(format!("obda-pgwire-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kb =
+        KnowledgeBase::parse("Apprentice <= Builder\nBuilder <= Person\nBuilder(b0)\nPerson(p0)")
+            .unwrap();
+    let server = Arc::new(
+        Server::create_durable(
+            &dir,
+            kb.voc().clone(),
+            kb.tbox().clone(),
+            kb.abox(),
+            ServerConfig {
+                reform_strategy: Strategy::Ucq,
+                sync_commits: true,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("durable server"),
+    );
+    let listener =
+        PgListener::bind("127.0.0.1:0", server.clone(), PgConfig::default()).expect("bind");
+    let endpoint =
+        obda::rdbms::MetricsEndpoint::bind("127.0.0.1:0", server.clone()).expect("bind /metrics");
+    let addr = listener.local_addr();
+    for backend in ["native", "sql"] {
+        let mut client = WireClient::connect(&addr, &[("backend", backend)]).expect("startup");
+        for _ in 0..2 {
+            let r = client
+                .simple_query("SELECT ?x WHERE Person(?x)")
+                .expect("read");
+            assert_eq!(r[0].rows.len(), 2, "{backend}");
+        }
+        client.terminate();
+    }
+    let mut client = WireClient::connect(&addr, &[]).expect("startup");
+    client
+        .simple_query("INSERT Person(p1)")
+        .expect("autocommit INSERT");
+    client
+        .simple_query("BEGIN; INSERT Builder(b1); COMMIT")
+        .expect("transaction block");
+    client
+        .simple_query("SELECT ?x WHERE Person(?x)")
+        .expect("read after the writes");
+    client.terminate();
+    server.checkpoint().expect("checkpoint");
+    (server, listener, endpoint, dir)
+}
+
+/// One `GET /metrics` body.
+fn scrape_metrics(addr: std::net::SocketAddr) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut s = std::net::TcpStream::connect(addr).expect("connect /metrics");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    s.read_to_string(&mut response).expect("scrape");
+    let (head, body) = response.split_once("\r\n\r\n").expect("HTTP response");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    body.to_string()
+}
+
+/// `SHOW metrics` rows, in order.
+fn show_metrics_rows(addr: &std::net::SocketAddr) -> Vec<(String, String)> {
+    let mut client = WireClient::connect(addr, &[]).expect("startup");
+    let r = client.simple_query("SHOW metrics").expect("SHOW metrics");
+    client.terminate();
+    r[0].rows
+        .iter()
+        .map(|row| (row[0].clone(), row[1].clone()))
+        .collect()
+}
+
+/// The `SHOW metrics` row a Prometheus counter sample is the twin of,
+/// and whether the pair is µs (`SHOW`) against seconds (`/metrics`).
+/// The regular rule drops `obda_` and `_total`, turns `_seconds` into
+/// `_us` and a label value into a `.value` suffix; six families keep
+/// older `SHOW` names.
+fn show_twin(family: &str, label: Option<&str>) -> (String, bool) {
+    let base = family.trim_start_matches("obda_");
+    let base = base.strip_suffix("_total").unwrap_or(base);
+    let (base, seconds) = match base.strip_suffix("_seconds") {
+        Some(b) => (b, true),
+        None => (base, false),
+    };
+    let name = match base {
+        "queries" | "query_errors" | "query_rows" => format!("{base}_total"),
+        "commit_stage" => "commit_us".into(),
+        "commit" => "commit_us.total".into(),
+        "checkpoint" => "checkpoint_micros".into(),
+        b if seconds => format!("{b}_us"),
+        b => b.into(),
+    };
+    match label {
+        Some(v) => (format!("{name}.{v}"), seconds),
+        None => (name, seconds),
+    }
+}
+
+/// Every Prometheus counter sample has a `SHOW metrics` row with the
+/// same value (µs against seconds for time totals, one decimal for the
+/// cost units): the two renderings are one registry, not two lists.
+#[test]
+fn show_metrics_is_the_twin_of_every_prometheus_counter() {
+    let (_server, mut listener, mut endpoint, dir) = scripted_metrics_server("parity");
+    // SHOW first: its own connection is admitted before it reads.
+    let show: std::collections::BTreeMap<String, String> =
+        show_metrics_rows(&listener.local_addr())
+            .into_iter()
+            .collect();
+    let prom = scrape_metrics(endpoint.local_addr());
+
+    let counters: BTreeSet<&str> = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.strip_suffix(" counter"))
+        .collect();
+    let mut checked = 0;
+    for line in prom.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').unwrap();
+        let (family, label) = match series.split_once('{') {
+            Some((f, labels)) => {
+                // The first label names the sample (`layout` rides along).
+                let first = labels.trim_end_matches('}').split(',').next().unwrap();
+                (f, Some(first.split_once('=').unwrap().1.trim_matches('"')))
+            }
+            None => (series, None),
+        };
+        if !counters.contains(family) {
+            continue;
+        }
+        let (twin, seconds) = show_twin(family, label);
+        let shown = show
+            .get(&twin)
+            .unwrap_or_else(|| panic!("{series} has no SHOW metrics twin {twin}"));
+        let value: f64 = value.parse().unwrap();
+        let shown: f64 = shown.parse().unwrap();
+        if seconds {
+            assert_eq!(value, shown / 1e6, "{series} vs {twin}");
+        } else if family.starts_with("obda_cost_") {
+            assert!((value - shown).abs() <= 0.05 + 1e-9, "{series} vs {twin}");
+        } else {
+            assert_eq!(value, shown, "{series} vs {twin}");
+        }
+        checked += 1;
+    }
+    // The workload moved the families the parity is about.
+    for moved in [
+        "queries_total.sql",
+        "pruned_arms.empty",
+        "stage_us.execute",
+        "txn_commits",
+        "wal_fsyncs",
+        "checkpoints",
+    ] {
+        let v: f64 = show[moved].parse().unwrap();
+        assert!(v > 0.0, "{moved} = {v}");
+    }
+    assert!(checked >= 40, "only {checked} counter samples");
+    endpoint.shutdown();
+    listener.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The metric surface — `SHOW metrics` row names in order, and every
+/// exposition line with its sample value masked (HELP and TYPE lines
+/// verbatim) — pinned in `tests/goldens/metrics_surface.txt`. A change
+/// that renames, drops or reorders a metric shows up here; bless an
+/// intended one with `OBDA_BLESS=1 cargo test --test pgwire`.
+#[test]
+fn metric_surface_matches_golden() {
+    let (_server, mut listener, mut endpoint, dir) = scripted_metrics_server("surface");
+    let prom = scrape_metrics(endpoint.local_addr());
+    let mut actual = String::from("# SHOW metrics\n");
+    for (name, _) in show_metrics_rows(&listener.local_addr()) {
+        actual.push_str(&name);
+        actual.push('\n');
+    }
+    actual.push_str("# /metrics\n");
+    for line in prom.lines() {
+        match line.rsplit_once(' ') {
+            Some((series, _)) if !line.starts_with('#') => {
+                actual.push_str(series);
+                actual.push_str(" _\n");
+            }
+            _ => {
+                actual.push_str(line);
+                actual.push('\n');
+            }
+        }
+    }
+    endpoint.shutdown();
+    listener.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let path: std::path::PathBuf = [
+        env!("CARGO_MANIFEST_DIR"),
+        "tests",
+        "goldens",
+        "metrics_surface.txt",
+    ]
+    .iter()
+    .collect();
+    if std::env::var_os("OBDA_BLESS").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("missing golden metrics_surface.txt; bless with OBDA_BLESS=1"));
+    assert_eq!(
+        actual, want,
+        "the metric surface drifted from tests/goldens/metrics_surface.txt; \
+         re-bless with OBDA_BLESS=1 if the change is intended"
+    );
 }

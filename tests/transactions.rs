@@ -16,6 +16,7 @@ use proptest::prelude::*;
 
 use obda::prelude::*;
 use obda::query::testkit::{random_abox, random_connected_cq, random_tbox, KbShape, Rng};
+use obda::rdbms::observe::{Counter, PruneReason};
 use obda::rdbms::store::recover;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -534,7 +535,8 @@ mod stale_constraints {
 
         // Cold query: the Apprentice arm is pruned as provably empty.
         assert_eq!(sorted_rows(server.query(&q).unwrap()), vec![vec![b0.0]]);
-        let (empty, subsumed) = server.observe().pruned_arms_total();
+        let arms = |r: PruneReason| server.observe().get(Counter::PrunedArms.at(r as usize));
+        let (empty, subsumed) = (arms(PruneReason::Empty), arms(PruneReason::Subsumed));
         assert!(
             empty + subsumed >= 1,
             "the empty Apprentice arm must be pruned ({empty} empty, {subsumed} subsumed)"
