@@ -7,8 +7,10 @@
 //! cheap only since the containment kernel rejects by predicate
 //! signature (ARCHITECTURE.md §2) — until then it was 99 % of a cold
 //! cover search, the reverse of the paper's §6.4, where cost estimation
-//! dominates. It is still the larger part: on a traced cold compile of
-//! the LUBM shapes estimation is ≈ 5 % of the search (21 of 390 ms).
+//! dominates. It is still the larger part: on a traced `cold_compile`
+//! pass over the LUBM shapes (seed 1, 2 cores) estimation is ≈ 7 % of
+//! the search (13 of 187 ms), though it makes half of a cold compile's
+//! heap allocations (210 720 of 419 756 for the 14 shapes).
 //!
 //! Two lifetimes are involved. A [`ReformCache`] lives for one search
 //! over one query and is keyed by fragment *position* (atom mask +

@@ -2,7 +2,7 @@
 //! indexes needed by backward reformulation (PerfectRef) and by the
 //! dependency analysis of Definition 4.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::axiom::{Axiom, ConceptInclusion, RoleInclusion};
 use crate::expr::{BasicConcept, Role};
@@ -19,11 +19,31 @@ pub struct TBox {
     seen: HashSet<Axiom>,
     /// Positive concept inclusions grouped by their right-hand side, the key
     /// lookup of backward application: to specialize an atom matching `rhs`,
-    /// enumerate this bucket.
-    by_concept_rhs: HashMap<BasicConcept, Vec<ConceptInclusion>>,
+    /// enumerate this bucket. Indexed densely by [`rhs_slot`] — vocabulary
+    /// ids are dense — so PerfectRef's lookups, several per query it
+    /// generates, are an array index rather than a hash.
+    by_concept_rhs: Vec<Vec<ConceptInclusion>>,
     /// Positive role inclusions grouped by right-hand-side role *name*
-    /// (normalized direct).
-    by_role_rhs: HashMap<RoleId, Vec<RoleInclusion>>,
+    /// (normalized direct), indexed by its id.
+    by_role_rhs: Vec<Vec<RoleInclusion>>,
+}
+
+/// The bucket of `by_concept_rhs` holding inclusions into `rhs`: atomic
+/// concepts on multiples of 3, `∃R` and `∃R⁻` on the two slots after
+/// them, so each id ranges over its own slots.
+fn rhs_slot(rhs: BasicConcept) -> usize {
+    match rhs {
+        BasicConcept::Atomic(c) => 3 * c.0 as usize,
+        BasicConcept::Exists(r) => 3 * r.name.0 as usize + 1 + usize::from(r.inverse),
+    }
+}
+
+/// The bucket at `slot`, grown into existence.
+fn bucket<T>(buckets: &mut Vec<Vec<T>>, slot: usize) -> &mut Vec<T> {
+    if buckets.len() <= slot {
+        buckets.resize_with(slot + 1, Vec::new);
+    }
+    &mut buckets[slot]
 }
 
 impl TBox {
@@ -40,11 +60,11 @@ impl TBox {
         }
         match axiom {
             Axiom::Concept(ci) if !ci.negated => {
-                self.by_concept_rhs.entry(ci.rhs).or_default().push(ci);
+                bucket(&mut self.by_concept_rhs, rhs_slot(ci.rhs)).push(ci);
             }
             Axiom::Role(ri) if !ri.negated => {
                 debug_assert!(!ri.rhs.inverse);
-                self.by_role_rhs.entry(ri.rhs.name).or_default().push(ri);
+                bucket(&mut self.by_role_rhs, ri.rhs.name.0 as usize).push(ri);
             }
             _ => {}
         }
@@ -92,16 +112,17 @@ impl TBox {
     /// *because* any of the returned `lhs` held.
     pub fn concept_inclusions_into(&self, rhs: BasicConcept) -> &[ConceptInclusion] {
         self.by_concept_rhs
-            .get(&rhs)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .get(rhs_slot(rhs))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Positive role inclusions whose right-hand side mentions the role name
     /// of `rhs`. The returned inclusions are normalized (`rhs` direct), so a
     /// caller asking about `R⁻ ⊑ ...` forms must invert both sides.
     pub fn role_inclusions_into(&self, rhs: RoleId) -> &[RoleInclusion] {
-        self.by_role_rhs.get(&rhs).map(Vec::as_slice).unwrap_or(&[])
+        self.by_role_rhs
+            .get(rhs.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of positive axioms.

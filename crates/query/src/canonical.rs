@@ -13,9 +13,10 @@
 //! explored; each step works on dense arrays prepared once per query, and
 //! a [`Canonicaliser`] keeps those arrays across queries, so labelling
 //! allocates nothing. PerfectRef labels every candidate that does not
-//! repeat a recent one exactly — 60 919 of the 90 994 it builds for LUBM
-//! Q13 — and keeps the keys [packed](Canonicaliser::packed_key) into
-//! `u32` words.
+//! repeat a recent one up to a renaming — 53 289 of the 90 994 it builds
+//! for LUBM Q13 — and keeps the keys [packed](Canonicaliser::packed_key)
+//! into `u32` words; `minimize_ucq` labels every core with one labeller,
+//! and a `UCQ` keeps its disjuncts' packed keys.
 
 use crate::atom::Atom;
 use crate::cq::CQ;
@@ -149,14 +150,6 @@ impl Canonicaliser {
         self.packed.clear();
         pack_key(&self.head, &self.best, &mut self.packed);
         &self.packed
-    }
-
-    /// The [`CanonKey`] of the query labelled last.
-    pub fn key(&self) -> CanonKey {
-        CanonKey {
-            head: self.head.clone(),
-            atoms: self.best.clone(),
-        }
     }
 
     /// Run the search on `head ← atoms`, leaving its result in `head`,

@@ -24,7 +24,12 @@ pub struct PredSig(u128);
 
 impl PredSig {
     fn of(atoms: &[Atom]) -> Self {
-        PredSig(atoms.iter().fold(0, |sig, a| {
+        Self::of_iter(atoms)
+    }
+
+    /// The signature of `atoms`, however they are listed.
+    pub(crate) fn of_iter<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> Self {
+        PredSig(atoms.into_iter().fold(0, |sig, a| {
             // Concepts on even bits, roles on odd ones: ids are dense per
             // kind, so small vocabularies get a bit per predicate.
             let bit = match a.pred() {
@@ -53,18 +58,35 @@ pub struct CQ {
 }
 
 impl CQ {
-    /// Build a CQ; duplicate atoms are dropped (CQ bodies are sets).
-    pub fn new(head: Vec<Term>, atoms: Vec<Atom>) -> Self {
-        let mut seen = Vec::new();
-        for a in atoms {
-            if !seen.contains(&a) {
-                seen.push(a);
+    /// Build a CQ; duplicate atoms are dropped (CQ bodies are sets),
+    /// keeping first occurrences in order.
+    pub fn new(head: Vec<Term>, mut atoms: Vec<Atom>) -> Self {
+        let mut kept = 0;
+        for i in 0..atoms.len() {
+            let atom = atoms[i];
+            if !atoms[..kept].contains(&atom) {
+                atoms[kept] = atom;
+                kept += 1;
             }
         }
+        atoms.truncate(kept);
+        Self::from_distinct(head, atoms)
+    }
+
+    /// Build a CQ from atoms the caller has already deduplicated, as
+    /// [`CQ::new`] would have left them; skips its quadratic scan.
+    pub fn from_distinct(head: Vec<Term>, atoms: Vec<Atom>) -> Self {
+        debug_assert!(
+            atoms
+                .iter()
+                .enumerate()
+                .all(|(i, a)| !atoms[..i].contains(a)),
+            "repeated atom"
+        );
         CQ {
             head,
-            sig: PredSig::of(&seen),
-            atoms: seen,
+            sig: PredSig::of(&atoms),
+            atoms,
         }
     }
 
@@ -143,7 +165,16 @@ impl CQ {
     /// the body's variable occurrences, for callers that test many
     /// positions of one query.
     pub fn unbound_vars(&self) -> Vec<VarId> {
-        let mut vars: Vec<VarId> = self.atoms.iter().flat_map(Atom::vars).collect();
+        let mut vars = Vec::new();
+        self.unbound_vars_into(&mut vars);
+        vars
+    }
+
+    /// [`CQ::unbound_vars`] written into `vars` (cleared first), so that a
+    /// caller labelling many queries reuses one buffer.
+    pub fn unbound_vars_into(&self, vars: &mut Vec<VarId>) {
+        vars.clear();
+        vars.extend(self.atoms.iter().flat_map(Atom::vars));
         vars.sort_unstable();
         let mut kept = 0;
         let mut i = 0;
@@ -157,7 +188,6 @@ impl CQ {
             i += run;
         }
         vars.truncate(kept);
-        vars
     }
 
     /// First variable id strictly greater than every id in use. Scans the
@@ -203,13 +233,15 @@ impl CQ {
 
     /// Remove the atom at `idx`, keeping head and the rest.
     pub fn without_atom(&self, idx: usize) -> CQ {
-        let mut atoms = self.atoms.clone();
-        atoms.remove(idx);
-        CQ {
-            head: self.head.clone(),
-            sig: PredSig::of(&atoms),
-            atoms,
-        }
+        let mut cq = self.clone();
+        cq.remove_atom(idx);
+        cq
+    }
+
+    /// [`CQ::without_atom`] in place.
+    pub fn remove_atom(&mut self, idx: usize) {
+        self.atoms.remove(idx);
+        self.sig = PredSig::of(&self.atoms);
     }
 
     pub fn display<'a>(&'a self, voc: &'a Vocabulary) -> impl fmt::Display + 'a {

@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 
 use crate::atom::Atom;
-use crate::cq::CQ;
+use crate::cq::{PredSig, CQ};
 use crate::term::{Term, VarId};
 
 /// A variable assignment, in the order the search bound the variables.
@@ -31,45 +31,108 @@ fn lookup(assign: &Assignment, v: VarId) -> Option<Term> {
 /// kernel: [`contained_in`], [`equivalent`], [`contained_in_union`],
 /// `cq_core`, `minimize_ucq` and PerfectRef's forward subsumption all end
 /// here. Most pairs they ask about do not share their predicates, so the
-/// signature test comes first and allocates nothing; a search that is
-/// entered allocates its assignment and atom order once, not per step.
+/// signature test comes first and allocates nothing. A search that is
+/// entered here allocates its assignment and atom order; callers that
+/// search many pairs keep a [`Homomorphisms`] instead, which reuses them.
 pub fn homomorphism(from: &CQ, to: &CQ) -> Option<Assignment> {
-    if !from.signature().is_subset_of(to.signature()) || from.head().len() != to.head().len() {
-        return None;
+    let mut homs = Homomorphisms::new();
+    homs.exists(from, to)
+        .then(|| std::mem::take(&mut homs.assign))
+}
+
+/// The homomorphism search with buffers that outlive one search: once
+/// the first searches have sized them, a search allocates nothing.
+#[derive(Debug, Default)]
+pub struct Homomorphisms {
+    assign: Assignment,
+    /// `from`'s atoms in search order, with their sort keys.
+    order: Vec<(Reverse<usize>, usize, Atom)>,
+}
+
+impl Homomorphisms {
+    pub fn new() -> Self {
+        Self::default()
     }
-    let mut assign = Assignment::new();
-    // Seed with the head mapping.
-    for (&ft, &tt) in from.head().iter().zip(to.head()) {
-        if !bind(ft, tt, &mut assign) {
-            return None;
+
+    /// Is there a homomorphism from `from` into `to` (see
+    /// [`homomorphism`])?
+    pub fn exists(&mut self, from: &CQ, to: &CQ) -> bool {
+        self.search(from, to.head(), to.atoms(), to.signature(), None)
+    }
+
+    /// `q1 ⊑ q2`, as [`contained_in`].
+    pub fn contained_in(&mut self, q1: &CQ, q2: &CQ) -> bool {
+        self.exists(q2, q1)
+    }
+
+    /// Is there a homomorphism from `q` into `q` without its atom `skip`?
+    /// Then that atom is redundant — the step of `cq_core` — and the
+    /// smaller query need not be built to find out.
+    pub fn folds_without(&mut self, q: &CQ, skip: usize) -> bool {
+        let rest = q.atoms().iter().enumerate().filter(|&(i, _)| i != skip);
+        let sig = PredSig::of_iter(rest.map(|(_, a)| a));
+        self.search(q, q.head(), q.atoms(), sig, Some(skip))
+    }
+
+    /// The search behind every entry point: `from` into the query
+    /// `to_head ← to_atoms` (minus the atom at `skip`), whose body has
+    /// the signature `to_sig`.
+    fn search(
+        &mut self,
+        from: &CQ,
+        to_head: &[Term],
+        to_atoms: &[Atom],
+        to_sig: PredSig,
+        skip: Option<usize>,
+    ) -> bool {
+        if !from.signature().is_subset_of(to_sig) || from.head().len() != to_head.len() {
+            return false;
         }
-    }
-    // Order atoms: most-constrained first (more already-assigned variables,
-    // then rarer predicates in `to`).
-    let mut order: Vec<(Reverse<usize>, usize, &Atom)> = Vec::with_capacity(from.atoms().len());
-    for a in from.atoms() {
-        let assigned = a.vars().filter(|&v| lookup(&assign, v).is_some()).count();
-        let candidates = to.atoms().iter().filter(|t| t.pred() == a.pred()).count();
-        if candidates == 0 {
-            return None; // signatures collided
+        let assign = &mut self.assign;
+        assign.clear();
+        // Seed with the head mapping.
+        for (&ft, &tt) in from.head().iter().zip(to_head) {
+            if !bind(ft, tt, assign) {
+                return false;
+            }
         }
-        order.push((Reverse(assigned), candidates, a));
+        // Order atoms: most-constrained first (more already-assigned
+        // variables, then rarer predicates in `to`).
+        let targets = || {
+            to_atoms
+                .iter()
+                .enumerate()
+                .filter(move |&(i, _)| Some(i) != skip)
+                .map(|(_, t)| t)
+        };
+        self.order.clear();
+        for a in from.atoms() {
+            let assigned = a.vars().filter(|&v| lookup(assign, v).is_some()).count();
+            let candidates = targets().filter(|t| t.pred() == a.pred()).count();
+            if candidates == 0 {
+                return false; // signatures collided
+            }
+            self.order.push((Reverse(assigned), candidates, *a));
+        }
+        self.order
+            .sort_by_key(|&(assigned, candidates, _)| (assigned, candidates));
+        search(&self.order, to_atoms, skip, assign)
     }
-    order.sort_by_key(|&(assigned, candidates, _)| (assigned, candidates));
-    search(&order, to.atoms(), &mut assign).then_some(assign)
 }
 
 fn search(
-    order: &[(Reverse<usize>, usize, &Atom)],
+    order: &[(Reverse<usize>, usize, Atom)],
     targets: &[Atom],
+    skip: Option<usize>,
     assign: &mut Assignment,
 ) -> bool {
     let Some((&(_, _, atom), rest)) = order.split_first() else {
         return true;
     };
     let mark = assign.len();
-    for target in targets {
-        if map_atom(atom, target, assign) && search(rest, targets, assign) {
+    for (i, target) in targets.iter().enumerate() {
+        if Some(i) != skip && map_atom(&atom, target, assign) && search(rest, targets, skip, assign)
+        {
             return true;
         }
         assign.truncate(mark);
@@ -106,7 +169,7 @@ fn bind(t: Term, u: Term, assign: &mut Assignment) -> bool {
 /// `q1 ⊑ q2`: is every answer of `q1` also an answer of `q2`, over every
 /// database?
 pub fn contained_in(q1: &CQ, q2: &CQ) -> bool {
-    homomorphism(q2, q1).is_some()
+    Homomorphisms::new().contained_in(q1, q2)
 }
 
 /// `q1 ≡ q2`: mutual containment.

@@ -27,7 +27,7 @@ pub use canonical::{canonical_key, canonicalize, same_modulo_renaming, CanonKey,
 pub use cq::{connected_subset, PredSig, CQ};
 pub use eval::{certain_answers, eval_fol, eval_over_abox};
 pub use fol::FolQuery;
-pub use homomorphism::{contained_in, contained_in_union, equivalent, homomorphism};
+pub use homomorphism::{contained_in, contained_in_union, equivalent, homomorphism, Homomorphisms};
 pub use jucq::{JUCQ, JUSCQ};
 pub use mgu::{mgu, mgu_preferring};
 pub use minimize::{cq_core, minimize_ucq};

@@ -14,16 +14,18 @@ use crate::term::{Subst, Term, VarId};
 /// Returns a substitution `σ` with `a.apply(σ) == b.apply(σ)`. Atoms over
 /// different predicates never unify. When a variable meets a variable, the
 /// larger id is bound to the smaller so that unifiers are deterministic.
+/// Allocates nothing: the positions are walked in place and the
+/// substitution is held inline.
 pub fn mgu(a: &Atom, b: &Atom) -> Option<Subst> {
-    let pairs: Vec<(Term, Term)> = match (a, b) {
-        (Atom::Concept(c1, t1), Atom::Concept(c2, t2)) if c1 == c2 => vec![(*t1, *t2)],
+    let (pairs, n) = match (a, b) {
+        (Atom::Concept(c1, t1), Atom::Concept(c2, t2)) if c1 == c2 => ([(*t1, *t2); 2], 1),
         (Atom::Role(r1, s1, o1), Atom::Role(r2, s2, o2)) if r1 == r2 => {
-            vec![(*s1, *s2), (*o1, *o2)]
+            ([(*s1, *s2), (*o1, *o2)], 2)
         }
         _ => return None,
     };
     let mut subst = Subst::new();
-    for (x, y) in pairs {
+    for &(x, y) in &pairs[..n] {
         let rx = subst.resolve(x);
         let ry = subst.resolve(y);
         match (rx, ry) {
@@ -60,42 +62,47 @@ pub fn mgu(a: &Atom, b: &Atom) -> Option<Subst> {
 /// unify, oriented by id).
 pub fn mgu_preferring(a: &Atom, b: &Atom, keep: &[VarId]) -> Option<Subst> {
     let raw = mgu(a, b)?;
-    // Group the unified variables into equivalence classes keyed by their
-    // terminal representative under `raw`, then re-pick each class's
-    // representative: a constant if present, otherwise the smallest kept
+    // The unified variables fall into equivalence classes, one per
+    // terminal representative under `raw`. Each class's representative is
+    // re-picked: a constant if present, otherwise the smallest kept
     // variable, otherwise the smallest variable. Rebinding whole classes
     // (rather than flipping individual edges) keeps the substitution
-    // acyclic no matter how chains interleave.
-    let mut classes: std::collections::HashMap<Term, Vec<VarId>> = std::collections::HashMap::new();
+    // acyclic no matter how chains interleave. A class is the variables
+    // `raw` binds that resolve to one representative, plus that
+    // representative; at most four variables take part, so the classes
+    // are found by scanning them, not by grouping them in a map.
+    let mut vars = [VarId(0); 4];
+    let mut n = 0;
     for (v, _) in raw.iter() {
-        let rep = raw.resolve(Term::Var(v));
-        classes.entry(rep).or_default().push(v);
-    }
-    let mut oriented = Subst::new();
-    for (rep, mut members) in classes {
-        match rep {
-            Term::Const(_) => {
-                for v in members {
-                    oriented.bind(v, rep);
-                }
-            }
-            Term::Var(rv) => {
-                members.push(rv);
-                members.sort_unstable();
-                members.dedup();
-                let chosen = members
-                    .iter()
-                    .copied()
-                    .filter(|m| keep.contains(m))
-                    .min()
-                    .unwrap_or(members[0]);
-                for v in members {
-                    if v != chosen {
-                        oriented.bind(v, Term::Var(chosen));
-                    }
-                }
+        for w in [Some(v), raw.resolve(Term::Var(v)).as_var()]
+            .into_iter()
+            .flatten()
+        {
+            if !vars[..n].contains(&w) {
+                vars[n] = w;
+                n += 1;
             }
         }
+    }
+    let vars = &vars[..n];
+    let mut oriented = Subst::new();
+    for &v in vars {
+        let rep = raw.resolve(Term::Var(v));
+        if rep.is_const() {
+            oriented.bind(v, rep);
+            continue;
+        }
+        let class = vars
+            .iter()
+            .copied()
+            .filter(|&w| raw.resolve(Term::Var(w)) == rep);
+        let chosen = class
+            .clone()
+            .filter(|w| keep.contains(w))
+            .min()
+            .or_else(|| class.min())
+            .expect("a class holds its representative");
+        oriented.bind(v, Term::Var(chosen));
     }
     debug_assert_eq!(a.apply(&oriented), b.apply(&oriented));
     Some(oriented)

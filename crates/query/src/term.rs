@@ -1,6 +1,5 @@
 //! Terms and substitutions for FOL queries.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use obda_dllite::IndividualId;
@@ -49,45 +48,91 @@ impl fmt::Display for Term {
     }
 }
 
+/// The most bindings a [`Subst`] holds. Unifying two flat atoms meets
+/// at most four variables, and a binding eliminates one of them.
+const SUBST_CAPACITY: usize = 4;
+
 /// A substitution `Var → Term` with transitive lookup (after composing
 /// unifiers a variable may map to another mapped variable).
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Held inline: the unifiers of the reduce step bind at most
+/// four variables, so a lookup is a scan of a few words and
+/// building one allocates nothing. Equality is that of the binding sets,
+/// whatever order the bindings were made in.
+#[derive(Clone, Copy, Debug)]
 pub struct Subst {
-    map: HashMap<VarId, Term>,
+    len: usize,
+    bindings: [(VarId, Term); SUBST_CAPACITY],
 }
+
+impl Default for Subst {
+    fn default() -> Self {
+        Subst {
+            len: 0,
+            bindings: [(VarId(0), Term::Var(VarId(0))); SUBST_CAPACITY],
+        }
+    }
+}
+
+impl PartialEq for Subst {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().all(|(v, t)| other.get(v) == Some(t))
+    }
+}
+
+impl Eq for Subst {}
 
 impl Subst {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Bind `v := t`. An identity binding (`v := v`) is a no-op — storing
-    /// it would make `resolve` cycle. Callers must ensure no longer cycles
-    /// (`v` not reachable from `t`); with variable-to-variable bindings
-    /// oriented consistently this holds by construction in the unifier.
+    /// Bind `v := t`, replacing an earlier binding of `v`. An identity
+    /// binding (`v := v`) is a no-op — storing it would make `resolve`
+    /// cycle. Callers must ensure no longer cycles (`v` not reachable
+    /// from `t`); with variable-to-variable bindings oriented consistently
+    /// this holds by construction in the unifier.
+    ///
+    /// # Panics
+    ///
+    /// When a fifth variable is bound.
     pub fn bind(&mut self, v: VarId, t: Term) {
         if Term::Var(v) == t {
             return;
         }
-        self.map.insert(v, t);
+        if let Some(slot) = self.bindings[..self.len].iter_mut().find(|(w, _)| *w == v) {
+            slot.1 = t;
+            return;
+        }
+        assert!(
+            self.len < SUBST_CAPACITY,
+            "a substitution binds at most {SUBST_CAPACITY} variables"
+        );
+        self.bindings[self.len] = (v, t);
+        self.len += 1;
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
+    }
+
+    /// The term `v` is bound to directly, if any.
+    pub fn get(&self, v: VarId) -> Option<Term> {
+        self.iter().find(|&(w, _)| w == v).map(|(_, t)| t)
     }
 
     /// Resolve a term through the substitution until a fixpoint.
     pub fn resolve(&self, t: Term) -> Term {
         let mut cur = t;
         // Bounded walk to defend against accidental cycles in debug builds.
-        for _ in 0..=self.map.len() {
+        for _ in 0..=self.len {
             match cur {
-                Term::Var(v) => match self.map.get(&v) {
-                    Some(&next) => cur = next,
+                Term::Var(v) => match self.get(v) {
+                    Some(next) => cur = next,
                     None => return cur,
                 },
                 Term::Const(_) => return cur,
@@ -97,9 +142,9 @@ impl Subst {
         cur
     }
 
-    /// Iterate over raw bindings.
+    /// Iterate over raw bindings, in the order they were made.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, Term)> + '_ {
-        self.map.iter().map(|(&v, &t)| (v, t))
+        self.bindings[..self.len].iter().copied()
     }
 }
 
@@ -119,6 +164,24 @@ mod tests {
             s.resolve(Term::Const(IndividualId(3))),
             Term::Const(IndividualId(3))
         );
+    }
+
+    #[test]
+    fn equality_ignores_binding_order_and_rebinding_replaces() {
+        let (x, y) = (VarId(0), VarId(1));
+        let c = Term::Const(IndividualId(7));
+        let mut a = Subst::new();
+        a.bind(x, c);
+        a.bind(y, Term::Var(x));
+        let mut b = Subst::new();
+        b.bind(y, Term::Var(x));
+        b.bind(x, Term::Var(y));
+        assert_ne!(a, b);
+        b.bind(x, c);
+        assert_eq!(a, b);
+        assert_eq!(b.len(), 2);
+        b.bind(y, Term::Var(y));
+        assert_eq!(b.len(), 2, "an identity binding is a no-op");
     }
 
     #[test]

@@ -1,22 +1,45 @@
 //! Unions of conjunctive queries.
 
-use std::collections::HashSet;
+use std::cell::RefCell;
 use std::fmt;
 
 use obda_dllite::Vocabulary;
 
-use crate::canonical::{canonical_key, CanonKey};
+use crate::atom::Atom;
+use crate::canonical::Canonicaliser;
 use crate::cq::CQ;
+use crate::fxhash::WordSet;
 use crate::term::Term;
+
+thread_local! {
+    /// The labeller behind [`UCQ::push`]: its buffers are sized by the
+    /// first queries a thread labels and reused for every later one.
+    static LABELLER: RefCell<Canonicaliser> = RefCell::new(Canonicaliser::new());
+}
+
+/// The packed canonical key of `head ← atoms` (see
+/// [`Canonicaliser::packed_key`]), handed to `f`.
+fn with_packed_key<R>(head: &[Term], atoms: &[Atom], f: impl FnOnce(&[u32]) -> R) -> R {
+    LABELLER.with(|labeller| f(labeller.borrow_mut().packed_key(head, atoms)))
+}
 
 /// A UCQ: `q(x̄) ← CQ1(x̄) ∨ · · · ∨ CQn(x̄)` (Table 4). All disjuncts share
 /// the same head. Disjuncts are deduplicated modulo existential-variable
 /// renaming and atom order.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct UCQ {
     head: Vec<Term>,
     cqs: Vec<CQ>,
-    keys: HashSet<CanonKey>,
+    /// The packed canonical key of each disjunct: entry `i` is `cqs[i]`'s.
+    keys: WordSet,
+}
+
+/// Two unions are equal when they list the same disjuncts in the same
+/// order; the keys follow from the disjuncts.
+impl PartialEq for UCQ {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && self.cqs == other.cqs
+    }
 }
 
 impl UCQ {
@@ -25,7 +48,7 @@ impl UCQ {
         UCQ {
             head,
             cqs: Vec::new(),
-            keys: HashSet::new(),
+            keys: WordSet::default(),
         }
     }
 
@@ -54,27 +77,50 @@ impl UCQ {
     /// head, so position `i` always carries the nominal variable `i`'s
     /// value.
     pub fn push(&mut self, cq: CQ) -> bool {
-        let key = canonical_key(&cq);
-        self.push_keyed(cq, key)
+        let new = with_packed_key(cq.head(), cq.atoms(), |key| self.insert_key(&cq, key));
+        if new {
+            self.cqs.push(cq);
+        }
+        new
     }
 
-    /// [`push`](Self::push) for a caller that already holds
-    /// `canonical_key(&cq)` — the key is the expensive part of an
-    /// insertion, and PerfectRef and `minimize_ucq` need it beforehand
-    /// for their own deduplication.
-    pub fn push_keyed(&mut self, cq: CQ, key: CanonKey) -> bool {
+    /// [`push`](Self::push) for a caller that already holds the disjunct's
+    /// packed canonical key ([`Canonicaliser::packed_key`]) — the key is
+    /// the expensive part of an insertion, and PerfectRef and
+    /// `minimize_ucq` need it beforehand for their own deduplication.
+    pub fn push_packed(&mut self, cq: CQ, key: &[u32]) -> bool {
+        debug_assert!(
+            with_packed_key(cq.head(), cq.atoms(), |own| own == key),
+            "key belongs to the disjunct"
+        );
+        let new = self.insert_key(&cq, key);
+        if new {
+            self.cqs.push(cq);
+        }
+        new
+    }
+
+    /// Record the key of `cq`, about to be pushed if it is new.
+    fn insert_key(&mut self, cq: &CQ, key: &[u32]) -> bool {
         assert_eq!(
             cq.head().len(),
             self.head.len(),
             "all disjuncts share the UCQ head arity"
         );
-        debug_assert_eq!(key, canonical_key(&cq), "key belongs to the disjunct");
-        if self.keys.insert(key) {
-            self.cqs.push(cq);
-            true
-        } else {
-            false
+        self.keys.insert(key)
+    }
+
+    /// The union of the disjuncts whose index `keep` accepts, in order.
+    /// They stay distinct, so their keys are copied, not recomputed.
+    pub fn select(&self, mut keep: impl FnMut(usize) -> bool) -> UCQ {
+        let mut u = UCQ::empty(self.head.clone());
+        for (i, cq) in self.cqs.iter().enumerate() {
+            if keep(i) {
+                u.keys.insert(self.keys.get(i));
+                u.cqs.push(cq.clone());
+            }
         }
+        u
     }
 
     pub fn head(&self) -> &[Term] {
@@ -172,6 +218,22 @@ mod tests {
         let mut u = UCQ::single(nominal);
         assert!(u.push(specialized));
         assert_eq!(u.len(), 2);
+    }
+
+    #[test]
+    fn select_keeps_keys_with_their_disjuncts() {
+        let cqs: Vec<CQ> = (0..4)
+            .map(|c| CQ::with_var_head(vec![VarId(0)], vec![Atom::Concept(ConceptId(c), v(0))]))
+            .collect();
+        let u = UCQ::from_cqs(vec![v(0)], cqs.clone());
+        let mut odd = u.select(|i| i % 2 == 1);
+        assert_eq!(odd.cqs(), &[cqs[1].clone(), cqs[3].clone()]);
+        assert!(!odd.push(cqs[3].clone()), "the key came along");
+        assert!(odd.push(cqs[0].clone()));
+        assert_eq!(
+            odd,
+            UCQ::from_cqs(vec![v(0)], [1, 3, 0].map(|i| cqs[i].clone()))
+        );
     }
 
     #[test]

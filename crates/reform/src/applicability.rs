@@ -26,18 +26,30 @@ pub struct Specialization {
 /// mint (callers pass `q.fresh_var()`).
 pub fn specializations(q: &CQ, tbox: &TBox, fresh: VarId) -> Vec<Specialization> {
     let mut out = Vec::new();
+    specializations_into(q, tbox, fresh, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`specializations`] written into `out` (cleared first), with `unbound`
+/// as the buffer for `q`'s unbound variables: PerfectRef pops thousands
+/// of queries per run and keeps both buffers for all of them.
+pub fn specializations_into(
+    q: &CQ,
+    tbox: &TBox,
+    fresh: VarId,
+    unbound: &mut Vec<VarId>,
+    out: &mut Vec<Specialization>,
+) {
+    out.clear();
     // The occurrence information every role atom's ∃-tests read, computed
     // once per query rather than once per atom position.
-    let unbound = q.unbound_vars();
+    q.unbound_vars_into(unbound);
     for (idx, atom) in q.atoms().iter().enumerate() {
         match *atom {
-            Atom::Concept(c, t) => concept_atom_specs(tbox, idx, c, t, fresh, &mut out),
-            Atom::Role(r, t1, t2) => {
-                role_atom_specs(&unbound, tbox, idx, r, t1, t2, fresh, &mut out)
-            }
+            Atom::Concept(c, t) => concept_atom_specs(tbox, idx, c, t, fresh, out),
+            Atom::Role(r, t1, t2) => role_atom_specs(unbound, tbox, idx, r, t1, t2, fresh, out),
         }
     }
-    out
 }
 
 /// Specializations of a concept atom `A(t)`: every positive inclusion

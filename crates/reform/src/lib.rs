@@ -22,7 +22,7 @@ pub mod testkit;
 pub mod uscq_factorize;
 pub mod violations;
 
-pub use applicability::{specializations, Specialization};
+pub use applicability::{specializations, specializations_into, Specialization};
 pub use cover_reform::{cover_reformulation, cover_reformulation_juscq, trivial_reformulation};
 pub use fragment::{fragment_query, FragmentSpec};
 pub use perfectref::{

@@ -15,15 +15,27 @@
 //! Recognising repeats is most of the fixpoint's work: on LUBM Q13 it
 //! builds 90 994 candidate CQs, of which 19 004 are new. A candidate is
 //! spelled into reused buffers and becomes a `CQ` only when it is new; a
-//! bounded table of exact forms (`RecentForms`) settles most repeats
-//! without a canonical labelling, and the rest are labelled into packed
-//! `u32` keys held in an Fx-hashed set (`Run::push_new`).
+//! bounded table of forms spelled up to a renaming (`RecentForms`)
+//! settles 37 705 repeats without a canonical labelling, and the other
+//! 53 289 are labelled into packed `u32` keys held in an Fx-hashed
+//! [`WordSet`] (`Run::push_new`).
+//!
+//! The run allocates for what it keeps: a new CQ costs its head and
+//! body, and an emitted one a copy for the union; everything per
+//! candidate or per popped query — the unifier, the specialisations, the
+//! spelled form, the key, the containment search — lives in buffers the
+//! run owns. On Q13 that is 39 789 allocations for 19 005 CQs generated,
+//! 2.1 each, counted by `tests/kernel_allocations.rs`.
+
+use std::hash::Hasher;
 
 use obda_dllite::TBox;
-use obda_query::fxhash::{hash_words, FxHashSet};
-use obda_query::{contained_in, mgu_preferring, Atom, Canonicaliser, Term, VarId, CQ, UCQ};
+use obda_query::fxhash::{hash_words, FxHasher, WordSet};
+use obda_query::{
+    mgu_preferring, Atom, Canonicaliser, Homomorphisms, PredSig, Term, VarId, CQ, UCQ,
+};
 
-use crate::applicability::specializations;
+use crate::applicability::specializations_into;
 
 /// Statistics of one reformulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,21 +98,32 @@ fn run(q: &CQ, tbox: &TBox, prune: bool) -> (UCQ, ReformStats) {
     let mut run = Run {
         stats: ReformStats::default(),
         ucq: UCQ::single(q.clone()),
-        seen: FxHashSet::default(),
+        sigs: vec![q.signature()],
+        seen: WordSet::default(),
         labeller: Canonicaliser::new(),
+        homs: Homomorphisms::new(),
         forms: RecentForms::new(),
         frontier: vec![q.clone()],
         prune,
     };
-    let key = run.labeller.packed_key(q.head(), q.atoms());
-    run.seen.insert(key.into());
+    run.seen
+        .insert(run.labeller.packed_key(q.head(), q.atoms()));
     let head_vars: Vec<VarId> = q.head_vars().collect();
     // Each candidate is spelled out in these buffers; only a new one
-    // becomes a `CQ`.
+    // becomes a `CQ`. The specialisations of a popped query and its
+    // unbound variables have buffers of their own.
     let (mut head, mut atoms) = (Vec::new(), Vec::new());
+    let (mut specs, mut unbound) = (Vec::new(), Vec::new());
     while let Some(current) = run.frontier.pop() {
         // (a) backward constraint applications.
-        for spec in specializations(&current, tbox, current.fresh_var()) {
+        specializations_into(
+            &current,
+            tbox,
+            current.fresh_var(),
+            &mut unbound,
+            &mut specs,
+        );
+        for spec in &specs {
             run.stats.axiom_applications += 1;
             atoms.clear();
             atoms.extend_from_slice(current.atoms());
@@ -136,11 +159,15 @@ struct Run {
     stats: ReformStats,
     /// The output union.
     ucq: UCQ,
+    /// The signature of each disjunct of `ucq`, in order: the
+    /// forward-subsumption scan reads these, not the disjuncts.
+    sigs: Vec<PredSig>,
     /// The packed canonical key of every CQ generated so far, emitted or
     /// not.
-    seen: FxHashSet<Box<[u32]>>,
+    seen: WordSet,
     labeller: Canonicaliser,
-    /// Candidates labelled lately, exactly as they were built.
+    homs: Homomorphisms,
+    /// Candidates labelled lately, as they were built up to a renaming.
     forms: RecentForms,
     frontier: Vec<CQ>,
     prune: bool,
@@ -152,52 +179,56 @@ impl Run {
     ///
     /// Most candidates were generated before: two independent
     /// specialisations applied in either order build the same CQ twice,
-    /// with the same variable ids. So before labelling, the candidate is
-    /// looked up exactly in `forms`. That is sound because a form enters
+    /// with the same variable ids, and other orders build renamings of
+    /// it. So before labelling, the candidate is looked up in `forms`,
+    /// spelled with its variables renumbered by first occurrence. That is
+    /// sound because a renaming keeps the canonical key, a form enters
     /// `forms` only below, once its canonical key is in `seen` (inserted
     /// by this call or an earlier one), and `seen` never shrinks: a form
     /// found there is a CQ already generated, and skipping it is what the
     /// key lookup would have done. Eviction only costs a later repeat its
     /// labelling. The output — the disjuncts, their order and their
     /// variable ids — does not depend on what `forms` holds.
+    ///
+    /// Only a new candidate allocates: it becomes one `CQ`, copied once
+    /// more if it enters the union.
     fn push_new(&mut self, head: &[Term], atoms: &mut Vec<Atom>) {
-        dedup_atoms(atoms);
         self.stats.candidates += 1;
-        if self.forms.contains(head, atoms) {
+        if self.forms.dedup_and_find(head, atoms) {
             return;
         }
         self.stats.canonicalised += 1;
-        let key = self.labeller.packed_key(head, atoms);
-        let new = !self.seen.contains(key);
-        if new {
-            self.seen.insert(key.into());
-        }
+        let new = self.seen.insert(self.labeller.packed_key(head, atoms));
         self.forms.remember();
         if !new {
             return;
         }
-        let candidate = CQ::new(head.to_vec(), atoms.clone());
+        let candidate = CQ::from_distinct(head.to_vec(), atoms.clone());
         // Exploration always continues from the candidate — only the
         // *output* is filtered, which preserves completeness.
         if !(self.prune && self.subsumed(&candidate)) {
-            // Emitted disjuncts are a subset of `seen`, so the key is new
-            // to the union as well.
-            self.ucq.push_keyed(candidate.clone(), self.labeller.key());
+            // Emitted disjuncts are a subset of `seen`, so the key — the
+            // entry just inserted — is new to the union as well.
+            self.sigs.push(candidate.signature());
+            let key = self.seen.get(self.seen.len() - 1);
+            self.ucq.push_packed(candidate.clone(), key);
         }
         self.frontier.push(candidate);
     }
 
     /// Is `candidate` contained in an already-emitted disjunct? A linear
-    /// scan: the signature test settles all but a fraction of a percent
-    /// of the pairs in one AND each, counted here so that a test can pin
-    /// how many searches a reformulation enters.
+    /// scan of the disjuncts' signatures: the signature test settles all
+    /// but a fraction of a percent of the pairs in one AND each, counted
+    /// here so that a test can pin how many searches a reformulation
+    /// enters.
     fn subsumed(&mut self, candidate: &CQ) -> bool {
-        for d in self.ucq.cqs() {
-            if !d.signature().is_subset_of(candidate.signature()) {
+        let sig = candidate.signature();
+        for (i, d) in self.sigs.iter().enumerate() {
+            if !d.is_subset_of(sig) {
                 self.stats.containment_filtered += 1;
             } else {
                 self.stats.containment_searches += 1;
-                if contained_in(candidate, d) {
+                if self.homs.contained_in(candidate, &self.ucq.cqs()[i]) {
                     return true;
                 }
             }
@@ -206,39 +237,30 @@ impl Run {
     }
 }
 
-/// Drop repeated atoms in place, keeping first occurrences in order.
-fn dedup_atoms(atoms: &mut Vec<Atom>) {
-    let mut kept = 0;
-    for i in 0..atoms.len() {
-        let atom = atoms[i];
-        if !atoms[..kept].contains(&atom) {
-            atoms[kept] = atom;
-            kept += 1;
-        }
-    }
-    atoms.truncate(kept);
-}
-
 /// log2 of the slots a [`RecentForms`] table grows to.
 const FORM_SLOT_BITS: u32 = 12;
 /// log2 of the slots a run starts with; the table grows 4× at a time.
 const FORM_FIRST_SLOT_BITS: u32 = 6;
 /// Words per slot: a length, then up to 31 words of spelled form.
 const FORM_STRIDE: usize = 32;
+/// Variable ids a spelling renumbers; a candidate using a larger one is
+/// not looked up.
+const FORM_VAR_RANGE: usize = 64;
 
-/// The candidates a run labelled most recently, spelled exactly (see
-/// [`spell`]) in a direct-mapped table indexed by the spelling's Fx hash.
+/// The candidates a run labelled most recently, spelled up to a renaming
+/// (see [`RecentForms::dedup_and_find`]) in a direct-mapped table indexed
+/// by the spelling's Fx hash.
 ///
-/// The size is a memory/recall trade. On Q13, 52 375 of the 90 994
-/// candidates repeat an earlier candidate exactly, but a repeat usually
-/// comes back only after the whole subtree of the other specialisation
-/// order has been explored (the frontier is a stack), so recall grows
-/// slowly with the table: with 2^12 slots 60 919 candidates are still
-/// labelled, with 2^14 53 091, and only a set of every form (≈ 39 k CQs
-/// alive for the run) would get down to 38 619. 2^12 slots of 128 bytes
-/// are 512 KiB, well under what packing saves on the 19 004 keys of
-/// `seen`; 2^14 slots (2 MiB) did not run measurably faster. Q6 and Q9
-/// repeat within any of these sizes (10 271 and 7 432 labelled).
+/// The size is a memory/recall trade. On Q13, most of the 90 994
+/// candidates repeat an earlier candidate up to a renaming, but a repeat
+/// usually comes back only after the whole subtree of the other
+/// specialisation order has been explored (the frontier is a stack), so
+/// recall grows slowly with the table: with 2^12 slots 53 289 candidates
+/// are still labelled (60 919 when forms were spelled with their own
+/// variable ids), and only a set of every form (≈ 39 k CQs alive for the
+/// run) would get down to the 19 004 new ones plus their first spellings.
+/// 2^12 slots of 128 bytes are 512 KiB; 2^14 slots (2 MiB) did not run
+/// measurably faster. Q6 and Q9 label 9 208 and 6 105.
 ///
 /// A run starts with 2^6 slots and grows 4× each time it has written
 /// twice its slot count. Most runs are small: a `cold_compile` pass of
@@ -256,7 +278,13 @@ struct RecentForms {
     /// The form looked up last, and its slot (`None`: it does not fit).
     form: Vec<u32>,
     slot: Option<usize>,
+    /// The renumbering of the form being spelled: variable `v`'s number,
+    /// or `UNNUMBERED`, and how many variables are numbered so far.
+    number: [u8; FORM_VAR_RANGE],
+    numbered: u8,
 }
+
+const UNNUMBERED: u8 = u8::MAX;
 
 impl RecentForms {
     fn new() -> Self {
@@ -266,20 +294,95 @@ impl RecentForms {
             written: 0,
             form: Vec::with_capacity(FORM_STRIDE),
             slot: None,
+            number: [UNNUMBERED; FORM_VAR_RANGE],
+            numbered: 0,
         }
     }
 
-    /// Does the table hold exactly `head ← atoms`? The form and its slot
-    /// are kept for [`remember`](Self::remember).
-    fn contains(&mut self, head: &[Term], atoms: &[Atom]) -> bool {
+    /// Drop the repeated atoms of `head ← atoms` in place, keeping first
+    /// occurrences in order, and say whether the table holds the result
+    /// up to a renaming. One pass over the atoms dedups, spells and
+    /// hashes; the form and its slot are kept for
+    /// [`remember`](Self::remember).
+    ///
+    /// The spelling is the head's length, each head term, then per atom
+    /// its predicate (`id << 1 | is_role`) and its terms: a variable as
+    /// `n << 1` where `n` numbers the variables by first occurrence, a
+    /// constant as `id << 1 | 1`. The predicate word says how many terms
+    /// follow, so equal spellings mean forms equal up to a renaming of
+    /// their variables. A candidate is not looked up (a miss) when an id
+    /// needs the top bit, a variable id is [`FORM_VAR_RANGE`] or more, or
+    /// the spelling does not fit a slot.
+    fn dedup_and_find(&mut self, head: &[Term], atoms: &mut Vec<Atom>) -> bool {
+        self.number = [UNNUMBERED; FORM_VAR_RANGE];
+        self.numbered = 0;
+        let mut hasher = FxHasher::default();
+        self.form.clear();
+        let mut fits = self.push_word(&mut hasher, Some(head.len() as u32));
+        for &t in head {
+            let word = self.term_word(t);
+            fits = fits && self.push_word(&mut hasher, word);
+        }
+        let mut kept = 0;
+        for i in 0..atoms.len() {
+            let atom = atoms[i];
+            if atoms[..kept].contains(&atom) {
+                continue;
+            }
+            atoms[kept] = atom;
+            kept += 1;
+            if !fits {
+                continue;
+            }
+            let (words, len) = match atom {
+                Atom::Concept(c, t) => ([word(c.0, 0), self.term_word(t), None], 2),
+                Atom::Role(r, t1, t2) => {
+                    ([word(r.0, 1), self.term_word(t1), self.term_word(t2)], 3)
+                }
+            };
+            for w in &words[..len] {
+                fits = fits && self.push_word(&mut hasher, *w);
+            }
+        }
+        atoms.truncate(kept);
         self.slot = None;
-        if spell(head, atoms, &mut self.form).is_none() {
+        if !fits {
             return false;
         }
-        let slot = self.slot_of(&self.form);
+        let slot = self.slot_index(hasher.finish());
         self.slot = Some(slot);
         let stored = &self.table[slot * FORM_STRIDE..][..FORM_STRIDE];
         stored[0] as usize == self.form.len() && stored[1..=self.form.len()] == self.form[..]
+    }
+
+    /// Append a word of the spelling, if there is one and room for it.
+    fn push_word(&mut self, hasher: &mut FxHasher, word: Option<u32>) -> bool {
+        match word {
+            Some(w) if self.form.len() + 1 < FORM_STRIDE => {
+                self.form.push(w);
+                hasher.write_u32(w);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The word of a term, numbering a variable met for the first time.
+    fn term_word(&mut self, t: Term) -> Option<u32> {
+        match t {
+            Term::Const(c) => word(c.0, 1),
+            Term::Var(v) => {
+                let v = v.0 as usize;
+                if v >= FORM_VAR_RANGE {
+                    return None;
+                }
+                if self.number[v] == UNNUMBERED {
+                    self.number[v] = self.numbered;
+                    self.numbered += 1;
+                }
+                Some(u32::from(self.number[v]) << 1)
+            }
+        }
     }
 
     /// Store the form looked up last, whose key the caller has put in
@@ -308,7 +411,7 @@ impl RecentForms {
         for stored in old.chunks_exact(FORM_STRIDE) {
             let form = &stored[..=stored[0] as usize][1..];
             if !form.is_empty() {
-                let slot = self.slot_of(form);
+                let slot = self.slot_index(hash_words(form));
                 self.table[slot * FORM_STRIDE..][..=form.len()]
                     .copy_from_slice(&stored[..=form.len()]);
             }
@@ -316,38 +419,14 @@ impl RecentForms {
     }
 
     /// The slot of a spelled form: the top bits of its Fx hash.
-    fn slot_of(&self, form: &[u32]) -> usize {
-        (hash_words(form) >> (64 - self.slot_bits)) as usize
+    fn slot_index(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slot_bits)) as usize
     }
 }
 
-/// Spell `head ← atoms` into `out`: the head's length, each head term,
-/// then per atom its predicate (`id << 1 | is_role`) and its terms
-/// (`var << 1`, `const << 1 | 1`). The predicate word says how many terms
-/// follow, so equal spellings mean equal forms. `None` when an id needs
-/// the top bit or the spelling does not fit a slot.
-fn spell(head: &[Term], atoms: &[Atom], out: &mut Vec<u32>) -> Option<()> {
-    fn word(id: u32, bit: u32) -> Option<u32> {
-        (id < 1 << 31).then_some(id << 1 | bit)
-    }
-    fn term(t: Term) -> Option<u32> {
-        match t {
-            Term::Var(v) => word(v.0, 0),
-            Term::Const(c) => word(c.0, 1),
-        }
-    }
-    out.clear();
-    out.push(head.len() as u32);
-    for &t in head {
-        out.push(term(t)?);
-    }
-    for atom in atoms {
-        match *atom {
-            Atom::Concept(c, t) => out.extend([word(c.0, 0)?, term(t)?]),
-            Atom::Role(r, t1, t2) => out.extend([word(r.0, 1)?, term(t1)?, term(t2)?]),
-        }
-    }
-    (out.len() < FORM_STRIDE).then_some(())
+/// `id << 1 | bit`, or `None` when `id` needs the top bit.
+fn word(id: u32, bit: u32) -> Option<u32> {
+    (id < 1 << 31).then_some(id << 1 | bit)
 }
 
 #[cfg(test)]
@@ -506,40 +585,110 @@ mod tests {
         Atom::Concept(obda_dllite::ConceptId(id), v(x))
     }
 
+    /// Look `head ← atoms` up in `forms` as PerfectRef does, deduplicating
+    /// a copy of the atoms.
+    fn find(forms: &mut RecentForms, head: &[Term], atoms: &[Atom]) -> bool {
+        forms.dedup_and_find(head, &mut atoms.to_vec())
+    }
+
+    /// The slot a fresh table gives `head ← atoms`.
+    fn home(head: &[Term], atoms: &[Atom]) -> usize {
+        let mut forms = RecentForms::new();
+        find(&mut forms, head, atoms);
+        forms.slot.unwrap()
+    }
+
     /// A hit in `RecentForms` drops the candidate, so a lookup must match
     /// the slot's occupant word for word and in length. Two forms that
     /// share a slot with a stored one are brute-forced: one differs from
-    /// it only in its last word, the other only by one more atom.
+    /// it only in its last word (a constant), the other only by one more
+    /// atom.
     #[test]
     fn recent_forms_match_whole_forms_only() {
         let head = [v(0)];
-        let slot = |atoms: &[Atom]| {
-            let mut form = Vec::new();
-            spell(&head, atoms, &mut form).unwrap();
-            RecentForms::new().slot_of(&form)
+        let constant = |id: u32| {
+            Atom::Concept(
+                obda_dllite::ConceptId(1),
+                Term::Const(obda_dllite::IndividualId(id)),
+            )
         };
-        let stored = vec![concept(0, 0), concept(1, 1)];
-        let home = slot(&stored);
+        let stored = vec![concept(0, 0), constant(1)];
+        let slot = home(&head, &stored);
         let last_word = (2..)
-            .map(|x| vec![concept(0, 0), concept(1, x)])
-            .find(|atoms| slot(atoms) == home)
+            .map(|c| vec![concept(0, 0), constant(c)])
+            .find(|atoms| home(&head, atoms) == slot)
             .unwrap();
         let one_more = (2..)
-            .map(|x| vec![concept(0, 0), concept(1, 1), concept(2, x)])
-            .find(|atoms| slot(atoms) == home)
+            .map(|id| vec![concept(0, 0), constant(1), concept(id, 0)])
+            .find(|atoms| home(&head, atoms) == slot)
             .unwrap();
         for other in [&last_word, &one_more] {
             for (kept, probe) in [(&stored, other), (other, &stored)] {
                 let mut forms = RecentForms::new();
-                assert!(!forms.contains(&head, kept));
+                assert!(!find(&mut forms, &head, kept));
                 forms.remember();
-                assert!(forms.contains(&head, kept));
+                assert!(find(&mut forms, &head, kept));
                 assert!(
-                    !forms.contains(&head, probe),
+                    !find(&mut forms, &head, probe),
                     "{probe:?} taken for {kept:?}"
                 );
             }
         }
+    }
+
+    /// Forms are spelled with their variables renumbered by first
+    /// occurrence: a renaming of a remembered candidate, head variables
+    /// included, is a hit; the same atoms with another pattern of equal
+    /// variables are not.
+    #[test]
+    fn recent_forms_match_up_to_a_renaming() {
+        let (r, a) = (obda_dllite::RoleId(0), obda_dllite::ConceptId(0));
+        let mut forms = RecentForms::new();
+        // q(x) ← R(x, y) ∧ A(y)
+        let stored = [Atom::Role(r, v(0), v(1)), Atom::Concept(a, v(1))];
+        assert!(!find(&mut forms, &[v(0)], &stored));
+        forms.remember();
+        // q(w) ← R(w, z) ∧ A(z), and with the repeat of R(w, z) that
+        // the lookup drops.
+        let renamed = [Atom::Role(r, v(7), v(3)), Atom::Concept(a, v(3))];
+        assert!(find(&mut forms, &[v(7)], &renamed));
+        let mut repeated = vec![renamed[0], renamed[0], renamed[1]];
+        assert!(forms.dedup_and_find(&[v(7)], &mut repeated));
+        assert_eq!(repeated, renamed);
+        // q(x) ← R(x, y) ∧ A(x), q(y) ← R(x, y) ∧ A(y), q(x) ← R(x, x) ∧ A(x)
+        for (head, atoms) in [
+            (v(0), [Atom::Role(r, v(0), v(1)), Atom::Concept(a, v(0))]),
+            (v(1), [Atom::Role(r, v(0), v(1)), Atom::Concept(a, v(1))]),
+            (v(0), [Atom::Role(r, v(0), v(0)), Atom::Concept(a, v(0))]),
+        ] {
+            assert!(!find(&mut forms, &[head], &atoms), "{head:?} ← {atoms:?}");
+        }
+    }
+
+    /// A variable id past the renumbering's range leaves the candidate
+    /// unspelled: it is never looked up nor remembered (a miss, never a
+    /// wrong hit), and its repeated atoms are still dropped.
+    #[test]
+    fn recent_forms_skip_variables_out_of_range() {
+        let r = obda_dllite::RoleId(0);
+        let far = FORM_VAR_RANGE as u32;
+        let mut forms = RecentForms::new();
+        let near = [Atom::Role(r, v(0), v(1))];
+        assert!(!find(&mut forms, &[v(0)], &near));
+        forms.remember();
+        let mut atoms = vec![Atom::Role(r, v(0), v(far)), Atom::Role(r, v(0), v(far))];
+        assert!(!forms.dedup_and_find(&[v(0)], &mut atoms));
+        assert_eq!(forms.slot, None, "not looked up");
+        assert_eq!(atoms.len(), 1);
+        forms.remember();
+        assert!(!find(&mut forms, &[v(0)], &atoms));
+        assert!(find(&mut forms, &[v(0)], &near));
+        // A renaming into range is an ordinary hit.
+        assert!(find(
+            &mut forms,
+            &[v(0)],
+            &[Atom::Role(r, v(0), v(far - 1))]
+        ));
     }
 
     /// Growing the table keeps every form it held, at each size up to
@@ -550,12 +699,12 @@ mod tests {
         let mut forms = RecentForms::new();
         let candidates: Vec<Vec<Atom>> = (0..48).map(|id| vec![concept(id, 0)]).collect();
         for atoms in &candidates {
-            assert!(!forms.contains(&head, atoms));
+            assert!(!find(&mut forms, &head, atoms));
             forms.remember();
         }
         let held: Vec<bool> = candidates
             .iter()
-            .map(|atoms| forms.contains(&head, atoms))
+            .map(|atoms| find(&mut forms, &head, atoms))
             .collect();
         // 48 forms in 64 slots: some collided, most are held.
         assert!(held.iter().filter(|&&h| h).count() > 24);
@@ -563,7 +712,7 @@ mod tests {
             forms.grow();
             for (atoms, &h) in candidates.iter().zip(&held) {
                 assert_eq!(
-                    forms.contains(&head, atoms),
+                    find(&mut forms, &head, atoms),
                     h,
                     "{atoms:?} at 2^{}",
                     forms.slot_bits

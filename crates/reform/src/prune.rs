@@ -93,34 +93,40 @@ pub fn arm_provably_empty(cq: &CQ, cons: &ConstraintSet) -> bool {
 /// completely: if every arm is provably empty, the cheapest one is kept
 /// as a representative so downstream SQL generation still has a valid
 /// statement (it evaluates over empty extents at negligible cost).
+///
+/// Arms are handled by index until the end, where each is copied once
+/// into the survivors or the dropped lists; the pairwise search itself
+/// allocates nothing per pair.
 pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
-    let mut live: Vec<CQ> = Vec::new();
-    let mut empty_arms: Vec<CQ> = Vec::new();
-    for cq in ucq.cqs() {
-        if arm_provably_empty(cq, cons) {
-            empty_arms.push(cq.clone());
-        } else {
-            live.push(cq.clone());
-        }
-    }
+    let arms = ucq.cqs();
+    let (mut live, mut empty): (Vec<usize>, Vec<usize>) =
+        (0..arms.len()).partition(|&i| !arm_provably_empty(&arms[i], cons));
     if live.is_empty() {
-        if let Some(pos) = (0..empty_arms.len()).min_by_key(|&i| empty_arms[i].num_atoms()) {
-            live.push(empty_arms.remove(pos));
+        if let Some(pos) = (0..empty.len()).min_by_key(|&i| arms[empty[i]].num_atoms()) {
+            live.push(empty.remove(pos));
         }
     }
+
+    // Each live arm's unbound variables, worked out once, not once per
+    // pair: those of `live[k]` are `unbound[ends[k - 1]..ends[k]]`.
+    let (mut unbound, mut ends, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+    for &arm in &live {
+        arms[arm].unbound_vars_into(&mut scratch);
+        unbound.extend_from_slice(&scratch);
+        ends.push(unbound.len());
+    }
+    let unbound_of = |k: usize| &unbound[if k == 0 { 0 } else { ends[k - 1] }..ends[k]];
 
     // Pairwise data-subsumption, mirroring `minimize_ucq`: arm `j` is
     // dropped when a still-kept arm `i` data-contains it; mutual
     // containment keeps the earlier arm (deterministic given the input
-    // order, which the reformulation fixes). Each arm's unbound variables
-    // are worked out once, not once per pair.
-    let unbound: Vec<Vec<VarId>> = live.iter().map(CQ::unbound_vars).collect();
+    // order, which the reformulation fixes).
     let mut bindings = Vec::new();
     let mut contained = |sub: usize, keeper: usize| {
         covered_by(
-            &live[sub],
-            &live[keeper],
-            &unbound[keeper],
+            &arms[live[sub]],
+            &arms[live[keeper]],
+            unbound_of(keeper),
             &mut bindings,
             cons,
         )
@@ -144,18 +150,18 @@ pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
             }
         }
     }
-    let mut kept_cqs: Vec<CQ> = Vec::new();
-    let mut subsumed_arms: Vec<CQ> = Vec::new();
-    for (cq, k) in live.into_iter().zip(&keep) {
-        if *k {
-            kept_cqs.push(cq);
+    let mut kept = vec![false; arms.len()];
+    let mut subsumed_arms = Vec::new();
+    for (&arm, &k) in live.iter().zip(&keep) {
+        if k {
+            kept[arm] = true;
         } else {
-            subsumed_arms.push(cq);
+            subsumed_arms.push(arms[arm].clone());
         }
     }
     PrunedUcq {
-        ucq: UCQ::from_cqs(ucq.head().to_vec(), kept_cqs),
-        empty_arms,
+        ucq: ucq.select(|i| kept[i]),
+        empty_arms: empty.iter().map(|&i| arms[i].clone()).collect(),
         subsumed_arms,
     }
 }
@@ -236,33 +242,71 @@ fn bind(bindings: &mut Vec<(VarId, Term)>, kt: Term, st: Term) -> bool {
     }
 }
 
-/// One way a `sub` atom can cover a `keeper` atom: the list of
-/// positional `(keeper-term, sub-term)` pairs that must unify. Pairs
+/// One way a `sub` atom can cover a `keeper` atom: the positional
+/// `(keeper-term, sub-term)` pairs that must unify, at most two. Pairs
 /// omitted by `∃`-coverage correspond to unbound keeper variables whose
 /// witness the constraint supplies.
-fn coverage_modes(
-    a: &Atom,
-    t: &Atom,
-    unbound: &[VarId],
-    cons: &ConstraintSet,
-) -> Vec<Vec<(Term, Term)>> {
+#[derive(Clone, Copy)]
+struct Mode {
+    pairs: [(Term, Term); 2],
+    len: usize,
+}
+
+/// A placeholder for the unused entries of [`Modes`].
+const NO_MODE: Mode = Mode {
+    pairs: [(Term::Var(VarId(0)), Term::Var(VarId(0))); 2],
+    len: 0,
+};
+
+impl Mode {
+    fn pairs(&self) -> &[(Term, Term)] {
+        &self.pairs[..self.len]
+    }
+}
+
+/// Every [`Mode`] of one pair of atoms, held inline: a role atom covering
+/// a role atom has the most, two exact ones and two for each unbound
+/// position.
+struct Modes {
+    modes: [Mode; 6],
+    len: usize,
+}
+
+impl Modes {
+    fn push(&mut self, pairs: &[(Term, Term)]) {
+        let mode = &mut self.modes[self.len];
+        mode.pairs[..pairs.len()].copy_from_slice(pairs);
+        mode.len = pairs.len();
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Mode] {
+        &self.modes[..self.len]
+    }
+}
+
+/// The ways `t` can cover `a` (see [`Mode`]).
+fn coverage_modes(a: &Atom, t: &Atom, unbound: &[VarId], cons: &ConstraintSet) -> Modes {
     let is_unbound = |term: &Term| matches!(term, Term::Var(v) if unbound.contains(v));
-    let mut modes = Vec::new();
+    let mut modes = Modes {
+        modes: [NO_MODE; 6],
+        len: 0,
+    };
     match *a {
         Atom::Concept(c, tau) => {
             let target = BasicConcept::Atomic(c);
             match *t {
                 Atom::Concept(c2, s1) => {
                     if cons.unary_included(BasicConcept::Atomic(c2), target) {
-                        modes.push(vec![(tau, s1)]);
+                        modes.push(&[(tau, s1)]);
                     }
                 }
                 Atom::Role(r2, s1, s2) => {
                     if cons.unary_included(BasicConcept::Exists(Role::direct(r2)), target) {
-                        modes.push(vec![(tau, s1)]);
+                        modes.push(&[(tau, s1)]);
                     }
                     if cons.unary_included(BasicConcept::Exists(Role::inv(r2)), target) {
-                        modes.push(vec![(tau, s2)]);
+                        modes.push(&[(tau, s2)]);
                     }
                 }
             }
@@ -272,10 +316,10 @@ fn coverage_modes(
             // Exact coverage: both positions map.
             if let Atom::Role(r2, s1, s2) = *t {
                 if cons.role_included(Role::direct(r2), direct) {
-                    modes.push(vec![(tau1, s1), (tau2, s2)]);
+                    modes.push(&[(tau1, s1), (tau2, s2)]);
                 }
                 if cons.role_included(Role::inv(r2), direct) {
-                    modes.push(vec![(tau1, s2), (tau2, s1)]);
+                    modes.push(&[(tau1, s2), (tau2, s1)]);
                 }
             }
             // ∃-coverage: an unbound object variable only needs a
@@ -285,15 +329,15 @@ fn coverage_modes(
                 match *t {
                     Atom::Concept(c2, s1) => {
                         if cons.unary_included(BasicConcept::Atomic(c2), dom) {
-                            modes.push(vec![(tau1, s1)]);
+                            modes.push(&[(tau1, s1)]);
                         }
                     }
                     Atom::Role(r2, s1, s2) => {
                         if cons.unary_included(BasicConcept::Exists(Role::direct(r2)), dom) {
-                            modes.push(vec![(tau1, s1)]);
+                            modes.push(&[(tau1, s1)]);
                         }
                         if cons.unary_included(BasicConcept::Exists(Role::inv(r2)), dom) {
-                            modes.push(vec![(tau1, s2)]);
+                            modes.push(&[(tau1, s2)]);
                         }
                     }
                 }
@@ -304,15 +348,15 @@ fn coverage_modes(
                 match *t {
                     Atom::Concept(c2, s1) => {
                         if cons.unary_included(BasicConcept::Atomic(c2), rng) {
-                            modes.push(vec![(tau2, s1)]);
+                            modes.push(&[(tau2, s1)]);
                         }
                     }
                     Atom::Role(r2, s1, s2) => {
                         if cons.unary_included(BasicConcept::Exists(Role::direct(r2)), rng) {
-                            modes.push(vec![(tau2, s1)]);
+                            modes.push(&[(tau2, s1)]);
                         }
                         if cons.unary_included(BasicConcept::Exists(Role::inv(r2)), rng) {
-                            modes.push(vec![(tau2, s2)]);
+                            modes.push(&[(tau2, s2)]);
                         }
                     }
                 }
@@ -335,9 +379,9 @@ fn search(
         return true;
     };
     for t in sub.atoms() {
-        for mode in coverage_modes(a, t, unbound, cons) {
+        for mode in coverage_modes(a, t, unbound, cons).as_slice() {
             let mark = bindings.len();
-            if mode.into_iter().all(|(kt, st)| bind(bindings, kt, st))
+            if mode.pairs().iter().all(|&(kt, st)| bind(bindings, kt, st))
                 && search(atoms, idx + 1, sub, unbound, bindings, cons)
             {
                 return true;

@@ -45,11 +45,10 @@ pub fn reference_perfect_ref(q: &CQ, tbox: &TBox, prune: bool) -> UCQ {
             }
         }
         for candidate in candidates {
-            let key = canonical_key(&candidate);
-            if seen.insert(key.clone()) {
+            if seen.insert(canonical_key(&candidate)) {
                 frontier.push(candidate.clone());
                 if !(prune && ucq.cqs().iter().any(|d| contained_in(&candidate, d))) {
-                    ucq.push_keyed(candidate, key);
+                    ucq.push(candidate);
                 }
             }
         }
