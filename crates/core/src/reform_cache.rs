@@ -8,17 +8,22 @@
 //! signature (ARCHITECTURE.md §2) — until then it was 99 % of a cold
 //! cover search, the reverse of the paper's §6.4, where cost estimation
 //! dominates. It is still the larger part: on a traced `cold_compile`
-//! pass over the LUBM shapes (seed 1, 2 cores) estimation is ≈ 7 % of
-//! the search (13 of 187 ms), though it makes half of a cold compile's
-//! heap allocations (210 720 of 419 756 for the 14 shapes).
+//! pass over the LUBM shapes (seed 1, 2 cores) estimation is ≈ 14 % of
+//! the search as served (12 of 86 ms), where each fragment is
+//! reformulated under the generation's live TBox, and was ≈ 7 % (11 of
+//! 160 ms) under the loaded TBox alone, though it makes half of a cold
+//! compile's heap allocations (210 720 of 419 756 for the 14 shapes).
 //!
 //! Two lifetimes are involved. A [`ReformCache`] lives for one search
 //! over one query and is keyed by fragment *position* (atom mask +
 //! exported head). A [`FragmentMemo`] is keyed by the fragment query
 //! itself and lives as long as its TBox: a fragment's reformulation is a
-//! pure function of (fragment CQ, TBox), so no ABox write can invalidate
-//! it, and a serving layer that recompiles the same shapes after every
-//! commit pays PerfectRef once per TBox instead of once per generation.
+//! pure function of (fragment CQ, TBox). The serving layer keeps one per
+//! *live* TBox (the loaded one without the inclusions out of predicates
+//! that have no facts and none below them), so only an ABox write that
+//! changes those dead predicates can retire it, and a server that
+//! recompiles the same shapes after every commit pays PerfectRef once
+//! per live TBox instead of once per generation.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

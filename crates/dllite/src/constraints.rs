@@ -219,6 +219,29 @@ impl ConstraintSet {
         self.empty.contains(&p)
     }
 
+    /// The predicates that are **dead** on the mined snapshot, sorted: a
+    /// dead predicate has no facts and neither has any predicate the
+    /// `closure` entails into it, so no specialisation of an atom over it
+    /// can match anything. Emptiness alone is not enough: an empty
+    /// predicate with facts below it (LUBM's `Person`) answers through
+    /// its specialisations. `closure` must be the mined TBox's.
+    pub fn dead_predicates(&self, closure: &TBoxClosure) -> Vec<PredId> {
+        let mut fed: HashSet<PredId> = HashSet::new();
+        for (sub, sup) in closure.positive_concept_inclusions() {
+            if !self.pred_is_empty(sub.cr()) {
+                fed.insert(sup.cr());
+            }
+        }
+        for (sub, sup) in closure.positive_role_inclusions() {
+            if !self.pred_is_empty(sub.cr()) {
+                fed.insert(sup.cr());
+            }
+        }
+        let mut dead: Vec<PredId> = self.empty.difference(&fed).copied().collect();
+        dead.sort_unstable();
+        dead
+    }
+
     /// `ext(sub) ⊆ ext(sup)` on the mined snapshot? Reflexivity included,
     /// so the plain (constraint-free) homomorphism is a special case.
     pub fn unary_included(&self, sub: BasicConcept, sup: BasicConcept) -> bool {

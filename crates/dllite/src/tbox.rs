@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use crate::axiom::{Axiom, ConceptInclusion, RoleInclusion};
 use crate::expr::{BasicConcept, Role};
-use crate::ids::RoleId;
+use crate::ids::{PredId, RoleId};
 use crate::vocab::Vocabulary;
 
 /// An ontology: a set of DL-LiteR constraints over a [`Vocabulary`].
@@ -123,6 +123,22 @@ impl TBox {
         self.by_role_rhs
             .get(rhs.0 as usize)
             .map_or(&[], Vec::as_slice)
+    }
+
+    /// This TBox without the positive inclusions whose sub-side predicate
+    /// is in `dead` (sorted), the rest in their order. When no predicate
+    /// specialising into a dead one has facts either
+    /// ([`ConstraintSet::dead_predicates`](crate::ConstraintSet::dead_predicates)),
+    /// PerfectRef under the result builds exactly the disjuncts it builds
+    /// under `self` that mention no dead predicate.
+    pub fn without_inclusions_from(&self, dead: &[PredId]) -> TBox {
+        let live = |p: PredId| dead.binary_search(&p).is_err();
+        let mut kept = TBox::new();
+        kept.extend(self.axioms.iter().copied().filter(|ax| match ax {
+            Axiom::Concept(ci) => ci.negated || live(ci.lhs.cr()),
+            Axiom::Role(ri) => ri.negated || live(ri.lhs.cr()),
+        }));
+        kept
     }
 
     /// Number of positive axioms.

@@ -336,6 +336,7 @@ pub enum Counter {
     PanicsRecovered,
     CostPredicted,
     CostMeasured,
+    LiveTBoxBuilds,
 }
 
 /// One counter family, declared once: `SHOW metrics` and the Prometheus
@@ -411,7 +412,7 @@ use self::Unit::{Count, Micros, MilliUnits};
 /// renderers pick it up. Histograms, gauges and derived rows are not
 /// counters and are written by the renderers themselves.
 #[rustfmt::skip]
-pub const CATALOGUE: [Family; 29] = [
+pub const CATALOGUE: [Family; 30] = [
     Family::new(Counter::Queries, "queries_total", "obda_queries_total", Count,
         "Queries served.").by("backend", &BACKEND_NAMES).with_layout(),
     Family::new(Counter::QueryErrors, "query_errors_total", "obda_query_errors_total", Count,
@@ -476,6 +477,9 @@ pub const CATALOGUE: [Family; 29] = [
         MilliUnits, "Accumulated predicted plan cost (work units)."),
     Family::new(Counter::CostMeasured, "cost_measured_units", "obda_cost_measured_units_total",
         MilliUnits, "Accumulated measured executor work (work units)."),
+    Family::new(Counter::LiveTBoxBuilds, "live_tbox_builds", "obda_live_tbox_builds_total", Count,
+        "Live TBoxes built, each with an empty fragment memo: a TBox scope's first, then one per \
+         generation whose dead predicates differ from its predecessor's."),
 ];
 
 /// Each family's first slot in the registry's counter array.
@@ -884,11 +888,14 @@ pub fn show_metrics(server: &Server, generation: u64) -> Vec<(String, String)> {
             (name, us.to_string())
         })
     };
-    // The stage totals and pruned arms joined `SHOW metrics` after its
-    // row order was fixed, so their rows come last.
+    // The stage totals, pruned arms and live-TBox builds joined `SHOW
+    // metrics` after its row order was fixed, so their rows come last.
     let mut late = Vec::new();
     for family in &CATALOGUE {
-        let appended = matches!(family.counter, Counter::StageMicros | Counter::PrunedArms);
+        let appended = matches!(
+            family.counter,
+            Counter::StageMicros | Counter::PrunedArms | Counter::LiveTBoxBuilds
+        );
         for i in 0..family.samples() {
             let row = (
                 family.show_name(i),

@@ -972,11 +972,12 @@ fn render_explain(analyzed: &AnalyzedQuery) -> Rendered {
     ));
     if let Some(p) = &analyzed.pruned {
         lines.push(format!(
-            "constraints: arms_pruned={} (empty={} subsumed={}) kept={}",
+            "constraints: arms_pruned={} (empty={} subsumed={}) kept={} dead_preds={}",
             p.total_pruned(),
             p.empty_pruned,
             p.subsumed_pruned,
             p.kept,
+            analyzed.dead_preds,
         ));
     }
     lines.push(format!(

@@ -29,15 +29,19 @@
 //!   arm order so the arm-sums-equal-totals metering invariant survives
 //!   parallel execution (see [`crate::executor::execute_parallel`]).
 //! * **A TBox-lifetime half of compilation** — what a compilation needs
-//!   from the TBox alone (predicate dependencies, the saturated closure,
-//!   the PerfectRef reformulation of each fragment) lives in a
-//!   [`TBoxScope`] that commits hand on unchanged, so the recompile
-//!   that follows a write redoes only what the write can have changed:
-//!   cover *choice* from fresh statistics, constraint mining and
-//!   pruning, physical plans, SQL text. With the memo warm that is
-//!   about what a warm read costs, so the plan cache is still purged on
-//!   every commit and a cached entry is always exactly what a cold
-//!   compile against its generation produces.
+//!   from the TBox alone (predicate dependencies, the saturated closure)
+//!   lives in a [`TBoxScope`] that commits hand on unchanged. PerfectRef
+//!   runs under each generation's *live* TBox, the scope's without the
+//!   inclusions out of predicates that have no facts and none below
+//!   them, and the reformulation of each fragment is memoised with it.
+//!   Commits hand the live TBox on for as long as they leave its dead
+//!   predicates alone, so the recompile that follows a write redoes only
+//!   what the write can have changed: cover *choice* from fresh
+//!   statistics, constraint mining and pruning, physical plans, SQL
+//!   text. With the memo warm that is about what a warm read costs, so
+//!   the plan cache is still purged on every commit and a cached entry
+//!   is always exactly what a cold compile against its generation
+//!   produces.
 //!
 //! Staleness is impossible by construction: the cache key embeds the
 //! snapshot generation, every write path ([`Server::apply_batch`],
@@ -78,7 +82,7 @@ use std::time::{Duration, Instant};
 
 use obda_core::{choose_reformulation_memoised, FragmentMemo, FragmentStats, PruneStats, Strategy};
 use obda_dllite::{
-    ABox, AboxDelta, ConceptId, ConstraintSet, Dependencies, IndividualId, RoleId, TBox,
+    ABox, AboxDelta, ConceptId, ConstraintSet, Dependencies, IndividualId, PredId, RoleId, TBox,
     TBoxClosure, Vocabulary, WorkingSet,
 };
 use obda_query::{canonical_key, CanonKey, FolQuery, CQ};
@@ -189,7 +193,7 @@ pub struct ServerConfig {
     /// Worker threads fanning union arms per query (1 = sequential).
     pub threads: usize,
     /// Plan-cache toggle — `false` re-runs the full pipeline on every
-    /// call, PerfectRef included: it also bypasses the TBox scope's
+    /// call, PerfectRef included: it also bypasses the live TBox's
     /// fragment memo (the differential harness runs both ways and
     /// compares, so its cold twin must share nothing with the cached
     /// server).
@@ -215,6 +219,10 @@ pub struct ServerConfig {
     /// an empty cell, and the first compilation against it re-mines.
     /// The TBox closure that guides mining is a property of the TBox
     /// and is computed once per [`TBoxScope`], not per generation.
+    /// The same setting lets the constraints shape generation, not only
+    /// prune after it: PerfectRef runs under the generation's live TBox
+    /// ([`EngineSnapshot::tbox`]) and never builds the arms over dead
+    /// predicates that pruning would drop as empty.
     pub use_constraints: bool,
 }
 
@@ -237,11 +245,10 @@ impl Default for ServerConfig {
 }
 
 /// The half of a compilation that depends on the TBox alone, given the
-/// lifetime of the TBox: predicate dependencies, the saturated closure
-/// that guides constraint mining, and the PerfectRef reformulation of
-/// every fragment compiled so far. One `Arc<TBoxScope>` is handed from
-/// snapshot to snapshot by every write path that keeps the TBox
-/// (commits, [`Server::reload_abox`], transaction overlays) and
+/// lifetime of the TBox: predicate dependencies and the saturated
+/// closure that guides constraint mining. One `Arc<TBoxScope>` is
+/// handed from snapshot to snapshot by every write path that keeps the
+/// TBox (commits, [`Server::reload_abox`], transaction overlays) and
 /// replaced by the ones that may change it ([`Server::reload_kb`], the
 /// constructors) — invalidation is structural, there is nothing to
 /// purge.
@@ -249,7 +256,6 @@ pub struct TBoxScope {
     tbox: TBox,
     deps: Dependencies,
     closure: OnceLock<TBoxClosure>,
-    fragments: FragmentMemo,
 }
 
 impl TBoxScope {
@@ -258,7 +264,6 @@ impl TBoxScope {
             tbox,
             deps,
             closure: OnceLock::new(),
-            fragments: FragmentMemo::new(),
         }
     }
 
@@ -267,6 +272,62 @@ impl TBoxScope {
     fn closure(&self) -> &TBoxClosure {
         self.closure
             .get_or_init(|| TBoxClosure::compute(&self.tbox))
+    }
+}
+
+/// The TBox a generation reformulates under, and the PerfectRef
+/// reformulation of every fragment compiled under it so far: the
+/// scope's TBox without the inclusions out of the generation's dead
+/// predicates (no facts, and none below them either; see
+/// [`ConstraintSet::dead_predicates`]). Those inclusions only build
+/// union arms that constraint pruning would drop as empty. Every
+/// generation with the same dead set shares one pair, so a fragment's
+/// memoised reformulation is a pure function of (fragment, live TBox)
+/// and no write that keeps the dead set can invalidate it.
+pub(crate) struct LiveTBox {
+    /// Sorted.
+    dead: Vec<PredId>,
+    tbox: TBox,
+    fragments: FragmentMemo,
+}
+
+/// A generation's handle on its [`LiveTBox`]: derived on first use,
+/// together with the constraints, and never at publish. The pair its
+/// predecessor used is handed on and reused while the dead set is
+/// unchanged; a write that changes the dead set gets a new pair, with
+/// an empty memo.
+pub(crate) struct LiveCell {
+    derived: OnceLock<Arc<LiveTBox>>,
+    handed: Option<Arc<LiveTBox>>,
+    /// Whether dead predicates are derived at all: only a server that
+    /// mines constraints ([`ServerConfig::use_constraints`]) lets the
+    /// data shape its reformulations. Without, the live TBox is the
+    /// scope's.
+    mines: bool,
+}
+
+impl LiveCell {
+    /// The cell of a scope's first generation.
+    fn new(mines: bool) -> Self {
+        LiveCell {
+            derived: OnceLock::new(),
+            handed: None,
+            mines,
+        }
+    }
+
+    /// The cell of the next generation under the same scope.
+    pub(crate) fn successor(&self) -> Self {
+        LiveCell {
+            derived: OnceLock::new(),
+            handed: self.current(),
+            mines: self.mines,
+        }
+    }
+
+    /// The pair this generation derived, else the one it was handed.
+    fn current(&self) -> Option<Arc<LiveTBox>> {
+        self.derived.get().or(self.handed.as_ref()).cloned()
     }
 }
 
@@ -292,6 +353,9 @@ pub struct EngineSnapshot {
     /// the same lifetime discipline as the plan cache, whose keys embed
     /// the generation.
     pub(crate) constraints: OnceLock<Arc<ConstraintSet>>,
+    /// The TBox this generation reformulates under (with its fragment
+    /// memo), derived from the constraints.
+    pub(crate) live: LiveCell,
 }
 
 impl EngineSnapshot {
@@ -299,8 +363,21 @@ impl EngineSnapshot {
         &self.engine
     }
 
+    /// The TBox every compilation against this generation reformulates
+    /// under: the loaded TBox without the inclusions out of the
+    /// generation's dead predicates ([`EngineSnapshot::dead_predicates`]),
+    /// or the loaded TBox itself on a server that does not mine
+    /// constraints. Derived on first use. Cover safety still reads the
+    /// loaded TBox's dependencies.
     pub fn tbox(&self) -> &TBox {
-        &self.scope.tbox
+        &self.live_built().0.tbox
+    }
+
+    /// The predicates of this generation that have no facts and no facts
+    /// below them, sorted (none on a server that does not mine
+    /// constraints).
+    pub fn dead_predicates(&self) -> &[PredId] {
+        &self.live_built().0.dead
     }
 
     /// The vocabulary this generation's ids resolve against.
@@ -337,6 +414,31 @@ impl EngineSnapshot {
         });
         (Arc::clone(set), mined_in)
     }
+
+    /// This generation's [`LiveTBox`], and whether this call built a new
+    /// one (the predecessor's pair did not fit).
+    fn live_built(&self) -> (&LiveTBox, bool) {
+        let mut built = false;
+        let live = self.live.derived.get_or_init(|| {
+            let dead = if self.live.mines {
+                self.constraints().dead_predicates(self.scope.closure())
+            } else {
+                Vec::new()
+            };
+            match &self.live.handed {
+                Some(pair) if pair.dead == dead => Arc::clone(pair),
+                _ => {
+                    built = true;
+                    Arc::new(LiveTBox {
+                        tbox: self.scope.tbox.without_inclusions_from(&dead),
+                        dead,
+                        fragments: FragmentMemo::new(),
+                    })
+                }
+            }
+        });
+        (live, built)
+    }
 }
 
 /// A cached compilation: the chosen FOL reformulation, its stored
@@ -360,7 +462,7 @@ pub struct CompiledQuery {
     /// the plan: the pruned shape *is* the cached shape.
     pub pruned: Option<PruneStats>,
     /// Where the cold compilation's fragment reformulations came from:
-    /// the TBox scope's memo, or PerfectRef runs of its own.
+    /// the live TBox's memo, or PerfectRef runs of its own.
     pub fragments: FragmentStats,
 }
 
@@ -395,6 +497,9 @@ pub struct AnalyzedQuery {
     /// Constraint-pruning statistics of the compilation this analysis
     /// replayed (None when pruning was disabled).
     pub pruned: Option<PruneStats>,
+    /// Dead predicates of the generation: PerfectRef built no arm over
+    /// them ([`EngineSnapshot::dead_predicates`]).
+    pub dead_preds: usize,
     /// Fragment reformulations of that compilation: memoised / computed.
     pub fragments: FragmentStats,
 }
@@ -409,14 +514,14 @@ pub struct CacheStats {
     pub entries: usize,
     /// Stale entries dropped by reloads so far.
     pub invalidated: u64,
-    /// Fragment reformulations cold compilations took from the TBox
-    /// scope's memo — PerfectRef runs a write did *not* cost.
+    /// Fragment reformulations cold compilations took from the live
+    /// TBox's memo — PerfectRef runs a write did *not* cost.
     pub fragment_memo_hits: u64,
     /// Fragment reformulations cold compilations had to compute. With
     /// the plan cache on, these stop growing once every shape has been
-    /// compiled under the current TBox.
+    /// compiled under the current live TBox.
     pub fragment_memo_misses: u64,
-    /// Reformulations the current TBox scope's memo holds.
+    /// Reformulations the current live TBox's memo holds.
     pub fragment_memo_entries: usize,
     /// Candidate CQs the PerfectRef runs of those computed reformulations
     /// built, and how many of them were canonically labelled — the rest
@@ -635,7 +740,8 @@ impl Server {
     ) -> Self {
         let deps = Dependencies::compute(&voc, &tbox);
         let scope = Arc::new(TBoxScope::new(tbox, deps));
-        let snapshot = Self::build_snapshot(&voc, &config, scope, &abox, generation);
+        let live = LiveCell::new(config.use_constraints);
+        let snapshot = Self::build_snapshot(&voc, &config, scope, live, &abox, generation);
         Server {
             config,
             snapshot: RwLock::new(Arc::new(snapshot)),
@@ -663,6 +769,7 @@ impl Server {
         voc: &Vocabulary,
         config: &ServerConfig,
         scope: Arc<TBoxScope>,
+        live: LiveCell,
         abox: &ABox,
         generation: u64,
     ) -> EngineSnapshot {
@@ -676,6 +783,7 @@ impl Server {
             voc: Arc::new(voc.clone()),
             generation,
             constraints: OnceLock::new(),
+            live,
         }
     }
 
@@ -905,10 +1013,14 @@ impl Server {
         });
         // `cache_plans = false` means the full pipeline on every call,
         // PerfectRef included.
-        let memo = self.config.cache_plans.then_some(&snap.scope.fragments);
+        let (live, built) = snap.live_built();
+        if built {
+            self.observe.add(Counter::LiveTBoxBuilds, 1);
+        }
+        let memo = self.config.cache_plans.then_some(&live.fragments);
         let chosen = choose_reformulation_memoised(
             cq,
-            &snap.scope.tbox,
+            &live.tbox,
             &snap.scope.deps,
             &estimator,
             &self.config.reform_strategy,
@@ -1224,8 +1336,7 @@ impl Server {
         let next = Arc::new(EngineSnapshot {
             engine,
             // An ABox write cannot change what the TBox entails: the
-            // next generation keeps the scope, and with it every
-            // fragment reformulation compiled so far.
+            // next generation keeps the scope.
             scope: Arc::clone(&cur.scope),
             voc,
             generation,
@@ -1233,6 +1344,10 @@ impl Server {
             // unreachable from this generation (same discipline as the
             // generation-keyed plan cache).
             constraints: OnceLock::new(),
+            // Handed the live TBox, and with it every fragment
+            // reformulation compiled so far, for as long as the write
+            // leaves the dead set alone.
+            live: cur.live.successor(),
         });
         self.swap_snapshot(next, generation);
         // Prune the conflict registry below every open transaction's
@@ -1466,6 +1581,7 @@ impl Server {
             backend,
             spans,
             pruned: compiled.pruned,
+            dead_preds: snap.dead_predicates().len(),
             fragments: compiled.fragments,
         })
     }
@@ -1493,8 +1609,10 @@ impl Server {
         let _leader = self.lock_leader();
         self.run_leader()?; // staged commits land first, in commit order
         let mut writer = self.lock_writer()?;
-        let scope = Arc::clone(&self.read_snapshot().scope);
-        Ok(self.publish(&mut writer, scope, abox))
+        let cur = self.read_snapshot();
+        let (scope, live) = (Arc::clone(&cur.scope), cur.live.successor());
+        drop(cur);
+        Ok(self.publish(&mut writer, scope, live, abox))
     }
 
     /// Publish a new TBox *and* ABox (ontology evolution): recomputes the
@@ -1506,7 +1624,8 @@ impl Server {
         let mut writer = self.lock_writer()?;
         let deps = Dependencies::compute(&writer.voc, &tbox);
         let scope = Arc::new(TBoxScope::new(tbox, deps));
-        Ok(self.publish(&mut writer, scope, abox))
+        let live = LiveCell::new(self.config.use_constraints);
+        Ok(self.publish(&mut writer, scope, live, abox))
     }
 
     /// Build and swap in the next generation (bulk path). The writer
@@ -1515,12 +1634,19 @@ impl Server {
     /// interleave (lost update), and the expensive snapshot build
     /// happens *before* the snapshot write lock is taken — queries keep
     /// serving the old generation until the O(1) `Arc` swap.
-    fn publish(&self, writer: &mut WriterState, scope: Arc<TBoxScope>, abox: &ABox) -> u64 {
+    fn publish(
+        &self,
+        writer: &mut WriterState,
+        scope: Arc<TBoxScope>,
+        live: LiveCell,
+        abox: &ABox,
+    ) -> u64 {
         let generation = self.read_snapshot().generation + 1;
         let next = Arc::new(Self::build_snapshot(
             &writer.voc,
             &self.config,
             Arc::clone(&scope),
+            live,
             abox,
             generation,
         ));
@@ -1606,7 +1732,11 @@ impl Server {
             invalidated: reg.get(Counter::PlanCacheInvalidated),
             fragment_memo_hits: reg.get(Counter::FragmentMemoHits),
             fragment_memo_misses: reg.get(Counter::FragmentMemoMisses),
-            fragment_memo_entries: self.read_snapshot().scope.fragments.len(),
+            fragment_memo_entries: self
+                .read_snapshot()
+                .live
+                .current()
+                .map_or(0, |live| live.fragments.len()),
             perfectref_candidates: reg.get(Counter::PerfectRefCandidates),
             perfectref_canonicalised: reg.get(Counter::PerfectRefCanonicalised),
         }

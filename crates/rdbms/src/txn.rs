@@ -248,6 +248,10 @@ impl<'s> Txn<'s> {
             // mined from the base data could wrongly prune arms over
             // predicates this transaction just populated.
             constraints: std::sync::OnceLock::new(),
+            // The base's live TBox while the transaction's writes leave
+            // the dead set alone, a new one (with an empty memo) once
+            // they populate a dead predicate or empty a live one.
+            live: base.live.successor(),
         });
         self.overlay = Some((self.ws.version(), Arc::clone(&snap)));
         let reg = self.server.observe();

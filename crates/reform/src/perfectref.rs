@@ -20,6 +20,14 @@
 //! 53 289 are labelled into packed `u32` keys held in an Fx-hashed
 //! [`WordSet`] (`Run::push_new`).
 //!
+//! Those are the figures under LUBM's TBox alone, the ones the pins
+//! test holds. A server reformulates under each generation's *live*
+//! TBox, without the inclusions out of predicates that have no facts
+//! and none below them (ARCHITECTURE.md §2): as served on LUBM seed 1
+//! (60 k facts), Q13's run builds 25 167 candidates, labels 12 415 and
+//! emits 253 disjuncts (808 under the TBox alone), the same ones minus
+//! those over dead predicates.
+//!
 //! The run allocates for what it keeps: a new CQ costs its head and
 //! body, and an emitted one a copy for the union; everything per
 //! candidate or per popped query — the unifier, the specialisations, the

@@ -530,13 +530,16 @@ proptest! {
     /// certain answers.
     ///
     /// And the memo is what serves the recompiles (asserted on the
-    /// counters, never on time): once generation 0 has compiled every
-    /// query, a strategy whose fragments do not depend on the data (the
-    /// root cover, the exhaustive search) never runs PerfectRef again.
-    /// GDL's path through the cover space follows the statistics, so a
-    /// write can lead it to a fragment it has not met; it must still
-    /// take every fragment it *has* met — the root cover's at least —
-    /// from the memo.
+    /// counters, never on time). PerfectRef runs under each generation's
+    /// live TBox, which a write keeps exactly when it leaves the dead
+    /// predicates alone; a write that changes them must build a new live
+    /// TBox, with an empty memo. On the steps that keep it, once
+    /// generation 0 has compiled every query, a strategy whose fragments
+    /// do not depend on the data (the root cover, the exhaustive search)
+    /// never runs PerfectRef again. GDL's path through the cover space
+    /// follows the statistics, so a write can lead it to a fragment it
+    /// has not met; it must still take every fragment it *has* met — the
+    /// root cover's at least — from the memo.
     #[test]
     fn compilation_is_generation_stable(seed in 0u64..1_000_000) {
         let mut rng = Rng::new(seed);
@@ -576,6 +579,8 @@ proptest! {
         .expect("bind ephemeral port");
         let mut wire = obda::rdbms::pgwire::WireClient::connect(&listener.local_addr(), &[])
             .expect("startup completes");
+        let builds = || caching.observe().get(obda::rdbms::observe::Counter::LiveTBoxBuilds);
+        let mut dead_before: Vec<PredId> = Vec::new();
 
         for step in 0..4usize {
             if step > 0 {
@@ -607,7 +612,7 @@ proptest! {
                 abox.apply(&delta);
             }
 
-            let before = caching.cache_stats();
+            let (before, built_before) = (caching.cache_stats(), builds());
             let (snap, twin_snap) = (caching.snapshot(), twin.snapshot());
             for (qi, cq) in queries.iter().enumerate() {
                 let truth: std::collections::BTreeSet<Vec<u32>> = certain_answers(&tbox, &abox, cq)
@@ -630,7 +635,17 @@ proptest! {
                 }
             }
             let after = caching.cache_stats();
-            if step > 0 {
+            let dead = snap.dead_predicates().to_vec();
+            if step > 0 && dead != dead_before {
+                prop_assert_eq!(
+                    builds(), built_before + 1,
+                    "seed {} step {}: the dead set changed, the live TBox did not", seed, step
+                );
+            } else if step > 0 {
+                prop_assert_eq!(
+                    builds(), built_before,
+                    "seed {} step {}: the dead set held, the live TBox was rebuilt", seed, step
+                );
                 if data_independent {
                     prop_assert_eq!(
                         after.fragment_memo_misses, before.fragment_memo_misses,
@@ -643,6 +658,7 @@ proptest! {
                     "seed {} step {}: recompiles bypassed the memo", seed, step
                 );
             }
+            dead_before = dead;
         }
         let cold = twin.cache_stats();
         prop_assert_eq!((cold.fragment_memo_hits, cold.fragment_memo_entries), (0, 0));

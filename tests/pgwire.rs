@@ -1049,9 +1049,10 @@ fn explain_analyze_covers_all_layouts_and_backends() {
 
 /// A durable server that has served a scripted workload touching every
 /// counter family: reads on both backends, a constrained cold compile
-/// that prunes a union arm (`Apprentice ⊑ Builder` with no apprentice),
-/// an autocommit `INSERT`, a `BEGIN`/`INSERT`/`COMMIT` block and a
-/// checkpoint. Returns the server, its listener, a `/metrics` endpoint
+/// that prunes a union arm (`Worker ⊑ Person` with no worker but a
+/// builder below it; `Apprentice`, with nothing below it either, is
+/// dead and never built), an autocommit `INSERT`, a
+/// `BEGIN`/`INSERT`/`COMMIT` block and a checkpoint. Returns the server, its listener, a `/metrics` endpoint
 /// and the store directory (removed by the caller).
 fn scripted_metrics_server(
     tag: &str,
@@ -1063,9 +1064,10 @@ fn scripted_metrics_server(
 ) {
     let dir = std::env::temp_dir().join(format!("obda-pgwire-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let kb =
-        KnowledgeBase::parse("Apprentice <= Builder\nBuilder <= Person\nBuilder(b0)\nPerson(p0)")
-            .unwrap();
+    let kb = KnowledgeBase::parse(
+        "Apprentice <= Builder\nBuilder <= Worker\nWorker <= Person\nBuilder(b0)\nPerson(p0)",
+    )
+    .unwrap();
     let server = Arc::new(
         Server::create_durable(
             &dir,

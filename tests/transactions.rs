@@ -16,7 +16,6 @@ use proptest::prelude::*;
 
 use obda::prelude::*;
 use obda::query::testkit::{random_abox, random_connected_cq, random_tbox, KbShape, Rng};
-use obda::rdbms::observe::{Counter, PruneReason};
 use obda::rdbms::store::recover;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -493,8 +492,10 @@ mod stale_constraints {
 
     /// `Apprentice ⊑ Builder`, ABox `{Builder(b0)}`, `q(x) ← Builder(x)`.
     /// PerfectRef yields `Builder(x) ∨ Apprentice(x)`; while `Apprentice`
-    /// is empty the constraint miner prunes the second arm, so the tests
-    /// below revolve around inserting the first `Apprentice` fact.
+    /// has no facts (and nothing below it has any) the mined constraints
+    /// make it dead, and the live TBox never builds the second arm, so
+    /// the tests below revolve around inserting the first `Apprentice`
+    /// fact.
     fn tiny() -> (
         Vocabulary,
         TBox,
@@ -533,13 +534,16 @@ mod stale_constraints {
         let (voc, tbox, abox, q, appr, a0, b0) = tiny();
         let server = Server::new(voc, tbox, &abox, config());
 
-        // Cold query: the Apprentice arm is pruned as provably empty.
+        // Cold query: the Apprentice arm is dropped — the live TBox of a
+        // generation where Apprentice is dead never builds it.
         assert_eq!(sorted_rows(server.query(&q).unwrap()), vec![vec![b0.0]]);
-        let arms = |r: PruneReason| server.observe().get(Counter::PrunedArms.at(r as usize));
-        let (empty, subsumed) = (arms(PruneReason::Empty), arms(PruneReason::Subsumed));
-        assert!(
-            empty + subsumed >= 1,
-            "the empty Apprentice arm must be pruned ({empty} empty, {subsumed} subsumed)"
+        let snap = server.snapshot();
+        assert_eq!(snap.dead_predicates(), [PredId::Concept(appr)]);
+        let (compiled, _) = server.compile(&snap, &q, Backend::Native);
+        assert_eq!(
+            compiled.fol,
+            FolQuery::Ucq(UCQ::single(q.clone())),
+            "the Apprentice arm must be dropped"
         );
 
         // The pre-write constraint set is sound for the pre-write ABox
@@ -559,10 +563,11 @@ mod stale_constraints {
         let generation = server.apply_batch(&delta).unwrap();
         assert_eq!(generation, 1);
         assert!(server.snapshot().constraints().holds_on(&mutated));
+        assert!(server.snapshot().dead_predicates().is_empty());
         assert_eq!(
             sorted_rows(server.query(&q).unwrap()),
             vec![vec![b0.0], vec![a0.0]],
-            "a stale constraint set would keep pruning the Apprentice arm"
+            "a stale constraint set would keep dropping the Apprentice arm"
         );
     }
 
