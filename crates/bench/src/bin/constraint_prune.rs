@@ -27,9 +27,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use obda_bench::{benchjson, Dataset};
-use obda_core::{
-    choose_reformulation, choose_reformulation_constrained, Strategy, StructuralEstimator,
-};
+use obda_core::{choose_reformulation, prune_fol, Strategy, StructuralEstimator};
 use obda_dllite::ConstraintSet;
 use obda_query::FolQuery;
 use obda_rdbms::{Backend, EngineProfile, EvalOptions, LayoutKind};
@@ -74,19 +72,8 @@ fn main() {
     );
     for wq in &queries {
         let off = choose_reformulation(&wq.cq, &ds.onto.tbox, &ds.deps, &estimator, &Strategy::Ucq);
-        let on = choose_reformulation_constrained(
-            &wq.cq,
-            &ds.onto.tbox,
-            &ds.deps,
-            &estimator,
-            &Strategy::Ucq,
-            Some(&cons),
-        );
-        let p = on.pruned.expect("constrained route reports stats");
-        let (b_off, b_on) = (
-            simple.sql_for(&off.fol).len(),
-            simple.sql_for(&on.fol).len(),
-        );
+        let (on, p) = prune_fol(&off.fol, &cons);
+        let (b_off, b_on) = (simple.sql_for(&off.fol).len(), simple.sql_for(&on).len());
         bytes_off += b_off;
         bytes_on += b_on;
         arms_off += p.arms_in;
@@ -96,7 +83,7 @@ fn main() {
             wq.name, p.arms_in, p.kept, b_off, b_on
         );
         if wq.name == "Q13" {
-            q13 = Some((off.fol.clone(), on.fol.clone()));
+            q13 = Some((off.fol.clone(), on));
         }
     }
     println!(
@@ -127,21 +114,14 @@ fn main() {
         &estimator,
         &Strategy::CrootJucq,
     );
-    let croot_on = choose_reformulation_constrained(
-        q13_cq,
-        &ds.onto.tbox,
-        &ds.deps,
-        &estimator,
-        &Strategy::CrootJucq,
-        Some(&cons),
-    );
+    let (croot_on, _) = prune_fol(&croot_off.fol, &cons);
     let db2 = EngineProfile::db2_like();
     let limit = db2
         .max_statement_bytes
         .expect("the DB2 profile models the §6.3 limit");
     let dph = ds.engine(LayoutKind::Dph, db2).with_backend(Backend::Sql);
     let dph_bytes_off = dph.sql_for(&croot_off.fol).len();
-    let sql_on = dph.sql_for(&croot_on.fol);
+    let sql_on = dph.sql_for(&croot_on);
     let dph_bytes_on = sql_on.len();
     println!(
         "Q13 root-cover DPH statement: off {dph_bytes_off} bytes, on {dph_bytes_on} bytes (limit {limit})"
@@ -159,7 +139,7 @@ fn main() {
             ..Default::default()
         };
         let mut rows = dph
-            .evaluate_opts(&croot_on.fol, &opts)
+            .evaluate_opts(&croot_on, &opts)
             .expect("pruned statement fits the limit")
             .rows;
         rows.sort();

@@ -3,10 +3,9 @@
 
 use std::time::Duration;
 
-use obda_dllite::constraints::ConstraintSet;
 use obda_dllite::{Dependencies, TBox};
 use obda_query::{FolQuery, CQ, UCQ};
-use obda_reform::{prune_fol, PruneStats};
+use obda_reform::PruneStats;
 
 use crate::cost::CostEstimator;
 use crate::cover::Cover;
@@ -45,8 +44,9 @@ pub struct Chosen {
     pub est_cost: Option<f64>,
     /// Search statistics if a search ran.
     pub search: Option<SearchStats>,
-    /// Constraint-pruning statistics, when a [`ConstraintSet`] was
-    /// supplied (see [`choose_reformulation_constrained`]).
+    /// Constraint-pruning statistics, when the compile pruned by a
+    /// generation's constraints (see
+    /// [`RewriteContext::compile`](crate::RewriteContext::compile)).
     pub pruned: Option<PruneStats>,
     /// How many fragment reformulations a [`FragmentMemo`] supplied and
     /// how many PerfectRef computed (the whole query counts as one
@@ -82,7 +82,10 @@ impl From<&SearchOutcome> for SearchStats {
 
 /// Produce the reformulation selected by `strategy`.
 ///
-/// `estimator` is consulted only by the cost-driven strategies.
+/// `estimator` is consulted only by the cost-driven strategies. A
+/// server compiles against a generation's
+/// [`RewriteContext`](crate::RewriteContext) instead, which also
+/// memoises fragments and prunes by the generation's constraints.
 pub fn choose_reformulation(
     q: &CQ,
     tbox: &TBox,
@@ -90,52 +93,17 @@ pub fn choose_reformulation(
     estimator: &dyn CostEstimator,
     strategy: &Strategy,
 ) -> Chosen {
-    choose_reformulation_memoised(q, tbox, deps, estimator, strategy, None, None)
+    choose_memoised(q, tbox, deps, estimator, strategy, None)
 }
 
-/// [`choose_reformulation`] with an optional snapshot [`ConstraintSet`]:
-/// when supplied, provably-empty and data-subsumed union arms are pruned
-/// from UCQ/JUCQ shapes *after* strategy selection and *before* SQL
-/// generation — the Hovland-style statement-size rescue. The pruned plan
-/// is only valid for the generation the constraints were mined from;
-/// callers cache it under that generation.
-pub fn choose_reformulation_constrained(
-    q: &CQ,
-    tbox: &TBox,
-    deps: &Dependencies,
-    estimator: &dyn CostEstimator,
-    strategy: &Strategy,
-    constraints: Option<&ConstraintSet>,
-) -> Chosen {
-    choose_reformulation_memoised(q, tbox, deps, estimator, strategy, constraints, None)
-}
-
-/// The one compilation path behind every `choose_*` function, split by
-/// what each half depends on. Fragment reformulation depends on the TBox
-/// alone: with a `memo` (which must belong to `tbox`) every strategy
-/// takes its PerfectRef results from it and adds the ones it had to
-/// compute. Everything data-dependent — cover choice from `estimator`'s
-/// statistics, pruning by `constraints` — is recomputed on every call,
-/// so the result equals a memo-less call's.
-pub fn choose_reformulation_memoised(
-    q: &CQ,
-    tbox: &TBox,
-    deps: &Dependencies,
-    estimator: &dyn CostEstimator,
-    strategy: &Strategy,
-    constraints: Option<&ConstraintSet>,
-    memo: Option<&FragmentMemo>,
-) -> Chosen {
-    let mut chosen = choose_unpruned(q, tbox, deps, estimator, strategy, memo);
-    if let Some(cons) = constraints {
-        let (fol, stats) = prune_fol(&chosen.fol, cons);
-        chosen.fol = fol;
-        chosen.pruned = Some(stats);
-    }
-    chosen
-}
-
-fn choose_unpruned(
+/// The one compilation path behind every strategy. Fragment
+/// reformulation depends on the TBox alone: with a `memo` (which must
+/// belong to `tbox`, as a [`RewriteContext`](crate::RewriteContext)
+/// guarantees) every strategy takes its PerfectRef results from it and
+/// adds the ones it had to compute. Cover choice from `estimator`'s
+/// statistics is recomputed on every call, so the result equals a
+/// memo-less call's.
+pub(crate) fn choose_memoised(
     q: &CQ,
     tbox: &TBox,
     deps: &Dependencies,

@@ -13,7 +13,10 @@
 //!   §5.3 (Algorithm 1), including the §6.4 time-limited variant;
 //! * [`CostEstimator`] — the cost abstraction `ε` (engine-backed
 //!   implementations live in `obda-rdbms`);
-//! * [`choose_reformulation`] — the strategy surface benchmarked in §6.
+//! * [`choose_reformulation`] — the strategy surface benchmarked in §6;
+//! * [`RewriteContext`] — one data generation's rewriting inputs (TBox
+//!   scope, mined constraints, live TBox and fragment memo) and its
+//!   single compile entry.
 
 pub mod answer;
 pub mod bell;
@@ -24,12 +27,10 @@ pub mod gdl;
 pub mod genspace;
 pub mod lattice;
 pub mod reform_cache;
+pub mod rewrite;
 pub mod safety;
 
-pub use answer::{
-    choose_reformulation, choose_reformulation_constrained, choose_reformulation_memoised, Chosen,
-    SearchStats, Strategy,
-};
+pub use answer::{choose_reformulation, Chosen, SearchStats, Strategy};
 pub use bell::{bell_number, blocks_of, Partitions};
 pub use cost::{CostEstimator, InstrumentedEstimator, StructuralEstimator};
 pub use cover::{full_mask, mask_indices, mask_len, AtomMask, Cover, Fragment};
@@ -39,4 +40,5 @@ pub use genspace::{connected_supersets, enumerate_generalized_covers, genspace_s
 pub use lattice::{enumerate_safe_covers, lattice_size, precedes};
 pub use obda_reform::{arm_provably_empty, prune_fol, prune_ucq, PruneStats, PrunedUcq};
 pub use reform_cache::{FragmentMemo, FragmentStats, ReformCache};
+pub use rewrite::{RewriteContext, Rewritten, TBoxScope};
 pub use safety::{is_safe, root_cover, QueryAnalysis};

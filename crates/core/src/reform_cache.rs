@@ -18,10 +18,11 @@
 //! over one query and is keyed by fragment *position* (atom mask +
 //! exported head). A [`FragmentMemo`] is keyed by the fragment query
 //! itself and lives as long as its TBox: a fragment's reformulation is a
-//! pure function of (fragment CQ, TBox). The serving layer keeps one per
-//! *live* TBox (the loaded one without the inclusions out of predicates
-//! that have no facts and none below them), so only an ABox write that
-//! changes those dead predicates can retire it, and a server that
+//! pure function of (fragment CQ, TBox). A
+//! [`RewriteContext`](crate::RewriteContext) keeps one per *live* TBox
+//! (the loaded one without the inclusions out of predicates that have
+//! no facts and none below them), so only an ABox write that changes
+//! those dead predicates can retire it, and a server that
 //! recompiles the same shapes after every commit pays PerfectRef once
 //! per live TBox instead of once per generation.
 

@@ -10,9 +10,9 @@
 //! cost can be amortized away. [`Server`] does four things about it:
 //!
 //! * **Shared snapshots** — an [`EngineSnapshot`] bundles the immutable
-//!   [`Engine`] (storage + `CatalogStats` + profile) and the
-//!   [`TBoxScope`] it was loaded under behind one `Arc`, tagged with a
-//!   **generation** counter. Queries clone the `Arc` (no lock held while
+//!   [`Engine`] (storage + `CatalogStats` + profile) and the generation's
+//!   [`RewriteContext`] behind one `Arc`, tagged with a **generation**
+//!   counter. Queries clone the `Arc` (no lock held while
 //!   running), so any number of OS threads evaluate concurrently against
 //!   one loaded KB, and a reload swaps the `Arc` without disturbing
 //!   in-flight queries (snapshot isolation).
@@ -28,13 +28,16 @@
 //!   worker threads with per-thread meters, merged deterministically in
 //!   arm order so the arm-sums-equal-totals metering invariant survives
 //!   parallel execution (see [`crate::executor::execute_parallel`]).
-//! * **A TBox-lifetime half of compilation** — what a compilation needs
-//!   from the TBox alone (predicate dependencies, the saturated closure)
-//!   lives in a [`TBoxScope`] that commits hand on unchanged. PerfectRef
-//!   runs under each generation's *live* TBox, the scope's without the
-//!   inclusions out of predicates that have no facts and none below
-//!   them, and the reformulation of each fragment is memoised with it.
-//!   Commits hand the live TBox on for as long as they leave its dead
+//! * **A TBox-lifetime half of compilation** — reformulation runs
+//!   through the snapshot's [`RewriteContext`] (`obda_core`): the TBox
+//!   scope (TBox, predicate dependencies, saturated closure), the
+//!   constraints mined from the generation's data, and the *live* TBox —
+//!   the scope's without the inclusions out of predicates that have no
+//!   facts and none below them — with its memo of fragment
+//!   reformulations. Every path that keeps the TBox (commits,
+//!   [`Server::reload_abox`], transaction overlays) makes the next
+//!   generation's context with one `next()` call, which keeps the scope
+//!   and hands the live TBox on for as long as the write leaves its dead
 //!   predicates alone, so the recompile that follows a write redoes only
 //!   what the write can have changed: cover *choice* from fresh
 //!   statistics, constraint mining and pruning, physical plans, SQL
@@ -75,15 +78,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
-};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use obda_core::{choose_reformulation_memoised, FragmentMemo, FragmentStats, PruneStats, Strategy};
+use obda_core::{FragmentStats, PruneStats, RewriteContext, Rewritten, Strategy};
 use obda_dllite::{
-    ABox, AboxDelta, ConceptId, ConstraintSet, Dependencies, IndividualId, PredId, RoleId, TBox,
-    TBoxClosure, Vocabulary, WorkingSet,
+    ABox, AboxDelta, ConceptId, ConstraintSet, Dependencies, Extents, IndividualId, PredId, RoleId,
+    TBox, Vocabulary, WorkingSet,
 };
 use obda_query::{canonical_key, CanonKey, FolQuery, CQ};
 
@@ -214,15 +215,16 @@ pub struct ServerConfig {
     /// arXiv 1605.04263). Answers are unchanged — the differential
     /// harness runs both settings and compares — but oversized
     /// statements (the §6.3 DPH failure mode) shrink to servable ones.
-    /// The mined set is a property of the data and lives on the
-    /// [`EngineSnapshot`]: every write path publishes a snapshot with
-    /// an empty cell, and the first compilation against it re-mines.
-    /// The TBox closure that guides mining is a property of the TBox
-    /// and is computed once per [`TBoxScope`], not per generation.
+    /// The mined set is a property of the data and lives in the
+    /// snapshot's [`RewriteContext`]: every write path publishes a
+    /// snapshot with a fresh context, and the first compilation against
+    /// it re-mines. The TBox closure that guides mining is a property of
+    /// the TBox and is computed once per TBox scope, not per generation.
     /// The same setting lets the constraints shape generation, not only
     /// prune after it: PerfectRef runs under the generation's live TBox
     /// ([`EngineSnapshot::tbox`]) and never builds the arms over dead
-    /// predicates that pruning would drop as empty.
+    /// predicates that pruning would drop as empty. It is the context's
+    /// one `mines` flag.
     pub use_constraints: bool,
 }
 
@@ -244,123 +246,35 @@ impl Default for ServerConfig {
     }
 }
 
-/// The half of a compilation that depends on the TBox alone, given the
-/// lifetime of the TBox: predicate dependencies and the saturated
-/// closure that guides constraint mining. One `Arc<TBoxScope>` is
-/// handed from snapshot to snapshot by every write path that keeps the
-/// TBox (commits, [`Server::reload_abox`], transaction overlays) and
-/// replaced by the ones that may change it ([`Server::reload_kb`], the
-/// constructors) — invalidation is structural, there is nothing to
-/// purge.
-pub struct TBoxScope {
-    tbox: TBox,
-    deps: Dependencies,
-    closure: OnceLock<TBoxClosure>,
-}
-
-impl TBoxScope {
-    fn new(tbox: TBox, deps: Dependencies) -> Self {
-        TBoxScope {
-            tbox,
-            deps,
-            closure: OnceLock::new(),
-        }
-    }
-
-    /// The saturated TBox, computed on first use (no write path pays
-    /// for it) and then shared by every generation's mining run.
-    fn closure(&self) -> &TBoxClosure {
-        self.closure
-            .get_or_init(|| TBoxClosure::compute(&self.tbox))
-    }
-}
-
-/// The TBox a generation reformulates under, and the PerfectRef
-/// reformulation of every fragment compiled under it so far: the
-/// scope's TBox without the inclusions out of the generation's dead
-/// predicates (no facts, and none below them either; see
-/// [`ConstraintSet::dead_predicates`]). Those inclusions only build
-/// union arms that constraint pruning would drop as empty. Every
-/// generation with the same dead set shares one pair, so a fragment's
-/// memoised reformulation is a pure function of (fragment, live TBox)
-/// and no write that keeps the dead set can invalidate it.
-pub(crate) struct LiveTBox {
-    /// Sorted.
-    dead: Vec<PredId>,
-    tbox: TBox,
-    fragments: FragmentMemo,
-}
-
-/// A generation's handle on its [`LiveTBox`]: derived on first use,
-/// together with the constraints, and never at publish. The pair its
-/// predecessor used is handed on and reused while the dead set is
-/// unchanged; a write that changes the dead set gets a new pair, with
-/// an empty memo.
-pub(crate) struct LiveCell {
-    derived: OnceLock<Arc<LiveTBox>>,
-    handed: Option<Arc<LiveTBox>>,
-    /// Whether dead predicates are derived at all: only a server that
-    /// mines constraints ([`ServerConfig::use_constraints`]) lets the
-    /// data shape its reformulations. Without, the live TBox is the
-    /// scope's.
-    mines: bool,
-}
-
-impl LiveCell {
-    /// The cell of a scope's first generation.
-    fn new(mines: bool) -> Self {
-        LiveCell {
-            derived: OnceLock::new(),
-            handed: None,
-            mines,
-        }
-    }
-
-    /// The cell of the next generation under the same scope.
-    pub(crate) fn successor(&self) -> Self {
-        LiveCell {
-            derived: OnceLock::new(),
-            handed: self.current(),
-            mines: self.mines,
-        }
-    }
-
-    /// The pair this generation derived, else the one it was handed.
-    fn current(&self) -> Option<Arc<LiveTBox>> {
-        self.derived.get().or(self.handed.as_ref()).cloned()
-    }
-}
-
 /// One immutable generation of the loaded KB: engine (storage + stats +
-/// profile) and the [`TBoxScope`] it was loaded under. `Send + Sync`;
-/// shared behind `Arc` so readers never block writers and vice versa.
+/// profile) and its [`RewriteContext`]. `Send + Sync`; shared behind
+/// `Arc` so readers never block writers and vice versa.
 pub struct EngineSnapshot {
     pub(crate) engine: Engine,
-    pub(crate) scope: Arc<TBoxScope>,
     /// The vocabulary frozen at publish time. Interning only appends, so
     /// every id reachable from this generation's data resolves here —
     /// the wire front end uses it to parse predicate/individual names in
     /// queries and to render result rows as names.
     pub(crate) voc: Arc<Vocabulary>,
     pub(crate) generation: u64,
-    /// ABox completeness constraints mined lazily from *this*
-    /// generation's storage, used to prune reformulations. The cell
-    /// lives on the snapshot itself, so invalidation is structural:
-    /// every write path — bulk reload, `apply_batch`, committed
-    /// transactions — publishes a fresh snapshot with a fresh (empty)
-    /// cell, and a constraint mined from generation `g` can never be
-    /// consulted by a query compiled against generation `g+1`. This is
-    /// the same lifetime discipline as the plan cache, whose keys embed
-    /// the generation.
-    pub(crate) constraints: OnceLock<Arc<ConstraintSet>>,
-    /// The TBox this generation reformulates under (with its fragment
-    /// memo), derived from the constraints.
-    pub(crate) live: LiveCell,
+    /// The TBox scope this generation was loaded under and what this
+    /// generation's data derives from it: constraints, dead predicates,
+    /// live TBox and fragment memo, each on first use. Every write path
+    /// publishes a snapshot with a fresh context, so a constraint mined
+    /// from generation `g` can never be consulted by a query compiled
+    /// against generation `g+1` — the lifetime discipline of the plan
+    /// cache, whose keys embed the generation.
+    pub(crate) rewrite: RewriteContext,
 }
 
 impl EngineSnapshot {
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// The extents of this generation's data, scanned from storage.
+    fn extents(&self) -> Extents {
+        self.engine.extract_extents(&self.voc)
     }
 
     /// The TBox every compilation against this generation reformulates
@@ -370,14 +284,14 @@ impl EngineSnapshot {
     /// constraints. Derived on first use. Cover safety still reads the
     /// loaded TBox's dependencies.
     pub fn tbox(&self) -> &TBox {
-        &self.live_built().0.tbox
+        self.rewrite.tbox(|| self.extents())
     }
 
     /// The predicates of this generation that have no facts and no facts
     /// below them, sorted (none on a server that does not mine
     /// constraints).
     pub fn dead_predicates(&self) -> &[PredId] {
-        &self.live_built().0.dead
+        self.rewrite.dead_predicates(|| self.extents())
     }
 
     /// The vocabulary this generation's ids resolve against.
@@ -391,53 +305,12 @@ impl EngineSnapshot {
 
     /// The completeness constraints of this generation's data: extents
     /// are extracted and compared on first use, along the inclusions of
-    /// the scope's TBox closure, and the set is shared by every
-    /// subsequent compilation against the generation (cheap `Arc`
-    /// clone). Only the data-dependent part is per generation — the
-    /// closure is the [`TBoxScope`]'s and outlives it.
+    /// the TBox closure, and the set is shared by every subsequent
+    /// compilation against the generation (cheap `Arc` clone). Only the
+    /// data-dependent part is per generation — the closure is the TBox
+    /// scope's and outlives it.
     pub fn constraints(&self) -> Arc<ConstraintSet> {
-        self.constraints_timed().0
-    }
-
-    /// [`EngineSnapshot::constraints`], plus how long the mining took
-    /// when this call is the one that ran it (the closure's one-off
-    /// saturation is not counted: it is not a per-generation cost).
-    fn constraints_timed(&self) -> (Arc<ConstraintSet>, Option<Duration>) {
-        let mut mined_in = None;
-        let set = self.constraints.get_or_init(|| {
-            let closure = self.scope.closure();
-            let started = Instant::now();
-            let extents = self.engine.extract_extents(&self.voc);
-            let set = Arc::new(ConstraintSet::mine(closure, &extents));
-            mined_in = Some(started.elapsed());
-            set
-        });
-        (Arc::clone(set), mined_in)
-    }
-
-    /// This generation's [`LiveTBox`], and whether this call built a new
-    /// one (the predecessor's pair did not fit).
-    fn live_built(&self) -> (&LiveTBox, bool) {
-        let mut built = false;
-        let live = self.live.derived.get_or_init(|| {
-            let dead = if self.live.mines {
-                self.constraints().dead_predicates(self.scope.closure())
-            } else {
-                Vec::new()
-            };
-            match &self.live.handed {
-                Some(pair) if pair.dead == dead => Arc::clone(pair),
-                _ => {
-                    built = true;
-                    Arc::new(LiveTBox {
-                        tbox: self.scope.tbox.without_inclusions_from(&dead),
-                        dead,
-                        fragments: FragmentMemo::new(),
-                    })
-                }
-            }
-        });
-        (live, built)
+        Arc::clone(self.rewrite.constraints(|| self.extents()))
     }
 }
 
@@ -739,9 +612,8 @@ impl Server {
         generation: u64,
     ) -> Self {
         let deps = Dependencies::compute(&voc, &tbox);
-        let scope = Arc::new(TBoxScope::new(tbox, deps));
-        let live = LiveCell::new(config.use_constraints);
-        let snapshot = Self::build_snapshot(&voc, &config, scope, live, &abox, generation);
+        let rewrite = RewriteContext::new(tbox, deps, config.use_constraints);
+        let snapshot = Self::build_snapshot(&voc, &config, rewrite, &abox, generation);
         Server {
             config,
             snapshot: RwLock::new(Arc::new(snapshot)),
@@ -768,8 +640,7 @@ impl Server {
     fn build_snapshot(
         voc: &Vocabulary,
         config: &ServerConfig,
-        scope: Arc<TBoxScope>,
-        live: LiveCell,
+        rewrite: RewriteContext,
         abox: &ABox,
         generation: u64,
     ) -> EngineSnapshot {
@@ -779,11 +650,9 @@ impl Server {
             .with_backend(config.backend);
         EngineSnapshot {
             engine,
-            scope,
             voc: Arc::new(voc.clone()),
             generation,
-            constraints: OnceLock::new(),
-            live,
+            rewrite,
         }
     }
 
@@ -1004,30 +873,26 @@ impl Server {
         let mut spans = StageSpans::default();
         let stage_started = Instant::now();
         let estimator = ExplainEstimator::new(&snap.engine);
-        let constraints = self.config.use_constraints.then(|| {
-            let (set, mined_in) = snap.constraints_timed();
-            if let Some(took) = mined_in {
-                self.observe.record_constraint_mining(took);
-            }
-            set
-        });
         // `cache_plans = false` means the full pipeline on every call,
         // PerfectRef included.
-        let (live, built) = snap.live_built();
-        if built {
-            self.observe.add(Counter::LiveTBoxBuilds, 1);
-        }
-        let memo = self.config.cache_plans.then_some(&live.fragments);
-        let chosen = choose_reformulation_memoised(
+        let Rewritten {
+            chosen,
+            mined_in,
+            built_live,
+        } = snap.rewrite.compile(
             cq,
-            &live.tbox,
-            &snap.scope.deps,
             &estimator,
             &self.config.reform_strategy,
-            constraints.as_deref(),
-            memo,
+            || snap.extents(),
+            self.config.cache_plans,
         );
         let reg = &self.observe;
+        if let Some(took) = mined_in {
+            reg.record_constraint_mining(took);
+        }
+        if built_live {
+            reg.add(Counter::LiveTBoxBuilds, 1);
+        }
         if let Some(stats) = &chosen.pruned {
             let arms = |reason: PruneReason| Counter::PrunedArms.at(reason as usize);
             reg.add(arms(PruneReason::Empty), stats.empty_pruned as u64);
@@ -1335,19 +1200,13 @@ impl Server {
         let stage_started = self.commit_stage_done(CommitStage::Vocabulary, stage_started);
         let next = Arc::new(EngineSnapshot {
             engine,
-            // An ABox write cannot change what the TBox entails: the
-            // next generation keeps the scope.
-            scope: Arc::clone(&cur.scope),
             voc,
             generation,
-            // Fresh cell: constraints mined from the pre-delta data are
-            // unreachable from this generation (same discipline as the
-            // generation-keyed plan cache).
-            constraints: OnceLock::new(),
-            // Handed the live TBox, and with it every fragment
-            // reformulation compiled so far, for as long as the write
-            // leaves the dead set alone.
-            live: cur.live.successor(),
+            // An ABox write cannot change what the TBox entails: the
+            // next generation keeps the scope, mines its own
+            // constraints, and keeps the live TBox with every fragment
+            // compiled so far while the write leaves the dead set alone.
+            rewrite: cur.rewrite.next(),
         });
         self.swap_snapshot(next, generation);
         // Prune the conflict registry below every open transaction's
@@ -1468,7 +1327,7 @@ impl Server {
         // concurrent reload cannot slip a new KB between the reads.
         let (voc, abox, scope, generation) = {
             let writer = self.lock_writer()?;
-            let scope = Arc::clone(&self.read_snapshot().scope);
+            let scope = Arc::clone(self.read_snapshot().rewrite.scope());
             (
                 writer.voc.clone(),
                 writer.abox.clone(),
@@ -1483,7 +1342,7 @@ impl Server {
             None => return Ok(()),
         };
         // Phase 2: write, unlocked.
-        write_snapshot_to(&ckpt_path, &voc, &scope.tbox, &abox, generation)
+        write_snapshot_to(&ckpt_path, &voc, scope.tbox(), &abox, generation)
             .map_err(ServerError::Store)?;
         // Phase 3: install.
         if let Some(store) = self.lock_store().as_mut() {
@@ -1609,10 +1468,8 @@ impl Server {
         let _leader = self.lock_leader();
         self.run_leader()?; // staged commits land first, in commit order
         let mut writer = self.lock_writer()?;
-        let cur = self.read_snapshot();
-        let (scope, live) = (Arc::clone(&cur.scope), cur.live.successor());
-        drop(cur);
-        Ok(self.publish(&mut writer, scope, live, abox))
+        let rewrite = self.read_snapshot().rewrite.next();
+        Ok(self.publish(&mut writer, rewrite, abox))
     }
 
     /// Publish a new TBox *and* ABox (ontology evolution): recomputes the
@@ -1623,9 +1480,8 @@ impl Server {
         self.run_leader()?; // staged commits land first, in commit order
         let mut writer = self.lock_writer()?;
         let deps = Dependencies::compute(&writer.voc, &tbox);
-        let scope = Arc::new(TBoxScope::new(tbox, deps));
-        let live = LiveCell::new(self.config.use_constraints);
-        Ok(self.publish(&mut writer, scope, live, abox))
+        let rewrite = RewriteContext::new(tbox, deps, self.config.use_constraints);
+        Ok(self.publish(&mut writer, rewrite, abox))
     }
 
     /// Build and swap in the next generation (bulk path). The writer
@@ -1634,19 +1490,13 @@ impl Server {
     /// interleave (lost update), and the expensive snapshot build
     /// happens *before* the snapshot write lock is taken — queries keep
     /// serving the old generation until the O(1) `Arc` swap.
-    fn publish(
-        &self,
-        writer: &mut WriterState,
-        scope: Arc<TBoxScope>,
-        live: LiveCell,
-        abox: &ABox,
-    ) -> u64 {
+    fn publish(&self, writer: &mut WriterState, rewrite: RewriteContext, abox: &ABox) -> u64 {
         let generation = self.read_snapshot().generation + 1;
+        let scope = Arc::clone(rewrite.scope());
         let next = Arc::new(Self::build_snapshot(
             &writer.voc,
             &self.config,
-            Arc::clone(&scope),
-            live,
+            rewrite,
             abox,
             generation,
         ));
@@ -1669,7 +1519,7 @@ impl Server {
             // intact, which recovers to the *previous* generation —
             // stale but consistent — and poisons the store so the next
             // append reports it.
-            let _ = store.compact(&writer.voc, &scope.tbox, abox, generation);
+            let _ = store.compact(&writer.voc, scope.tbox(), abox, generation);
         }
         generation
     }
@@ -1732,11 +1582,7 @@ impl Server {
             invalidated: reg.get(Counter::PlanCacheInvalidated),
             fragment_memo_hits: reg.get(Counter::FragmentMemoHits),
             fragment_memo_misses: reg.get(Counter::FragmentMemoMisses),
-            fragment_memo_entries: self
-                .read_snapshot()
-                .live
-                .current()
-                .map_or(0, |live| live.fragments.len()),
+            fragment_memo_entries: self.read_snapshot().rewrite.memoised_fragments(),
             perfectref_candidates: reg.get(Counter::PerfectRefCandidates),
             perfectref_canonicalised: reg.get(Counter::PerfectRefCanonicalised),
         }
@@ -1776,7 +1622,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obda_dllite::example7_tbox;
+    use obda_dllite::{example7_tbox, TBoxClosure};
     use obda_query::{Atom, Term, VarId};
 
     fn v(i: u32) -> Term {
@@ -2088,7 +1934,7 @@ mod tests {
             "generation 0 runs PerfectRef"
         );
         assert!(primed.fragment_memo_entries > 0);
-        let closure: *const TBoxClosure = first.scope.closure();
+        let closure: *const TBoxClosure = first.rewrite.scope().closure();
 
         // Three commits and a bulk ABox reload: one scope, one closure,
         // and every recompile served from the memo.
@@ -2106,11 +1952,14 @@ mod tests {
                 srv.reload_abox(&abox).unwrap();
             }
             let snap = srv.snapshot();
-            assert!(Arc::ptr_eq(&snap.scope, &first.scope), "step {step}");
+            assert!(
+                Arc::ptr_eq(snap.rewrite.scope(), first.rewrite.scope()),
+                "step {step}"
+            );
             let out = srv.query(&q).unwrap();
             assert!(!out.cache_hit, "the purge stays: step {step} recompiles");
             assert!(
-                std::ptr::eq(snap.scope.closure(), closure),
+                std::ptr::eq(snap.rewrite.scope().closure(), closure),
                 "step {step}: the closure is computed once per scope"
             );
         }
@@ -2128,7 +1977,7 @@ mod tests {
         let (voc, tbox, abox, _) = fixture();
         let q = works_with_someone(&voc);
         let srv = Server::new(voc.clone(), tbox.clone(), &abox, ServerConfig::default());
-        let old_scope = Arc::clone(&srv.snapshot().scope);
+        let old_scope = Arc::clone(srv.snapshot().rewrite.scope());
         let before = sorted_rows(&srv, &q);
         assert_eq!(before.len(), 2, "Ioana works, Damian is supervised");
 
@@ -2140,7 +1989,7 @@ mod tests {
 
         let snap = srv.snapshot();
         assert!(
-            !Arc::ptr_eq(&snap.scope, &old_scope),
+            !Arc::ptr_eq(snap.rewrite.scope(), &old_scope),
             "a new TBox, a new scope"
         );
         let misses = srv.cache_stats().fragment_memo_misses;

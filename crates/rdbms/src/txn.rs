@@ -240,18 +240,14 @@ impl<'s> Txn<'s> {
         engine.apply_delta(&delta);
         let snap = Arc::new(EngineSnapshot {
             engine,
-            scope: Arc::clone(&base.scope),
             voc: Arc::new(voc),
             generation: base.generation,
-            // Fresh cell, NOT the base snapshot's: this overlay contains
-            // the transaction's own uncommitted writes, so constraints
-            // mined from the base data could wrongly prune arms over
-            // predicates this transaction just populated.
-            constraints: std::sync::OnceLock::new(),
-            // The base's live TBox while the transaction's writes leave
-            // the dead set alone, a new one (with an empty memo) once
-            // they populate a dead predicate or empty a live one.
-            live: base.live.successor(),
+            // The next context, NOT the base snapshot's: this overlay
+            // holds the transaction's own uncommitted writes, so it mines
+            // its own constraints (the base's could wrongly prune arms
+            // over predicates this transaction just populated) and keeps
+            // the base's live TBox only while its dead set is the same.
+            rewrite: base.rewrite.next(),
         });
         self.overlay = Some((self.ws.version(), Arc::clone(&snap)));
         let reg = self.server.observe();

@@ -9,15 +9,13 @@
 //! * [`fragment_query`] / [`cover_reformulation`] — fragment queries
 //!   (Definitions 2 and 7) and cover-based JUCQ/JUSCQ reformulations
 //!   (Definition 3, §5.2);
-//! * [`violation_queries`] — consistency checking via reformulation;
-//! * [`rdfs_subset`] — the 4-rule RDFS fragment of \[10\], for ablations.
+//! * [`violation_queries`] — consistency checking via reformulation.
 
 pub mod applicability;
 pub mod cover_reform;
 pub mod fragment;
 pub mod perfectref;
 pub mod prune;
-pub mod rdfs;
 pub mod testkit;
 pub mod uscq_factorize;
 pub mod violations;
@@ -30,6 +28,5 @@ pub use perfectref::{
     ReformStats,
 };
 pub use prune::{arm_provably_empty, data_contained, prune_fol, prune_ucq, PruneStats, PrunedUcq};
-pub use rdfs::{is_rdfs_axiom, is_rdfs_tbox, rdfs_subset};
 pub use uscq_factorize::factorize_ucq;
 pub use violations::{is_consistent_by_reformulation, violation_queries, violation_query};

@@ -65,8 +65,8 @@ pub use obda_reform as reform;
 /// The most commonly used items, for examples and downstream callers.
 pub mod prelude {
     pub use obda_core::{
-        choose_reformulation, choose_reformulation_constrained, edl, gdl, root_cover,
-        CostEstimator, Cover, Fragment, GdlConfig, QueryAnalysis, Strategy, StructuralEstimator,
+        choose_reformulation, edl, gdl, root_cover, CostEstimator, Cover, Fragment, GdlConfig,
+        QueryAnalysis, Strategy, StructuralEstimator,
     };
     pub use obda_dllite::{
         is_consistent, ABox, AboxDelta, Axiom, BasicConcept, ConceptId, ConstraintSet,

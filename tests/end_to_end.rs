@@ -200,18 +200,11 @@ fn constrained_strategies_agree_with_oracle() {
             let engine = Engine::load(&abox, &onto.voc, layout, EngineProfile::pg_like());
             for strategy in [Strategy::Ucq, Strategy::CrootJucq] {
                 let est = engine.ext_cost_model();
-                let chosen = obda::core::choose_reformulation_constrained(
-                    &q.cq,
-                    &onto.tbox,
-                    &deps,
-                    &est,
-                    &strategy,
-                    Some(&cons),
-                );
-                let stats = chosen.pruned.expect("constrained route reports stats");
+                let chosen = choose_reformulation(&q.cq, &onto.tbox, &deps, &est, &strategy);
+                let (pruned, stats) = obda::core::prune_fol(&chosen.fol, &cons);
                 assert!(stats.kept >= 1, "pruning must never empty the union");
                 let got: HashSet<Vec<u32>> = engine
-                    .evaluate(&chosen.fol)
+                    .evaluate(&pruned)
                     .expect("pg-like profile has no statement limit")
                     .rows
                     .into_iter()

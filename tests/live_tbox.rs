@@ -18,6 +18,9 @@
 //!   cache on and off, under both backends. `live_tbox_builds` counts
 //!   one build for a write that changes the dead set and none for one
 //!   that does not.
+//! * **Durability** — a checkpoint and a compaction taken while a
+//!   predicate is dead persist the loaded TBox, so a reopened server
+//!   answers through the inclusions out of it once it has facts.
 //!
 //! Case counts honour `PROPTEST_CASES` (CI's differential job runs 512).
 
@@ -26,31 +29,20 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use obda::core::prune_fol;
-use obda::dllite::{Extents, TBoxClosure};
+use obda::core::{prune_fol, RewriteContext};
+use obda::dllite::{Dependencies, Extents};
 use obda::prelude::*;
 use obda::query::minimize_ucq;
 use obda::query::testkit::{random_abox, random_connected_cq, random_tbox, KbShape, Rng};
 use obda::rdbms::observe::Counter;
 use obda::rdbms::pgwire::{PgConfig, PgListener, WireClient};
+use obda::rdbms::store::recover;
 use obda::reform::perfect_ref_pruned_with_stats;
 
-/// The live TBox of `abox` under `tbox`, as a server derives it.
-struct Live {
-    dead: Vec<PredId>,
-    tbox: TBox,
-    cons: ConstraintSet,
-}
-
-fn live_of(tbox: &TBox, abox: &ABox) -> Live {
-    let closure = TBoxClosure::compute(tbox);
-    let cons = ConstraintSet::mine(&closure, &Extents::from_abox(abox));
-    let dead = cons.dead_predicates(&closure);
-    Live {
-        tbox: tbox.without_inclusions_from(&dead),
-        dead,
-        cons,
-    }
+/// The rewrite context a server makes for `tbox`; its accessors derive
+/// the constraints, dead set and live TBox of `abox` on first use.
+fn context_of(voc: &Vocabulary, tbox: &TBox) -> RewriteContext {
+    RewriteContext::new(tbox.clone(), Dependencies::compute(voc, tbox), true)
 }
 
 fn mentions_dead(cq: &CQ, dead: &[PredId]) -> bool {
@@ -81,13 +73,15 @@ struct Compared {
 /// predicate keeps it in every disjunct of both runs, and pruning
 /// keeps one empty arm of its own choosing; only the answers (none) are
 /// compared then.
-fn compare(tbox: &TBox, live: &Live, cq: &CQ, at: &str) -> Compared {
+fn compare(tbox: &TBox, live: &RewriteContext, abox: &ABox, cq: &CQ, at: &str) -> Compared {
+    let extents = || Extents::from_abox(abox);
     let (full, full_run) = perfect_ref_pruned_with_stats(cq, tbox);
-    let (lived, live_run) = perfect_ref_pruned_with_stats(cq, &live.tbox);
-    let dead = &live.dead;
+    let (lived, live_run) = perfect_ref_pruned_with_stats(cq, live.tbox(extents));
+    let dead = live.dead_predicates(extents);
+    let cons = live.constraints(extents);
     let (min_full, min_live) = (minimize_ucq(&full), minimize_ucq(&lived));
-    let (pruned_full, full_stats) = prune_fol(&FolQuery::Ucq(min_full.clone()), &live.cons);
-    let (pruned_live, live_stats) = prune_fol(&FolQuery::Ucq(min_live.clone()), &live.cons);
+    let (pruned_full, full_stats) = prune_fol(&FolQuery::Ucq(min_full.clone()), cons);
+    let (pruned_live, live_stats) = prune_fol(&FolQuery::Ucq(min_live.clone()), cons);
     if mentions_dead(cq, dead) {
         assert!(
             lived.cqs().iter().all(|d| mentions_dead(d, dead)),
@@ -135,9 +129,9 @@ proptest! {
         let (mut voc, tbox) = random_tbox(&mut rng, &shape);
         let abox = random_abox(&mut rng, &mut voc, &shape);
         let cq = random_connected_cq(&mut rng, &voc, atoms, 2);
-        let live = live_of(&tbox, &abox);
+        let live = context_of(&voc, &tbox);
         let at = format!("seed {seed}");
-        let compared = compare(&tbox, &live, &cq, &at);
+        let compared = compare(&tbox, &live, &abox, &cq, &at);
         prop_assert_eq!(
             eval_over_abox(&abox, &compared.served),
             certain_answers(&tbox, &abox, &cq),
@@ -160,8 +154,9 @@ fn lubm_shapes_reformulate_alike_under_the_live_tbox() {
             ..GenConfig::default()
         },
     );
-    let live = live_of(&onto.tbox, &abox);
-    assert!(!live.dead.is_empty(), "seed 1 leaves predicates dead");
+    let live = context_of(&onto.voc, &onto.tbox);
+    let dead = live.dead_predicates(|| Extents::from_abox(&abox));
+    assert!(!dead.is_empty(), "seed 1 leaves predicates dead");
     let engine = Engine::load(
         &abox,
         &onto.voc,
@@ -183,7 +178,7 @@ fn lubm_shapes_reformulate_alike_under_the_live_tbox() {
     shapes.push(("A4".into(), star_query(&onto, 4)));
     let (mut full, mut lived) = (0, 0);
     for (name, cq) in &shapes {
-        let compared = compare(&onto.tbox, &live, cq, name);
+        let compared = compare(&onto.tbox, &live, &abox, cq, name);
         let reference = FolQuery::Ucq(minimize_ucq(&obda::reform::perfect_ref_pruned(
             cq, &onto.tbox,
         )));
@@ -379,6 +374,63 @@ fn wire_writes_that_change_the_dead_set_keep_answers_certain() {
         client.terminate();
         listener.shutdown();
     }
+}
+
+/// The certain answers to `Person(x)` on a server, as names.
+fn served_names(server: &Server) -> BTreeSet<String> {
+    let snap = server.snapshot();
+    let out = server.query_on(&snap, &person(snap.vocabulary()));
+    let names = snap.vocabulary();
+    out.expect("query answers")
+        .outcome
+        .rows
+        .iter()
+        .map(|row| names.individual_name(IndividualId(row[0])).to_string())
+        .collect()
+}
+
+/// Durability keeps the *loaded* TBox, not the live one. A checkpoint and
+/// a `reload_abox` compaction are each taken while `PhDStudent` is dead;
+/// after each the store holds every loaded axiom, and a reopened server
+/// that sees a `PhDStudent` answers it through `PhDStudent ⊑ Student`.
+#[test]
+fn durable_writes_persist_the_loaded_tbox_while_predicates_are_dead() {
+    let (voc, tbox, abox) = toy_kb();
+    let loaded = oracle(&voc, &tbox, &abox);
+    let dir = std::env::temp_dir().join(format!("obda-live-tbox-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut server =
+        Server::create_durable(&dir, voc, tbox.clone(), &abox, ServerConfig::default())
+            .expect("store created");
+    for (step, newcomer) in [("checkpoint", "cat"), ("reload_abox", "dan")] {
+        assert_eq!(served_names(&server), loaded, "{step}");
+        assert_eq!(dead_names(&server), ["PhDStudent", "advises"], "{step}");
+        match step {
+            "checkpoint" => server.checkpoint().expect("checkpoint"),
+            _ => {
+                server.reload_abox(&abox).expect("compaction");
+            }
+        }
+        drop(server);
+        let stored = recover(&dir).expect("store recovers");
+        assert_eq!(stored.tbox.axioms(), tbox.axioms(), "{step}");
+
+        server = Server::open(&dir, ServerConfig::default()).expect("store reopens");
+        let mut voc = server.snapshot().vocabulary().clone();
+        let phd = voc.find_concept("PhDStudent").unwrap();
+        let mut delta = AboxDelta::new().insert_concept(phd, voc.individual(newcomer));
+        delta.new_individuals.push(newcomer.into());
+        server.apply_batch(&delta).expect("batch commits");
+        let mut grown = abox.clone();
+        grown.apply(&delta);
+        let answers = served_names(&server);
+        assert!(answers.contains(newcomer), "{step}: the PhD student");
+        assert_eq!(answers, oracle(&voc, &tbox, &grown), "{step}");
+        // Back to the loaded facts: `PhDStudent` is dead again.
+        server.reload_abox(&abox).expect("reload");
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `live_tbox_builds` moves by one for a write that changes the dead set
