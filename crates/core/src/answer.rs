@@ -10,6 +10,7 @@ use obda_reform::PruneStats;
 use crate::cost::CostEstimator;
 use crate::cover::Cover;
 use crate::edl::edl_in;
+use crate::eliminate::eliminate_implied_atoms;
 use crate::gdl::{gdl_in, GdlConfig, SearchOutcome};
 use crate::reform_cache::{reformulate_fragment, FragmentMemo, FragmentStats, ReformCache};
 use crate::safety::{root_cover, QueryAnalysis};
@@ -38,8 +39,13 @@ pub enum Strategy {
 #[derive(Debug, Clone)]
 pub struct Chosen {
     pub fol: FolQuery,
-    /// The underlying cover (None for plain UCQ strategies).
+    /// The underlying cover (None for plain UCQ strategies). Its
+    /// fragments index the atoms of the query *after* elimination
+    /// ([`eliminate_implied_atoms`]): the kept atoms, in the query's
+    /// order.
     pub cover: Option<Cover>,
+    /// How many atoms elimination dropped before reformulation.
+    pub eliminated: usize,
     /// Estimated cost if a cost-driven strategy ran.
     pub est_cost: Option<f64>,
     /// Search statistics if a search ran.
@@ -96,7 +102,10 @@ pub fn choose_reformulation(
     choose_memoised(q, tbox, deps, estimator, strategy, None)
 }
 
-/// The one compilation path behind every strategy. Fragment
+/// The one compilation path behind every strategy. It first drops the
+/// atoms `tbox` implies from other atoms of `q`
+/// ([`eliminate_implied_atoms`]), so every strategy reformulates, and
+/// searches covers of, the `T`-equivalent smaller query. Fragment
 /// reformulation depends on the TBox alone: with a `memo` (which must
 /// belong to `tbox`, as a [`RewriteContext`](crate::RewriteContext)
 /// guarantees) every strategy takes its PerfectRef results from it and
@@ -111,6 +120,9 @@ pub(crate) fn choose_memoised(
     strategy: &Strategy,
     memo: Option<&FragmentMemo>,
 ) -> Chosen {
+    let reduced = eliminate_implied_atoms(q, tbox);
+    let eliminated = q.num_atoms() - reduced.num_atoms();
+    let q = &reduced;
     // The whole query as a single fragment (the plain UCQ strategies).
     let whole = |minimize: bool, shape: fn(UCQ) -> FolQuery| {
         let mut fragments = FragmentStats::default();
@@ -118,6 +130,7 @@ pub(crate) fn choose_memoised(
         Chosen {
             fol: shape(UCQ::clone(&ucq)),
             cover: None,
+            eliminated,
             est_cost: None,
             search: None,
             pruned: None,
@@ -128,6 +141,7 @@ pub(crate) fn choose_memoised(
         search: Some(SearchStats::from(&out)),
         fol: FolQuery::Jucq(out.jucq),
         cover: Some(out.cover),
+        eliminated,
         est_cost: Some(out.cost),
         pruned: None,
         fragments,
@@ -144,6 +158,7 @@ pub(crate) fn choose_memoised(
             Chosen {
                 fol: FolQuery::Jucq(jucq),
                 cover: Some(croot),
+                eliminated,
                 est_cost: None,
                 search: None,
                 pruned: None,

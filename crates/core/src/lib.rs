@@ -13,6 +13,8 @@
 //!   §5.3 (Algorithm 1), including the §6.4 time-limited variant;
 //! * [`CostEstimator`] — the cost abstraction `ε` (engine-backed
 //!   implementations live in `obda-rdbms`);
+//! * [`eliminate_implied_atoms`] — the query atoms the TBox implies from
+//!   other atoms of the query, dropped before reformulation;
 //! * [`choose_reformulation`] — the strategy surface benchmarked in §6;
 //! * [`RewriteContext`] — one data generation's rewriting inputs (TBox
 //!   scope, mined constraints, live TBox and fragment memo) and its
@@ -23,6 +25,7 @@ pub mod bell;
 pub mod cost;
 pub mod cover;
 pub mod edl;
+pub mod eliminate;
 pub mod gdl;
 pub mod genspace;
 pub mod lattice;
@@ -35,6 +38,7 @@ pub use bell::{bell_number, blocks_of, Partitions};
 pub use cost::{CostEstimator, InstrumentedEstimator, StructuralEstimator};
 pub use cover::{full_mask, mask_indices, mask_len, AtomMask, Cover, Fragment};
 pub use edl::edl;
+pub use eliminate::eliminate_implied_atoms;
 pub use gdl::{gdl, moves_from, GdlConfig, SearchOutcome};
 pub use genspace::{connected_supersets, enumerate_generalized_covers, genspace_size, GenSpace};
 pub use lattice::{enumerate_safe_covers, lattice_size, precedes};

@@ -34,10 +34,9 @@
 //! serving layer does this structurally by caching the set on the
 //! per-generation engine snapshot.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::abox::ABox;
 use crate::expr::{BasicConcept, Role};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{ConceptId, PredId, RoleId};
 use crate::saturation::TBoxClosure;
 use crate::tbox::TBox;
@@ -47,8 +46,8 @@ use crate::tbox::TBox;
 /// storage layout scanning its own tables.
 #[derive(Debug, Default, Clone)]
 pub struct Extents {
-    pub concepts: HashMap<ConceptId, HashSet<u32>>,
-    pub roles: HashMap<RoleId, HashSet<(u32, u32)>>,
+    pub concepts: FxHashMap<ConceptId, FxHashSet<u32>>,
+    pub roles: FxHashMap<RoleId, FxHashSet<(u32, u32)>>,
 }
 
 impl Extents {
@@ -65,8 +64,8 @@ impl Extents {
 
     fn pred_is_empty(&self, p: PredId) -> bool {
         match p {
-            PredId::Concept(c) => self.concepts.get(&c).is_none_or(HashSet::is_empty),
-            PredId::Role(r) => self.roles.get(&r).is_none_or(HashSet::is_empty),
+            PredId::Concept(c) => self.concepts.get(&c).is_none_or(FxHashSet::is_empty),
+            PredId::Role(r) => self.roles.get(&r).is_none_or(FxHashSet::is_empty),
         }
     }
 }
@@ -77,16 +76,16 @@ impl Extents {
 /// first use.
 struct UnaryCache<'a> {
     ext: &'a Extents,
-    projections: HashMap<Role, HashSet<u32>>,
-    empty: HashSet<u32>,
+    projections: FxHashMap<Role, FxHashSet<u32>>,
+    empty: FxHashSet<u32>,
 }
 
 impl<'a> UnaryCache<'a> {
     fn new(ext: &'a Extents) -> Self {
         UnaryCache {
             ext,
-            projections: HashMap::new(),
-            empty: HashSet::new(),
+            projections: FxHashMap::default(),
+            empty: FxHashSet::default(),
         }
     }
 
@@ -101,7 +100,7 @@ impl<'a> UnaryCache<'a> {
     }
 
     /// The extent of `b`, which [`UnaryCache::materialize`] has seen.
-    fn view(&self, b: BasicConcept) -> &HashSet<u32> {
+    fn view(&self, b: BasicConcept) -> &FxHashSet<u32> {
         match b {
             BasicConcept::Atomic(c) => self.ext.concepts.get(&c).unwrap_or(&self.empty),
             BasicConcept::Exists(r) => &self.projections[&r],
@@ -119,7 +118,7 @@ impl<'a> UnaryCache<'a> {
 
 /// `pairs(sub) ⊆ pairs(sup)` over role expressions (inverse swaps).
 fn role_ext_included(ext: &Extents, sub: Role, sup: Role) -> bool {
-    let empty = HashSet::new();
+    let empty = FxHashSet::default();
     let subs = ext.roles.get(&sub.name).unwrap_or(&empty);
     let sups = ext.roles.get(&sup.name).unwrap_or(&empty);
     subs.iter().all(|&(a, b)| {
@@ -146,12 +145,12 @@ pub struct MiningStats {
 /// Completeness/exactness constraints of one ABox snapshot.
 #[derive(Debug, Default, Clone)]
 pub struct ConstraintSet {
-    empty: HashSet<PredId>,
+    empty: FxHashSet<PredId>,
     /// `(b1, b2)` means `ext(b1) ⊆ ext(b2)` on the mined snapshot.
-    unary: HashSet<(BasicConcept, BasicConcept)>,
+    unary: FxHashSet<(BasicConcept, BasicConcept)>,
     /// `(r1, r2)` means `pairs(r1) ⊆ pairs(r2)` on the mined snapshot
     /// (stored in both orientations, like the closure).
-    roles: HashSet<(Role, Role)>,
+    roles: FxHashSet<(Role, Role)>,
     stats: MiningStats,
 }
 
@@ -162,7 +161,7 @@ impl ConstraintSet {
     /// PerfectRef specializes atoms.
     pub fn mine(closure: &TBoxClosure, ext: &Extents) -> Self {
         let mut set = ConstraintSet::default();
-        let mut preds: HashSet<PredId> = HashSet::new();
+        let mut preds: FxHashSet<PredId> = FxHashSet::default();
         for (b1, b2) in closure.positive_concept_inclusions() {
             preds.insert(b1.cr());
             preds.insert(b2.cr());
@@ -226,7 +225,7 @@ impl ConstraintSet {
     /// predicate with facts below it (LUBM's `Person`) answers through
     /// its specialisations. `closure` must be the mined TBox's.
     pub fn dead_predicates(&self, closure: &TBoxClosure) -> Vec<PredId> {
-        let mut fed: HashSet<PredId> = HashSet::new();
+        let mut fed: FxHashSet<PredId> = FxHashSet::default();
         for (sub, sup) in closure.positive_concept_inclusions() {
             if !self.pred_is_empty(sub.cr()) {
                 fed.insert(sup.cr());

@@ -28,6 +28,7 @@ pub mod constraints;
 pub mod delta;
 pub mod deps;
 pub mod expr;
+pub mod fxhash;
 pub mod ids;
 pub mod kb;
 pub mod parser;

@@ -337,6 +337,7 @@ pub enum Counter {
     CostPredicted,
     CostMeasured,
     LiveTBoxBuilds,
+    AtomsEliminated,
 }
 
 /// One counter family, declared once: `SHOW metrics` and the Prometheus
@@ -412,7 +413,7 @@ use self::Unit::{Count, Micros, MilliUnits};
 /// renderers pick it up. Histograms, gauges and derived rows are not
 /// counters and are written by the renderers themselves.
 #[rustfmt::skip]
-pub const CATALOGUE: [Family; 30] = [
+pub const CATALOGUE: [Family; 31] = [
     Family::new(Counter::Queries, "queries_total", "obda_queries_total", Count,
         "Queries served.").by("backend", &BACKEND_NAMES).with_layout(),
     Family::new(Counter::QueryErrors, "query_errors_total", "obda_query_errors_total", Count,
@@ -480,6 +481,9 @@ pub const CATALOGUE: [Family; 30] = [
     Family::new(Counter::LiveTBoxBuilds, "live_tbox_builds", "obda_live_tbox_builds_total", Count,
         "Live TBoxes built, each with an empty fragment memo: a TBox scope's first, then one per \
          generation whose dead predicates differ from its predecessor's."),
+    Family::new(Counter::AtomsEliminated, "atoms_eliminated", "obda_atoms_eliminated_total",
+        Count, "Query atoms cold compilations dropped before reformulation as implied by \
+         another atom under the TBox."),
 ];
 
 /// Each family's first slot in the registry's counter array.

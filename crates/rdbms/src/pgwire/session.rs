@@ -981,8 +981,8 @@ fn render_explain(analyzed: &AnalyzedQuery) -> Rendered {
         ));
     }
     lines.push(format!(
-        "fragments: {} memoised / {} computed",
-        analyzed.fragments.memoised, analyzed.fragments.computed,
+        "fragments: {} memoised / {} computed eliminated={}",
+        analyzed.fragments.memoised, analyzed.fragments.computed, analyzed.eliminated,
     ));
     lines.push(format!(
         "predicted: total_cost={:.1}",

@@ -337,6 +337,9 @@ pub struct CompiledQuery {
     /// Where the cold compilation's fragment reformulations came from:
     /// the live TBox's memo, or PerfectRef runs of its own.
     pub fragments: FragmentStats,
+    /// Query atoms dropped before reformulation as implied by another
+    /// ([`Chosen::eliminated`](obda_core::Chosen::eliminated)).
+    pub eliminated: usize,
 }
 
 /// The answer to one served query.
@@ -375,6 +378,8 @@ pub struct AnalyzedQuery {
     pub dead_preds: usize,
     /// Fragment reformulations of that compilation: memoised / computed.
     pub fragments: FragmentStats,
+    /// Query atoms that compilation eliminated before reformulating.
+    pub eliminated: usize,
 }
 
 /// Point-in-time cache counters. All but the two `entries` gauges are
@@ -898,6 +903,7 @@ impl Server {
             reg.add(arms(PruneReason::Empty), stats.empty_pruned as u64);
             reg.add(arms(PruneReason::Subsumed), stats.subsumed_pruned as u64);
         }
+        reg.add(Counter::AtomsEliminated, chosen.eliminated as u64);
         let fragments = &chosen.fragments;
         reg.add(Counter::FragmentMemoHits, fragments.memoised as u64);
         reg.add(Counter::FragmentMemoMisses, fragments.computed as u64);
@@ -944,6 +950,7 @@ impl Server {
             spans,
             pruned: chosen.pruned,
             fragments: chosen.fragments,
+            eliminated: chosen.eliminated,
         }
     }
 
@@ -1442,6 +1449,7 @@ impl Server {
             pruned: compiled.pruned,
             dead_preds: snap.dead_predicates().len(),
             fragments: compiled.fragments,
+            eliminated: compiled.eliminated,
         })
     }
 

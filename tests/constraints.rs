@@ -77,8 +77,10 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Q13's UCQ route (the exact `Strategy::Ucq` pipeline: minimized
-/// PerfectRef, then constraint pruning), computed once and shared.
+/// Q13's UCQ route (minimized PerfectRef, then constraint pruning) over
+/// the uneliminated query: unlike `Strategy::Ucq`, which first drops
+/// the atoms the TBox implies, this reformulates Q13 as written.
+/// Computed once and shared.
 fn q13_ucq() -> &'static (FolQuery, FolQuery, PruneStats) {
     static UCQ: OnceLock<(FolQuery, FolQuery, PruneStats)> = OnceLock::new();
     UCQ.get_or_init(|| {
