@@ -5,13 +5,11 @@
 //! Each operator shape runs twice: on the default vectorized (batched
 //! columnar) pipeline and on the row-at-a-time pipeline (`…-row`), so
 //! the before/after of the hot-path refactor is measured, not asserted.
-//! Mean timings are merged into the tracked bench JSON under the
-//! `"criterion_executor"` section (path override: `OBDA_BENCH_JSON`).
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use obda_bench::{benchjson, Dataset};
+use obda_bench::Dataset;
 use obda_query::{Atom, FolQuery, Term, VarId, CQ, JUCQ, UCQ};
 use obda_rdbms::{Engine, EngineProfile, EvalOptions, ExecMode, LayoutKind};
 
@@ -88,29 +86,4 @@ fn bench_executor(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_executor);
-
-fn main() {
-    let mut criterion = Criterion::default().configure_from_args();
-    benches(&mut criterion);
-
-    // Merge mean timings into the tracked trajectory file so criterion
-    // runs land in the repo, not just in CI logs.
-    let reports = criterion.reports();
-    if reports.is_empty() {
-        return; // filtered run: keep the tracked file untouched
-    }
-    let mut section = benchjson::JsonObj::new();
-    for r in &reports {
-        let key: String =
-            r.id.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-        section = section.num(&format!("{key}_mean_us"), r.mean.as_secs_f64() * 1e6);
-    }
-    let path = benchjson::default_path();
-    if let Err(e) = benchjson::merge_section(&path, "criterion_executor", &section) {
-        eprintln!("cannot write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {} [criterion_executor]", path.display());
-    }
-}
+criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! Shared harness for regenerating the paper's tables and figures: dataset
 //! construction at configurable scales, strategy × engine × layout sweeps,
 //! and fixed-width table rendering. Each table/figure has a binary in
-//! `src/bin` (see DESIGN.md's per-experiment index).
+//! `src/bin`, named after it (`fig2`, `fig3`, `table6`, ...).
 
 use std::time::Duration;
 
@@ -14,7 +14,7 @@ use obda_query::CQ;
 use obda_rdbms::{Engine, EngineError, EngineProfile, ExplainEstimator, LayoutKind};
 
 /// Benchmark scales: fact counts standing in for the paper's 15M / 100M
-/// server-scale ABoxes (substitution documented in DESIGN.md §3).
+/// server-scale ABoxes, scaled down to run on one machine in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     Small,
@@ -220,138 +220,6 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-/// The `p`-th percentile of an unsorted latency sample, by the
-/// nearest-rank method. Shared with the server's metrics registry so the
-/// bench tools and `SHOW metrics` agree on what "p99" means.
-pub use obda_rdbms::observe::percentile;
-
-/// Hand-rolled machine-readable benchmark output (the workspace has no
-/// JSON dependency, deliberately). `BENCH_qps.json` is a single
-/// top-level object whose sections (`"qps"`, `"soak"`, …) are each
-/// written by one tool; [`benchjson::merge_section`] lets the tools run
-/// in any order without clobbering each other's sections.
-pub mod benchjson {
-    use std::path::Path;
-
-    /// A flat JSON object under construction; values are pre-rendered.
-    #[derive(Default, Clone)]
-    pub struct JsonObj {
-        fields: Vec<(String, String)>,
-    }
-
-    impl JsonObj {
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        pub fn num(mut self, key: &str, value: f64) -> Self {
-            // JSON has no NaN/Inf; clamp to null rather than emit junk.
-            let rendered = if value.is_finite() {
-                format!("{value:.3}")
-            } else {
-                "null".to_string()
-            };
-            self.fields.push((key.to_string(), rendered));
-            self
-        }
-
-        pub fn int(mut self, key: &str, value: u64) -> Self {
-            self.fields.push((key.to_string(), value.to_string()));
-            self
-        }
-
-        pub fn str(mut self, key: &str, value: &str) -> Self {
-            let escaped: String = value
-                .chars()
-                .flat_map(|c| match c {
-                    '"' => vec!['\\', '"'],
-                    '\\' => vec!['\\', '\\'],
-                    '\n' => vec!['\\', 'n'],
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect();
-            self.fields
-                .push((key.to_string(), format!("\"{escaped}\"")));
-            self
-        }
-
-        /// Render as a single-line object — the merge format relies on
-        /// one section per line.
-        pub fn render(&self) -> String {
-            let body: Vec<String> = self
-                .fields
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect();
-            format!("{{{}}}", body.join(", "))
-        }
-    }
-
-    /// Write or update `key` in the JSON file at `path`, preserving
-    /// other sections previously written *by this module* (each section
-    /// lives on its own line). A file not in this shape is replaced —
-    /// only our own tools write it.
-    pub fn merge_section(path: &Path, key: &str, obj: &JsonObj) -> std::io::Result<()> {
-        let mut sections: Vec<(String, String)> = Vec::new();
-        if let Ok(existing) = std::fs::read_to_string(path) {
-            for line in existing.lines() {
-                let t = line.trim().trim_end_matches(',');
-                if let Some(rest) = t.strip_prefix('"') {
-                    if let Some((name, value)) = rest.split_once("\": ") {
-                        sections.push((name.to_string(), value.to_string()));
-                    }
-                }
-            }
-        }
-        match sections.iter_mut().find(|(name, _)| name == key) {
-            Some(slot) => slot.1 = obj.render(),
-            None => sections.push((key.to_string(), obj.render())),
-        }
-        let body: Vec<String> = sections
-            .iter()
-            .map(|(name, value)| format!("  \"{name}\": {value}"))
-            .collect();
-        std::fs::write(path, format!("{{\n{}\n}}\n", body.join(",\n")))
-    }
-
-    /// Read one numeric field back out of a file written by
-    /// [`merge_section`] (one `"section": {…}` per line). Returns `None`
-    /// if the file, section, or key is missing or non-numeric — callers
-    /// decide whether that is fatal (the CI regression gate does).
-    pub fn read_num(path: &Path, section: &str, key: &str) -> Option<f64> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let section_prefix = format!("\"{section}\": ");
-        for line in text.lines() {
-            let t = line.trim().trim_end_matches(',');
-            if let Some(obj) = t.strip_prefix(section_prefix.as_str()) {
-                let key_prefix = format!("\"{key}\": ");
-                let at = obj.find(&key_prefix)? + key_prefix.len();
-                let rest = &obj[at..];
-                let end = rest.find([',', '}']).unwrap_or(rest.len());
-                return rest[..end].trim().parse().ok();
-            }
-        }
-        None
-    }
-
-    /// The output path: `OBDA_BENCH_JSON`, or `BENCH_qps.json` at the
-    /// **workspace root**. The file used to be resolved against the
-    /// invocation CWD, so running a bench tool from a crate directory
-    /// scattered stray copies around the tree (and CI diffed the wrong
-    /// file); anchoring two levels above this crate's manifest pins it.
-    pub fn default_path() -> std::path::PathBuf {
-        if let Some(p) = std::env::var_os("OBDA_BENCH_JSON") {
-            return p.into();
-        }
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("crates/bench sits two levels below the workspace root");
-        root.join("BENCH_qps.json")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,62 +255,6 @@ mod tests {
         assert!(cell.error.is_none(), "{:?}", cell.error);
         assert!(cell.wall.is_some());
         assert!(cell.sql_bytes > 0);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let sample: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&sample, 50.0), Duration::from_millis(50));
-        assert_eq!(percentile(&sample, 99.0), Duration::from_millis(99));
-        assert_eq!(percentile(&sample, 100.0), Duration::from_millis(100));
-        assert_eq!(percentile(&[], 50.0), Duration::ZERO);
-        assert_eq!(
-            percentile(&[Duration::from_millis(7)], 99.0),
-            Duration::from_millis(7)
-        );
-    }
-
-    #[test]
-    fn benchjson_sections_merge_without_clobbering() {
-        let dir = std::env::temp_dir().join(format!("benchjson-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_qps.json");
-        let qps = benchjson::JsonObj::new()
-            .num("warm_qps", 1234.5)
-            .str("note", "a \"quoted\" note");
-        benchjson::merge_section(&path, "qps", &qps).unwrap();
-        let soak = benchjson::JsonObj::new().int("sessions", 4);
-        benchjson::merge_section(&path, "soak", &soak).unwrap();
-        // Overwrite qps; soak must survive.
-        let qps2 = benchjson::JsonObj::new().num("warm_qps", 999.0);
-        benchjson::merge_section(&path, "qps", &qps2).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"qps\": {\"warm_qps\": 999.000}"), "{text}");
-        assert!(text.contains("\"soak\": {\"sessions\": 4}"), "{text}");
-        assert!(!text.contains("1234.5"), "{text}");
-        // Round-trip: read_num recovers what merge_section wrote.
-        assert_eq!(benchjson::read_num(&path, "qps", "warm_qps"), Some(999.0));
-        assert_eq!(benchjson::read_num(&path, "soak", "sessions"), Some(4.0));
-        assert_eq!(benchjson::read_num(&path, "qps", "missing"), None);
-        assert_eq!(benchjson::read_num(&path, "missing", "warm_qps"), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn default_path_is_workspace_rooted() {
-        // Regardless of the invocation CWD, the default lands next to the
-        // workspace manifest (unless OBDA_BENCH_JSON overrides it).
-        let path = benchjson::default_path();
-        if std::env::var_os("OBDA_BENCH_JSON").is_none() {
-            assert_eq!(path.file_name().unwrap(), "BENCH_qps.json");
-            let root = path.parent().unwrap();
-            let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
-            assert!(
-                manifest.contains("[workspace]"),
-                "default path must sit at the workspace root, got {}",
-                path.display()
-            );
-        }
     }
 
     #[test]

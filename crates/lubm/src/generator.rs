@@ -46,7 +46,7 @@ impl Default for GenConfig {
     }
 }
 
-/// Generation summary (sanity numbers for EXPERIMENTS.md).
+/// Generation summary: what [`generate`] produced, for sanity checks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GenReport {
     pub universities: usize,

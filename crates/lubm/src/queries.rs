@@ -6,7 +6,7 @@
 //! these are rebuilt against the rebuilt ontology to match the reported
 //! *statistics* (atom counts, reformulation sizes, presence of a 2-atom
 //! query with the largest reformulation — Q11). Actual sizes are printed
-//! by the `workload_stats` harness and recorded in EXPERIMENTS.md.
+//! by the `workload_stats` binary (`crates/bench/src/bin/workload_stats.rs`).
 
 use obda_query::{Atom, Term, VarId, CQ};
 

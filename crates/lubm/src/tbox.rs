@@ -8,7 +8,7 @@
 //! teaches something, every graduate student has an advisor), a role
 //! hierarchy exercising inverse inclusions, and a handful of disjointness
 //! constraints. Exact counts are exposed by [`UnivOntology::dimensions`]
-//! and recorded in EXPERIMENTS.md.
+//! and printed by the `workload_stats` binary.
 
 use obda_dllite::{ConceptId, RoleId, TBox, TBoxBuilder, Vocabulary};
 

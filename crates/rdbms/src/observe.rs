@@ -22,9 +22,8 @@
 //!   counts, pruned arms, transactions, WAL appends/fsyncs/bytes,
 //!   checkpoints, connection admission, contained panics, and the
 //!   running predicted-vs-measured cost totals that make cost-model
-//!   accuracy a first-class observable. A disabled registry reduces
-//!   every record call to one relaxed load — the bench guard holds the
-//!   warm-path overhead under 5%.
+//!   accuracy a first-class observable. The registry is always on, so
+//!   its cost sits inside every end-to-end number the server reports.
 //! * [`render_prometheus`] and [`show_metrics`] — the two renderings of
 //!   the registry, both walking [`CATALOGUE`]; histograms, gauges and
 //!   derived rows are the only metrics either writes by name.
@@ -48,8 +47,7 @@ use crate::server::Server;
 use crate::sqlexec::Backend;
 
 /// The `p`-th percentile (0..=100) of an unsorted latency sample, by the
-/// nearest-rank method. Empty samples yield zero. This is the single
-/// shared definition — `obda_bench` re-exports it, and the histogram
+/// nearest-rank method. Empty samples yield zero. The histogram
 /// quantile tests below compare bucketed quantiles against it.
 pub fn percentile(samples: &[Duration], p: f64) -> Duration {
     if samples.is_empty() {
@@ -530,12 +528,8 @@ impl From<Counter> for Slot {
 
 /// The server-wide metrics registry. Hot-path recording is one relaxed
 /// atomic per counter — the only lock is the slow-query ring, taken only
-/// when a statement beats the ring's admission threshold. Disabling the
-/// registry ([`MetricsRegistry::set_enabled`]) reduces every record call
-/// to a single relaxed load, which is what the metrics-overhead bench
-/// guard measures.
+/// when a statement beats the ring's admission threshold.
 pub struct MetricsRegistry {
-    enabled: AtomicBool,
     trace_ids: AtomicU64,
     /// Every [`CATALOGUE`] counter, one slot per sample.
     counters: [AtomicU64; SLOTS],
@@ -579,7 +573,6 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
-            enabled: AtomicBool::new(true),
             trace_ids: AtomicU64::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: Default::default(),
@@ -590,22 +583,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Toggle recording. Off, every record call is one relaxed load.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Add `n` to a counter sample: `add(Counter::WalBytes, n)`, or
     /// `add(Counter::Queries.at(i), 1)` in a labelled family.
     #[inline]
     pub fn add(&self, slot: impl Into<Slot>, n: u64) {
-        if self.is_enabled() {
-            self.bump(slot, n);
-        }
+        self.counters[slot.into().0].fetch_add(n, Ordering::Relaxed);
     }
 
     /// A counter sample's current value.
@@ -613,13 +595,7 @@ impl MetricsRegistry {
         self.counters[slot.into().0].load(Ordering::Relaxed)
     }
 
-    #[inline]
-    fn bump(&self, slot: impl Into<Slot>, n: u64) {
-        self.counters[slot.into().0].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Allocate the next trace id (ids keep flowing when disabled so a
-    /// re-enabled registry never reuses one).
+    /// Allocate the next trace id.
     pub fn next_trace_id(&self) -> u64 {
         self.trace_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -635,20 +611,15 @@ impl MetricsRegistry {
     /// row counter. Called by the serving layer for every query
     /// (library or wire).
     pub fn record_query(&self, backend: Backend, latency: Duration, rows: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let i = backend_index(backend);
-        self.bump(Counter::Queries.at(i), 1);
-        self.bump(Counter::QueryRows, rows);
+        self.add(Counter::Queries.at(i), 1);
+        self.add(Counter::QueryRows, rows);
         self.latency[i].observe(latency);
     }
 
     /// Record one generation's constraint-mining run.
     pub fn record_constraint_mining(&self, took: Duration) {
-        if self.is_enabled() {
-            self.constraint_mining.observe(took);
-        }
+        self.constraint_mining.observe(took);
     }
 
     /// Accumulate one cost-model accuracy sample: the plan's predicted
@@ -656,9 +627,6 @@ impl MetricsRegistry {
     /// milli-work-units so their running ratio is the live cost-model
     /// accuracy (§6.1's predicted-vs-actual, as a counter pair).
     pub fn record_cost_sample(&self, predicted: f64, measured: f64) {
-        if !self.is_enabled() {
-            return;
-        }
         let clamp = |v: f64| {
             if v.is_finite() && v > 0.0 {
                 (v * 1000.0).min(u64::MAX as f64) as u64
@@ -666,19 +634,16 @@ impl MetricsRegistry {
                 0
             }
         };
-        self.bump(Counter::CostPredicted, clamp(predicted));
-        self.bump(Counter::CostMeasured, clamp(measured));
+        self.add(Counter::CostPredicted, clamp(predicted));
+        self.add(Counter::CostMeasured, clamp(measured));
     }
 
     /// Record a completed statement trace: stage-time totals, the
     /// slow-query ring (if it beats the admission threshold), and the
     /// structured stderr slow log.
     pub fn record_trace(&self, trace: QueryTrace) {
-        if !self.is_enabled() {
-            return;
-        }
         for (i, span) in trace.spans.as_array().into_iter().enumerate() {
-            self.bump(Counter::StageMicros.at(i), micros(span));
+            self.add(Counter::StageMicros.at(i), micros(span));
         }
         let total_micros = micros(trace.total);
         if total_micros >= self.slow_log_micros.load(Ordering::Relaxed) {
@@ -725,13 +690,10 @@ impl MetricsRegistry {
     /// One WAL group record appended (`bytes` on the wire, `fsynced` if
     /// the group was made power-loss durable).
     pub fn record_wal_append(&self, bytes: u64, fsynced: bool) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.bump(Counter::WalAppends, 1);
-        self.bump(Counter::WalBytes, bytes);
+        self.add(Counter::WalAppends, 1);
+        self.add(Counter::WalBytes, bytes);
         if fsynced {
-            self.bump(Counter::WalFsyncs, 1);
+            self.add(Counter::WalFsyncs, 1);
         }
     }
 
@@ -1091,9 +1053,22 @@ mod tests {
         assert_eq!(Histogram::bucket_index(5_000_001), BUCKET_COUNT - 1);
     }
 
-    /// Satellite: the histogram's quantile agrees with the shared
-    /// nearest-rank [`percentile`] helper (the one `obda_bench`
-    /// re-exports) when observations sit exactly on bucket bounds.
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let sample: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
+        assert_eq!(percentile(&sample, 50.0), Duration::from_millis(50));
+        assert_eq!(percentile(&sample, 99.0), Duration::from_millis(99));
+        assert_eq!(percentile(&sample, 100.0), Duration::from_millis(100));
+        assert_eq!(percentile(&[], 50.0), Duration::ZERO);
+        assert_eq!(
+            percentile(&[Duration::from_millis(7)], 99.0),
+            Duration::from_millis(7)
+        );
+    }
+
+    /// The histogram's quantile agrees with the nearest-rank
+    /// [`percentile`] helper when observations sit exactly on bucket
+    /// bounds.
     #[test]
     fn histogram_quantile_matches_shared_percentile_helper() {
         let h = Histogram::new();
@@ -1160,36 +1135,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
+    fn commit_stage_lands_under_its_own_name() {
         let reg = MetricsRegistry::new();
-        reg.set_enabled(false);
-        reg.record_query(Backend::Native, Duration::from_millis(5), 3);
-        reg.record_trace(trace(1, 50));
-        reg.record_wal_append(100, true);
         let wait = Counter::CommitStageMicros.at(CommitStage::Wait as usize);
-        reg.add(wait, 5_000);
-        reg.add(Counter::CommitMicros, 5_000);
-        reg.add(Counter::TxnOverlays, 1);
-        reg.add(Counter::TxnOverlayMicros, 5_000);
-        reg.add(Counter::ConnectionsAdmitted, 1);
-        let native = Counter::Queries.at(backend_index(Backend::Native));
-        assert_eq!(reg.get(native), 0);
-        assert_eq!(reg.get(Counter::CommitMicros), 0);
-        assert_eq!(
-            (
-                reg.get(Counter::TxnOverlays),
-                reg.get(Counter::TxnOverlayMicros)
-            ),
-            (0, 0)
-        );
-        assert_eq!(reg.latency(Backend::Native).count(), 0);
-        assert!(reg.slow_queries().is_empty());
-        assert_eq!(reg.get(Counter::WalAppends), 0);
-        assert_eq!(reg.get(Counter::ConnectionsAdmitted), 0);
-        reg.set_enabled(true);
-        reg.record_query(Backend::Sql, Duration::from_millis(5), 3);
-        assert_eq!(reg.get(Counter::Queries.at(backend_index(Backend::Sql))), 1);
-        // A commit stage lands under its own name.
         reg.add(wait, 5_000);
         for (i, stage) in COMMIT_STAGE_NAMES.iter().enumerate() {
             let want = if *stage == "wait" { 5_000 } else { 0 };

@@ -1,5 +1,6 @@
 //! A minimal blocking wire client, used by the integration tests, the
-//! soak harness, and the server binary's `--check` self-smoke.
+//! benchmark's wire sessions, and the server binary's `--check`
+//! self-smoke.
 //!
 //! This is deliberately *not* a general PostgreSQL driver: it speaks
 //! exactly the subset the front end emits, decodes everything as text,

@@ -40,7 +40,7 @@ pub struct PgConfig {
     pub max_connections: usize,
     /// Backend for sessions that do not pass `backend=` at startup.
     pub default_backend: Backend,
-    /// Honor the chaos `PANIC` statement (test/soak harnesses only).
+    /// Honor the chaos `PANIC` statement (test harnesses only).
     pub allow_chaos: bool,
 }
 

@@ -743,9 +743,6 @@ impl Session<'_> {
         statement_started: Instant,
     ) {
         let observe = self.server.observe();
-        if !observe.is_enabled() {
-            return;
-        }
         observe.record_trace(QueryTrace {
             id: observe.next_trace_id(),
             query: truncate_query(text),

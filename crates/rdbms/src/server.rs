@@ -383,8 +383,7 @@ pub struct AnalyzedQuery {
 }
 
 /// Point-in-time cache counters. All but the two `entries` gauges are
-/// views over the server's [`MetricsRegistry`], so they stop counting
-/// while it is disabled ([`MetricsRegistry::set_enabled`]).
+/// views over the server's [`MetricsRegistry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,

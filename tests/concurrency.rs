@@ -1,9 +1,9 @@
 //! The serving-layer stress suite: many client threads replaying a mixed
 //! LUBM workload against one shared [`Server`], snapshot isolation across
 //! concurrent reloads, and the metering invariant under parallel
-//! union-arm execution. CI runs this file in release mode with 8 worker
-//! threads (the `threaded-stress` job) so data races and merge-order
-//! nondeterminism fail there rather than in a bench run.
+//! union-arm execution. CI runs this file in release mode (the
+//! `threaded-stress` job) so data races and merge-order nondeterminism
+//! fail there.
 
 use obda::core::root_cover;
 use obda::dllite::Dependencies;
@@ -12,13 +12,8 @@ use obda::rdbms::observe::{backend_index, Counter};
 use obda::rdbms::testkit::{assert_arm_metrics_sum, assert_same_execution};
 use obda::rdbms::EvalOptions;
 
-/// Client threads for the replay tests (CI's stress job sets 8).
-fn client_threads() -> usize {
-    std::env::var("OBDA_STRESS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
-}
+/// Client threads for the replay tests.
+const CLIENT_THREADS: usize = 8;
 
 struct Fixture {
     onto: UnivOntology,
@@ -40,15 +35,6 @@ fn fixture() -> &'static Fixture {
             .map(|w| (w.name, w.cq))
             .collect();
         queries.push(("A4".to_owned(), star_query(&onto, 4)));
-        // The *cold* compile of a few workload queries costs tens of
-        // seconds in the unoptimized dev profile (reformulation
-        // dominates — the very cost the plan cache amortizes). The
-        // quick tier-1 run replays the cheap shapes; CI's release-mode
-        // stress job sets OBDA_STRESS_FULL=1 to sweep all of them.
-        if std::env::var("OBDA_STRESS_FULL").is_err() {
-            let heavy = ["Q4", "Q7", "Q10", "Q13"];
-            queries.retain(|(name, _)| !heavy.contains(&name.as_str()));
-        }
         Fixture {
             onto,
             abox,
@@ -59,9 +45,7 @@ fn fixture() -> &'static Fixture {
 
 fn server_config(cache: bool, threads: usize) -> ServerConfig {
     ServerConfig {
-        // Root-cover JUCQ keeps the per-miss pipeline deterministic and
-        // cheap enough for the dev-profile tier-1 run; the QPS bench
-        // exercises the GDL strategy.
+        // Root-cover JUCQ keeps the per-miss pipeline deterministic.
         reform_strategy: obda::core::Strategy::CrootJucq,
         cache_plans: cache,
         threads,
@@ -102,7 +86,7 @@ fn threaded_lubm_replay_is_consistent() {
     for (_, cq) in &fx.queries {
         srv.query(cq).unwrap();
     }
-    let clients = client_threads();
+    let clients = CLIENT_THREADS;
     let rounds = 3usize;
     std::thread::scope(|s| {
         for c in 0..clients {
@@ -182,7 +166,7 @@ fn reload_during_replay_is_snapshot_isolated() {
     assert_ne!(want_old, want_new, "the mutation must be observable");
 
     std::thread::scope(|s| {
-        for _ in 0..client_threads() {
+        for _ in 0..CLIENT_THREADS {
             let srv = &srv;
             let (want_old, want_new) = (&want_old, &want_new);
             s.spawn(move || {

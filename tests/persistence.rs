@@ -288,6 +288,77 @@ fn prepared_plan_from_generation_g_survives_g_plus_1() {
     assert!(sorted_rows(live).len() < want_g0.len());
 }
 
+/// Incremental ingest beats a full reload: a durable server holding 90 %
+/// of a 20 000-fact LUBM ABox ingests the rest as ten 1 % batches, and
+/// the average `apply_batch` must be at least 5× faster than one
+/// `reload_abox` of the whole ABox on the same server (best of 3
+/// rounds, each on a fresh store).
+#[test]
+fn apply_batch_is_five_times_faster_than_reload_abox() {
+    let mut onto = UnivOntology::build();
+    let config = GenConfig {
+        target_facts: 20_000,
+        ..Default::default()
+    };
+    let (full, _) = generate(&mut onto, &config);
+    let (concepts, roles) = (full.concept_assertions(), full.role_assertions());
+    let (cc, rc) = (concepts.len() * 90 / 100, roles.len() * 90 / 100);
+    let mut base = ABox::new();
+    for &(c, i) in &concepts[..cc] {
+        base.assert_concept(c, i);
+    }
+    for &(r, a, b) in &roles[..rc] {
+        base.assert_role(r, a, b);
+    }
+    let (ctail, rtail) = (&concepts[cc..], &roles[rc..]);
+    let batches: Vec<AboxDelta> = (0..10)
+        .map(|k| AboxDelta {
+            insert_concepts: ctail[ctail.len() * k / 10..ctail.len() * (k + 1) / 10].to_vec(),
+            insert_roles: rtail[rtail.len() * k / 10..rtail.len() * (k + 1) / 10].to_vec(),
+            ..AboxDelta::new()
+        })
+        .collect();
+
+    let dir = scratch("ingest");
+    let mut best_apply = std::time::Duration::MAX;
+    let mut best_reload = std::time::Duration::MAX;
+    for round in 0..3 {
+        let srv = Server::create_durable(
+            &dir.join(format!("r{round}")),
+            onto.voc.clone(),
+            onto.tbox.clone(),
+            &base,
+            ServerConfig {
+                compact_every: 0, // time the append path, not compaction
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        // The first clone after a bulk load pays allocator warm-up that
+        // steady-state batches never see.
+        srv.apply_batch(&AboxDelta::new()).unwrap();
+        let start = std::time::Instant::now();
+        for batch in &batches {
+            srv.apply_batch(batch).unwrap();
+        }
+        best_apply = best_apply.min(start.elapsed() / batches.len() as u32);
+        let start = std::time::Instant::now();
+        srv.reload_abox(&full).unwrap();
+        best_reload = best_reload.min(start.elapsed());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let speedup = best_reload.as_secs_f64() / best_apply.as_secs_f64();
+    println!(
+        "apply_batch {:.3} ms/batch, reload_abox {:.3} ms ({speedup:.1}x)",
+        best_apply.as_secs_f64() * 1e3,
+        best_reload.as_secs_f64() * 1e3
+    );
+    assert!(
+        speedup >= 5.0,
+        "incremental apply is {speedup:.1}x faster than a full reload, below the 5x bar"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

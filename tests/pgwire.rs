@@ -1230,6 +1230,124 @@ fn show_metrics_is_the_twin_of_every_prometheus_counter() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sum of every sample of `family` (all label sets) in an exposition
+/// body.
+fn family_sum(body: &str, family: &str) -> f64 {
+    body.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| {
+            let (series, value) = l.rsplit_once(' ')?;
+            (series.split('{').next() == Some(family)).then(|| value.parse::<f64>().ok())?
+        })
+        .sum()
+}
+
+/// `/metrics` is scraped live while 4 reader sessions (alternating
+/// backends) run a fixed statement mix and one session commits
+/// `BEGIN`/`INSERT`/`COMMIT` blocks: once at a barrier halfway through
+/// and once after the load stops. No session errs, the mid-run scrape
+/// already counts the first halves, and the final `obda_queries_total`
+/// equals every query the server served.
+#[test]
+fn live_metrics_scrape_counts_every_statement_under_wire_load() {
+    const READERS: usize = 4;
+    const STATEMENTS_PER_HALF: usize = 20;
+    const COMMITS_PER_HALF: usize = 5;
+    const STATEMENTS: [&str; 4] = [
+        "SELECT ?x WHERE GraduateStudent(?x)",
+        "SELECT ?x, ?y WHERE Professor(?x), advisor(?y, ?x)",
+        "ASK WHERE Student(?x)",
+        "SELECT ?x WHERE Student(?x), takesCourse(?x, ?y)",
+    ];
+    let mut fx = fixture(PgConfig::default());
+    let mut endpoint =
+        obda::rdbms::MetricsEndpoint::bind("127.0.0.1:0", fx.server.clone()).expect("bind");
+    let addr = fx.listener.local_addr();
+    let queries = |server: &Server| {
+        (0..2)
+            .map(|i| server.observe().get(Counter::Queries.at(i)))
+            .sum::<u64>()
+    };
+    let before = queries(&fx.server);
+
+    let barrier = std::sync::Barrier::new(READERS + 2);
+    let run = |client: &mut WireClient, stmt: &str, errors: &mut Vec<String>| {
+        if let Err(e) = client.simple_query(stmt) {
+            errors.push(format!("{stmt:?}: {e}"));
+        }
+    };
+    let (mid, errors) = std::thread::scope(|s| {
+        let mut sessions = Vec::new();
+        for r in 0..READERS {
+            let (barrier, run) = (&barrier, &run);
+            let backend = if r % 2 == 0 { "native" } else { "sql" };
+            sessions.push(s.spawn(move || {
+                let mut errors = Vec::new();
+                let mut client = WireClient::connect(&addr, &[("backend", backend)]).unwrap();
+                for half in 0..2 {
+                    for k in 0..STATEMENTS_PER_HALF {
+                        let stmt = STATEMENTS[(r + k) % STATEMENTS.len()];
+                        run(&mut client, stmt, &mut errors);
+                    }
+                    if half == 0 {
+                        barrier.wait();
+                    }
+                }
+                client.terminate();
+                errors
+            }));
+        }
+        let (barrier, run) = (&barrier, &run);
+        sessions.push(s.spawn(move || {
+            let mut errors = Vec::new();
+            let mut client = WireClient::connect(&addr, &[]).unwrap();
+            for half in 0..2 {
+                for k in 0..COMMITS_PER_HALF {
+                    let n = half * COMMITS_PER_HALF + k;
+                    run(&mut client, "BEGIN", &mut errors);
+                    let insert = format!("INSERT GraduateStudent(load_{n}), Student(load_{n})");
+                    run(&mut client, &insert, &mut errors);
+                    run(&mut client, "COMMIT", &mut errors);
+                }
+                if half == 0 {
+                    barrier.wait();
+                }
+            }
+            client.terminate();
+            errors
+        }));
+        barrier.wait();
+        let mid = family_sum(&scrape_metrics(endpoint.local_addr()), "obda_queries_total");
+        let errors: Vec<String> = sessions
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        (mid, errors)
+    });
+    let end = family_sum(&scrape_metrics(endpoint.local_addr()), "obda_queries_total");
+    endpoint.shutdown();
+    fx.listener.shutdown();
+
+    assert!(errors.is_empty(), "session errors: {errors:?}");
+    let served = (2 * READERS * STATEMENTS_PER_HALF) as f64;
+    assert!(mid > 0.0, "the mid-run scrape shows no served queries");
+    assert!(
+        mid >= before as f64 + served / 2.0,
+        "the mid-run scrape ({mid}) misses the first halves"
+    );
+    assert!(end >= mid, "obda_queries_total went back: {mid} -> {end}");
+    assert_eq!(
+        end,
+        before as f64 + served,
+        "final scrape vs statements served"
+    );
+    assert_eq!(
+        fx.server.txn_stats().committed,
+        2 * COMMITS_PER_HALF as u64,
+        "every writer block committed"
+    );
+}
+
 /// The metric surface — `SHOW metrics` row names in order, and every
 /// exposition line with its sample value masked (HELP and TYPE lines
 /// verbatim) — pinned in `tests/goldens/metrics_surface.txt`. A change
