@@ -490,7 +490,6 @@ fn hash_join_batch(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
 
     use obda_dllite::{ABox, ConceptId, IndividualId, RoleId, Vocabulary};
     use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, SCQ, UCQ};
@@ -769,7 +768,6 @@ mod tests {
         let plan = plan_conjunction(
             &slots,
             &[v(0)],
-            &BTreeSet::new(),
             storage.stats(),
             storage.layout(),
             JoinStrategy::ForcedHash,
@@ -795,14 +793,8 @@ mod tests {
         let storage = SimpleStorage::load(&abox);
         let slots = [Slot::single(role(0, v(0), v(1)))];
         for strategy in STRATEGIES {
-            let plan = plan_conjunction(
-                &slots,
-                &[v(1)],
-                &BTreeSet::new(),
-                storage.stats(),
-                storage.layout(),
-                strategy,
-            );
+            let plan =
+                plan_conjunction(&slots, &[v(1)], storage.stats(), storage.layout(), strategy);
             assert!(!plan.steps[0].exists, "{strategy:?}");
         }
         let q = FolQuery::Cq(CQ::with_var_head(vec![VarId(1)], vec![role(0, v(0), v(1))]));

@@ -14,22 +14,20 @@
 //!   formulas applied **uniformly to queries of all sizes**, with no
 //!   engine quirks.
 
-use std::collections::BTreeSet;
-
-use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
+use obda_query::{Atom, FolQuery, Term, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
 
 use crate::fxhash::FxHashMap;
 use crate::layout::LayoutKind;
 use crate::planner::{
-    plan_conjunction_mode, scan_cost, slot_estimate, ExecMode, JoinStrategy, PhysicalOp,
-    HASH_BUILD_WEIGHT, HASH_PROBE_WEIGHT, INDEX_PROBE_WEIGHT, MATERIALIZE_WEIGHT,
+    scan_cost, Conjunct, ExecMode, JoinStrategy, PhysicalOp, PlanBuf, HASH_BUILD_WEIGHT,
+    HASH_PROBE_WEIGHT, INDEX_PROBE_WEIGHT, MATERIALIZE_WEIGHT,
 };
-use crate::profile::EngineProfile;
+use crate::profile::{EngineKind, EngineProfile};
 use crate::stats::CatalogStats;
 
-/// A configured cost model over one catalog.
-pub struct CostModel {
-    stats: CatalogStats,
+/// A configured cost model over one catalog, which it borrows.
+pub struct CostModel<'s> {
+    stats: &'s CatalogStats,
     layout: LayoutKind,
     /// Which physical operators the priced plans may use. Must match the
     /// executor's strategy for "explain prices the plan that runs".
@@ -44,12 +42,12 @@ pub struct CostModel {
     collapse_limit: Option<usize>,
     /// Cost multiplier for repeat scans of a table within a statement.
     rescan_discount: f64,
-    name: String,
+    name: &'static str,
 }
 
-impl CostModel {
+impl<'s> CostModel<'s> {
     /// The engine's own estimator under `profile` ("explain").
-    pub fn rdbms(stats: CatalogStats, layout: LayoutKind, profile: &EngineProfile) -> Self {
+    pub fn rdbms(stats: &'s CatalogStats, layout: LayoutKind, profile: &EngineProfile) -> Self {
         CostModel {
             stats,
             layout,
@@ -57,12 +55,15 @@ impl CostModel {
             mode: ExecMode::default(),
             collapse_limit: profile.union_collapse_limit,
             rescan_discount: profile.rescan_discount,
-            name: format!("rdbms/{}", profile.name()),
+            name: match profile.kind {
+                EngineKind::PgLike => "rdbms/pg-like",
+                EngineKind::Db2Like => "rdbms/db2-like",
+            },
         }
     }
 
     /// The paper's external estimator: uniform treatment of all sizes.
-    pub fn ext(stats: CatalogStats, layout: LayoutKind) -> Self {
+    pub fn ext(stats: &'s CatalogStats, layout: LayoutKind) -> Self {
         CostModel {
             stats,
             layout,
@@ -70,7 +71,7 @@ impl CostModel {
             mode: ExecMode::default(),
             collapse_limit: None,
             rescan_discount: 1.0,
-            name: "ext".to_owned(),
+            name: "ext",
         }
     }
 
@@ -89,121 +90,114 @@ impl CostModel {
     }
 
     pub fn model_name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     /// Estimate the evaluation cost of a FOL query (work units).
     pub fn estimate_fol(&self, q: &FolQuery) -> f64 {
-        let mut scans = ScanTracker::default();
+        let p = &mut Pricing::default();
         match q {
-            FolQuery::Cq(cq) => self.est_cq(cq, &mut scans, false).cost,
-            FolQuery::Ucq(ucq) => self.est_ucq(ucq, &mut scans).cost,
-            FolQuery::Scq(scq) => self.est_scq(scq, &mut scans, false).cost,
-            FolQuery::Uscq(uscq) => self.est_uscq(uscq, &mut scans).cost,
-            FolQuery::Jucq(jucq) => self.est_jucq(jucq, &mut scans),
-            FolQuery::Juscq(juscq) => self.est_juscq(juscq, &mut scans),
+            FolQuery::Cq(cq) => self.est_cq(cq, p, false).cost,
+            FolQuery::Ucq(ucq) => self.est_ucq(ucq, p).cost,
+            FolQuery::Scq(scq) => self.est_scq(scq, p, false).cost,
+            FolQuery::Uscq(uscq) => self.est_uscq(uscq, p).cost,
+            FolQuery::Jucq(jucq) => self.est_jucq(jucq, p),
+            FolQuery::Juscq(juscq) => self.est_juscq(juscq, p),
         }
     }
 
-    fn est_cq(&self, cq: &CQ, scans: &mut ScanTracker, degraded: bool) -> Estimate {
-        let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
-        self.est_conjunction(&slots, cq.head(), scans, degraded)
+    /// A CQ's atoms are its singleton slots, priced in place.
+    fn est_cq(&self, cq: &CQ, p: &mut Pricing, degraded: bool) -> Estimate {
+        self.est_conjunction(cq.atoms(), cq.head(), p, degraded)
     }
 
-    fn est_scq(&self, scq: &SCQ, scans: &mut ScanTracker, degraded: bool) -> Estimate {
-        self.est_conjunction(scq.slots(), scq.head(), scans, degraded)
+    fn est_scq(&self, scq: &SCQ, p: &mut Pricing, degraded: bool) -> Estimate {
+        self.est_conjunction(scq.slots(), scq.head(), p, degraded)
     }
 
-    fn est_ucq(&self, ucq: &UCQ, scans: &mut ScanTracker) -> Estimate {
+    fn est_ucq(&self, ucq: &UCQ, p: &mut Pricing) -> Estimate {
         let degraded = self.collapse_limit.is_some_and(|limit| ucq.len() > limit);
         let mut total = Estimate::default();
         for cq in ucq.cqs() {
-            let e = self.est_cq(cq, scans, degraded);
+            let e = self.est_cq(cq, p, degraded);
             total.cost += e.cost + HASH_BUILD_WEIGHT * e.card; // union dedup
             total.card += e.card;
         }
         total
     }
 
-    fn est_uscq(&self, uscq: &USCQ, scans: &mut ScanTracker) -> Estimate {
+    fn est_uscq(&self, uscq: &USCQ, p: &mut Pricing) -> Estimate {
         let degraded = self
             .collapse_limit
             .is_some_and(|limit| uscq.equivalent_cq_count() > limit);
         let mut total = Estimate::default();
         for scq in uscq.scqs() {
-            let e = self.est_scq(scq, scans, degraded);
+            let e = self.est_scq(scq, p, degraded);
             total.cost += e.cost + HASH_BUILD_WEIGHT * e.card;
             total.card += e.card;
         }
         total
     }
 
-    fn est_jucq(&self, jucq: &JUCQ, scans: &mut ScanTracker) -> f64 {
-        let comps: Vec<Estimate> = jucq
-            .components()
-            .iter()
-            .map(|c| self.est_ucq(c, scans))
-            .collect();
-        let mut cost: f64 = comps
-            .iter()
-            .map(|e| e.cost + MATERIALIZE_WEIGHT * e.card)
-            .sum();
+    fn est_jucq(&self, jucq: &JUCQ, p: &mut Pricing) -> f64 {
+        let mut cost = 0.0;
+        let mut cards = std::mem::take(&mut p.cards);
+        cards.clear();
+        for c in jucq.components() {
+            let e = self.est_ucq(c, p);
+            cost += e.cost + MATERIALIZE_WEIGHT * e.card;
+            cards.push(e.card);
+        }
+        // Rough join-output cardinality (for the final DISTINCT): the
+        // smallest component's.
+        let join_card = cards.iter().copied().fold(f64::INFINITY, f64::min).max(0.0);
         // Hash-join chain, smallest first: build + probe each relation.
-        let mut cards: Vec<f64> = comps.iter().map(|e| e.card).collect();
         cards.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let mut acc = 1.0f64;
-        for c in cards {
+        for &c in &cards {
             cost += HASH_BUILD_WEIGHT * c + HASH_PROBE_WEIGHT * acc;
             // Join cardinality: assume joins are selective — the
             // accumulated result cannot exceed either side by much; use
             // the geometric-mean heuristic bounded by the smaller side.
             acc = (acc * c).sqrt().min(acc.max(c));
         }
-        cost + self.join_card(&comps, jucq)
+        p.cards = cards;
+        cost + join_card
     }
 
-    fn est_juscq(&self, juscq: &JUSCQ, scans: &mut ScanTracker) -> f64 {
-        let comps: Vec<Estimate> = juscq
-            .components()
-            .iter()
-            .map(|c| self.est_uscq(c, scans))
-            .collect();
-        let mut cost: f64 = comps
-            .iter()
-            .map(|e| e.cost + MATERIALIZE_WEIGHT * e.card)
-            .sum();
-        let mut acc = 1.0f64;
-        for e in &comps {
-            cost += HASH_BUILD_WEIGHT * e.card + HASH_PROBE_WEIGHT * acc;
-            acc = (acc * e.card).sqrt().min(acc.max(e.card));
+    fn est_juscq(&self, juscq: &JUSCQ, p: &mut Pricing) -> f64 {
+        let mut cost = 0.0;
+        let mut cards = std::mem::take(&mut p.cards);
+        cards.clear();
+        for c in juscq.components() {
+            let e = self.est_uscq(c, p);
+            cost += e.cost + MATERIALIZE_WEIGHT * e.card;
+            cards.push(e.card);
         }
+        let mut acc = 1.0f64;
+        for &c in &cards {
+            cost += HASH_BUILD_WEIGHT * c + HASH_PROBE_WEIGHT * acc;
+            acc = (acc * c).sqrt().min(acc.max(c));
+        }
+        p.cards = cards;
         cost
     }
 
-    /// Rough join-output cardinality of a JUCQ (for the final DISTINCT).
-    fn join_card(&self, comps: &[Estimate], _jucq: &JUCQ) -> f64 {
-        comps
-            .iter()
-            .map(|e| e.card)
-            .fold(f64::INFINITY, f64::min)
-            .max(0.0)
-    }
-
     /// Cost a conjunction the way the executor runs it: the shared
-    /// [`crate::planner::plan_conjunction`] fixes slot order and per-step physical
-    /// operators; this prices each step, adding the model's engine quirks
-    /// (rescan discounts, degraded flat estimates).
+    /// planner ([`crate::planner::plan_conjunction`]) fixes slot order
+    /// and per-step physical operators; this prices each step, adding the
+    /// model's engine quirks (rescan discounts, degraded flat estimates).
     ///
     /// An existence step ([`crate::planner::PlanStep::exists`], decided by
     /// the planner and only read here) costs what its probes cost — the
     /// executor still probes every (row, atom) pair not yet witnessed —
     /// but leaves `rows_in × min(1, fan-out)` rows, so later steps and the
     /// union's dedup are priced on the rows that actually reach them.
-    fn est_conjunction(
+    fn est_conjunction<C: Conjunct>(
         &self,
-        slots: &[Slot],
+        slots: &[C],
         head: &[Term],
-        scans: &mut ScanTracker,
+        p: &mut Pricing,
         degraded: bool,
     ) -> Estimate {
         if slots.is_empty() {
@@ -212,26 +206,27 @@ impl CostModel {
                 card: 1.0,
             };
         }
-        let plan = plan_conjunction_mode(
+        let Pricing { scans, plan, .. } = p;
+        plan.plan(
             slots,
             head,
-            &BTreeSet::new(),
-            &self.stats,
+            self.stats,
             self.layout,
             self.strategy,
             self.mode,
         );
-        let mut bound: BTreeSet<VarId> = BTreeSet::new();
         let mut cost = 0.0;
         let mut card = 1.0f64;
-        for step in &plan.steps {
-            let slot = &slots[step.slot];
+        for (step, &estimate) in plan.steps.iter().zip(&plan.estimates) {
+            let atoms = slots[step.slot].atoms();
             let (access, mult) = if degraded {
                 // Default-selectivity fallback: the engine shortcut.
                 // Every slot looks like a 100-row access with fan-out 1.
                 (100.0, 1.0)
             } else {
-                slot_estimate(slot, &bound, &self.stats, self.layout)
+                // The slot's estimate given the variables bound before
+                // it, which the planner already made.
+                estimate
             };
             match step.op {
                 // The engine shortcut never reasons about operators — a
@@ -245,7 +240,7 @@ impl CostModel {
                     // Build: scan each extension once (rescan-discounted)
                     // and insert every tuple; probe once per current row.
                     let mut build_scan = 0.0;
-                    for atom in slot.atoms() {
+                    for atom in atoms {
                         let (key, atom_card) = match atom {
                             Atom::Concept(c, _) => ((0u8, c.0), self.stats.concept_card(c.0)),
                             Atom::Role(r, _, _) => ((1u8, r.0), self.stats.role_card(r.0)),
@@ -255,8 +250,7 @@ impl CostModel {
                         } else {
                             1.0
                         };
-                        build_scan +=
-                            scan_cost(atom_card as f64, &self.stats, self.layout) * factor;
+                        build_scan += scan_cost(atom_card as f64, self.stats, self.layout) * factor;
                         scans.bump(key);
                     }
                     cost += build_scan + HASH_BUILD_WEIGHT * build_rows + HASH_PROBE_WEIGHT * card;
@@ -266,14 +260,14 @@ impl CostModel {
                     // Scans happen once per conjunction (prescan); apply
                     // the rescan discount per table.
                     let mut scan_work = 0.0;
-                    for atom in slot.atoms() {
+                    for atom in atoms {
                         let key = match atom {
                             Atom::Concept(c, _) => (0u8, c.0),
                             Atom::Role(r, _, _) => (1u8, r.0),
                         };
                         let prior = scans.count(key);
                         let factor = if prior > 0 { self.rescan_discount } else { 1.0 };
-                        scan_work += access / slot.len() as f64 * factor;
+                        scan_work += access / atoms.len() as f64 * factor;
                         scans.bump(key);
                     }
                     cost += scan_work;
@@ -281,12 +275,9 @@ impl CostModel {
                 }
                 _ => {
                     // Index-nested-loop: one probe per atom per row.
-                    cost += card * (INDEX_PROBE_WEIGHT * slot.len() as f64);
+                    cost += card * (INDEX_PROBE_WEIGHT * atoms.len() as f64);
                     card *= step.fanout(mult);
                 }
-            }
-            for atom in slot.atoms() {
-                bound.extend(atom.vars());
             }
         }
         Estimate { cost, card }
@@ -298,6 +289,16 @@ impl CostModel {
 struct Estimate {
     cost: f64,
     card: f64,
+}
+
+/// What pricing one statement works in: its scan tally and the buffers
+/// every arm reuses, so no arm allocates.
+#[derive(Default)]
+struct Pricing {
+    scans: ScanTracker,
+    plan: PlanBuf,
+    /// The component cardinalities of a JUCQ or JUSCQ.
+    cards: Vec<f64>,
 }
 
 /// Tracks table scan counts across a whole statement (for the rescan
@@ -322,6 +323,7 @@ mod tests {
     use super::*;
     use crate::layout::testutil::small_abox;
     use obda_dllite::{ConceptId, RoleId};
+    use obda_query::VarId;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
@@ -334,7 +336,8 @@ mod tests {
 
     #[test]
     fn more_arms_cost_more() {
-        let model = CostModel::ext(stats(), LayoutKind::Simple);
+        let st = stats();
+        let model = CostModel::ext(&st, LayoutKind::Simple);
         let one = FolQuery::Ucq(UCQ::single(CQ::with_var_head(
             vec![VarId(0)],
             vec![obda_query::Atom::Concept(ConceptId(0), v(0))],
@@ -359,8 +362,9 @@ mod tests {
     fn collapse_limit_degrades_estimation() {
         let mut pg = EngineProfile::pg_like();
         pg.union_collapse_limit = Some(2);
-        let rdbms = CostModel::rdbms(stats(), LayoutKind::Simple, &pg);
-        let ext = CostModel::ext(stats(), LayoutKind::Simple);
+        let st = stats();
+        let rdbms = CostModel::rdbms(&st, LayoutKind::Simple, &pg);
+        let ext = CostModel::ext(&st, LayoutKind::Simple);
         // Three distinct arms over the same large role table.
         let arms: Vec<CQ> = (0..3)
             .map(|i| {
@@ -381,8 +385,9 @@ mod tests {
     #[test]
     fn rescan_discount_lowers_repeated_scans() {
         let db2 = EngineProfile::db2_like();
-        let with = CostModel::rdbms(stats(), LayoutKind::Simple, &db2);
-        let without = CostModel::ext(stats(), LayoutKind::Simple);
+        let st = stats();
+        let with = CostModel::rdbms(&st, LayoutKind::Simple, &db2);
+        let without = CostModel::ext(&st, LayoutKind::Simple);
         // Two arms scanning the same role table.
         let arm = |c: u32| {
             CQ::with_var_head(
@@ -399,8 +404,9 @@ mod tests {
 
     #[test]
     fn dph_layout_penalizes_scans() {
-        let simple = CostModel::ext(stats(), LayoutKind::Simple);
-        let dph = CostModel::ext(stats(), LayoutKind::Dph);
+        let st = stats();
+        let simple = CostModel::ext(&st, LayoutKind::Simple);
+        let dph = CostModel::ext(&st, LayoutKind::Dph);
         let q = FolQuery::Cq(CQ::with_var_head(
             vec![VarId(0)],
             vec![obda_query::Atom::Role(RoleId(1), v(0), v(1))], // tiny table s
@@ -410,7 +416,8 @@ mod tests {
 
     #[test]
     fn jucq_estimate_includes_materialization() {
-        let model = CostModel::ext(stats(), LayoutKind::Simple);
+        let st = stats();
+        let model = CostModel::ext(&st, LayoutKind::Simple);
         let comp = UCQ::single(CQ::with_var_head(
             vec![VarId(0)],
             vec![obda_query::Atom::Concept(ConceptId(0), v(0))],
@@ -453,11 +460,11 @@ mod tests {
                 obda_query::Atom::Role(r2, v(1), v(2)),
             ],
         ));
-        let chosen = CostModel::ext(st.clone(), LayoutKind::Simple).estimate_fol(&q);
-        let inl = CostModel::ext(st.clone(), LayoutKind::Simple)
+        let chosen = CostModel::ext(&st, LayoutKind::Simple).estimate_fol(&q);
+        let inl = CostModel::ext(&st, LayoutKind::Simple)
             .with_strategy(JoinStrategy::ForcedInl)
             .estimate_fol(&q);
-        let hash = CostModel::ext(st, LayoutKind::Simple)
+        let hash = CostModel::ext(&st, LayoutKind::Simple)
             .with_strategy(JoinStrategy::ForcedHash)
             .estimate_fol(&q);
         assert!(chosen <= inl, "chosen {chosen} vs inl {inl}");
@@ -474,11 +481,11 @@ mod tests {
     fn names_distinguish_models() {
         let pg = EngineProfile::pg_like();
         assert_eq!(
-            CostModel::rdbms(stats(), LayoutKind::Simple, &pg).model_name(),
+            CostModel::rdbms(&stats(), LayoutKind::Simple, &pg).model_name(),
             "rdbms/pg-like"
         );
         assert_eq!(
-            CostModel::ext(stats(), LayoutKind::Simple).model_name(),
+            CostModel::ext(&stats(), LayoutKind::Simple).model_name(),
             "ext"
         );
     }

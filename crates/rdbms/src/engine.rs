@@ -10,11 +10,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use obda_dllite::{ABox, AboxDelta, ConceptId, Extents, IndividualId, RoleId, Vocabulary};
-use obda_query::FolQuery;
-
-use std::collections::BTreeSet;
-
-use obda_query::{Slot, Term, CQ};
+use obda_query::{FolQuery, Term, CQ};
 
 use crate::cost_model::CostModel;
 use crate::executor::{execute_parallel, prepare_plans_mode, PreparedPlans, Row};
@@ -24,7 +20,7 @@ use crate::layout::triple::TripleStorage;
 use crate::layout::{LayoutKind, Storage};
 use crate::meter::Meter;
 use crate::metrics::ExecMetrics;
-use crate::planner::{plan_conjunction_mode, ConjunctionPlan, ExecMode, JoinStrategy};
+use crate::planner::{plan_conjunction_mode, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy};
 use crate::profile::EngineProfile;
 use crate::sql::{SqlGenerator, SqlNames};
 use crate::sqlexec::{Backend, SqlError};
@@ -480,8 +476,7 @@ impl Engine {
     pub fn explain_plan(&self, q: &FolQuery) -> ExplainPlan {
         let mut arms = Vec::new();
         let mut add_cq = |label: String, cq: &CQ| {
-            let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
-            arms.push(self.arm_plan(label, &slots, cq.head()));
+            arms.push(self.arm_plan(label, cq.atoms(), cq.head()));
         };
         match q {
             FolQuery::Cq(cq) => add_cq("cq".into(), cq),
@@ -518,11 +513,10 @@ impl Engine {
         }
     }
 
-    fn arm_plan(&self, label: String, slots: &[Slot], head: &[Term]) -> ArmPlan {
+    fn arm_plan<C: Conjunct>(&self, label: String, slots: &[C], head: &[Term]) -> ArmPlan {
         let plan = plan_conjunction_mode(
             slots,
             head,
-            &BTreeSet::new(),
             self.storage.stats(),
             self.storage.layout(),
             self.join_strategy,
@@ -533,19 +527,15 @@ impl Engine {
 
     /// The engine-side cost model (profile quirks included), pricing
     /// under the engine's join strategy.
-    pub fn rdbms_cost_model(&self) -> CostModel {
-        CostModel::rdbms(
-            self.storage.stats().clone(),
-            self.storage.layout(),
-            &self.profile,
-        )
-        .with_strategy(self.join_strategy)
-        .with_mode(self.exec_mode)
+    pub fn rdbms_cost_model(&self) -> CostModel<'_> {
+        CostModel::rdbms(self.storage.stats(), self.storage.layout(), &self.profile)
+            .with_strategy(self.join_strategy)
+            .with_mode(self.exec_mode)
     }
 
     /// The external (paper-side) cost model over this engine's statistics.
-    pub fn ext_cost_model(&self) -> CostModel {
-        CostModel::ext(self.storage.stats().clone(), self.storage.layout())
+    pub fn ext_cost_model(&self) -> CostModel<'_> {
+        CostModel::ext(self.storage.stats(), self.storage.layout())
             .with_strategy(self.join_strategy)
             .with_mode(self.exec_mode)
     }

@@ -7,7 +7,7 @@ use obda_query::FolQuery;
 use crate::cost_model::CostModel;
 use crate::engine::Engine;
 
-impl CostEstimator for CostModel {
+impl CostEstimator for CostModel<'_> {
     fn estimate(&self, q: &FolQuery) -> f64 {
         self.estimate_fol(q)
     }

@@ -40,14 +40,14 @@
 //! `n` rows, project `n` joined rows) and `hash_probe += 1` (the unit
 //! row) — so EXPLAIN ANALYZE and cost accounting do not see the shortcut.
 
-use std::collections::BTreeSet;
-
 use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, USCQ};
 
 use crate::fxhash::FxHashMap;
 use crate::layout::{LayoutKind, Storage};
 use crate::meter::Meter;
-use crate::planner::{plan_conjunction_mode, ConjunctionPlan, ExecMode, JoinStrategy, PhysicalOp};
+use crate::planner::{
+    plan_conjunction_mode, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy, PhysicalOp, PlanBuf,
+};
 use crate::rowset::RowSet;
 use crate::stats::CatalogStats;
 
@@ -135,25 +135,27 @@ pub fn prepare_plans_mode(
         layout: LayoutKind,
         strategy: JoinStrategy,
         mode: ExecMode,
+        buf: PlanBuf,
         plans: Vec<ConjunctionPlan>,
     }
     impl Prep<'_> {
-        fn add(&mut self, slots: &[Slot], head: &[Term]) {
+        fn add<C: Conjunct>(&mut self, slots: &[C], head: &[Term]) {
             if !slots.is_empty() {
-                self.plans.push(plan_conjunction_mode(
+                self.buf.plan(
                     slots,
                     head,
-                    &BTreeSet::new(),
                     self.stats,
                     self.layout,
                     self.strategy,
                     self.mode,
-                ));
+                );
+                self.plans.push(ConjunctionPlan {
+                    steps: self.buf.steps().to_vec(),
+                });
             }
         }
         fn add_cq(&mut self, cq: &CQ) {
-            let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
-            self.add(&slots, cq.head());
+            self.add(cq.atoms(), cq.head());
         }
     }
     let mut p = Prep {
@@ -161,6 +163,7 @@ pub fn prepare_plans_mode(
         layout,
         strategy,
         mode,
+        buf: PlanBuf::default(),
         plans: Vec::new(),
     };
     match q {
@@ -644,7 +647,6 @@ fn eval_conjunction(
             inline_plan = plan_conjunction_mode(
                 slots,
                 head,
-                &BTreeSet::new(),
                 storage.stats(),
                 storage.layout(),
                 *strategy,

@@ -18,7 +18,6 @@
 //! executor (both pipelines), the cost model and EXPLAIN read the flag;
 //! none of them re-derives it.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use obda_query::{Atom, Slot, Term, VarId};
@@ -43,6 +42,67 @@ pub const INDEX_PROBE_WEIGHT: f64 = 2.0;
 /// should not flap the operator on marginal calls.
 pub const HASH_COST_MARGIN: f64 = 0.75;
 
+/// A set of query variables: one bit per id below 128, and the larger
+/// ids, which long rewritings can mint, in a sorted spill list. Sets over
+/// small ids never allocate; larger ids plan exactly the same.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VarSet {
+    bits: u128,
+    spill: Vec<VarId>,
+}
+
+impl VarSet {
+    pub fn contains(&self, v: VarId) -> bool {
+        match 1u128.checked_shl(v.0) {
+            Some(bit) => self.bits & bit != 0,
+            None => self.spill.binary_search(&v).is_ok(),
+        }
+    }
+
+    pub fn insert(&mut self, v: VarId) {
+        match 1u128.checked_shl(v.0) {
+            Some(bit) => self.bits |= bit,
+            None => {
+                if let Err(at) = self.spill.binary_search(&v) {
+                    self.spill.insert(at, v);
+                }
+            }
+        }
+    }
+
+    /// Add every variable of `atom`.
+    pub fn insert_atom(&mut self, atom: &Atom) {
+        for v in atom.vars() {
+            self.insert(v);
+        }
+    }
+
+    /// Empty the set, keeping the spill list's buffer.
+    pub fn clear(&mut self) {
+        self.bits = 0;
+        self.spill.clear();
+    }
+}
+
+/// One conjunct of a conjunction the planner orders: a disjunctive
+/// [`Slot`], or a single [`Atom`] (a CQ's body plans in place, as its
+/// atoms' singleton slots would).
+pub trait Conjunct {
+    fn atoms(&self) -> &[Atom];
+}
+
+impl Conjunct for Slot {
+    fn atoms(&self) -> &[Atom] {
+        Slot::atoms(self)
+    }
+}
+
+impl Conjunct for Atom {
+    fn atoms(&self) -> &[Atom] {
+        std::slice::from_ref(self)
+    }
+}
+
 /// How an atom will be accessed given the currently-bound variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -58,10 +118,10 @@ pub enum AccessKind {
 
 /// Classify an atom's access path. A term is bound if it is a constant or
 /// its variable is in `bound`.
-pub fn access_kind(atom: &Atom, bound: &BTreeSet<VarId>) -> AccessKind {
+pub fn access_kind(atom: &Atom, bound: &VarSet) -> AccessKind {
     let is_bound = |t: &Term| match t {
         Term::Const(_) => true,
-        Term::Var(v) => bound.contains(v),
+        Term::Var(v) => bound.contains(*v),
     };
     match atom {
         Atom::Concept(_, t) => {
@@ -85,7 +145,7 @@ pub fn access_kind(atom: &Atom, bound: &BTreeSet<VarId>) -> AccessKind {
 /// row (System-R style, uniformity + independence — §6.1's assumptions).
 pub fn atom_estimate(
     atom: &Atom,
-    bound: &BTreeSet<VarId>,
+    bound: &VarSet,
     stats: &CatalogStats,
     layout: LayoutKind,
 ) -> (f64, f64) {
@@ -128,14 +188,14 @@ pub fn scan_cost(pred_card: f64, stats: &CatalogStats, layout: LayoutKind) -> f6
 /// Estimated (cost, multiplier) of a whole slot: disjunction = sum of
 /// member costs and multipliers.
 pub fn slot_estimate(
-    slot: &Slot,
-    bound: &BTreeSet<VarId>,
+    atoms: &[Atom],
+    bound: &VarSet,
     stats: &CatalogStats,
     layout: LayoutKind,
 ) -> (f64, f64) {
     let mut cost = 0.0;
     let mut mult = 0.0;
-    for atom in slot.atoms() {
+    for atom in atoms {
         let (c, m) = atom_estimate(atom, bound, stats, layout);
         cost += c;
         mult += m;
@@ -143,34 +203,47 @@ pub fn slot_estimate(
     (cost, mult)
 }
 
+/// The greedy choice: the position in `remaining` of the first slot
+/// minimizing `access_cost · (1 + multiplier)` given `bound`, with that
+/// slot's estimate. Each key is computed once; a NaN key compares equal,
+/// so it neither wins nor displaces (the rules of `Iterator::min_by`).
+fn cheapest<C: Conjunct>(
+    slots: &[C],
+    remaining: &[usize],
+    bound: &VarSet,
+    stats: &CatalogStats,
+    layout: LayoutKind,
+) -> (usize, (f64, f64)) {
+    let mut best = (0, (0.0, 0.0));
+    let mut best_key = 0.0;
+    for (pos, &idx) in remaining.iter().enumerate() {
+        let (cost, mult) = slot_estimate(slots[idx].atoms(), bound, stats, layout);
+        let key = cost * (1.0 + mult);
+        if pos == 0 || key < best_key {
+            best = (pos, (cost, mult));
+            best_key = key;
+        }
+    }
+    best
+}
+
 /// Greedy slot order: repeatedly take the slot minimizing
 /// `access_cost · (1 + multiplier)` given the variables bound so far.
-pub fn order_slots(
-    slots: &[Slot],
-    initially_bound: &BTreeSet<VarId>,
+pub fn order_slots<C: Conjunct>(
+    slots: &[C],
     stats: &CatalogStats,
     layout: LayoutKind,
 ) -> Vec<usize> {
-    let mut bound = initially_bound.clone();
+    let mut bound = VarSet::default();
     let mut remaining: Vec<usize> = (0..slots.len()).collect();
     let mut order = Vec::with_capacity(slots.len());
     while !remaining.is_empty() {
-        let (pos, &idx) = remaining
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
-                let (ca, ma) = slot_estimate(&slots[a], &bound, stats, layout);
-                let (cb, mb) = slot_estimate(&slots[b], &bound, stats, layout);
-                let ka = ca * (1.0 + ma);
-                let kb = cb * (1.0 + mb);
-                ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("nonempty");
+        let (pos, _) = cheapest(slots, &remaining, &bound, stats, layout);
+        let idx = remaining.remove(pos);
         order.push(idx);
         for atom in slots[idx].atoms() {
-            bound.extend(atom.vars());
+            bound.insert_atom(atom);
         }
-        remaining.remove(pos);
     }
     order
 }
@@ -321,18 +394,19 @@ impl ConjunctionPlan {
     }
 }
 
-/// Estimated cost of running `slot` as a hash join given `rows` current
-/// intermediate rows: scan the extensions once, insert every build tuple,
-/// probe once per row. Returns the build-side cardinality too.
+/// Estimated cost of running a slot (its `atoms`) as a hash join given
+/// `rows` current intermediate rows: scan the extensions once, insert
+/// every build tuple, probe once per row. Returns the build-side
+/// cardinality too.
 pub fn hash_join_cost(
-    slot: &Slot,
+    atoms: &[Atom],
     rows: f64,
     stats: &CatalogStats,
     layout: LayoutKind,
 ) -> (f64, f64) {
     let mut build_rows = 0.0;
     let mut scan = 0.0;
-    for atom in slot.atoms() {
+    for atom in atoms {
         let card = match atom {
             Atom::Concept(c, _) => stats.concept_card(c.0) as f64,
             Atom::Role(r, _, _) => stats.role_card(r.0) as f64,
@@ -344,28 +418,10 @@ pub fn hash_join_cost(
     (cost, build_rows)
 }
 
-/// Estimated cost of running `slot` index-nested-loop style: scan stages
-/// pay the (pre)scan once; bound stages pay one index probe per atom per
-/// current row.
-pub fn inl_cost(
-    slot: &Slot,
-    bound: &BTreeSet<VarId>,
-    rows: f64,
-    stats: &CatalogStats,
-    layout: LayoutKind,
-) -> f64 {
-    if slot_is_scan_stage(slot, bound) {
-        let (access, _) = slot_estimate(slot, bound, stats, layout);
-        access
-    } else {
-        rows * INDEX_PROBE_WEIGHT * slot.len() as f64
-    }
-}
-
 /// A slot is a scan stage when none of its variables are bound yet (and
 /// no term is a constant, which would give an index key).
-pub fn slot_is_scan_stage(slot: &Slot, bound: &BTreeSet<VarId>) -> bool {
-    slot.atoms()
+pub fn slot_is_scan_stage(atoms: &[Atom], bound: &VarSet) -> bool {
+    atoms
         .iter()
         .all(|a| access_kind(a, bound) == AccessKind::Scan)
 }
@@ -374,23 +430,14 @@ pub fn slot_is_scan_stage(slot: &Slot, bound: &BTreeSet<VarId>) -> bool {
 /// [`order_slots`], so all strategies evaluate slots in the same sequence
 /// and differ only in physical operators), then per-step operator choice
 /// driven by the tracked cardinality estimate.
-pub fn plan_conjunction(
-    slots: &[Slot],
+pub fn plan_conjunction<C: Conjunct>(
+    slots: &[C],
     head: &[Term],
-    initially_bound: &BTreeSet<VarId>,
     stats: &CatalogStats,
     layout: LayoutKind,
     strategy: JoinStrategy,
 ) -> ConjunctionPlan {
-    plan_conjunction_mode(
-        slots,
-        head,
-        initially_bound,
-        stats,
-        layout,
-        strategy,
-        ExecMode::default(),
-    )
+    plan_conjunction_mode(slots, head, stats, layout, strategy, ExecMode::default())
 }
 
 /// [`plan_conjunction`] with an explicit [`ExecMode`]: hash steps come
@@ -398,86 +445,139 @@ pub fn plan_conjunction(
 /// [`PhysicalOp::BatchHashJoin`] (batched mode). Slot order, operator
 /// choices, existence flags and estimated costs are identical across
 /// modes.
-pub fn plan_conjunction_mode(
-    slots: &[Slot],
+pub fn plan_conjunction_mode<C: Conjunct>(
+    slots: &[C],
     head: &[Term],
-    initially_bound: &BTreeSet<VarId>,
     stats: &CatalogStats,
     layout: LayoutKind,
     strategy: JoinStrategy,
     mode: ExecMode,
 ) -> ConjunctionPlan {
-    let order = order_slots(slots, initially_bound, stats, layout);
-    // live[k]: the variables read after step k — the head's and those of
-    // every slot that runs later.
-    let mut live: Vec<BTreeSet<VarId>> = vec![BTreeSet::new(); order.len()];
-    let mut acc: BTreeSet<VarId> = head.iter().filter_map(|t| t.as_var()).collect();
-    for (k, &idx) in order.iter().enumerate().rev() {
-        live[k] = acc.clone();
-        acc.extend(slots[idx].vars());
-    }
-    let mut bound = initially_bound.clone();
-    let mut rows = 1.0f64;
-    let mut steps = Vec::with_capacity(order.len());
-    for (k, idx) in order.into_iter().enumerate() {
-        let slot = &slots[idx];
-        let scan_stage = slot_is_scan_stage(slot, &bound);
-        let exists = slot
-            .vars()
-            .iter()
-            .all(|v| bound.contains(v) || !live[k].contains(v));
-        let (_, mult) = slot_estimate(slot, &bound, stats, layout);
-        let inl = inl_cost(slot, &bound, rows, stats, layout);
-        let (hash, build_rows) = hash_join_cost(slot, rows, stats, layout);
-        // Hash joins need a join key: at least one bound *variable* (a
-        // constant makes a slot non-scan-stage but gives the hash table
-        // nothing to key on — INL filters constants during the index
-        // lookup instead) AND must bind a new variable: a fully-bound
-        // slot is a membership *filter*, and an in-memory index probe
-        // already costs what a hash probe costs, so building a table for
-        // it can never pay off. Only expansion steps — where INL
-        // re-traverses the index once per intermediate row — are where
-        // the build amortizes.
-        let slot_vars = slot.vars();
-        let hash_eligible = !scan_stage
-            && slot_vars.iter().any(|v| bound.contains(v))
-            && slot_vars.iter().any(|v| !bound.contains(v));
-        let use_hash = match strategy {
-            JoinStrategy::ForcedInl => false,
-            JoinStrategy::ForcedHash => hash_eligible,
-            JoinStrategy::CostChosen => hash_eligible && hash < inl * HASH_COST_MARGIN,
-        };
-        let (op, est_cost) = if use_hash {
-            let op = match mode {
-                ExecMode::Row => PhysicalOp::HashJoin { build_rows },
-                ExecMode::Batched => PhysicalOp::BatchHashJoin {
-                    build_rows,
-                    batch: BATCH_SIZE,
-                },
+    let mut buf = PlanBuf::default();
+    buf.plan(slots, head, stats, layout, strategy, mode);
+    ConjunctionPlan { steps: buf.steps }
+}
+
+/// The planner's working state, reusable from one conjunction to the
+/// next: a caller that keeps one (the cost model prices every arm of a
+/// statement through one) plans without allocating once its buffers
+/// have grown.
+#[derive(Debug, Default)]
+pub struct PlanBuf {
+    remaining: Vec<usize>,
+    bound: VarSet,
+    live: VarSet,
+    /// The last conjunction's plan.
+    pub(crate) steps: Vec<PlanStep>,
+    /// Per step, the slot's (access cost, multiplier) given the variables
+    /// bound before it — what [`slot_estimate`] returned when the greedy
+    /// order picked it.
+    pub(crate) estimates: Vec<(f64, f64)>,
+}
+
+impl PlanBuf {
+    /// Plan `slots` as [`plan_conjunction_mode`] does, into `self.steps`.
+    pub fn plan<C: Conjunct>(
+        &mut self,
+        slots: &[C],
+        head: &[Term],
+        stats: &CatalogStats,
+        layout: LayoutKind,
+        strategy: JoinStrategy,
+        mode: ExecMode,
+    ) {
+        let PlanBuf {
+            remaining,
+            bound,
+            live,
+            steps,
+            estimates,
+        } = self;
+        remaining.clear();
+        remaining.extend(0..slots.len());
+        bound.clear();
+        steps.clear();
+        estimates.clear();
+        let mut rows = 1.0f64;
+        while !remaining.is_empty() {
+            let (pos, (access, mult)) = cheapest(slots, remaining, bound, stats, layout);
+            let idx = remaining.remove(pos);
+            let atoms = slots[idx].atoms();
+            // The slot's variables are its first atom's (slot atoms share
+            // one variable set). Live: the variables read after this step
+            // — the head's and those of every slot that runs later.
+            let vars = || atoms[0].vars();
+            live.clear();
+            for v in head.iter().filter_map(|t| t.as_var()) {
+                live.insert(v);
+            }
+            for &later in remaining.iter() {
+                live.insert_atom(&slots[later].atoms()[0]);
+            }
+            let scan_stage = slot_is_scan_stage(atoms, bound);
+            let exists = vars().all(|v| bound.contains(v) || !live.contains(v));
+            // Scan stages pay the (pre)scan once; bound stages pay one
+            // index probe per atom per current row.
+            let inl = if scan_stage {
+                access
+            } else {
+                rows * INDEX_PROBE_WEIGHT * atoms.len() as f64
             };
-            (op, hash)
-        } else {
-            // Representative access kind: the first atom's (slot atoms
-            // share a variable set, so kinds agree up to role direction).
-            let kind = access_kind(&slot.atoms()[0], &bound);
-            (PhysicalOp::IndexNestedLoop(kind), inl)
-        };
-        let mut step = PlanStep {
-            slot: idx,
-            op,
-            scan_stage,
-            exists,
-            est_cost,
-            est_rows: 0.0,
-        };
-        rows = (rows * step.fanout(mult)).max(0.0);
-        step.est_rows = rows;
-        steps.push(step);
-        for atom in slot.atoms() {
-            bound.extend(atom.vars());
+            let (hash, build_rows) = hash_join_cost(atoms, rows, stats, layout);
+            // Hash joins need a join key: at least one bound *variable* (a
+            // constant makes a slot non-scan-stage but gives the hash table
+            // nothing to key on — INL filters constants during the index
+            // lookup instead) AND must bind a new variable: a fully-bound
+            // slot is a membership *filter*, and an in-memory index probe
+            // already costs what a hash probe costs, so building a table for
+            // it can never pay off. Only expansion steps — where INL
+            // re-traverses the index once per intermediate row — are where
+            // the build amortizes.
+            let hash_eligible = !scan_stage
+                && vars().any(|v| bound.contains(v))
+                && vars().any(|v| !bound.contains(v));
+            let use_hash = match strategy {
+                JoinStrategy::ForcedInl => false,
+                JoinStrategy::ForcedHash => hash_eligible,
+                JoinStrategy::CostChosen => hash_eligible && hash < inl * HASH_COST_MARGIN,
+            };
+            let (op, est_cost) = if use_hash {
+                let op = match mode {
+                    ExecMode::Row => PhysicalOp::HashJoin { build_rows },
+                    ExecMode::Batched => PhysicalOp::BatchHashJoin {
+                        build_rows,
+                        batch: BATCH_SIZE,
+                    },
+                };
+                (op, hash)
+            } else {
+                // Representative access kind: the first atom's (slot atoms
+                // share a variable set, so kinds agree up to role direction).
+                let kind = access_kind(&atoms[0], bound);
+                (PhysicalOp::IndexNestedLoop(kind), inl)
+            };
+            let mut step = PlanStep {
+                slot: idx,
+                op,
+                scan_stage,
+                exists,
+                est_cost,
+                est_rows: 0.0,
+            };
+            rows = (rows * step.fanout(mult)).max(0.0);
+            step.est_rows = rows;
+            steps.push(step);
+            estimates.push((access, mult));
+            for atom in atoms {
+                bound.insert_atom(atom);
+            }
         }
     }
-    ConjunctionPlan { steps }
+
+    /// The plan [`PlanBuf::plan`] made last.
+    pub fn steps(&self) -> &[PlanStep] {
+        &self.steps
+    }
 }
 
 #[cfg(test)]
@@ -528,7 +628,7 @@ mod tests {
 
     #[test]
     fn access_kind_classification() {
-        let mut bound = BTreeSet::new();
+        let mut bound = VarSet::default();
         let a = Atom::Role(RoleId(0), v(0), v(1));
         assert_eq!(access_kind(&a, &bound), AccessKind::Scan);
         bound.insert(VarId(0));
@@ -536,7 +636,7 @@ mod tests {
         bound.insert(VarId(1));
         assert_eq!(access_kind(&a, &bound), AccessKind::Probe);
         let c = Atom::Concept(ConceptId(0), Term::Const(obda_dllite::IndividualId(1)));
-        assert_eq!(access_kind(&c, &BTreeSet::new()), AccessKind::Probe);
+        assert_eq!(access_kind(&c, &VarSet::default()), AccessKind::Probe);
     }
 
     #[test]
@@ -547,7 +647,7 @@ mod tests {
             Slot::single(Atom::Concept(ConceptId(1), v(0))), // Big
             Slot::single(Atom::Concept(ConceptId(0), v(0))), // Small
         ];
-        let order = order_slots(&slots, &BTreeSet::new(), &stats, LayoutKind::Simple);
+        let order = order_slots(&slots, &stats, LayoutKind::Simple);
         assert_eq!(order[0], 1, "Small first");
     }
 
@@ -555,8 +655,8 @@ mod tests {
     fn bound_probe_is_cheaper_than_scan() {
         let stats = stats_with_skew();
         let atom = Atom::Role(RoleId(0), v(0), v(1));
-        let unbound = BTreeSet::new();
-        let mut bound = BTreeSet::new();
+        let unbound = VarSet::default();
+        let mut bound = VarSet::default();
         bound.insert(VarId(0));
         let (scan_c, _) = atom_estimate(&atom, &unbound, &stats, LayoutKind::Simple);
         let (probe_c, _) = atom_estimate(&atom, &bound, &stats, LayoutKind::Simple);
@@ -586,20 +686,13 @@ mod tests {
     fn plan_order_matches_order_slots_under_every_strategy() {
         let stats = stats_with_skew();
         let slots = cartesian_slots();
-        let base = order_slots(&slots, &BTreeSet::new(), &stats, LayoutKind::Simple);
+        let base = order_slots(&slots, &stats, LayoutKind::Simple);
         for strategy in [
             JoinStrategy::ForcedInl,
             JoinStrategy::ForcedHash,
             JoinStrategy::CostChosen,
         ] {
-            let plan = plan_conjunction(
-                &slots,
-                LIVE,
-                &BTreeSet::new(),
-                &stats,
-                LayoutKind::Simple,
-                strategy,
-            );
+            let plan = plan_conjunction(&slots, LIVE, &stats, LayoutKind::Simple, strategy);
             let order: Vec<usize> = plan.steps.iter().map(|s| s.slot).collect();
             assert_eq!(order, base, "{strategy:?}");
         }
@@ -612,7 +705,6 @@ mod tests {
         let inl = plan_conjunction(
             &slots,
             LIVE,
-            &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
             JoinStrategy::ForcedInl,
@@ -626,7 +718,6 @@ mod tests {
         let hash = plan_conjunction(
             &slots,
             LIVE,
-            &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
             JoinStrategy::ForcedHash,
@@ -722,7 +813,6 @@ mod tests {
         let plan = plan_conjunction(
             &chain_slots(),
             LIVE,
-            &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
             JoinStrategy::CostChosen,
@@ -744,14 +834,8 @@ mod tests {
         assert!(matches!(r1_step.op, PhysicalOp::IndexNestedLoop(_)));
         // And the chosen plan is never priced above either forced mode.
         for strategy in [JoinStrategy::ForcedInl, JoinStrategy::ForcedHash] {
-            let forced = plan_conjunction(
-                &chain_slots(),
-                LIVE,
-                &BTreeSet::new(),
-                &stats,
-                LayoutKind::Simple,
-                strategy,
-            );
+            let forced =
+                plan_conjunction(&chain_slots(), LIVE, &stats, LayoutKind::Simple, strategy);
             assert!(plan.est_cost() <= forced.est_cost(), "{strategy:?}");
         }
     }
@@ -766,7 +850,6 @@ mod tests {
         let plan = plan_conjunction(
             &fanout_slots(),
             LIVE,
-            &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
             JoinStrategy::CostChosen,
@@ -790,7 +873,6 @@ mod tests {
         let plan = plan_conjunction(
             &slots,
             LIVE,
-            &BTreeSet::new(),
             &stats,
             LayoutKind::Simple,
             JoinStrategy::CostChosen,
@@ -837,7 +919,6 @@ mod tests {
             let row = plan_conjunction_mode(
                 &chain_slots(),
                 LIVE,
-                &BTreeSet::new(),
                 &stats,
                 LayoutKind::Simple,
                 strategy,
@@ -846,7 +927,6 @@ mod tests {
             let batched = plan_conjunction_mode(
                 &chain_slots(),
                 LIVE,
-                &BTreeSet::new(),
                 &stats,
                 LayoutKind::Simple,
                 strategy,
@@ -896,21 +976,15 @@ mod tests {
                     JoinStrategy::ForcedHash,
                     JoinStrategy::CostChosen,
                 ] {
-                    let plan = plan_conjunction(
-                        &slots,
-                        &head,
-                        &BTreeSet::new(),
-                        &stats,
-                        LayoutKind::Simple,
-                        strategy,
-                    );
-                    let mut bound = BTreeSet::new();
+                    let plan =
+                        plan_conjunction(&slots, &head, &stats, LayoutKind::Simple, strategy);
+                    let mut bound = VarSet::default();
                     let mut rows_in = 1.0;
                     for (k, step) in plan.steps.iter().enumerate() {
                         let new: Vec<VarId> = slots[step.slot]
                             .vars()
                             .into_iter()
-                            .filter(|v| !bound.contains(v))
+                            .filter(|v| !bound.contains(*v))
                             .collect();
                         let dead = |v: &VarId| {
                             !head.contains(&Term::Var(*v))
@@ -923,7 +997,9 @@ mod tests {
                         if step.exists {
                             assert!(step.est_rows <= rows_in, "{ctx}");
                         }
-                        bound.extend(new);
+                        for v in new {
+                            bound.insert(v);
+                        }
                         rows_in = step.est_rows;
                     }
                 }
@@ -935,7 +1011,6 @@ mod tests {
         let plan = plan_conjunction(
             &chain_slots(),
             &[v(0)],
-            &BTreeSet::new(),
             &chain_stats(),
             LayoutKind::Simple,
             JoinStrategy::CostChosen,

@@ -545,20 +545,12 @@ fn check_case(seed: u64) {
         for strategy in STRATEGIES {
             for mode in MODES {
                 for (slots, head) in conjunctions(&q) {
-                    let got = plan_conjunction_mode(
-                        &slots,
-                        &head,
-                        &BTreeSet::new(),
-                        &stats,
-                        layout,
-                        strategy,
-                        mode,
-                    );
+                    let got = plan_conjunction_mode(&slots, &head, &stats, layout, strategy, mode);
                     let want = plan_conjunction(&slots, &head, &stats, layout, strategy, mode);
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", slots);
                 }
                 for profile in profiles() {
-                    let model = CostModel::rdbms(stats.clone(), layout, &profile)
+                    let model = CostModel::rdbms(&stats, layout, &profile)
                         .with_strategy(strategy)
                         .with_mode(mode);
                     let reference = Reference {
@@ -577,7 +569,7 @@ fn check_case(seed: u64) {
                         q
                     );
                 }
-                let ext = CostModel::ext(stats.clone(), layout)
+                let ext = CostModel::ext(&stats, layout)
                     .with_strategy(strategy)
                     .with_mode(mode);
                 let reference = Reference {

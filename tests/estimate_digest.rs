@@ -106,7 +106,11 @@ fn gdl_estimates_and_plans_are_pinned() {
                 let asked = recording.asked.into_inner();
                 let (mut estimates, mut plans) = (Fnv::new(), Fnv::new());
                 for (q, bits) in &asked {
-                    assert_eq!(engine.explain(q).to_bits(), *bits, "{shape}: explain repeats");
+                    assert_eq!(
+                        engine.explain(q).to_bits(),
+                        *bits,
+                        "{shape}: explain repeats"
+                    );
                     estimates.feed(&bits.to_le_bytes());
                     plans.feed(format!("{:?}", engine.prepare(q)).as_bytes());
                 }
