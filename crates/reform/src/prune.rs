@@ -32,7 +32,7 @@
 //! UCQ minimization.
 
 use obda_dllite::constraints::ConstraintSet;
-use obda_dllite::{BasicConcept, Role};
+use obda_dllite::{BasicConcept, PredId, Role};
 use obda_query::{Atom, FolQuery, Term, VarId, CQ, JUCQ, UCQ};
 
 /// Counters from one pruning pass (surfaced by EXPLAIN, the metrics
@@ -96,7 +96,9 @@ pub fn arm_provably_empty(cq: &CQ, cons: &ConstraintSet) -> bool {
 ///
 /// Arms are handled by index until the end, where each is copied once
 /// into the survivors or the dropped lists; the pairwise search itself
-/// allocates nothing per pair.
+/// allocates nothing per pair. In unions of [`FILTER_MIN_ARMS`] live arms
+/// or more, a pair whose predicates rule containment out
+/// ([`CoverFilter`]) skips the search.
 pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
     let arms = ucq.cqs();
     let (mut live, mut empty): (Vec<usize>, Vec<usize>) =
@@ -121,15 +123,17 @@ pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
     // dropped when a still-kept arm `i` data-contains it; mutual
     // containment keeps the earlier arm (deterministic given the input
     // order, which the reformulation fixes).
+    let filter = (live.len() >= FILTER_MIN_ARMS).then(|| CoverFilter::new(arms, &live, cons));
     let mut bindings = Vec::new();
     let mut contained = |sub: usize, keeper: usize| {
-        covered_by(
-            &arms[live[sub]],
-            &arms[live[keeper]],
-            unbound_of(keeper),
-            &mut bindings,
-            cons,
-        )
+        filter.as_ref().is_none_or(|f| f.may_cover(sub, keeper))
+            && covered_by(
+                &arms[live[sub]],
+                &arms[live[keeper]],
+                unbound_of(keeper),
+                &mut bindings,
+                cons,
+            )
     };
     let n = live.len();
     let mut keep = vec![true; n];
@@ -163,6 +167,87 @@ pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
         ucq: ucq.select(|i| kept[i]),
         empty_arms: empty.iter().map(|&i| arms[i].clone()).collect(),
         subsumed_arms,
+    }
+}
+
+/// The fewest live arms for which [`prune_ucq`] builds a [`CoverFilter`]:
+/// below it, the few pairwise searches cost less than the table.
+const FILTER_MIN_ARMS: usize = 4;
+
+/// Which live arms can data-contain which, judged by predicates alone.
+/// [`covered_by`] must cover every keeper atom by some sub atom, so the
+/// keeper's predicates (its *signature*) must lie inside the predicates
+/// the sub's atoms can cover (its *reach*). That is a necessary condition
+/// only: a pair that passes still runs the search, so the same arms are
+/// kept.
+struct CoverFilter {
+    /// Words per bitset: one bit per distinct predicate of the live arms.
+    words: usize,
+    /// Per live arm, its signature's words, then its reach's.
+    bits: Vec<u64>,
+}
+
+impl CoverFilter {
+    fn new(arms: &[CQ], live: &[usize], cons: &ConstraintSet) -> Self {
+        // A predicate's bit is its index among the live arms' distinct
+        // predicates, sorted.
+        let mut preds: Vec<PredId> =
+            Vec::with_capacity(live.iter().map(|&arm| arms[arm].num_atoms()).sum());
+        for &arm in live {
+            preds.extend(arms[arm].atoms().iter().map(Atom::pred));
+        }
+        preds.sort_unstable();
+        preds.dedup();
+        let words = preds.len().div_ceil(64);
+        // `coverable[s]`: the predicates an atom over `preds[s]` can
+        // cover. Over canonical atoms whose keeper variables are all
+        // unbound, `coverage_modes` finds every mode that any pair of
+        // atoms over the same two predicates has, and maybe more.
+        let (x, y) = (VarId(0), VarId(1));
+        let canonical = |p: PredId| match p {
+            PredId::Concept(c) => Atom::Concept(c, Term::Var(x)),
+            PredId::Role(r) => Atom::Role(r, Term::Var(x), Term::Var(y)),
+        };
+        let mut coverable = vec![0u64; preds.len() * words];
+        for (s, &sub) in preds.iter().enumerate() {
+            let t = canonical(sub);
+            for (k, &keeper) in preds.iter().enumerate() {
+                if coverage_modes(&canonical(keeper), &t, &[x, y], cons).len > 0 {
+                    coverable[s * words + k / 64] |= 1 << (k % 64);
+                }
+            }
+        }
+        let mut bits = vec![0u64; live.len() * 2 * words];
+        for (arm, arm_bits) in live.iter().zip(bits.chunks_exact_mut(2 * words)) {
+            let (signature, reach) = arm_bits.split_at_mut(words);
+            for atom in arms[*arm].atoms() {
+                let p = preds
+                    .binary_search(&atom.pred())
+                    .expect("a live arm's predicate");
+                signature[p / 64] |= 1 << (p % 64);
+                for (r, c) in reach.iter_mut().zip(&coverable[p * words..(p + 1) * words]) {
+                    *r |= c;
+                }
+            }
+        }
+        CoverFilter { words, bits }
+    }
+
+    fn signature(&self, arm: usize) -> &[u64] {
+        &self.bits[2 * arm * self.words..(2 * arm + 1) * self.words]
+    }
+
+    fn reach(&self, arm: usize) -> &[u64] {
+        &self.bits[(2 * arm + 1) * self.words..(2 * arm + 2) * self.words]
+    }
+
+    /// May live arm `keeper` cover live arm `sub`? `false` proves that
+    /// [`covered_by`] fails for the pair.
+    fn may_cover(&self, sub: usize, keeper: usize) -> bool {
+        self.signature(keeper)
+            .iter()
+            .zip(self.reach(sub))
+            .all(|(s, r)| s & !r == 0)
     }
 }
 
@@ -395,7 +480,9 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obda_dllite::{ABox, TBoxBuilder};
+    use obda_dllite::{ABox, ConceptId, RoleId, TBoxBuilder, Vocabulary};
+    use obda_query::testkit::{random_abox, random_cq_with_head_arity, random_tbox, KbShape, Rng};
+    use proptest::prelude::*;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
@@ -559,6 +646,88 @@ mod tests {
         match pruned {
             FolQuery::Jucq(j2) => assert_eq!(j2.total_cqs(), 2),
             other => panic!("shape preserved, got {other:?}"),
+        }
+    }
+
+    /// `keeper` with some atoms moved to another predicate over the same
+    /// terms (a role's maybe reversed) and maybe one atom added: pairs
+    /// that data-containment relates far more often than random ones do.
+    fn variant(rng: &mut Rng, voc: &Vocabulary, keeper: &CQ) -> CQ {
+        let mut atoms = keeper.atoms().to_vec();
+        for atom in &mut atoms {
+            if rng.chance(0.5) {
+                *atom = match *atom {
+                    Atom::Concept(_, t) => {
+                        Atom::Concept(ConceptId(rng.below(voc.num_concepts()) as u32), t)
+                    }
+                    Atom::Role(_, s, t) => {
+                        let r = RoleId(rng.below(voc.num_roles()) as u32);
+                        if rng.chance(0.3) {
+                            Atom::Role(r, t, s)
+                        } else {
+                            Atom::Role(r, s, t)
+                        }
+                    }
+                };
+            }
+        }
+        if rng.chance(0.3) {
+            let vars: Vec<VarId> = keeper.atoms().iter().flat_map(|a| a.vars()).collect();
+            let x = Term::Var(vars[rng.below(vars.len())]);
+            atoms.push(Atom::Concept(
+                ConceptId(rng.below(voc.num_concepts()) as u32),
+                x,
+            ));
+        }
+        CQ::new(keeper.head().to_vec(), atoms)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The filter only skips pairs the search would reject: whenever
+        /// `data_contained(sub, keeper)` holds, the keeper's signature is
+        /// inside the sub's reach. Random TBoxes and ABoxes give the
+        /// mined constraint sets (and now and then none at all).
+        #[test]
+        fn data_containment_implies_signature_inside_reach(seed in 0u64..1_000_000) {
+            let mut rng = Rng::new(seed);
+            let shape = KbShape {
+                num_axioms: 4 + rng.below(12),
+                num_facts: 10 + rng.below(40),
+                existential_bias: 0.4,
+                ..KbShape::default()
+            };
+            let (mut voc, tbox) = random_tbox(&mut rng, &shape);
+            let abox = random_abox(&mut rng, &mut voc, &shape);
+            let cons = if rng.chance(0.1) {
+                ConstraintSet::default()
+            } else {
+                ConstraintSet::mine_from_abox(&tbox, &abox)
+            };
+            let arity = 1 + rng.below(2);
+            let atoms = 1 + rng.below(4);
+            let keeper = random_cq_with_head_arity(&mut rng, &voc, atoms, arity);
+            let mut others = vec![keeper.clone()];
+            for _ in 0..4 {
+                others.push(variant(&mut rng, &voc, &keeper));
+            }
+            let atoms = 1 + rng.below(4);
+            others.push(random_cq_with_head_arity(&mut rng, &voc, atoms, arity));
+            for other in &others {
+                let arms = [other.clone(), keeper.clone()];
+                let filter = CoverFilter::new(&arms, &[0, 1], &cons);
+                for (sub, keeper) in [(0, 1), (1, 0)] {
+                    if data_contained(&arms[sub], &arms[keeper], &cons) {
+                        prop_assert!(
+                            filter.may_cover(sub, keeper),
+                            "{:?} contained in {:?}",
+                            arms[sub],
+                            arms[keeper]
+                        );
+                    }
+                }
+            }
         }
     }
 }
