@@ -7,12 +7,13 @@
 //! cheap only since the containment kernel rejects by predicate
 //! signature (ARCHITECTURE.md §2) — until then it was 99 % of a cold
 //! cover search, the reverse of the paper's §6.4, where cost estimation
-//! dominates. It is still the larger part: on a traced `cold_compile`
-//! pass over the LUBM shapes (seed 1, 2 cores) estimation is ≈ 14 % of
-//! the search as served (12 of 86 ms), where each fragment is
-//! reformulated under the generation's live TBox, and was ≈ 7 % (11 of
-//! 160 ms) under the loaded TBox alone, though it makes half of a cold
-//! compile's heap allocations (210 720 of 419 756 for the 14 shapes).
+//! dominates. Estimation is now cheap as well, since the planner prices
+//! each union arm in place over bitsets: in process (seed 1, 60 k facts,
+//! the light shapes counted three times, as `cold_compile` sends them)
+//! it takes ≈ 4.6 of the ≈ 33 ms a pass over the LUBM shapes spends
+//! compiling (20.3 of 59 before), and makes 529 of the 33 746 heap
+//! allocations `choose_reformulation` makes for the 14 shapes (139 494
+//! of 172 711 before).
 //!
 //! Two lifetimes are involved. A [`ReformCache`] lives for one search
 //! over one query and is keyed by fragment *position* (atom mask +

@@ -150,7 +150,7 @@ pub fn prepare_plans_mode(
                     self.mode,
                 );
                 self.plans.push(ConjunctionPlan {
-                    steps: self.buf.steps().to_vec(),
+                    steps: self.buf.steps.to_vec(),
                 });
             }
         }

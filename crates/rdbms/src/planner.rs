@@ -463,7 +463,7 @@ pub fn plan_conjunction_mode<C: Conjunct>(
 /// statement through one) plans without allocating once its buffers
 /// have grown.
 #[derive(Debug, Default)]
-pub struct PlanBuf {
+pub(crate) struct PlanBuf {
     remaining: Vec<usize>,
     bound: VarSet,
     live: VarSet,
@@ -477,7 +477,7 @@ pub struct PlanBuf {
 
 impl PlanBuf {
     /// Plan `slots` as [`plan_conjunction_mode`] does, into `self.steps`.
-    pub fn plan<C: Conjunct>(
+    pub(crate) fn plan<C: Conjunct>(
         &mut self,
         slots: &[C],
         head: &[Term],
@@ -572,11 +572,6 @@ impl PlanBuf {
                 bound.insert_atom(atom);
             }
         }
-    }
-
-    /// The plan [`PlanBuf::plan`] made last.
-    pub fn steps(&self) -> &[PlanStep] {
-        &self.steps
     }
 }
 
