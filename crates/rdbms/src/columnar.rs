@@ -490,7 +490,6 @@ fn hash_join_batch(
 
 #[cfg(test)]
 mod tests {
-
     use obda_dllite::{ABox, ConceptId, IndividualId, RoleId, Vocabulary};
     use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, SCQ, UCQ};
 

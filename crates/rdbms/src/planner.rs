@@ -45,7 +45,7 @@ pub const HASH_COST_MARGIN: f64 = 0.75;
 /// A set of query variables: one bit per id below 128, and the larger
 /// ids, which long rewritings can mint, in a sorted spill list. Sets over
 /// small ids never allocate; larger ids plan exactly the same.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct VarSet {
     bits: u128,
     spill: Vec<VarId>,
@@ -234,18 +234,16 @@ pub fn order_slots<C: Conjunct>(
     stats: &CatalogStats,
     layout: LayoutKind,
 ) -> Vec<usize> {
-    let mut bound = VarSet::default();
-    let mut remaining: Vec<usize> = (0..slots.len()).collect();
-    let mut order = Vec::with_capacity(slots.len());
-    while !remaining.is_empty() {
-        let (pos, _) = cheapest(slots, &remaining, &bound, stats, layout);
-        let idx = remaining.remove(pos);
-        order.push(idx);
-        for atom in slots[idx].atoms() {
-            bound.insert_atom(atom);
-        }
-    }
-    order
+    let mut buf = PlanBuf::default();
+    buf.plan(
+        slots,
+        &[],
+        stats,
+        layout,
+        JoinStrategy::ForcedInl,
+        ExecMode::Row,
+    );
+    buf.steps.iter().map(|step| step.slot).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -462,7 +460,7 @@ pub fn plan_conjunction_mode<C: Conjunct>(
 /// next: a caller that keeps one (the cost model prices every arm of a
 /// statement through one) plans without allocating once its buffers
 /// have grown.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct PlanBuf {
     remaining: Vec<usize>,
     bound: VarSet,
