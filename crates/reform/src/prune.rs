@@ -171,7 +171,8 @@ pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
 }
 
 /// The fewest live arms for which [`prune_ucq`] builds a [`CoverFilter`]:
-/// below it, the few pairwise searches cost less than the table.
+/// a smaller union has at most six ordered pairs to search, so a filter
+/// could save little there.
 const FILTER_MIN_ARMS: usize = 4;
 
 /// Which live arms can data-contain which, judged by predicates alone.
