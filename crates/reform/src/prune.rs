@@ -96,9 +96,8 @@ pub fn arm_provably_empty(cq: &CQ, cons: &ConstraintSet) -> bool {
 ///
 /// Arms are handled by index until the end, where each is copied once
 /// into the survivors or the dropped lists; the pairwise search itself
-/// allocates nothing per pair. In unions of [`FILTER_MIN_ARMS`] live arms
-/// or more, a pair whose predicates rule containment out
-/// ([`CoverFilter`]) skips the search.
+/// allocates nothing per pair. In unions of four live arms or more, a
+/// pair whose predicates rule containment out skips the search.
 pub fn prune_ucq(ucq: &UCQ, cons: &ConstraintSet) -> PrunedUcq {
     let arms = ucq.cqs();
     let (mut live, mut empty): (Vec<usize>, Vec<usize>) =
