@@ -1,17 +1,13 @@
 //! Engine operator microbenchmarks: scans, index-nested-loop CQ joins,
 //! union dedup, JUCQ materialize+hash-join — the executor primitives whose
 //! relative costs drive the figures.
-//!
-//! Each operator shape runs twice: on the default vectorized (batched
-//! columnar) pipeline and on the row-at-a-time pipeline (`…-row`), so
-//! the before/after of the hot-path refactor is measured, not asserted.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use obda_bench::Dataset;
 use obda_query::{Atom, FolQuery, Term, VarId, CQ, JUCQ, UCQ};
-use obda_rdbms::{Engine, EngineProfile, EvalOptions, ExecMode, LayoutKind};
+use obda_rdbms::{Engine, EngineProfile, LayoutKind};
 
 fn v(i: u32) -> Term {
     Term::Var(VarId(i))
@@ -69,17 +65,8 @@ fn bench_executor(c: &mut Criterion) {
         ("union4-dedup", &union4),
         ("jucq-2way", &jucq),
     ] {
-        // Default pipeline (vectorized batched execution).
         group.bench_function(name, |b| {
             b.iter(|| black_box(engine.evaluate(q).unwrap().rows.len()))
-        });
-        // Row-at-a-time baseline — the pre-vectorization hot path.
-        let row_opts = EvalOptions {
-            mode: Some(ExecMode::Row),
-            ..EvalOptions::default()
-        };
-        group.bench_function(format!("{name}-row"), |b| {
-            b.iter(|| black_box(engine.evaluate_opts(q, &row_opts).unwrap().rows.len()))
         });
     }
     group.finish();

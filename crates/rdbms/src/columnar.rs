@@ -1,15 +1,12 @@
-//! The vectorized (batched columnar) conjunction pipeline — the default
-//! native execution path.
+//! The conjunction pipeline: batched columnar execution of one planned
+//! conjunction.
 //!
-//! The row pipeline in [`crate::executor`] carries intermediate results
-//! as `Vec<Row>` with one heap-allocated `Vec<u32>` per tuple and clones
-//! a row for every extension. This module carries the same intermediate
-//! relation column-major (`Cols`): one flat `Vec<u32>` per bound
-//! variable. Steps produce a *selection vector* (input-row index per
-//! output row) plus the newly bound value columns, then a chunked gather
-//! rebuilds the carried columns — no per-tuple allocation anywhere in
-//! the pipeline, projection included. Leaves scan storage through the
-//! block iterators ([`Storage::concept_blocks`] /
+//! The intermediate relation is carried column-major (`Cols`): one flat
+//! `Vec<u32>` per bound variable. Steps produce a *selection vector*
+//! (input-row index per output row) plus the newly bound value columns,
+//! then a chunked gather rebuilds the carried columns — no per-tuple
+//! allocation anywhere in the pipeline, projection included. Leaves scan
+//! storage through the block iterators ([`Storage::concept_blocks`] /
 //! [`Storage::role_blocks`], blocks of [`BATCH_SIZE`] values), hash-join
 //! probes and the DISTINCT projection process one block at a time, and
 //! their meter hooks fire once per block with the tuple count instead of
@@ -22,35 +19,37 @@
 //! component joins keep it in that form up to the API edge (see
 //! [`crate::executor`]).
 //!
-//! **Exact parity contract** with the row pipeline, enforced by the
-//! differential harness and the equivalence property suite: identical
-//! answer sets AND identical meter totals. Every counter is a sum of
-//! per-tuple contributions, so amortized per-block counting changes
-//! nothing as long as (a) logical scans meter once with the same tuple
-//! counts (the block iterators' contract), (b) scans happen in the same
-//! order (the rescan discount is order-sensitive), and (c) intermediate
-//! tuple *multiplicities* match (later probe counts multiply by them).
-//! The pipeline therefore mirrors the row executor's step structure —
-//! atom-order prescans, per-row probes, no mid-pipeline dedup — and
-//! differs only in data representation and counting granularity.
+//! **Meter contract.** The meter counts what a tuple-at-a-time run of
+//! the same plan does, and the row oracle (`tests/row_oracle.rs`, a
+//! tuple-at-a-time copy of the pipeline this one replaced) holds it to
+//! that: identical answer sets AND identical meter totals. Every counter
+//! is a sum of per-tuple contributions, so amortized per-block counting
+//! changes nothing as long as (a) logical scans meter once with the same
+//! tuple counts (the block iterators' contract), (b) scans happen in
+//! plan order, atom by atom (the rescan discount is order-sensitive),
+//! and (c) intermediate tuple *multiplicities* are those of the logical
+//! plan (later probe counts multiply by them). The pipeline therefore
+//! keeps the logical step structure — atom-order prescans, per-row
+//! probes, no mid-pipeline dedup — and differs only in data
+//! representation and counting granularity.
 //!
 //! **Existence steps** ([`crate::planner::PlanStep::exists`]) are part of
-//! the contract. Both pipelines emit at most one extension per input row
-//! (the first witness any atom of the slot finds), and a row an earlier
-//! atom witnessed is not probed by the slot's later atoms. The row
-//! executor walks rows, then atoms; this module walks atoms, then rows.
-//! Skipping witnessed rows makes both orders probe exactly the same
-//! (row, atom) pairs: pair (i, j) is probed iff no atom before j
-//! witnessed row i. A pipeline that probed every atom, or kept more than
-//! one witness, would change (c) and with it every later count.
+//! the contract: at most one extension per input row (the first witness
+//! any atom of the slot finds), and a row an earlier atom witnessed is
+//! not probed by the slot's later atoms. A tuple-at-a-time run walks
+//! rows, then atoms; this module walks atoms, then rows. Skipping
+//! witnessed rows makes both orders probe exactly the same (row, atom)
+//! pairs: pair (i, j) is probed iff no atom before j witnessed row i. A
+//! pipeline that probed every atom, or kept more than one witness, would
+//! change (c) and with it every later count.
 
-use obda_query::{Atom, Slot, Term, VarId};
+use obda_query::{Atom, Term, VarId};
 
 use crate::executor::{fill_tuple, head_sources};
 use crate::fxhash::FxHashMap;
 use crate::layout::{Storage, BATCH_SIZE};
 use crate::meter::Meter;
-use crate::planner::{ConjunctionPlan, PhysicalOp};
+use crate::planner::{Conjunct, ConjunctionPlan, PhysicalOp};
 use crate::rowset::RowSet;
 
 /// A column-major intermediate relation: one value column per bound
@@ -91,11 +90,10 @@ fn gather(data: &Cols, sel: &[u32], new_cols: Vec<Vec<u32>>) -> Cols {
 }
 
 /// Run one planned conjunction through the batched pipeline and project
-/// `head` with DISTINCT. Drop-in columnar equivalent of the row
-/// executor's step loop + projection (same plans, same meter totals).
-pub(crate) fn run_plan(
+/// `head` with DISTINCT.
+pub(crate) fn run_plan<C: Conjunct>(
     storage: &dyn Storage,
-    slots: &[Slot],
+    slots: &[C],
     head: &[Term],
     plan: &ConjunctionPlan,
     meter: &mut Meter,
@@ -103,19 +101,21 @@ pub(crate) fn run_plan(
     let mut var_pos: FxHashMap<VarId, usize> = FxHashMap::default();
     let mut data = Cols::unit();
     for step in &plan.steps {
-        let slot = &slots[step.slot];
-        // Canonical new-variable order — identical computation to the
-        // row executor so both modes produce the same column layout.
+        let atoms = slots[step.slot].atoms();
+        // Canonical order in which this slot's new variables become
+        // columns. Slot atoms share one variable *set* but may list it in
+        // different positional orders (e.g. r(x,y) ∨ r2(y,x)), so
+        // extensions are keyed by variable, not by atom position.
         let mut new_var_order: Vec<VarId> = Vec::new();
-        for v in slot.atoms()[0].vars() {
+        for v in atoms[0].vars() {
             if !var_pos.contains_key(&v) && !new_var_order.contains(&v) {
                 new_var_order.push(v);
             }
         }
         data = match step.op {
-            PhysicalOp::HashJoin { .. } | PhysicalOp::BatchHashJoin { .. } => hash_join_batch(
+            PhysicalOp::BatchHashJoin { .. } => hash_join_batch(
                 storage,
-                slot,
+                atoms,
                 &data,
                 &var_pos,
                 &new_var_order,
@@ -124,7 +124,7 @@ pub(crate) fn run_plan(
             ),
             PhysicalOp::IndexNestedLoop(_) => inl_batch(
                 storage,
-                slot,
+                atoms,
                 &data,
                 &var_pos,
                 &new_var_order,
@@ -154,8 +154,7 @@ fn project(
     meter: &mut Meter,
 ) -> RowSet {
     let mut out = RowSet::new(head.len());
-    // An unresolvable head variable: the row pipeline drops every row
-    // (unmetered) — so does the batched one.
+    // An unresolvable head variable: every row is dropped, unmetered.
     let column = |v| var_pos.get(&v).copied().filter(|&p| p < data.cols.len());
     let Some(srcs) = head_sources(head, column) else {
         return out;
@@ -174,9 +173,8 @@ fn project(
     out
 }
 
-/// A buffered block scan of an atom whose variables are all unbound —
-/// the columnar analogue of the row executor's `Prescan`, filled from
-/// the block iterators (identical `on_scan` metering).
+/// A buffered block scan of an atom whose variables are all unbound,
+/// filled from the block iterators.
 enum Prescan {
     Concept(Vec<u32>),
     Role(Vec<u32>, Vec<u32>),
@@ -255,19 +253,19 @@ fn extend_pending(
     }
 }
 
-/// One index-nested-loop step over the column batch. Atom-major instead
-/// of the row executor's row-major loop: per atom, every input row is
-/// probed/extended into the shared selection + new-value columns (the
-/// output multiset — and with it every later meter count — is
-/// identical; only the intermediate order differs, which a set-semantics
-/// result never observes).
+/// One index-nested-loop step over the column batch, over the slot's
+/// `atoms`. Atom-major: per atom, every input row is probed/extended into
+/// the shared selection + new-value columns (the output multiset — and
+/// with it every later meter count — is that of a row-major loop; only
+/// the intermediate order differs, which a set-semantics result never
+/// observes).
 ///
 /// An existence step keeps each row's first witness and skips rows an
 /// earlier atom of the slot already witnessed — exactly the (row, atom)
-/// pairs the row executor's loop probes before it moves to the next row.
+/// pairs a row-major loop probes before it moves to the next row.
 fn inl_batch(
     storage: &dyn Storage,
-    slot: &Slot,
+    atoms: &[Atom],
     data: &Cols,
     var_pos: &FxHashMap<VarId, usize>,
     new_var_order: &[VarId],
@@ -275,9 +273,8 @@ fn inl_batch(
     meter: &mut Meter,
 ) -> Cols {
     // Prescans run once per atom, in atom order, before any per-row
-    // work — same scan order (and rescan discounting) as the row path.
-    let prescans: Vec<Option<Prescan>> = slot
-        .atoms()
+    // work — the scan order the rescan discount depends on.
+    let prescans: Vec<Option<Prescan>> = atoms
         .iter()
         .map(|a| prescan_if_unbound(storage, a, var_pos, meter))
         .collect();
@@ -293,7 +290,7 @@ fn inl_batch(
         }
     };
 
-    for (atom, prescan) in slot.atoms().iter().zip(&prescans) {
+    for (atom, prescan) in atoms.iter().zip(&prescans) {
         match atom {
             Atom::Concept(c, t) => match prescan {
                 None => {
@@ -418,37 +415,43 @@ fn inl_batch(
     gather(data, &sel, new_cols)
 }
 
-/// One vectorized hash-join step ([`PhysicalOp::BatchHashJoin`]): build
-/// the slot's extension into a key → values table straight from the
-/// block scans (one amortized `on_join_build`), then probe the bound key
-/// *column* one [`BATCH_SIZE`] block at a time with one `on_join_probe`
-/// per block — the amortized per-batch meter hook replacing the row
-/// executor's per-row counting, with identical totals.
+/// One vectorized hash-join step ([`PhysicalOp::BatchHashJoin`]) over
+/// the slot's `atoms`: build the slot's extension into a key → values
+/// table straight from the block scans (one amortized `on_join_build`),
+/// then probe the bound key *column* one [`BATCH_SIZE`] block at a time
+/// with one `on_join_probe` per block — per-row counting, amortized.
+///
+/// The planner only emits hash joins for keyed *expansion* steps (≥ 1
+/// bound variable AND ≥ 1 new variable). Because slot atoms share one
+/// variable set and an atom has at most two positions, every
+/// hash-eligible slot consists of exactly two-distinct-variable role
+/// atoms: one bound key variable, one new variable, no constants. An
+/// existence step still builds the whole table, but each probe emits at
+/// most one value.
 fn hash_join_batch(
     storage: &dyn Storage,
-    slot: &Slot,
+    atoms: &[Atom],
     data: &Cols,
     var_pos: &FxHashMap<VarId, usize>,
     new_var_order: &[VarId],
     exists: bool,
     meter: &mut Meter,
 ) -> Cols {
-    let key_vars: Vec<VarId> = slot
-        .vars()
-        .into_iter()
-        .filter(|v| var_pos.contains_key(v))
-        .collect();
-    assert_eq!(key_vars.len(), 1, "hash join keys on one bound variable");
+    let mut key_vars = atoms[0].vars().filter(|v| var_pos.contains_key(v));
+    let key_var = key_vars.next().expect("hash join keys on a bound variable");
+    assert!(
+        key_vars.all(|v| v == key_var),
+        "hash join keys on one bound variable"
+    );
     assert_eq!(
         new_var_order.len(),
         1,
         "hash join steps bind exactly one new variable"
     );
-    let key_var = key_vars[0];
 
     let mut table: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     let mut inserted: u64 = 0;
-    for atom in slot.atoms() {
+    for atom in atoms {
         let Atom::Role(r, Term::Var(v1), Term::Var(v2)) = atom else {
             unreachable!("hash-eligible slots contain only two-variable role atoms")
         };
@@ -493,32 +496,15 @@ mod tests {
     use obda_dllite::{ABox, ConceptId, IndividualId, RoleId, Vocabulary};
     use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, SCQ, UCQ};
 
-    use crate::executor::{execute_mode, Row};
+    use crate::executor::{execute, Row};
     use crate::layout::{dph::DphStorage, simple::SimpleStorage, triple::TripleStorage, Storage};
     use crate::meter::Meter;
     use crate::metrics::ExecMetrics;
-    use crate::planner::{plan_conjunction, ExecMode, JoinStrategy, PhysicalOp};
+    use crate::planner::{plan_conjunction, JoinStrategy, PhysicalOp};
     use crate::profile::EngineProfile;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
-    }
-
-    /// A KB whose extents straddle the batch boundary: concept `A` has
-    /// `n` members, role `r` has `n` pairs fanning into 7 objects.
-    fn boundary_abox(n: u32) -> (Vocabulary, ABox) {
-        let mut voc = Vocabulary::new();
-        let a = voc.concept("A");
-        voc.concept("B"); // stays empty
-        let r = voc.role("r");
-        voc.role("s"); // stays empty
-        let inds: Vec<_> = (0..n).map(|k| voc.individual(&format!("i{k}"))).collect();
-        let mut abox = ABox::new();
-        for &i in &inds {
-            abox.assert_concept(a, i);
-            abox.assert_role(r, i, IndividualId(i.0 % 7));
-        }
-        (voc, abox)
     }
 
     fn layouts(abox: &ABox) -> Vec<(&'static str, Box<dyn Storage>)> {
@@ -529,152 +515,35 @@ mod tests {
         ]
     }
 
-    fn assert_metrics_eq(b: &ExecMetrics, r: &ExecMetrics, ctx: &str) {
-        assert!(
-            (b.scanned - r.scanned).abs() < 1e-9,
-            "{ctx}: scanned {} vs {}",
-            b.scanned,
-            r.scanned
-        );
-        assert_eq!(b.index_probes, r.index_probes, "{ctx}: index_probes");
-        assert_eq!(b.hash_build, r.hash_build, "{ctx}: hash_build");
-        assert_eq!(b.hash_probe, r.hash_probe, "{ctx}: hash_probe");
-        assert_eq!(b.join_build, r.join_build, "{ctx}: join_build");
-        assert_eq!(b.join_probe, r.join_probe, "{ctx}: join_probe");
-        assert_eq!(b.materialized, r.materialized, "{ctx}: materialized");
-        assert_eq!(b.output, r.output, "{ctx}: output");
-    }
-
-    /// Every join strategy, in the order [`modes_agree_per_strategy`]
-    /// reports them.
+    /// Every join strategy, in the order [`per_strategy`] reports them.
     const STRATEGIES: [JoinStrategy; 3] = [
         JoinStrategy::ForcedInl,
         JoinStrategy::ForcedHash,
         JoinStrategy::CostChosen,
     ];
 
-    /// Run `q` in both pipelines on one storage under every strategy;
-    /// rows and every meter counter must match. Returns the forced-INL
-    /// rows.
-    fn assert_modes_agree(storage: &dyn Storage, q: &FolQuery, ctx: &str) -> Vec<Row> {
-        modes_agree_per_strategy(storage, q, ctx).swap_remove(0).0
-    }
-
-    /// [`assert_modes_agree`], returning each strategy's rows and
-    /// counters in [`STRATEGIES`] order.
-    fn modes_agree_per_strategy(
+    /// Run `q` on one storage under every strategy, returning each
+    /// strategy's sorted rows and counters in [`STRATEGIES`] order; the
+    /// strategies must agree on the rows.
+    fn per_strategy(
         storage: &dyn Storage,
         q: &FolQuery,
         ctx: &str,
     ) -> Vec<(Vec<Row>, ExecMetrics)> {
         let profile = EngineProfile::pg_like();
-        STRATEGIES
+        let runs: Vec<(Vec<Row>, ExecMetrics)> = STRATEGIES
             .iter()
             .map(|&strategy| {
-                let [batched, row] = [ExecMode::Batched, ExecMode::Row].map(|mode| {
-                    let mut meter = Meter::new(&profile);
-                    let mut rows = execute_mode(storage, q, &mut meter, strategy, mode);
-                    rows.sort();
-                    (rows, meter.metrics)
-                });
-                assert_eq!(batched.0, row.0, "{ctx}/{strategy:?}: rows drifted");
-                assert_metrics_eq(&batched.1, &row.1, &format!("{ctx}/{strategy:?}"));
-                batched
+                let mut meter = Meter::new(&profile);
+                let mut rows = execute(storage, q, &mut meter, strategy, None, 1);
+                rows.sort();
+                (rows, meter.metrics)
             })
-            .collect()
-    }
-
-    /// Extents of exactly BATCH_SIZE−1 / BATCH_SIZE / BATCH_SIZE+1 rows:
-    /// the block iterators emit a final partial block, one exact block,
-    /// and a full-plus-one split; both pipelines must agree on rows and
-    /// meter totals for a pure scan and for a join straddling the edge.
-    #[test]
-    fn batch_boundary_extents_agree_across_modes() {
-        assert_eq!(super::BATCH_SIZE, 1024, "test pins the block size");
-        let scan = FolQuery::Cq(CQ::with_var_head(
-            vec![VarId(0)],
-            vec![Atom::Concept(ConceptId(0), v(0))],
-        ));
-        let join = FolQuery::Cq(CQ::with_var_head(
-            vec![VarId(0), VarId(1)],
-            vec![
-                Atom::Concept(ConceptId(0), v(0)),
-                Atom::Role(RoleId(0), v(0), v(1)),
-            ],
-        ));
-        for n in [1023u32, 1024, 1025] {
-            let (_voc, abox) = boundary_abox(n);
-            for (name, storage) in layouts(&abox) {
-                let got =
-                    assert_modes_agree(storage.as_ref(), &scan, &format!("scan n={n} {name}"));
-                assert_eq!(got.len(), n as usize, "scan n={n} {name}: row count");
-                let got =
-                    assert_modes_agree(storage.as_ref(), &join, &format!("join n={n} {name}"));
-                assert_eq!(got.len(), n as usize, "join n={n} {name}: row count");
-            }
+            .collect();
+        for (run, strategy) in runs.iter().zip(STRATEGIES) {
+            assert_eq!(run.0, runs[0].0, "{ctx}/{strategy:?}: rows drifted");
         }
-    }
-
-    /// A union interleaving empty arms (empty concept, empty role join)
-    /// between populated ones: the batched pipeline must push empty
-    /// column batches through gather/projection without skewing any
-    /// counter, and per-arm deltas must still sum to the totals.
-    #[test]
-    fn empty_batches_between_union_arms_agree_across_modes() {
-        let (_voc, abox) = boundary_abox(1500);
-        let arms = [
-            // Empty: concept B has no members.
-            CQ::with_var_head(vec![VarId(0)], vec![Atom::Concept(ConceptId(1), v(0))]),
-            // Populated: 1500 members of A.
-            CQ::with_var_head(vec![VarId(0)], vec![Atom::Concept(ConceptId(0), v(0))]),
-            // Empty again: role s has no pairs, so the join yields nothing.
-            CQ::with_var_head(
-                vec![VarId(0)],
-                vec![
-                    Atom::Concept(ConceptId(0), v(0)),
-                    Atom::Role(RoleId(1), v(0), v(1)),
-                ],
-            ),
-            // Populated join crossing the batch boundary.
-            CQ::with_var_head(
-                vec![VarId(0)],
-                vec![
-                    Atom::Concept(ConceptId(0), v(0)),
-                    Atom::Role(RoleId(0), v(0), v(1)),
-                ],
-            ),
-        ];
-        let q = FolQuery::Ucq(UCQ::from_cqs(vec![v(0)], arms));
-        for (name, storage) in layouts(&abox) {
-            let got = assert_modes_agree(storage.as_ref(), &q, &format!("union {name}"));
-            assert_eq!(got.len(), 1500, "union {name}: distinct union size");
-        }
-        // Arm-delta invariant under the batched default: empty arms
-        // record zero-output deltas and the deltas sum to the totals.
-        let storage = SimpleStorage::load(&abox);
-        let profile = EngineProfile::pg_like();
-        let mut meter = Meter::new(&profile);
-        execute_mode(
-            &storage,
-            &q,
-            &mut meter,
-            JoinStrategy::CostChosen,
-            ExecMode::Batched,
-        );
-        assert_eq!(meter.arm_metrics.len(), 4, "one delta per union arm");
-        assert_eq!(meter.arm_metrics[0].output, 0, "empty concept arm");
-        assert_eq!(meter.arm_metrics[2].output, 0, "empty join arm");
-        let mut sum = ExecMetrics::default();
-        for arm in &meter.arm_metrics {
-            sum.merge(arm);
-        }
-        assert!(
-            (sum.scanned - meter.metrics.scanned).abs() < 1e-9
-                && sum.join_build == meter.metrics.join_build
-                && sum.join_probe == meter.metrics.join_probe
-                && sum.hash_build == meter.metrics.hash_build,
-            "arm deltas sum to statement totals"
-        );
+        runs
     }
 
     /// Existence fixture: `A` = x0..x9; `r` fans x0..x7 out to 100 objects
@@ -711,7 +580,7 @@ mod tests {
     /// `A(x) ∧ r(x, y)` projecting `x`, fan-out 100: the r step is an
     /// existence step, so each of the 8 witnessed rows is extended once and
     /// the DISTINCT projection inserts the 8 answers, not r's 800 pairs —
-    /// under every strategy, layout and mode. Probes stay one per row.
+    /// under every strategy and layout. Probes stay one per row.
     #[test]
     fn existence_step_extends_each_input_row_once() {
         let abox = witness_abox();
@@ -720,7 +589,7 @@ mod tests {
             vec![a(v(0)), role(0, v(0), v(1))],
         ));
         for (name, storage) in layouts(&abox) {
-            let runs = modes_agree_per_strategy(storage.as_ref(), &q, name);
+            let runs = per_strategy(storage.as_ref(), &q, name);
             for ((rows, m), strategy) in runs.iter().zip(STRATEGIES) {
                 assert_eq!(rows.len(), 8, "{name}/{strategy:?}: answers");
                 assert_eq!(m.hash_build, 8, "{name}/{strategy:?}: projection inserts");
@@ -743,7 +612,7 @@ mod tests {
             ],
         ));
         for (name, storage) in layouts(&abox) {
-            let runs = modes_agree_per_strategy(storage.as_ref(), &q, name);
+            let runs = per_strategy(storage.as_ref(), &q, name);
             for ((rows, m), strategy) in runs.iter().zip(STRATEGIES) {
                 assert_eq!(rows.len(), 10, "{name}/{strategy:?}: answers");
                 assert_eq!(m.hash_build, 10, "{name}/{strategy:?}: projection inserts");
@@ -777,7 +646,7 @@ mod tests {
             "{r_step:?}"
         );
         let q = FolQuery::Cq(CQ::with_var_head(vec![VarId(0)], body.to_vec()));
-        let (rows, m) = &modes_agree_per_strategy(&storage, &q, "hash")[1];
+        let (rows, m) = &per_strategy(&storage, &q, "hash")[1];
         assert_eq!(rows.len(), 8);
         assert_eq!((m.join_build, m.join_probe), (800, 10));
         assert_eq!(m.hash_build, 8, "one emitted value per matching probe");
@@ -797,7 +666,7 @@ mod tests {
             assert!(!plan.steps[0].exists, "{strategy:?}");
         }
         let q = FolQuery::Cq(CQ::with_var_head(vec![VarId(1)], vec![role(0, v(0), v(1))]));
-        for (rows, m) in modes_agree_per_strategy(&storage, &q, "live") {
+        for (rows, m) in per_strategy(&storage, &q, "live") {
             assert_eq!(rows.len(), 100);
             assert_eq!(m.hash_build, 800);
         }
@@ -828,9 +697,8 @@ mod tests {
             assert_eq!(want.len(), answers, "{jucq:?}");
             for (name, storage) in layouts(&abox) {
                 let ctx = format!("{name}: {jucq:?}");
-                let alone =
-                    modes_agree_per_strategy(storage.as_ref(), &FolQuery::Ucq(comp.clone()), &ctx);
-                let joined = modes_agree_per_strategy(storage.as_ref(), &jucq, &ctx);
+                let alone = per_strategy(storage.as_ref(), &FolQuery::Ucq(comp.clone()), &ctx);
+                let joined = per_strategy(storage.as_ref(), &jucq, &ctx);
                 for ((rows, c), (got, j)) in alone.iter().zip(&joined) {
                     let n = rows.len() as u64;
                     assert_eq!(got, &want, "{ctx}");
@@ -842,9 +710,10 @@ mod tests {
                         hash_probe: c.hash_probe,
                         materialized: c.materialized,
                         output: c.output,
+                        wall: c.wall,
                         ..*j
                     };
-                    assert_metrics_eq(&same, c, &ctx);
+                    assert_eq!(&same, c, "{ctx}");
                 }
             }
         }
@@ -877,7 +746,7 @@ mod tests {
         for (head, body, answers, inserts, scanned) in cases {
             let q = FolQuery::Cq(CQ::with_var_head(head, body));
             for (name, storage) in layouts(&abox) {
-                let runs = modes_agree_per_strategy(storage.as_ref(), &q, name);
+                let runs = per_strategy(storage.as_ref(), &q, name);
                 for ((rows, m), strategy) in runs.iter().zip(STRATEGIES) {
                     let ctx = format!("{name}/{strategy:?}: {q:?}");
                     assert_eq!(rows.len(), answers, "{ctx}");

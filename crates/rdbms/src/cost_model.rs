@@ -19,8 +19,8 @@ use obda_query::{Atom, FolQuery, Term, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
 use crate::fxhash::FxHashMap;
 use crate::layout::LayoutKind;
 use crate::planner::{
-    scan_cost, Conjunct, ExecMode, JoinStrategy, PhysicalOp, PlanBuf, HASH_BUILD_WEIGHT,
-    HASH_PROBE_WEIGHT, INDEX_PROBE_WEIGHT, MATERIALIZE_WEIGHT,
+    scan_cost, Conjunct, JoinStrategy, PhysicalOp, PlanBuf, HASH_BUILD_WEIGHT, HASH_PROBE_WEIGHT,
+    INDEX_PROBE_WEIGHT, MATERIALIZE_WEIGHT,
 };
 use crate::profile::{EngineKind, EngineProfile};
 use crate::stats::CatalogStats;
@@ -32,11 +32,6 @@ pub struct CostModel<'s> {
     /// Which physical operators the priced plans may use. Must match the
     /// executor's strategy for "explain prices the plan that runs".
     strategy: JoinStrategy,
-    /// Which pipeline the priced plans run under. Batched mode records
-    /// `vhash` operators in place of `hash`; the *estimates* are mode-
-    /// invariant (the vectorized pipeline does the same logical work —
-    /// the meters prove it), so pricing never drifts between modes.
-    mode: ExecMode,
     /// Union arms beyond which default selectivities kick in (engine
     /// shortcut; `None` = always estimate properly).
     collapse_limit: Option<usize>,
@@ -52,7 +47,6 @@ impl<'s> CostModel<'s> {
             stats,
             layout,
             strategy: JoinStrategy::CostChosen,
-            mode: ExecMode::default(),
             collapse_limit: profile.union_collapse_limit,
             rescan_discount: profile.rescan_discount,
             name: match profile.kind {
@@ -68,7 +62,6 @@ impl<'s> CostModel<'s> {
             stats,
             layout,
             strategy: JoinStrategy::CostChosen,
-            mode: ExecMode::default(),
             collapse_limit: None,
             rescan_discount: 1.0,
             name: "ext",
@@ -79,13 +72,6 @@ impl<'s> CostModel<'s> {
     /// its own, so forced modes explain what they run).
     pub fn with_strategy(mut self, strategy: JoinStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Price plans for an explicit [`ExecMode`] (the engine passes its
-    /// own, so explain describes the pipeline that actually runs).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -207,14 +193,7 @@ impl<'s> CostModel<'s> {
             };
         }
         let Pricing { scans, plan, .. } = p;
-        plan.plan(
-            slots,
-            head,
-            self.stats,
-            self.layout,
-            self.strategy,
-            self.mode,
-        );
+        plan.plan(slots, head, self.stats, self.layout, self.strategy);
         let mut cost = 0.0;
         let mut card = 1.0f64;
         for (step, &estimate) in plan.steps.iter().zip(&plan.estimates) {
@@ -230,13 +209,8 @@ impl<'s> CostModel<'s> {
             };
             match step.op {
                 // The engine shortcut never reasons about operators — a
-                // degraded estimate prices every step as INL. The batched
-                // spelling prices identically to the row one: same scans,
-                // same build tuples, same per-row probes.
-                PhysicalOp::HashJoin { build_rows }
-                | PhysicalOp::BatchHashJoin { build_rows, .. }
-                    if !degraded =>
-                {
+                // degraded estimate prices every step as INL.
+                PhysicalOp::BatchHashJoin { build_rows, .. } if !degraded => {
                     // Build: scan each extension once (rescan-discounted)
                     // and insert every tuple; probe once per current row.
                     let mut build_scan = 0.0;

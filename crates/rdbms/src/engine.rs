@@ -13,14 +13,14 @@ use obda_dllite::{ABox, AboxDelta, ConceptId, Extents, IndividualId, RoleId, Voc
 use obda_query::{FolQuery, Term, CQ};
 
 use crate::cost_model::CostModel;
-use crate::executor::{execute_parallel, prepare_plans_mode, PreparedPlans, Row};
+use crate::executor::{execute, prepare_plans, PreparedPlans, Row};
 use crate::layout::dph::DphStorage;
 use crate::layout::simple::SimpleStorage;
 use crate::layout::triple::TripleStorage;
 use crate::layout::{LayoutKind, Storage};
 use crate::meter::Meter;
 use crate::metrics::ExecMetrics;
-use crate::planner::{plan_conjunction_mode, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy};
+use crate::planner::{plan_conjunction, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy};
 use crate::profile::EngineProfile;
 use crate::sql::{SqlGenerator, SqlNames};
 use crate::sqlexec::{Backend, SqlError};
@@ -108,9 +108,8 @@ pub struct EvalOptions<'a> {
     /// one). The serving layer's wire sessions select their backend per
     /// connection, against one shared engine snapshot.
     pub backend: Option<Backend>,
-    /// Execution-mode override (`None` = the engine's configured one).
-    /// Ignored when `prepared` is set — stored plans replay the mode
-    /// they were planned under.
+    /// Read by nothing (there is one native pipeline): kept only until
+    /// the benchmark package stops naming it.
     pub mode: Option<ExecMode>,
 }
 
@@ -124,7 +123,6 @@ pub struct Engine {
     storage: Box<dyn Storage>,
     profile: EngineProfile,
     join_strategy: JoinStrategy,
-    exec_mode: ExecMode,
     sql: SqlGenerator,
     backend: Backend,
 }
@@ -151,7 +149,6 @@ impl Clone for Engine {
             storage: self.storage.boxed_clone(),
             profile: self.profile.clone(),
             join_strategy: self.join_strategy,
-            exec_mode: self.exec_mode,
             sql: self.sql.clone(),
             backend: self.backend,
         }
@@ -172,7 +169,6 @@ impl Engine {
             storage,
             profile,
             join_strategy: JoinStrategy::CostChosen,
-            exec_mode: ExecMode::default(),
             sql,
             backend: Backend::Native,
         }
@@ -198,20 +194,6 @@ impl Engine {
 
     pub fn join_strategy(&self) -> JoinStrategy {
         self.join_strategy
-    }
-
-    /// Pin the execution mode of the native pipeline. The default is
-    /// [`ExecMode::Batched`] — the vectorized columnar pipeline;
-    /// [`ExecMode::Row`] keeps the classic tuple-at-a-time pipeline
-    /// (both answer identically with identical meter totals; row mode
-    /// exists for the differential harness and benchmarks).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Select how a query reaches the executor: [`Backend::Native`]
@@ -323,16 +305,9 @@ impl Engine {
         self.prepare_with(q, self.join_strategy)
     }
 
-    /// [`Engine::prepare`] under an explicit strategy. Plans are priced
-    /// for the engine's configured [`ExecMode`] and replay under it.
+    /// [`Engine::prepare`] under an explicit strategy.
     pub fn prepare_with(&self, q: &FolQuery, strategy: JoinStrategy) -> PreparedPlans {
-        prepare_plans_mode(
-            q,
-            self.storage.stats(),
-            self.storage.layout(),
-            strategy,
-            self.exec_mode,
-        )
+        prepare_plans(q, self.storage.stats(), self.storage.layout(), strategy)
     }
 
     /// The full-control evaluation entry point: optional strategy
@@ -358,7 +333,6 @@ impl Engine {
         };
         self.check_statement_size(sql_bytes)?;
         let strategy = opts.strategy.unwrap_or(self.join_strategy);
-        let mode = opts.mode.unwrap_or(self.exec_mode);
         if opts.backend.unwrap_or(self.backend) == Backend::Sql {
             // The delegation path: the answer is what the SQL text says.
             // Of `q` only the emptiness of its head is consulted (see
@@ -373,9 +347,9 @@ impl Engine {
                 }
             };
             let boolean = q.head().is_empty();
-            return self.run_sql_statement(text, boolean, strategy, mode, opts.threads);
+            return self.run_sql_statement(text, boolean, strategy, opts.threads);
         }
-        Ok(self.run(q, sql_bytes, strategy, mode, opts.prepared, opts.threads))
+        Ok(self.run(q, sql_bytes, strategy, opts.prepared, opts.threads))
     }
 
     fn check_statement_size(&self, size: usize) -> Result<(), EngineError> {
@@ -392,18 +366,16 @@ impl Engine {
         q: &FolQuery,
         sql_bytes: usize,
         strategy: JoinStrategy,
-        mode: ExecMode,
         prepared: Option<&PreparedPlans>,
         threads: usize,
     ) -> QueryOutcome {
         let start = Instant::now();
         let mut meter = Meter::new(&self.profile);
-        let rows = execute_parallel(
+        let rows = execute(
             self.storage.as_ref(),
             q,
             &mut meter,
             strategy,
-            mode,
             prepared,
             threads,
         );
@@ -425,7 +397,7 @@ impl Engine {
     /// configured backend. The profile's statement-size limit applies.
     pub fn run_sql(&self, sql: &str) -> Result<QueryOutcome, EngineError> {
         self.check_statement_size(sql.len())?;
-        self.run_sql_statement(sql, false, self.join_strategy, self.exec_mode, 1)
+        self.run_sql_statement(sql, false, self.join_strategy, 1)
     }
 
     /// The SQL path: parse → lower → plan → execute. The caller has
@@ -436,22 +408,15 @@ impl Engine {
         sql: &str,
         boolean: bool,
         strategy: JoinStrategy,
-        mode: ExecMode,
         threads: usize,
     ) -> Result<QueryOutcome, EngineError> {
         let start = Instant::now();
         let fol = crate::sqlexec::parse(sql)
             .and_then(|parsed| crate::sqlexec::lower(&parsed, self.sql.names(), boolean))
             .map_err(EngineError::Sql)?;
-        let plans = prepare_plans_mode(
-            &fol,
-            self.storage.stats(),
-            self.storage.layout(),
-            strategy,
-            mode,
-        );
+        let plans = prepare_plans(&fol, self.storage.stats(), self.storage.layout(), strategy);
         let took = start.elapsed();
-        let mut outcome = self.run(&fol, sql.len(), strategy, mode, Some(&plans), threads);
+        let mut outcome = self.run(&fol, sql.len(), strategy, Some(&plans), threads);
         outcome.metrics.wall += took;
         outcome.lowered = Some(Lowered { fol, plans, took });
         Ok(outcome)
@@ -514,13 +479,12 @@ impl Engine {
     }
 
     fn arm_plan<C: Conjunct>(&self, label: String, slots: &[C], head: &[Term]) -> ArmPlan {
-        let plan = plan_conjunction_mode(
+        let plan = plan_conjunction(
             slots,
             head,
             self.storage.stats(),
             self.storage.layout(),
             self.join_strategy,
-            self.exec_mode,
         );
         ArmPlan { label, plan }
     }
@@ -530,14 +494,12 @@ impl Engine {
     pub fn rdbms_cost_model(&self) -> CostModel<'_> {
         CostModel::rdbms(self.storage.stats(), self.storage.layout(), &self.profile)
             .with_strategy(self.join_strategy)
-            .with_mode(self.exec_mode)
     }
 
     /// The external (paper-side) cost model over this engine's statistics.
     pub fn ext_cost_model(&self) -> CostModel<'_> {
         CostModel::ext(self.storage.stats(), self.storage.layout())
             .with_strategy(self.join_strategy)
-            .with_mode(self.exec_mode)
     }
 }
 

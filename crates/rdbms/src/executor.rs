@@ -1,12 +1,14 @@
 //! The query executor: evaluates any Table-4 dialect over a [`Storage`].
 //!
-//! Execution strategy mirrors what the paper's SQL translations make the
-//! RDBMS do:
+//! [`execute`] is its one entry point. Execution strategy mirrors what the
+//! paper's SQL translations make the RDBMS do:
 //!
-//! * each CQ (or SCQ) runs as a left-deep pipeline whose steps are either
-//!   **index-nested-loop** probes or **hash joins** (build the slot's
-//!   extension once, probe per intermediate row), as chosen per step by
-//!   the planner's [`JoinStrategy`];
+//! * each CQ (or SCQ) runs as a left-deep pipeline of columnar batches
+//!   ([`crate::columnar`]) whose steps are either **index-nested-loop**
+//!   probes or **hash joins** (build the slot's extension once, probe per
+//!   intermediate row), as chosen per step by the planner's
+//!   [`JoinStrategy`]. A CQ runs over its atoms in place, an SCQ over its
+//!   slots: the pipeline is generic over the planner's [`Conjunct`];
 //! * a step whose newly bound variables are all dead — read by neither
 //!   the head nor a later step — is an **existence step**
 //!   ([`crate::planner::PlanStep::exists`], decided by the planner): a
@@ -27,10 +29,9 @@
 //! a union absorbs its first non-empty arm whole and inserts the rest; a
 //! materialized component keeps its set, one column per *head position*
 //! (constants included), and [`Row`] vectors are made once, at the end
-//! of [`execute_planned`]/[`execute_parallel`] and their siblings. The
-//! component join carries its intermediate rows in one flat `Vec<u32>`
-//! and indexes the build side by distinct key with row chains, so no row
-//! is cloned.
+//! of [`execute`]. The component join carries its intermediate rows in
+//! one flat `Vec<u32>` and indexes the build side by distinct key with
+//! row chains, so no row is cloned.
 //!
 //! **A one-component join is its component.** Eight of the nine light
 //! LUBM shapes are one-component JUCQs. Their join is an identity: the
@@ -40,13 +41,14 @@
 //! `n` rows, project `n` joined rows) and `hash_probe += 1` (the unit
 //! row) — so EXPLAIN ANALYZE and cost accounting do not see the shortcut.
 
-use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, USCQ};
+use std::time::Instant;
 
-use crate::fxhash::FxHashMap;
+use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, SCQ, UCQ, USCQ};
+
 use crate::layout::{LayoutKind, Storage};
 use crate::meter::Meter;
 use crate::planner::{
-    plan_conjunction_mode, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy, PhysicalOp, PlanBuf,
+    plan_conjunction, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy, PlanBuf,
 };
 use crate::rowset::RowSet;
 use crate::stats::CatalogStats;
@@ -96,20 +98,72 @@ pub(crate) fn fill_tuple(tuple: &mut [u32], srcs: &[HeadSrc], value: impl Fn(usi
     }
 }
 
+/// A conjunction the executor runs: a CQ over its atoms, or an SCQ over
+/// its slots.
+trait Conjunction: Sync {
+    type Conjunct: Conjunct;
+    fn body(&self) -> &[Self::Conjunct];
+    fn head(&self) -> &[Term];
+}
+
+impl Conjunction for CQ {
+    type Conjunct = Atom;
+    fn body(&self) -> &[Atom] {
+        self.atoms()
+    }
+    fn head(&self) -> &[Term] {
+        CQ::head(self)
+    }
+}
+
+impl Conjunction for SCQ {
+    type Conjunct = Slot;
+    fn body(&self) -> &[Slot] {
+        self.slots()
+    }
+    fn head(&self) -> &[Term] {
+        SCQ::head(self)
+    }
+}
+
+/// A union of conjunctions: a UCQ, or a USCQ.
+trait Union: Sync {
+    type Arm: Conjunction;
+    fn arms(&self) -> &[Self::Arm];
+    fn head(&self) -> &[Term];
+}
+
+impl Union for UCQ {
+    type Arm = CQ;
+    fn arms(&self) -> &[CQ] {
+        self.cqs()
+    }
+    fn head(&self) -> &[Term] {
+        UCQ::head(self)
+    }
+}
+
+impl Union for USCQ {
+    type Arm = SCQ;
+    fn arms(&self) -> &[SCQ] {
+        self.scqs()
+    }
+    fn head(&self) -> &[Term] {
+        USCQ::head(self)
+    }
+}
+
 /// The operator-annotated plans of every conjunction in a statement, in
 /// executor traversal order — the cacheable artifact of the serving
-/// layer's plan cache. Produced by [`prepare_plans_mode`], consumed by
-/// [`execute_planned`]: a repeated query skips `plan_conjunction`
-/// entirely and replays the stored [`ConjunctionPlan`]s.
+/// layer's plan cache. Produced by [`prepare_plans`], replayed by
+/// [`execute`]: a repeated query skips `plan_conjunction` entirely.
 #[derive(Debug, Clone)]
 pub struct PreparedPlans {
     /// The strategy the plans were produced under (recorded so cached
     /// entries can be audited; execution follows the stored ops directly).
     pub strategy: JoinStrategy,
-    /// The execution mode the plans were priced for. Replaying a stored
-    /// plan re-enters the same pipeline (row or batched) it was planned
-    /// under, so explain output, cached costs, and the executed
-    /// operators always describe the same physical run.
+    /// Always [`ExecMode::Batched`] and read by nothing: kept only until
+    /// the benchmark package stops naming it.
     pub mode: ExecMode,
     /// One plan per *non-empty* conjunction, in the order the executor
     /// visits them (CQ; UCQ arms; SCQ; USCQ arms; JUCQ/JUSCQ components'
@@ -118,335 +172,139 @@ pub struct PreparedPlans {
 }
 
 /// Plan every conjunction of `q` in executor traversal order, without
-/// executing anything; `execute_planned` replays the result, so the walk
-/// order here and the executor's traversal must stay in lockstep. The
-/// [`ExecMode`] decides the physical join operator recorded per step
-/// (`hash` vs `vhash`) and is stored in the result so replay re-enters
-/// the matching pipeline.
-pub fn prepare_plans_mode(
+/// executing anything; [`execute`] replays the result, so the walk order
+/// here and the executor's traversal must stay in lockstep.
+pub fn prepare_plans(
     q: &FolQuery,
     stats: &CatalogStats,
     layout: LayoutKind,
     strategy: JoinStrategy,
-    mode: ExecMode,
 ) -> PreparedPlans {
     struct Prep<'a> {
         stats: &'a CatalogStats,
         layout: LayoutKind,
         strategy: JoinStrategy,
-        mode: ExecMode,
         buf: PlanBuf,
         plans: Vec<ConjunctionPlan>,
     }
     impl Prep<'_> {
-        fn add<C: Conjunct>(&mut self, slots: &[C], head: &[Term]) {
-            if !slots.is_empty() {
-                self.buf.plan(
-                    slots,
-                    head,
-                    self.stats,
-                    self.layout,
-                    self.strategy,
-                    self.mode,
-                );
+        fn add<C: Conjunction>(&mut self, c: &C) {
+            if !c.body().is_empty() {
+                self.buf
+                    .plan(c.body(), c.head(), self.stats, self.layout, self.strategy);
                 self.plans.push(ConjunctionPlan {
                     steps: self.buf.steps.to_vec(),
                 });
             }
         }
-        fn add_cq(&mut self, cq: &CQ) {
-            self.add(cq.atoms(), cq.head());
+        fn add_union<U: Union>(&mut self, u: &U) {
+            u.arms().iter().for_each(|a| self.add(a));
         }
     }
     let mut p = Prep {
         stats,
         layout,
         strategy,
-        mode,
         buf: PlanBuf::default(),
         plans: Vec::new(),
     };
     match q {
-        FolQuery::Cq(cq) => p.add_cq(cq),
-        FolQuery::Ucq(ucq) => ucq.cqs().iter().for_each(|c| p.add_cq(c)),
-        FolQuery::Scq(scq) => p.add(scq.slots(), scq.head()),
-        FolQuery::Uscq(uscq) => uscq.scqs().iter().for_each(|s| p.add(s.slots(), s.head())),
-        FolQuery::Jucq(jucq) => {
-            for comp in jucq.components() {
-                comp.cqs().iter().for_each(|c| p.add_cq(c));
-            }
-        }
-        FolQuery::Juscq(juscq) => {
-            for comp in juscq.components() {
-                comp.scqs().iter().for_each(|s| p.add(s.slots(), s.head()));
-            }
-        }
+        FolQuery::Cq(cq) => p.add(cq),
+        FolQuery::Scq(scq) => p.add(scq),
+        FolQuery::Ucq(ucq) => p.add_union(ucq),
+        FolQuery::Uscq(uscq) => p.add_union(uscq),
+        FolQuery::Jucq(jucq) => jucq.components().iter().for_each(|c| p.add_union(c)),
+        FolQuery::Juscq(juscq) => juscq.components().iter().for_each(|c| p.add_union(c)),
     }
     PreparedPlans {
         strategy,
-        mode,
+        mode: ExecMode::Batched,
         plans: p.plans,
     }
 }
 
-/// Where each conjunction's plan comes from during one execution. Both
-/// variants carry the [`ExecMode`] so every conjunction of a statement
-/// runs the same pipeline the plan was (or will be) priced for.
+/// Where each conjunction's plan comes from during one execution.
+#[derive(Clone, Copy)]
 enum PlanSource<'a> {
-    /// Plan on the fly (the classic per-call pipeline).
-    Inline(JoinStrategy, ExecMode),
+    /// Plan on the fly.
+    Inline(JoinStrategy),
     /// Replay stored plans in traversal order (the plan-cache hot path).
     Stored {
         plans: &'a [ConjunctionPlan],
         next: usize,
-        mode: ExecMode,
     },
 }
 
 impl<'a> PlanSource<'a> {
-    fn stored(plans: &'a [ConjunctionPlan], mode: ExecMode) -> Self {
-        PlanSource::Stored {
-            plans,
-            next: 0,
-            mode,
-        }
-    }
-
-    fn mode(&self) -> ExecMode {
+    /// One source per parallel unit (union arm or join component), unit
+    /// `i` owning the next `counts[i]` stored plans.
+    fn split(&mut self, counts: impl Iterator<Item = usize>) -> Vec<PlanSource<'a>> {
         match self {
-            PlanSource::Inline(_, mode) => *mode,
-            PlanSource::Stored { mode, .. } => *mode,
+            PlanSource::Inline(strategy) => counts.map(|_| PlanSource::Inline(*strategy)).collect(),
+            PlanSource::Stored { plans, next } => counts
+                .map(|n| {
+                    let unit = &plans[*next..*next + n];
+                    *next += n;
+                    PlanSource::Stored {
+                        plans: unit,
+                        next: 0,
+                    }
+                })
+                .collect(),
         }
     }
 }
 
-/// Evaluate any FOL query under the default cost-chosen operator mix,
-/// returning the deduplicated result rows (one per head tuple).
-pub fn execute(storage: &dyn Storage, q: &FolQuery, meter: &mut Meter) -> Vec<Row> {
-    execute_with(storage, q, meter, JoinStrategy::CostChosen)
-}
-
-/// Evaluate any FOL query under an explicit [`JoinStrategy`] (forced
-/// modes exist for the differential test harness and benchmarks).
-pub fn execute_with(
+/// Evaluate any FOL query, returning the deduplicated result rows (one
+/// per head tuple). Conjunctions replay `prepared` when given — the plans
+/// must have been prepared for this exact query shape, and a shape
+/// mismatch panics rather than silently misplanning — and are planned
+/// under `strategy` otherwise.
+///
+/// With `threads > 1` the independent units of `q` fan out across up to
+/// `threads` OS threads: the arms of a top-level UCQ/USCQ, or the
+/// components of a JUCQ/JUSCQ. Each worker owns a private [`Meter`];
+/// deltas are merged into `meter` in arm/component index order, so merged
+/// totals and `arm_metrics` are deterministic and the
+/// arm-sums-equal-totals invariant holds exactly as in sequential
+/// execution. Worker meters never share scan state, so the profile's
+/// cross-arm rescan discount does not apply under the parallel path (a
+/// non-issue for discount-free profiles like pg-like; under db2-like,
+/// parallel totals conservatively price every arm's first scan at full
+/// cost).
+pub fn execute(
     storage: &dyn Storage,
     q: &FolQuery,
     meter: &mut Meter,
     strategy: JoinStrategy,
+    prepared: Option<&PreparedPlans>,
+    threads: usize,
 ) -> Vec<Row> {
-    execute_mode(storage, q, meter, strategy, ExecMode::default())
-}
-
-/// Evaluate any FOL query under an explicit strategy *and* [`ExecMode`].
-/// `ExecMode::Batched` (the default everywhere) runs conjunctions through
-/// the vectorized pipeline in [`crate::columnar`]; `ExecMode::Row` runs
-/// the classic tuple-at-a-time pipeline. Both produce identical answer
-/// sets and meter totals — the differential harness holds them to it.
-pub fn execute_mode(
-    storage: &dyn Storage,
-    q: &FolQuery,
-    meter: &mut Meter,
-    strategy: JoinStrategy,
-    mode: ExecMode,
-) -> Vec<Row> {
-    execute_from(storage, q, meter, &mut PlanSource::Inline(strategy, mode))
-}
-
-/// Evaluate `q` replaying [`PreparedPlans`] — no `plan_conjunction` calls.
-/// The plans must have been prepared for this exact query shape (and, for
-/// meaningful results, this storage's statistics); a shape mismatch
-/// panics rather than silently misplanning.
-pub fn execute_planned(
-    storage: &dyn Storage,
-    q: &FolQuery,
-    meter: &mut Meter,
-    prepared: &PreparedPlans,
-) -> Vec<Row> {
-    let mut source = PlanSource::stored(&prepared.plans, prepared.mode);
-    let rows = execute_from(storage, q, meter, &mut source);
-    if let PlanSource::Stored { next, plans, .. } = source {
+    let mut source = match prepared {
+        Some(p) => PlanSource::Stored {
+            plans: &p.plans,
+            next: 0,
+        },
+        None => PlanSource::Inline(strategy),
+    };
+    let src = &mut source;
+    let set = match q {
+        FolQuery::Cq(cq) => eval_conjunction(storage, cq, meter, src),
+        FolQuery::Scq(scq) => eval_conjunction(storage, scq, meter, src),
+        FolQuery::Ucq(ucq) => eval_union(storage, ucq, meter, src, threads, true),
+        FolQuery::Uscq(uscq) => eval_union(storage, uscq, meter, src, threads, true),
+        FolQuery::Jucq(j) => eval_join(storage, j.components(), j.head(), meter, src, threads),
+        FolQuery::Juscq(j) => eval_join(storage, j.components(), j.head(), meter, src, threads),
+    };
+    if let PlanSource::Stored { plans, next } = source {
         assert_eq!(
             next,
             plans.len(),
             "prepared plan count must match the query's conjunction count"
         );
     }
-    rows
-}
-
-fn execute_from(
-    storage: &dyn Storage,
-    q: &FolQuery,
-    meter: &mut Meter,
-    source: &mut PlanSource,
-) -> Vec<Row> {
-    let set = match q {
-        FolQuery::Cq(cq) => eval_cq_set(storage, cq, meter, source),
-        FolQuery::Ucq(ucq) => eval_ucq_set(storage, ucq, meter, source),
-        FolQuery::Scq(scq) => eval_scq_set(storage, scq, meter, source),
-        FolQuery::Uscq(uscq) => eval_uscq_set(storage, uscq, meter, source),
-        FolQuery::Jucq(jucq) => eval_jucq_set(storage, jucq, meter, source),
-        FolQuery::Juscq(juscq) => eval_juscq_set(storage, juscq, meter, source),
-    };
     meter.metrics.output = set.len() as u64;
     set.into_rows()
-}
-
-// ---------------------------------------------------------------------
-// intra-query parallelism
-// ---------------------------------------------------------------------
-
-/// Evaluate `q` fanning its independent units across up to `threads` OS
-/// threads: the arms of a top-level UCQ/USCQ, or the components of a
-/// JUCQ/JUSCQ. Non-union shapes (and `threads <= 1`) run sequentially.
-///
-/// Each worker owns a private [`Meter`]; deltas are merged into `meter`
-/// in arm/component index order, so merged totals and `arm_metrics` are
-/// deterministic and the arm-sums-equal-totals invariant holds exactly as
-/// in sequential execution. Worker meters never share scan state, so the
-/// profile's cross-arm rescan discount does not apply under the parallel
-/// path (a non-issue for discount-free profiles like pg-like; under
-/// db2-like, parallel totals conservatively price every arm's first scan
-/// at full cost).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_parallel(
-    storage: &dyn Storage,
-    q: &FolQuery,
-    meter: &mut Meter,
-    strategy: JoinStrategy,
-    mode: ExecMode,
-    prepared: Option<&PreparedPlans>,
-    threads: usize,
-) -> Vec<Row> {
-    let sequential = |meter: &mut Meter| match prepared {
-        Some(p) => execute_planned(storage, q, meter, p),
-        None => execute_mode(storage, q, meter, strategy, mode),
-    };
-    if threads <= 1 {
-        return sequential(meter);
-    }
-    let set = match q {
-        FolQuery::Ucq(ucq) => {
-            let offsets = plan_offsets(ucq.cqs().iter().map(|cq| usize::from(cq.num_atoms() > 0)));
-            let profile = meter.profile();
-            let results = fan_out(ucq.cqs(), threads, |i, cq| {
-                let arm_started = std::time::Instant::now();
-                let mut wm = Meter::new(profile);
-                let mut src = arm_source(prepared, &offsets, i, strategy, mode);
-                let rows = eval_cq_set(storage, cq, &mut wm, &mut src);
-                wm.on_hash_build(rows.len() as u64);
-                let mut delta = wm.metrics;
-                delta.output = rows.len() as u64;
-                delta.wall = arm_started.elapsed();
-                (rows, delta)
-            });
-            let mut out = RowSet::new(ucq.head().len());
-            for (rows, delta) in results {
-                meter.merge_arm(delta);
-                out.extend(rows);
-            }
-            out
-        }
-        FolQuery::Uscq(uscq) => {
-            let offsets = plan_offsets(
-                uscq.scqs()
-                    .iter()
-                    .map(|s| usize::from(!s.slots().is_empty())),
-            );
-            let profile = meter.profile();
-            let results = fan_out(uscq.scqs(), threads, |i, scq| {
-                let arm_started = std::time::Instant::now();
-                let mut wm = Meter::new(profile);
-                let mut src = arm_source(prepared, &offsets, i, strategy, mode);
-                let rows = eval_scq_set(storage, scq, &mut wm, &mut src);
-                wm.on_hash_build(rows.len() as u64);
-                let mut delta = wm.metrics;
-                delta.output = rows.len() as u64;
-                delta.wall = arm_started.elapsed();
-                (rows, delta)
-            });
-            let mut out = RowSet::new(uscq.head().len());
-            for (rows, delta) in results {
-                meter.merge_arm(delta);
-                out.extend(rows);
-            }
-            out
-        }
-        FolQuery::Jucq(jucq) => {
-            let offsets = plan_offsets(
-                jucq.components()
-                    .iter()
-                    .map(|c| c.cqs().iter().filter(|cq| cq.num_atoms() > 0).count()),
-            );
-            let profile = meter.profile();
-            let results = fan_out(jucq.components(), threads, |i, comp| {
-                let mut wm = Meter::new(profile);
-                let mut src = arm_source(prepared, &offsets, i, strategy, mode);
-                let set = eval_ucq_set_inner(storage, comp, &mut wm, &mut src, false);
-                let rel = materialize(comp.head(), set, &mut wm);
-                (rel, wm.metrics)
-            });
-            let mut relations = Vec::with_capacity(results.len());
-            for (rel, delta) in results {
-                meter.merge_unattributed(&delta);
-                relations.push(rel);
-            }
-            join_relations(relations, jucq.head(), meter)
-        }
-        FolQuery::Juscq(juscq) => {
-            let offsets = plan_offsets(
-                juscq
-                    .components()
-                    .iter()
-                    .map(|c| c.scqs().iter().filter(|s| !s.slots().is_empty()).count()),
-            );
-            let profile = meter.profile();
-            let results = fan_out(juscq.components(), threads, |i, comp| {
-                let mut wm = Meter::new(profile);
-                let mut src = arm_source(prepared, &offsets, i, strategy, mode);
-                let set = eval_uscq_set_inner(storage, comp, &mut wm, &mut src, false);
-                let rel = materialize(comp.head(), set, &mut wm);
-                (rel, wm.metrics)
-            });
-            let mut relations = Vec::with_capacity(results.len());
-            for (rel, delta) in results {
-                meter.merge_unattributed(&delta);
-                relations.push(rel);
-            }
-            join_relations(relations, juscq.head(), meter)
-        }
-        _ => return sequential(meter),
-    };
-    meter.metrics.output = set.len() as u64;
-    set.into_rows()
-}
-
-/// Prefix offsets into [`PreparedPlans::plans`]: unit `i` (union arm or
-/// JUCQ/JUSCQ component) owns the stored plans in
-/// `plans[offsets[i]..offsets[i + 1]]`. `plan_counts` yields, per unit,
-/// how many *non-empty* conjunctions it contains (0 or 1 for UCQ/USCQ
-/// arms — empty bodies plan nothing, mirroring `prepare_plans_mode`).
-fn plan_offsets(plan_counts: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut offsets = vec![0usize];
-    for count in plan_counts {
-        offsets.push(offsets.last().unwrap() + count);
-    }
-    offsets
-}
-
-/// The plan source for one parallel unit: a slice of the stored plans, or
-/// inline planning when no prepared plans were supplied.
-fn arm_source<'a>(
-    prepared: Option<&'a PreparedPlans>,
-    offsets: &[usize],
-    i: usize,
-    strategy: JoinStrategy,
-    mode: ExecMode,
-) -> PlanSource<'a> {
-    match prepared {
-        Some(p) => PlanSource::stored(&p.plans[offsets[i]..offsets[i + 1]], p.mode),
-        None => PlanSource::Inline(strategy, mode),
-    }
 }
 
 /// Run `f` over every item on up to `threads` scoped worker threads
@@ -481,123 +339,100 @@ fn fan_out<'e, T: Sync, R: Send>(
         .collect()
 }
 
-fn eval_cq_set(
+/// A union's rows: its arms' sets, each booked as inserted into the
+/// union (`on_hash_build`). `track_arms` is false when the union is a
+/// JUCQ component: arm metrics are a top-level-union contract (their
+/// deltas sum to the statement totals), and component work interleaves
+/// with materialize/join work that belongs to no arm. Arms fan out over
+/// `threads` workers when there is more than one.
+fn eval_union<U: Union>(
     storage: &dyn Storage,
-    cq: &CQ,
+    union: &U,
     meter: &mut Meter,
     source: &mut PlanSource,
-) -> RowSet {
-    let slots: Vec<Slot> = cq.atoms().iter().map(|a| Slot::single(*a)).collect();
-    eval_conjunction(storage, &slots, cq.head(), meter, source)
-}
-
-fn eval_ucq_set(
-    storage: &dyn Storage,
-    ucq: &obda_query::UCQ,
-    meter: &mut Meter,
-    source: &mut PlanSource,
-) -> RowSet {
-    eval_ucq_set_inner(storage, ucq, meter, source, true)
-}
-
-/// `track_arms` is false when the union is a JUCQ component: arm metrics
-/// are a top-level-union contract (their deltas sum to the statement
-/// totals), and component work interleaves with materialize/join work
-/// that belongs to no arm.
-fn eval_ucq_set_inner(
-    storage: &dyn Storage,
-    ucq: &obda_query::UCQ,
-    meter: &mut Meter,
-    source: &mut PlanSource,
+    threads: usize,
     track_arms: bool,
 ) -> RowSet {
-    let mut out = RowSet::new(ucq.head().len());
-    for cq in ucq.cqs() {
-        if track_arms {
-            meter.begin_arm();
+    let mut out = RowSet::new(union.head().len());
+    if threads <= 1 {
+        for arm in union.arms() {
+            if track_arms {
+                meter.begin_arm();
+            }
+            let rows = eval_conjunction(storage, arm, meter, source);
+            meter.on_hash_build(rows.len() as u64);
+            if track_arms {
+                meter.end_arm(rows.len() as u64);
+            }
+            out.extend(rows);
         }
-        let rows = eval_cq_set(storage, cq, meter, source);
-        meter.on_hash_build(rows.len() as u64);
-        if track_arms {
-            meter.end_arm(rows.len() as u64);
-        }
+        return out;
+    }
+    let sources = source.split(
+        union
+            .arms()
+            .iter()
+            .map(|a| usize::from(!a.body().is_empty())),
+    );
+    let profile = meter.profile();
+    let results = fan_out(union.arms(), threads, |i, arm| {
+        let arm_started = Instant::now();
+        let mut wm = Meter::new(profile);
+        let mut src = sources[i];
+        let rows = eval_conjunction(storage, arm, &mut wm, &mut src);
+        wm.on_hash_build(rows.len() as u64);
+        let mut delta = wm.metrics;
+        delta.output = rows.len() as u64;
+        delta.wall = arm_started.elapsed();
+        (rows, delta)
+    });
+    for (rows, delta) in results {
+        meter.merge_arm(delta);
         out.extend(rows);
     }
     out
 }
 
-fn eval_scq_set(
+/// A JUCQ or JUSCQ: materialize each component, then join them. The
+/// components fan out over `threads` workers when there is more than one.
+fn eval_join<U: Union>(
     storage: &dyn Storage,
-    scq: &SCQ,
+    components: &[U],
+    head: &[Term],
     meter: &mut Meter,
     source: &mut PlanSource,
+    threads: usize,
 ) -> RowSet {
-    eval_conjunction(storage, scq.slots(), scq.head(), meter, source)
-}
-
-fn eval_uscq_set(
-    storage: &dyn Storage,
-    uscq: &USCQ,
-    meter: &mut Meter,
-    source: &mut PlanSource,
-) -> RowSet {
-    eval_uscq_set_inner(storage, uscq, meter, source, true)
-}
-
-fn eval_uscq_set_inner(
-    storage: &dyn Storage,
-    uscq: &USCQ,
-    meter: &mut Meter,
-    source: &mut PlanSource,
-    track_arms: bool,
-) -> RowSet {
-    let mut out = RowSet::new(uscq.head().len());
-    for scq in uscq.scqs() {
-        if track_arms {
-            meter.begin_arm();
-        }
-        let rows = eval_scq_set(storage, scq, meter, source);
-        meter.on_hash_build(rows.len() as u64);
-        if track_arms {
-            meter.end_arm(rows.len() as u64);
-        }
-        out.extend(rows);
-    }
-    out
-}
-
-fn eval_jucq_set(
-    storage: &dyn Storage,
-    jucq: &JUCQ,
-    meter: &mut Meter,
-    source: &mut PlanSource,
-) -> RowSet {
-    let relations: Vec<Relation> = jucq
-        .components()
-        .iter()
-        .map(|c| {
-            let set = eval_ucq_set_inner(storage, c, meter, source, false);
-            materialize(c.head(), set, meter)
-        })
-        .collect();
-    join_relations(relations, jucq.head(), meter)
-}
-
-fn eval_juscq_set(
-    storage: &dyn Storage,
-    juscq: &JUSCQ,
-    meter: &mut Meter,
-    source: &mut PlanSource,
-) -> RowSet {
-    let relations: Vec<Relation> = juscq
-        .components()
-        .iter()
-        .map(|c| {
-            let set = eval_uscq_set_inner(storage, c, meter, source, false);
-            materialize(c.head(), set, meter)
-        })
-        .collect();
-    join_relations(relations, juscq.head(), meter)
+    let relations: Vec<Relation> = if threads <= 1 {
+        components
+            .iter()
+            .map(|c| {
+                let set = eval_union(storage, c, meter, source, 1, false);
+                materialize(c.head(), set, meter)
+            })
+            .collect()
+    } else {
+        let sources = source.split(
+            components
+                .iter()
+                .map(|c| c.arms().iter().filter(|a| !a.body().is_empty()).count()),
+        );
+        let profile = meter.profile();
+        let results = fan_out(components, threads, |i, c| {
+            let mut wm = Meter::new(profile);
+            let mut src = sources[i];
+            let set = eval_union(storage, c, &mut wm, &mut src, 1, false);
+            (materialize(c.head(), set, &mut wm), wm.metrics)
+        });
+        results
+            .into_iter()
+            .map(|(rel, delta)| {
+                meter.merge_unattributed(&delta);
+                rel
+            })
+            .collect()
+    };
+    join_relations(relations, head, meter)
 }
 
 /// Materialize a component result (the `WITH sqlN AS (SELECT DISTINCT …)`
@@ -607,23 +442,19 @@ fn materialize<'q>(head: &'q [Term], rows: RowSet, meter: &mut Meter) -> Relatio
     Relation { head, rows }
 }
 
-// ---------------------------------------------------------------------
-// conjunction pipeline
-// ---------------------------------------------------------------------
-
-/// Evaluate a conjunction of disjunctive slots, projecting `head`. Each
-/// step runs the physical operator recorded in the plan — freshly chosen
-/// by the planner (inline mode) or replayed from a stored plan.
-fn eval_conjunction(
+/// Evaluate one conjunction, projecting its head, through the batched
+/// pipeline ([`crate::columnar::run_plan`]) under the plan the source
+/// gives: freshly chosen by the planner, or replayed from a stored plan.
+fn eval_conjunction<C: Conjunction>(
     storage: &dyn Storage,
-    slots: &[Slot],
-    head: &[Term],
+    c: &C,
     meter: &mut Meter,
     source: &mut PlanSource,
 ) -> RowSet {
-    if slots.is_empty() {
+    let (body, head) = (c.body(), c.head());
+    if body.is_empty() {
         // Empty body: true, the empty tuple (constants in head allowed).
-        // No plan is consumed — prepare_plans_mode skips empty conjunctions
+        // No plan is consumed — prepare_plans skips empty conjunctions
         // with the same rule, keeping the stored-plan cursor aligned.
         let row: Option<Row> = head
             .iter()
@@ -639,22 +470,14 @@ fn eval_conjunction(
         }
         return out;
     }
-
-    let mode = source.mode();
     let inline_plan;
     let plan: &ConjunctionPlan = match source {
-        PlanSource::Inline(strategy, mode) => {
-            inline_plan = plan_conjunction_mode(
-                slots,
-                head,
-                storage.stats(),
-                storage.layout(),
-                *strategy,
-                *mode,
-            );
+        PlanSource::Inline(strategy) => {
+            inline_plan =
+                plan_conjunction(body, head, storage.stats(), storage.layout(), *strategy);
             &inline_plan
         }
-        PlanSource::Stored { plans, next, .. } => {
+        PlanSource::Stored { plans, next } => {
             let plan = plans
                 .get(*next)
                 .expect("stored plans exhausted before the query's conjunctions");
@@ -662,319 +485,7 @@ fn eval_conjunction(
             plan
         }
     };
-
-    if mode == ExecMode::Batched {
-        return crate::columnar::run_plan(storage, slots, head, plan, meter);
-    }
-
-    // Bound-variable layout grows as slots execute.
-    let mut var_pos: FxHashMap<VarId, usize> = FxHashMap::default();
-    let mut rows: Vec<Row> = vec![Vec::new()];
-    for step in &plan.steps {
-        let slot = &slots[step.slot];
-        // Canonical order in which this slot's new variables are appended
-        // to rows. Slot atoms share one variable *set* but may list it in
-        // different positional orders (e.g. r(x,y) ∨ r2(y,x)), so
-        // extensions are keyed by variable, not by atom position.
-        let mut new_var_order: Vec<VarId> = Vec::new();
-        for v in slot.atoms()[0].vars() {
-            if !var_pos.contains_key(&v) && !new_var_order.contains(&v) {
-                new_var_order.push(v);
-            }
-        }
-        let next = match step.op {
-            // A row-mode run only ever sees `HashJoin`, but a plan is
-            // data — accept both spellings so a batched plan replayed
-            // through the row pipeline still executes correctly.
-            PhysicalOp::HashJoin { .. } | PhysicalOp::BatchHashJoin { .. } => hash_join_step(
-                storage,
-                slot,
-                &rows,
-                &var_pos,
-                &new_var_order,
-                step.exists,
-                meter,
-            ),
-            PhysicalOp::IndexNestedLoop(_) => inl_step(
-                storage,
-                slot,
-                &rows,
-                &var_pos,
-                &new_var_order,
-                step.exists,
-                meter,
-            ),
-        };
-        for v in new_var_order {
-            let len = var_pos.len();
-            var_pos.insert(v, len);
-        }
-        rows = next;
-        if rows.is_empty() {
-            break;
-        }
-    }
-
-    // Project the head (every row has the same width).
-    let mut out = RowSet::new(head.len());
-    let width = rows.first().map_or(0, Vec::len);
-    let Some(srcs) = head_sources(head, |v| var_pos.get(&v).copied().filter(|&p| p < width)) else {
-        return out;
-    };
-    meter.on_hash_build(rows.len() as u64);
-    let mut tuple = vec![0; head.len()];
-    for row in &rows {
-        fill_tuple(&mut tuple, &srcs, |p| row[p]);
-        out.insert(&tuple);
-    }
-    out
-}
-
-/// One index-nested-loop step: per current row, probe/extend through each
-/// atom of the slot (unbound atoms share one prescan). An existence step
-/// keeps a row's first witness and skips the slot's remaining atoms for
-/// that row.
-fn inl_step(
-    storage: &dyn Storage,
-    slot: &Slot,
-    rows: &[Row],
-    var_pos: &FxHashMap<VarId, usize>,
-    new_var_order: &[VarId],
-    exists: bool,
-    meter: &mut Meter,
-) -> Vec<Row> {
-    // Pre-scan unbound atoms once (shared across current rows).
-    let prescans: Vec<Option<Prescan>> = slot
-        .atoms()
-        .iter()
-        .map(|a| prescan_if_unbound(storage, a, var_pos, meter))
-        .collect();
-    let mut next: Vec<Row> = Vec::new();
-    for row in rows {
-        for (atom, prescan) in slot.atoms().iter().zip(&prescans) {
-            let before = next.len();
-            extend_row(
-                storage,
-                atom,
-                prescan.as_ref(),
-                row,
-                var_pos,
-                new_var_order,
-                exists,
-                meter,
-                &mut next,
-            );
-            if exists && next.len() > before {
-                break;
-            }
-        }
-    }
-    next
-}
-
-/// One hash-join step: scan each atom's extension once into a hash table
-/// keyed on the already-bound slot variable, then probe every current
-/// row. Equivalent to [`inl_step`] up to intermediate-row order (the
-/// final result is a set, so order never shows).
-///
-/// The planner only emits hash joins for keyed *expansion* steps (≥ 1
-/// bound variable AND ≥ 1 new variable — see `plan_conjunction`).
-/// Because slot atoms share one variable set and an atom has at most
-/// two positions, every hash-eligible slot consists of exactly
-/// two-distinct-variable role atoms: one bound key variable, one new
-/// variable, no constants. The build therefore inserts `u32 → u32`
-/// straight from the scan callbacks, allocation-free per tuple — hash
-/// joins must beat INL in wall time where the cost model says they do,
-/// not just in work units. An existence step still builds the whole
-/// table, but each probe emits at most one value.
-fn hash_join_step(
-    storage: &dyn Storage,
-    slot: &Slot,
-    rows: &[Row],
-    var_pos: &FxHashMap<VarId, usize>,
-    new_var_order: &[VarId],
-    exists: bool,
-    meter: &mut Meter,
-) -> Vec<Row> {
-    let key_vars: Vec<VarId> = slot
-        .vars()
-        .into_iter()
-        .filter(|v| var_pos.contains_key(v))
-        .collect();
-    assert_eq!(key_vars.len(), 1, "hash join keys on one bound variable");
-    assert_eq!(
-        new_var_order.len(),
-        1,
-        "hash join steps bind exactly one new variable"
-    );
-    let key_var = key_vars[0];
-
-    // Build side: key value → new-variable values, straight from the
-    // scan callbacks. Atoms may list the shared variable set in either
-    // positional order (r(x, y) ∨ r2(y, x)); both feed one table.
-    let mut table: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    let mut inserted: u64 = 0;
-    for atom in slot.atoms() {
-        let Atom::Role(r, Term::Var(v1), Term::Var(v2)) = atom else {
-            unreachable!("hash-eligible slots contain only two-variable role atoms")
-        };
-        let key_on_subject = *v1 == key_var;
-        debug_assert!(
-            key_on_subject || *v2 == key_var,
-            "slot atom must use the key variable"
-        );
-        storage.for_each_role(*r, meter, &mut |s, o| {
-            let (key, val) = if key_on_subject { (s, o) } else { (o, s) };
-            inserted += 1;
-            table.entry(key).or_default().push(val);
-        });
-    }
-    meter.on_join_build(inserted);
-
-    // Probe side: one lookup per current row.
-    let key_pos = var_pos[&key_var];
-    let mut next: Vec<Row> = Vec::new();
-    for row in rows {
-        meter.on_join_probe(1);
-        if let Some(vals) = table.get(&row[key_pos]) {
-            let vals = if exists { &vals[..1] } else { &vals[..] };
-            for &val in vals {
-                let mut rr = row.clone();
-                rr.push(val);
-                next.push(rr);
-            }
-        }
-    }
-    next
-}
-
-/// A materialized scan of an atom whose variables are all unbound.
-enum Prescan {
-    Concept(Vec<u32>),
-    Role(Vec<(u32, u32)>),
-}
-
-fn prescan_if_unbound(
-    storage: &dyn Storage,
-    atom: &Atom,
-    var_pos: &FxHashMap<VarId, usize>,
-    meter: &mut Meter,
-) -> Option<Prescan> {
-    let term_bound = |t: &Term| match t {
-        Term::Const(_) => true,
-        Term::Var(v) => var_pos.contains_key(v),
-    };
-    match atom {
-        Atom::Concept(c, t) if !term_bound(t) => {
-            let mut v = Vec::new();
-            storage.for_each_concept(*c, meter, &mut |x| v.push(x));
-            Some(Prescan::Concept(v))
-        }
-        Atom::Role(r, t1, t2) if !term_bound(t1) && !term_bound(t2) => {
-            let mut v = Vec::new();
-            storage.for_each_role(*r, meter, &mut |s, o| v.push((s, o)));
-            Some(Prescan::Role(v))
-        }
-        _ => None,
-    }
-}
-
-/// Extend one row through one atom. New bindings are keyed by variable and
-/// appended in `new_var_order`, so every atom of a slot emits rows with
-/// identical column layout. An existence step emits at most one
-/// extension: the first witness.
-#[allow(clippy::too_many_arguments)]
-fn extend_row(
-    storage: &dyn Storage,
-    atom: &Atom,
-    prescan: Option<&Prescan>,
-    row: &Row,
-    var_pos: &FxHashMap<VarId, usize>,
-    new_var_order: &[VarId],
-    exists: bool,
-    meter: &mut Meter,
-    out: &mut Vec<Row>,
-) {
-    let limit = if exists { 1 } else { usize::MAX };
-    let start = out.len();
-    let resolve = |t: &Term| -> Option<u32> {
-        match t {
-            Term::Const(c) => Some(c.0),
-            Term::Var(v) => var_pos.get(v).map(|&p| row[p]),
-        }
-    };
-    // Append `bindings` (var → value pairs) to a copy of `row`, following
-    // the slot's canonical new-variable order.
-    let emit = |bindings: &[(VarId, u32)], out: &mut Vec<Row>| {
-        if out.len() - start >= limit {
-            return;
-        }
-        let mut rr = row.clone();
-        for v in new_var_order {
-            match bindings.iter().find(|(w, _)| w == v) {
-                Some(&(_, val)) => rr.push(val),
-                None => return, // atom doesn't bind a slot variable — bug guard
-            }
-        }
-        out.push(rr);
-    };
-    match atom {
-        Atom::Concept(c, t) => match resolve(t) {
-            Some(val) => {
-                if storage.probe_concept(*c, val, meter) {
-                    out.push(row.clone());
-                }
-            }
-            None => {
-                let Some(Prescan::Concept(members)) = prescan else {
-                    unreachable!("unbound concept atom must have a prescan")
-                };
-                let var = t.as_var().expect("unbound term is a variable");
-                for &m in members.iter().take(limit) {
-                    emit(&[(var, m)], out);
-                }
-            }
-        },
-        Atom::Role(r, t1, t2) => {
-            let b1 = resolve(t1);
-            let b2 = resolve(t2);
-            match (b1, b2) {
-                (Some(s), Some(o)) => {
-                    if storage.probe_role(*r, s, o, meter) {
-                        out.push(row.clone());
-                    }
-                }
-                (Some(s), None) => {
-                    let var = t2.as_var().expect("unbound term is a variable");
-                    storage.role_objects(*r, s, meter, &mut |o| {
-                        emit(&[(var, o)], out);
-                    });
-                }
-                (None, Some(o)) => {
-                    let var = t1.as_var().expect("unbound term is a variable");
-                    storage.role_subjects(*r, o, meter, &mut |s| {
-                        emit(&[(var, s)], out);
-                    });
-                }
-                (None, None) => {
-                    let Some(Prescan::Role(pairs)) = prescan else {
-                        unreachable!("unbound role atom must have a prescan")
-                    };
-                    let v1 = t1.as_var().expect("unbound term is a variable");
-                    let v2 = t2.as_var().expect("unbound term is a variable");
-                    if v1 == v2 {
-                        for &(s, _) in pairs.iter().filter(|(s, o)| s == o).take(limit) {
-                            emit(&[(v1, s)], out);
-                        }
-                    } else {
-                        for &(s, o) in pairs.iter().take(limit) {
-                            emit(&[(v1, s), (v2, o)], out);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    crate::columnar::run_plan(storage, body, head, plan, meter)
 }
 
 // ---------------------------------------------------------------------
@@ -1107,7 +618,7 @@ mod tests {
     use crate::layout::testutil::small_abox;
     use crate::profile::EngineProfile;
     use obda_dllite::{ConceptId, RoleId};
-    use obda_query::UCQ;
+    use obda_query::JUCQ;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
@@ -1122,7 +633,7 @@ mod tests {
         let storage = SimpleStorage::load(&abox);
         let profile = EngineProfile::pg_like();
         let mut meter = Meter::new(&profile);
-        let mut rows = execute_with(&storage, &q, &mut meter, strategy);
+        let mut rows = execute(&storage, &q, &mut meter, strategy, None, 1);
         rows.sort();
         rows
     }
@@ -1349,7 +860,7 @@ mod tests {
             ],
         ));
         let mut meter = Meter::new(&profile);
-        execute_with(&storage, &q, &mut meter, JoinStrategy::ForcedHash);
+        execute(&storage, &q, &mut meter, JoinStrategy::ForcedHash, None, 1);
         assert!(
             meter.metrics.join_build > 0 && meter.metrics.join_probe > 0,
             "hash ops metered: {:?}",
@@ -1384,7 +895,8 @@ mod tests {
                 let cq = random_connected_cq(&mut rng, &voc, n, 2);
                 let q = FolQuery::Cq(cq);
                 let mut meter = Meter::new(&profile);
-                let mut got: Vec<Row> = execute(&storage, &q, &mut meter);
+                let mut got: Vec<Row> =
+                    execute(&storage, &q, &mut meter, JoinStrategy::CostChosen, None, 1);
                 got.sort();
                 let mut want: Vec<Row> = eval_over_abox(&abox, &q)
                     .into_iter()

@@ -196,7 +196,7 @@ pub(crate) mod testutil {
 
         // Block scans see the same extents in the same order as the
         // row-at-a-time scans, with identical metering (so the batched
-        // executor's work units match the row executor's exactly).
+        // executor's work units match the row oracle's exactly).
         let mut rows_m = Meter::new(&profile);
         let mut blocks_m = Meter::new(&profile);
         let mut row_members = Vec::new();

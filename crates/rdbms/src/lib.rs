@@ -119,10 +119,7 @@ pub mod txn;
 pub use cost_model::CostModel;
 pub use engine::{ArmPlan, Engine, EngineError, EvalOptions, ExplainPlan, Lowered, QueryOutcome};
 pub use estimators::ExplainEstimator;
-pub use executor::{
-    execute, execute_mode, execute_parallel, execute_planned, execute_with, prepare_plans_mode,
-    PreparedPlans, Row,
-};
+pub use executor::{execute, prepare_plans, PreparedPlans, Row};
 pub use layout::{LayoutKind, Storage};
 pub use meter::Meter;
 pub use metrics::ExecMetrics;

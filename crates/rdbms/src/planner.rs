@@ -15,8 +15,8 @@
 //! **existence step** ([`PlanStep::exists`]): every variable it newly
 //! binds is dead — absent from the head and from every later step — so
 //! the step is a semi-join that only has to show a witness exists. The
-//! executor (both pipelines), the cost model and EXPLAIN read the flag;
-//! none of them re-derives it.
+//! executor, the cost model and EXPLAIN read the flag; none of them
+//! re-derives it.
 
 use std::fmt;
 
@@ -227,25 +227,6 @@ fn cheapest<C: Conjunct>(
     best
 }
 
-/// Greedy slot order: repeatedly take the slot minimizing
-/// `access_cost · (1 + multiplier)` given the variables bound so far.
-pub fn order_slots<C: Conjunct>(
-    slots: &[C],
-    stats: &CatalogStats,
-    layout: LayoutKind,
-) -> Vec<usize> {
-    let mut buf = PlanBuf::default();
-    buf.plan(
-        slots,
-        &[],
-        stats,
-        layout,
-        JoinStrategy::ForcedInl,
-        ExecMode::Row,
-    );
-    buf.steps.iter().map(|step| step.slot).collect()
-}
-
 // ---------------------------------------------------------------------
 // physical operator choice
 // ---------------------------------------------------------------------
@@ -274,28 +255,15 @@ impl JoinStrategy {
     }
 }
 
-/// Which execution pipeline a plan targets. Plans are mode-specific so
-/// that explain always prices — and stored plans always replay — the
-/// exact operator that runs.
+/// The native execution pipeline: columnar batches of [`BATCH_SIZE`]
+/// values, the only one there is. Nothing reads this enum; it is kept,
+/// with the three fields that name it (`ServerConfig::exec_mode`,
+/// `PreparedPlans::mode`, `EvalOptions::mode`), only until the benchmark
+/// package stops naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Tuple-at-a-time (Volcano-style) — kept as the reference/contrast
-    /// pipeline for differential testing and benchmarking.
-    Row,
-    /// Columnar batches of [`BATCH_SIZE`] values — the default native
-    /// path. Identical answers and identical meter totals to [`Self::Row`];
-    /// only the per-tuple constant factors change.
     #[default]
     Batched,
-}
-
-impl ExecMode {
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecMode::Row => "row",
-            ExecMode::Batched => "batched",
-        }
-    }
 }
 
 /// The physical operator chosen for one conjunction step.
@@ -305,16 +273,8 @@ pub enum PhysicalOp {
     /// prescan for pure scan stages.
     IndexNestedLoop(AccessKind),
     /// Scan the slot's extensions once into a hash table keyed on the
-    /// already-bound variables, then probe once per intermediate row.
-    HashJoin {
-        /// Estimated build-side rows (the slot's total extension size).
-        build_rows: f64,
-    },
-    /// The [`ExecMode::Batched`] form of [`PhysicalOp::HashJoin`]: the
-    /// build side is filled from block scans and the probe column is
-    /// processed `batch` values at a time. Same logical work (and the
-    /// same cost formula — batching changes constant factors, not tuple
-    /// counts), so the two variants price identically.
+    /// already-bound variable, then probe it with the bound column,
+    /// `batch` values at a time.
     BatchHashJoin {
         /// Estimated build-side rows (the slot's total extension size).
         build_rows: f64,
@@ -328,7 +288,6 @@ impl PhysicalOp {
         match self {
             PhysicalOp::IndexNestedLoop(AccessKind::Scan) => "scan",
             PhysicalOp::IndexNestedLoop(_) => "inl",
-            PhysicalOp::HashJoin { .. } => "hash",
             PhysicalOp::BatchHashJoin { .. } => "vhash",
         }
     }
@@ -424,9 +383,10 @@ pub fn slot_is_scan_stage(atoms: &[Atom], bound: &VarSet) -> bool {
         .all(|a| access_kind(a, bound) == AccessKind::Scan)
 }
 
-/// Plan a conjunction projecting `head`: greedy slot order (identical to
-/// [`order_slots`], so all strategies evaluate slots in the same sequence
-/// and differ only in physical operators), then per-step operator choice
+/// Plan a conjunction projecting `head`: greedy slot order (repeatedly
+/// the slot minimizing `access_cost · (1 + multiplier)` given the
+/// variables bound so far, the same under every strategy, so strategies
+/// differ only in physical operators), then per-step operator choice
 /// driven by the tracked cardinality estimate.
 pub fn plan_conjunction<C: Conjunct>(
     slots: &[C],
@@ -435,24 +395,8 @@ pub fn plan_conjunction<C: Conjunct>(
     layout: LayoutKind,
     strategy: JoinStrategy,
 ) -> ConjunctionPlan {
-    plan_conjunction_mode(slots, head, stats, layout, strategy, ExecMode::default())
-}
-
-/// [`plan_conjunction`] with an explicit [`ExecMode`]: hash steps come
-/// out as [`PhysicalOp::HashJoin`] (row mode) or
-/// [`PhysicalOp::BatchHashJoin`] (batched mode). Slot order, operator
-/// choices, existence flags and estimated costs are identical across
-/// modes.
-pub fn plan_conjunction_mode<C: Conjunct>(
-    slots: &[C],
-    head: &[Term],
-    stats: &CatalogStats,
-    layout: LayoutKind,
-    strategy: JoinStrategy,
-    mode: ExecMode,
-) -> ConjunctionPlan {
     let mut buf = PlanBuf::default();
-    buf.plan(slots, head, stats, layout, strategy, mode);
+    buf.plan(slots, head, stats, layout, strategy);
     ConjunctionPlan { steps: buf.steps }
 }
 
@@ -474,7 +418,7 @@ pub(crate) struct PlanBuf {
 }
 
 impl PlanBuf {
-    /// Plan `slots` as [`plan_conjunction_mode`] does, into `self.steps`.
+    /// Plan `slots` as [`plan_conjunction`] does, into `self.steps`.
     pub(crate) fn plan<C: Conjunct>(
         &mut self,
         slots: &[C],
@@ -482,7 +426,6 @@ impl PlanBuf {
         stats: &CatalogStats,
         layout: LayoutKind,
         strategy: JoinStrategy,
-        mode: ExecMode,
     ) {
         let PlanBuf {
             remaining,
@@ -540,12 +483,9 @@ impl PlanBuf {
                 JoinStrategy::CostChosen => hash_eligible && hash < inl * HASH_COST_MARGIN,
             };
             let (op, est_cost) = if use_hash {
-                let op = match mode {
-                    ExecMode::Row => PhysicalOp::HashJoin { build_rows },
-                    ExecMode::Batched => PhysicalOp::BatchHashJoin {
-                        build_rows,
-                        batch: BATCH_SIZE,
-                    },
+                let op = PhysicalOp::BatchHashJoin {
+                    build_rows,
+                    batch: BATCH_SIZE,
                 };
                 (op, hash)
             } else {
@@ -589,13 +529,20 @@ mod tests {
         Term::Var(VarId(2)),
     ];
 
-    /// Either hash variant — most operator-choice assertions are
-    /// mode-independent.
     fn is_hash(op: PhysicalOp) -> bool {
-        matches!(
-            op,
-            PhysicalOp::HashJoin { .. } | PhysicalOp::BatchHashJoin { .. }
-        )
+        matches!(op, PhysicalOp::BatchHashJoin { .. })
+    }
+
+    /// The greedy slot order, as the forced-INL plan takes it.
+    fn slot_order<C: Conjunct>(slots: &[C], stats: &CatalogStats) -> Vec<usize> {
+        let plan = plan_conjunction(
+            slots,
+            &[],
+            stats,
+            LayoutKind::Simple,
+            JoinStrategy::ForcedInl,
+        );
+        plan.steps.iter().map(|step| step.slot).collect()
     }
 
     fn stats_with_skew() -> CatalogStats {
@@ -640,7 +587,7 @@ mod tests {
             Slot::single(Atom::Concept(ConceptId(1), v(0))), // Big
             Slot::single(Atom::Concept(ConceptId(0), v(0))), // Small
         ];
-        let order = order_slots(&slots, &stats, LayoutKind::Simple);
+        let order = slot_order(&slots, &stats);
         assert_eq!(order[0], 1, "Small first");
     }
 
@@ -679,7 +626,7 @@ mod tests {
     fn plan_order_matches_order_slots_under_every_strategy() {
         let stats = stats_with_skew();
         let slots = cartesian_slots();
-        let base = order_slots(&slots, &stats, LayoutKind::Simple);
+        let base = slot_order(&slots, &stats);
         for strategy in [
             JoinStrategy::ForcedInl,
             JoinStrategy::ForcedHash,
@@ -882,7 +829,6 @@ mod tests {
         assert_eq!(JoinStrategy::ForcedInl.name(), "forced-inl");
         assert_eq!(JoinStrategy::ForcedHash.name(), "forced-hash");
         assert_eq!(JoinStrategy::CostChosen.name(), "cost-chosen");
-        assert_eq!(PhysicalOp::HashJoin { build_rows: 1.0 }.name(), "hash");
         assert_eq!(
             PhysicalOp::BatchHashJoin {
                 build_rows: 1.0,
@@ -896,55 +842,6 @@ mod tests {
             PhysicalOp::IndexNestedLoop(AccessKind::BySubject).name(),
             "inl"
         );
-        assert_eq!(ExecMode::default(), ExecMode::Batched);
-        assert_eq!(ExecMode::Row.name(), "row");
-        assert_eq!(ExecMode::Batched.name(), "batched");
-    }
-
-    #[test]
-    fn modes_agree_on_order_costs_and_choices() {
-        let stats = chain_stats();
-        for strategy in [
-            JoinStrategy::ForcedInl,
-            JoinStrategy::ForcedHash,
-            JoinStrategy::CostChosen,
-        ] {
-            let row = plan_conjunction_mode(
-                &chain_slots(),
-                LIVE,
-                &stats,
-                LayoutKind::Simple,
-                strategy,
-                ExecMode::Row,
-            );
-            let batched = plan_conjunction_mode(
-                &chain_slots(),
-                LIVE,
-                &stats,
-                LayoutKind::Simple,
-                strategy,
-                ExecMode::Batched,
-            );
-            assert_eq!(row.steps.len(), batched.steps.len());
-            for (r, b) in row.steps.iter().zip(&batched.steps) {
-                assert_eq!(r.slot, b.slot, "{strategy:?}: slot order");
-                assert_eq!(r.est_cost, b.est_cost, "{strategy:?}: step cost");
-                assert_eq!(r.est_rows, b.est_rows, "{strategy:?}: cardinality");
-                match (r.op, b.op) {
-                    (
-                        PhysicalOp::HashJoin { build_rows: br },
-                        PhysicalOp::BatchHashJoin {
-                            build_rows: bb,
-                            batch,
-                        },
-                    ) => {
-                        assert_eq!(br, bb);
-                        assert_eq!(batch, crate::layout::BATCH_SIZE);
-                    }
-                    (r_op, b_op) => assert_eq!(r_op, b_op, "{strategy:?}: non-hash ops agree"),
-                }
-            }
-        }
     }
 
     /// The existence flag is set iff every variable the step newly binds

@@ -27,7 +27,7 @@
 //!   UCQ/USCQ (or the components of a JUCQ/JUSCQ) fan out across scoped
 //!   worker threads with per-thread meters, merged deterministically in
 //!   arm order so the arm-sums-equal-totals metering invariant survives
-//!   parallel execution (see [`crate::executor::execute_parallel`]).
+//!   parallel execution (see [`crate::executor::execute`]).
 //! * **A TBox-lifetime half of compilation** — reformulation runs
 //!   through the snapshot's [`RewriteContext`] (`obda_core`): the TBox
 //!   scope (TBox, predicate dependencies, saturated closure), the
@@ -177,9 +177,8 @@ pub struct ServerConfig {
     pub layout: LayoutKind,
     pub profile: EngineProfile,
     pub join_strategy: JoinStrategy,
-    /// Native-pipeline execution mode: vectorized columnar batches (the
-    /// default) or the classic row-at-a-time pipeline. Cached plans are
-    /// prepared under this mode and replay it.
+    /// Read by nothing (there is one native pipeline): kept only until
+    /// the benchmark package stops naming it.
     pub exec_mode: ExecMode,
     /// How queries reach the executor: planned directly, or through the
     /// SQL-delegation path (generate → parse → lower via
@@ -650,7 +649,6 @@ impl Server {
     ) -> EngineSnapshot {
         let engine = Engine::load(abox, voc, config.layout, config.profile.clone())
             .with_join_strategy(config.join_strategy)
-            .with_exec_mode(config.exec_mode)
             .with_backend(config.backend);
         EngineSnapshot {
             engine,

@@ -14,7 +14,7 @@
 //!   [`FolQuery`](obda_query::FolQuery) it denotes.
 //!
 //! From there [`crate::engine::Engine`] plans and runs it like any other
-//! query (`prepare` → `execute_parallel` → `columnar::run_plan`): one
+//! query (`prepare` → `execute` → `columnar::run_plan`): one
 //! planner, one join, one `DISTINCT`, one [`crate::meter::Meter`].
 //! Nothing in this module scans storage, joins, deduplicates or meters.
 //!

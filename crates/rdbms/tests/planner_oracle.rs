@@ -3,9 +3,9 @@
 //! with a `Vec<Slot>` per CQ, copied below together with the cost
 //! model's pricing loop. Both must return the same plans (slot order,
 //! operators, existence flags, `f64` estimates bit for bit) and the same
-//! estimates for every dialect, under every layout, join strategy,
-//! execution mode and engine profile — also when variable ids run past
-//! any fixed bitset width.
+//! estimates for every dialect, under every layout, join strategy and
+//! engine profile — also when variable ids run past any fixed bitset
+//! width.
 
 use std::collections::BTreeSet;
 
@@ -17,9 +17,8 @@ use obda_query::testkit::{random_abox, random_fol_query, random_tbox, KbShape, R
 use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
 use obda_rdbms::layout::BATCH_SIZE;
 use obda_rdbms::planner::{
-    plan_conjunction_mode, AccessKind, ConjunctionPlan, ExecMode, JoinStrategy, PhysicalOp,
-    PlanStep, HASH_BUILD_WEIGHT, HASH_COST_MARGIN, HASH_PROBE_WEIGHT, INDEX_PROBE_WEIGHT,
-    MATERIALIZE_WEIGHT,
+    self, AccessKind, ConjunctionPlan, JoinStrategy, PhysicalOp, PlanStep, HASH_BUILD_WEIGHT,
+    HASH_COST_MARGIN, HASH_PROBE_WEIGHT, INDEX_PROBE_WEIGHT, MATERIALIZE_WEIGHT,
 };
 use obda_rdbms::{CatalogStats, CostModel, EngineProfile, LayoutKind};
 
@@ -174,7 +173,6 @@ fn plan_conjunction(
     stats: &CatalogStats,
     layout: LayoutKind,
     strategy: JoinStrategy,
-    mode: ExecMode,
 ) -> ConjunctionPlan {
     let order = order_slots(slots, stats, layout);
     let mut live: Vec<BTreeSet<VarId>> = vec![BTreeSet::new(); order.len()];
@@ -206,12 +204,9 @@ fn plan_conjunction(
             JoinStrategy::CostChosen => hash_eligible && hash < inl * HASH_COST_MARGIN,
         };
         let (op, est_cost) = if use_hash {
-            let op = match mode {
-                ExecMode::Row => PhysicalOp::HashJoin { build_rows },
-                ExecMode::Batched => PhysicalOp::BatchHashJoin {
-                    build_rows,
-                    batch: BATCH_SIZE,
-                },
+            let op = PhysicalOp::BatchHashJoin {
+                build_rows,
+                batch: BATCH_SIZE,
             };
             (op, hash)
         } else {
@@ -244,7 +239,6 @@ struct Reference<'s> {
     stats: &'s CatalogStats,
     layout: LayoutKind,
     strategy: JoinStrategy,
-    mode: ExecMode,
     collapse_limit: Option<usize>,
     rescan_discount: f64,
 }
@@ -371,14 +365,7 @@ impl Reference<'_> {
                 card: 1.0,
             };
         }
-        let plan = plan_conjunction(
-            slots,
-            head,
-            self.stats,
-            self.layout,
-            self.strategy,
-            self.mode,
-        );
+        let plan = plan_conjunction(slots, head, self.stats, self.layout, self.strategy);
         let mut bound: BTreeSet<VarId> = BTreeSet::new();
         let mut cost = 0.0;
         let mut card = 1.0f64;
@@ -390,10 +377,7 @@ impl Reference<'_> {
                 slot_estimate(slot, &bound, self.stats, self.layout)
             };
             match step.op {
-                PhysicalOp::HashJoin { build_rows }
-                | PhysicalOp::BatchHashJoin { build_rows, .. }
-                    if !degraded =>
-                {
+                PhysicalOp::BatchHashJoin { build_rows, .. } if !degraded => {
                     let mut build_scan = 0.0;
                     for atom in slot.atoms() {
                         let (key, atom_card) = match atom {
@@ -511,7 +495,6 @@ const STRATEGIES: [JoinStrategy; 3] = [
     JoinStrategy::ForcedHash,
     JoinStrategy::CostChosen,
 ];
-const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Batched];
 
 /// The engine profiles priced: both stock ones, and one whose union
 /// collapse limit is low enough that random unions hit it.
@@ -543,50 +526,42 @@ fn check_case(seed: u64) {
 
     for layout in LAYOUTS {
         for strategy in STRATEGIES {
-            for mode in MODES {
-                for (slots, head) in conjunctions(&q) {
-                    let got = plan_conjunction_mode(&slots, &head, &stats, layout, strategy, mode);
-                    let want = plan_conjunction(&slots, &head, &stats, layout, strategy, mode);
-                    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", slots);
-                }
-                for profile in profiles() {
-                    let model = CostModel::rdbms(&stats, layout, &profile)
-                        .with_strategy(strategy)
-                        .with_mode(mode);
-                    let reference = Reference {
-                        stats: &stats,
-                        layout,
-                        strategy,
-                        mode,
-                        collapse_limit: profile.union_collapse_limit,
-                        rescan_discount: profile.rescan_discount,
-                    };
-                    prop_assert_eq!(
-                        model.estimate_fol(&q).to_bits(),
-                        reference.estimate_fol(&q).to_bits(),
-                        "{} {:?}",
-                        profile.name(),
-                        q
-                    );
-                }
-                let ext = CostModel::ext(&stats, layout)
-                    .with_strategy(strategy)
-                    .with_mode(mode);
+            for (slots, head) in conjunctions(&q) {
+                let got = planner::plan_conjunction(&slots, &head, &stats, layout, strategy);
+                let want = plan_conjunction(&slots, &head, &stats, layout, strategy);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", slots);
+            }
+            for profile in profiles() {
+                let model = CostModel::rdbms(&stats, layout, &profile).with_strategy(strategy);
                 let reference = Reference {
                     stats: &stats,
                     layout,
                     strategy,
-                    mode,
-                    collapse_limit: None,
-                    rescan_discount: 1.0,
+                    collapse_limit: profile.union_collapse_limit,
+                    rescan_discount: profile.rescan_discount,
                 };
                 prop_assert_eq!(
-                    ext.estimate_fol(&q).to_bits(),
+                    model.estimate_fol(&q).to_bits(),
                     reference.estimate_fol(&q).to_bits(),
-                    "ext {:?}",
+                    "{} {:?}",
+                    profile.name(),
                     q
                 );
             }
+            let ext = CostModel::ext(&stats, layout).with_strategy(strategy);
+            let reference = Reference {
+                stats: &stats,
+                layout,
+                strategy,
+                collapse_limit: None,
+                rescan_discount: 1.0,
+            };
+            prop_assert_eq!(
+                ext.estimate_fol(&q).to_bits(),
+                reference.estimate_fol(&q).to_bits(),
+                "ext {:?}",
+                q
+            );
         }
     }
 }

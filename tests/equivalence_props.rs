@@ -87,58 +87,6 @@ proptest! {
         }
     }
 
-    /// The vectorized (batched) pipeline — the default native path — and
-    /// the classic row-at-a-time pipeline are observationally identical:
-    /// same answer sets AND same meter totals on every counter, across
-    /// all three layouts and all three join strategies.
-    #[test]
-    fn batched_and_row_execution_agree(seed in 0u64..5_000, atoms in 1usize..4) {
-        use obda::rdbms::{EvalOptions, ExecMode, JoinStrategy};
-        let (voc, _tbox, abox, cq) = fixture(seed, atoms);
-        let q = FolQuery::Cq(cq);
-        for layout in [LayoutKind::Simple, LayoutKind::Triple, LayoutKind::Dph] {
-            let engine = Engine::load(&abox, &voc, layout, EngineProfile::pg_like());
-            for strategy in [
-                JoinStrategy::ForcedInl,
-                JoinStrategy::ForcedHash,
-                JoinStrategy::CostChosen,
-            ] {
-                let run = |mode: ExecMode| {
-                    engine
-                        .evaluate_opts(
-                            &q,
-                            &EvalOptions {
-                                strategy: Some(strategy),
-                                mode: Some(mode),
-                                ..EvalOptions::default()
-                            },
-                        )
-                        .expect("pg-like profile has no statement limit")
-                };
-                let batched = run(ExecMode::Batched);
-                let row = run(ExecMode::Row);
-                let mut b = batched.rows.clone();
-                let mut r = row.rows.clone();
-                b.sort();
-                r.sort();
-                prop_assert_eq!(&b, &r, "rows drifted: {:?}/{:?}", layout, strategy);
-                let (mb, mr) = (&batched.metrics, &row.metrics);
-                let ctx = format!("{layout:?}/{strategy:?}");
-                prop_assert!(
-                    (mb.scanned - mr.scanned).abs() < 1e-9,
-                    "scanned drifted: {} ({} vs {})", ctx, mb.scanned, mr.scanned
-                );
-                prop_assert_eq!(mb.index_probes, mr.index_probes, "index_probes: {}", &ctx);
-                prop_assert_eq!(mb.hash_build, mr.hash_build, "hash_build: {}", &ctx);
-                prop_assert_eq!(mb.hash_probe, mr.hash_probe, "hash_probe: {}", &ctx);
-                prop_assert_eq!(mb.join_build, mr.join_build, "join_build: {}", &ctx);
-                prop_assert_eq!(mb.join_probe, mr.join_probe, "join_probe: {}", &ctx);
-                prop_assert_eq!(mb.materialized, mr.materialized, "materialized: {}", &ctx);
-                prop_assert_eq!(mb.output, mr.output, "output: {}", &ctx);
-            }
-        }
-    }
-
     /// The USCQ factorization of any reformulation stays equivalent.
     #[test]
     fn uscq_factorization_preserves_answers(seed in 0u64..5_000, atoms in 1usize..3) {
