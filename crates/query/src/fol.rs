@@ -3,6 +3,7 @@
 use crate::cq::CQ;
 use crate::jucq::{JUCQ, JUSCQ};
 use crate::scq::{SCQ, USCQ};
+use crate::shape::{Conjunct, Conjunction, Join, Union, Visitor};
 use crate::term::Term;
 use crate::ucq::UCQ;
 
@@ -19,15 +20,21 @@ pub enum FolQuery {
 }
 
 impl FolQuery {
-    pub fn head(&self) -> &[Term] {
+    /// Run the visitor method for this query's shape: the one place that
+    /// tells the dialects apart (besides their names).
+    pub fn visit<'q, V: Visitor<'q>>(&'q self, v: &mut V) -> V::Out {
         match self {
-            FolQuery::Cq(q) => q.head(),
-            FolQuery::Ucq(q) => q.head(),
-            FolQuery::Scq(q) => q.head(),
-            FolQuery::Uscq(q) => q.head(),
-            FolQuery::Jucq(q) => q.head(),
-            FolQuery::Juscq(q) => q.head(),
+            FolQuery::Cq(q) => v.conjunction(q),
+            FolQuery::Scq(q) => v.conjunction(q),
+            FolQuery::Ucq(q) => v.union(q),
+            FolQuery::Uscq(q) => v.union(q),
+            FolQuery::Jucq(q) => v.join(q),
+            FolQuery::Juscq(q) => v.join(q),
         }
+    }
+
+    pub fn head(&self) -> &[Term] {
+        self.visit(&mut Head)
     }
 
     /// Dialect name as in Table 4.
@@ -45,31 +52,51 @@ impl FolQuery {
     /// Total number of atoms in the formula — a size measure that tracks
     /// the length of the SQL translation.
     pub fn total_atoms(&self) -> usize {
-        match self {
-            FolQuery::Cq(q) => q.num_atoms(),
-            FolQuery::Ucq(q) => q.total_atoms(),
-            FolQuery::Scq(q) => q.total_atoms(),
-            FolQuery::Uscq(q) => q.total_atoms(),
-            FolQuery::Jucq(q) => q.total_atoms(),
-            FolQuery::Juscq(q) => q.total_atoms(),
-        }
+        self.visit(&mut Size).0
     }
 
     /// Number of union terms when flattened to a UCQ (the paper's
     /// complexity proxy), without performing the flattening.
     pub fn equivalent_cq_count(&self) -> usize {
-        match self {
-            FolQuery::Cq(_) => 1,
-            FolQuery::Ucq(q) => q.len(),
-            FolQuery::Scq(q) => q.equivalent_cq_count(),
-            FolQuery::Uscq(q) => q.equivalent_cq_count(),
-            FolQuery::Jucq(q) => q.components().iter().map(|c| c.len().max(1)).product(),
-            FolQuery::Juscq(q) => q
-                .components()
-                .iter()
-                .map(|c| c.equivalent_cq_count().max(1))
-                .product(),
-        }
+        self.visit(&mut Size).1
+    }
+}
+
+struct Head;
+
+impl<'q> Visitor<'q> for Head {
+    type Out = &'q [Term];
+    fn conjunction<C: Conjunction>(&mut self, c: &'q C) -> &'q [Term] {
+        c.head()
+    }
+    fn union<U: Union>(&mut self, u: &'q U) -> &'q [Term] {
+        u.head()
+    }
+    fn join<J: Join>(&mut self, j: &'q J) -> &'q [Term] {
+        j.head()
+    }
+}
+
+/// (atoms, equivalent CQs). A conjunction flattens to the product of its
+/// slot widths, a join to the product of its components' counts, an
+/// empty component counting as one.
+struct Size;
+
+impl Visitor<'_> for Size {
+    type Out = (usize, usize);
+    fn conjunction<C: Conjunction>(&mut self, c: &C) -> (usize, usize) {
+        let widths = c.body().iter().map(|s| s.atoms().len());
+        (widths.clone().sum(), widths.product())
+    }
+    fn union<U: Union>(&mut self, u: &U) -> (usize, usize) {
+        let atoms = u.arms().iter().map(|a| self.conjunction(a).0).sum();
+        (atoms, u.equivalent_cq_count())
+    }
+    fn join<J: Join>(&mut self, j: &J) -> (usize, usize) {
+        j.components().iter().fold((0, 1), |(atoms, cqs), c| {
+            let (a, n) = self.union(c);
+            (atoms + a, cqs * n.max(1))
+        })
     }
 }
 

@@ -73,11 +73,6 @@ impl JUCQ {
         self.components.iter().map(UCQ::len).sum()
     }
 
-    /// Total atoms across components.
-    pub fn total_atoms(&self) -> usize {
-        self.components.iter().map(UCQ::total_atoms).sum()
-    }
-
     pub fn display<'a>(&'a self, voc: &'a Vocabulary) -> impl fmt::Display + 'a {
         struct D<'a>(&'a JUCQ, &'a Vocabulary);
         impl fmt::Display for D<'_> {
@@ -116,10 +111,6 @@ impl JUSCQ {
 
     pub fn num_components(&self) -> usize {
         self.components.len()
-    }
-
-    pub fn total_atoms(&self) -> usize {
-        self.components.iter().map(USCQ::total_atoms).sum()
     }
 }
 
@@ -168,6 +159,6 @@ mod tests {
         let c2 = ucq_over(vec![v(0)], vec![Atom::Role(RoleId(0), v(0), v(1))]);
         let j = JUCQ::new(vec![v(0)], vec![c1, c2]);
         assert_eq!(j.total_cqs(), 3);
-        assert_eq!(j.total_atoms(), 3);
+        assert_eq!(crate::FolQuery::Jucq(j).total_atoms(), 3);
     }
 }

@@ -18,6 +18,7 @@ pub mod jucq;
 pub mod mgu;
 pub mod minimize;
 pub mod scq;
+pub mod shape;
 pub mod term;
 pub mod testkit;
 pub mod ucq;
@@ -32,5 +33,6 @@ pub use jucq::{JUCQ, JUSCQ};
 pub use mgu::{mgu, mgu_preferring};
 pub use minimize::{cq_core, minimize_ucq};
 pub use scq::{Slot, SCQ, USCQ};
+pub use shape::{Conjunct, Conjunction, Join, Union, Visitor};
 pub use term::{Subst, Term, VarId};
 pub use ucq::UCQ;

@@ -106,11 +106,6 @@ impl SCQ {
         self.slots.iter().map(Slot::len).product()
     }
 
-    /// Total atom count.
-    pub fn total_atoms(&self) -> usize {
-        self.slots.iter().map(Slot::len).sum()
-    }
-
     pub fn display<'a>(&'a self, voc: &'a Vocabulary) -> impl fmt::Display + 'a {
         struct D<'a>(&'a SCQ, &'a Vocabulary);
         impl fmt::Display for D<'_> {
@@ -179,10 +174,6 @@ impl USCQ {
     pub fn equivalent_cq_count(&self) -> usize {
         self.scqs.iter().map(SCQ::equivalent_cq_count).sum()
     }
-
-    pub fn total_atoms(&self) -> usize {
-        self.scqs.iter().map(SCQ::total_atoms).sum()
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +218,7 @@ mod tests {
         let slot2 = Slot::single(Atom::Concept(ConceptId(0), v(0)));
         let scq = SCQ::new(vec![v(0)], vec![slot1, slot2]);
         assert_eq!(scq.equivalent_cq_count(), 2);
-        assert_eq!(scq.total_atoms(), 3);
+        assert_eq!(crate::FolQuery::Scq(scq.clone()).total_atoms(), 3);
         let uscq = USCQ::new(
             vec![v(0)],
             vec![

@@ -141,11 +141,6 @@ impl UCQ {
         self.cqs.is_empty()
     }
 
-    /// Total number of atoms across all disjuncts.
-    pub fn total_atoms(&self) -> usize {
-        self.cqs.iter().map(CQ::num_atoms).sum()
-    }
-
     pub fn display<'a>(&'a self, voc: &'a Vocabulary) -> impl fmt::Display + 'a {
         struct D<'a>(&'a UCQ, &'a Vocabulary);
         impl fmt::Display for D<'_> {
@@ -189,7 +184,7 @@ mod tests {
         let cq2 = CQ::with_var_head(vec![VarId(0)], vec![Atom::Concept(ConceptId(1), v(0))]);
         let u = UCQ::from_cqs(vec![v(0)], [cq1, cq2]);
         assert_eq!(u.len(), 2);
-        assert_eq!(u.total_atoms(), 2);
+        assert_eq!(crate::FolQuery::Ucq(u).total_atoms(), 2);
     }
 
     #[test]

@@ -43,13 +43,13 @@
 //! pipeline that probed every atom, or kept more than one witness, would
 //! change (c) and with it every later count.
 
-use obda_query::{Atom, Term, VarId};
+use obda_query::{Atom, Conjunct, Term, VarId};
 
 use crate::executor::{fill_tuple, head_sources};
 use crate::fxhash::FxHashMap;
 use crate::layout::{Storage, BATCH_SIZE};
 use crate::meter::Meter;
-use crate::planner::{Conjunct, ConjunctionPlan, PhysicalOp};
+use crate::planner::{ConjunctionPlan, PhysicalOp};
 use crate::rowset::RowSet;
 
 /// A column-major intermediate relation: one value column per bound

@@ -14,12 +14,12 @@
 //!   formulas applied **uniformly to queries of all sizes**, with no
 //!   engine quirks.
 
-use obda_query::{Atom, FolQuery, Term, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
+use obda_query::{Atom, Conjunct, Conjunction, FolQuery, Join, Union, Visitor};
 
 use crate::fxhash::FxHashMap;
 use crate::layout::LayoutKind;
 use crate::planner::{
-    scan_cost, Conjunct, JoinStrategy, PhysicalOp, PlanBuf, HASH_BUILD_WEIGHT, HASH_PROBE_WEIGHT,
+    scan_cost, JoinStrategy, PhysicalOp, PlanBuf, HASH_BUILD_WEIGHT, HASH_PROBE_WEIGHT,
     INDEX_PROBE_WEIGHT, MATERIALIZE_WEIGHT,
 };
 use crate::profile::{EngineKind, EngineProfile};
@@ -81,56 +81,62 @@ impl<'s> CostModel<'s> {
 
     /// Estimate the evaluation cost of a FOL query (work units).
     pub fn estimate_fol(&self, q: &FolQuery) -> f64 {
-        let p = &mut Pricing::default();
-        match q {
-            FolQuery::Cq(cq) => self.est_cq(cq, p, false).cost,
-            FolQuery::Ucq(ucq) => self.est_ucq(ucq, p).cost,
-            FolQuery::Scq(scq) => self.est_scq(scq, p, false).cost,
-            FolQuery::Uscq(uscq) => self.est_uscq(uscq, p).cost,
-            FolQuery::Jucq(jucq) => self.est_jucq(jucq, p),
-            FolQuery::Juscq(juscq) => self.est_juscq(juscq, p),
-        }
+        q.visit(&mut Pricing {
+            model: self,
+            scans: FxHashMap::default(),
+            plan: PlanBuf::default(),
+            cards: Vec::new(),
+        })
     }
+}
 
-    /// A CQ's atoms are its singleton slots, priced in place.
-    fn est_cq(&self, cq: &CQ, p: &mut Pricing, degraded: bool) -> Estimate {
-        self.est_conjunction(cq.atoms(), cq.head(), p, degraded)
+/// Pricing one statement: its scan tally and the buffers every arm
+/// reuses, so no arm allocates.
+struct Pricing<'m, 's> {
+    model: &'m CostModel<'s>,
+    /// Scans so far per table (`rescan`).
+    scans: FxHashMap<(u8, u32), u32>,
+    plan: PlanBuf,
+    /// The component cardinalities of a join.
+    cards: Vec<f64>,
+}
+
+impl Visitor<'_> for Pricing<'_, '_> {
+    type Out = f64;
+    fn conjunction<C: Conjunction>(&mut self, c: &C) -> f64 {
+        self.est_conjunction(c, false).cost
     }
-
-    fn est_scq(&self, scq: &SCQ, p: &mut Pricing, degraded: bool) -> Estimate {
-        self.est_conjunction(scq.slots(), scq.head(), p, degraded)
+    fn union<U: Union>(&mut self, u: &U) -> f64 {
+        self.est_union(u).cost
     }
+    fn join<J: Join>(&mut self, j: &J) -> f64 {
+        self.est_join(j)
+    }
+}
 
-    fn est_ucq(&self, ucq: &UCQ, p: &mut Pricing) -> Estimate {
-        let degraded = self.collapse_limit.is_some_and(|limit| ucq.len() > limit);
+impl Pricing<'_, '_> {
+    fn est_union<U: Union>(&mut self, u: &U) -> Estimate {
+        let degraded = self
+            .model
+            .collapse_limit
+            .is_some_and(|limit| u.equivalent_cq_count() > limit);
         let mut total = Estimate::default();
-        for cq in ucq.cqs() {
-            let e = self.est_cq(cq, p, degraded);
+        for arm in u.arms() {
+            let e = self.est_conjunction(arm, degraded);
             total.cost += e.cost + HASH_BUILD_WEIGHT * e.card; // union dedup
             total.card += e.card;
         }
         total
     }
 
-    fn est_uscq(&self, uscq: &USCQ, p: &mut Pricing) -> Estimate {
-        let degraded = self
-            .collapse_limit
-            .is_some_and(|limit| uscq.equivalent_cq_count() > limit);
-        let mut total = Estimate::default();
-        for scq in uscq.scqs() {
-            let e = self.est_scq(scq, p, degraded);
-            total.cost += e.cost + HASH_BUILD_WEIGHT * e.card;
-            total.card += e.card;
-        }
-        total
-    }
-
-    fn est_jucq(&self, jucq: &JUCQ, p: &mut Pricing) -> f64 {
+    /// Materialize each component, then hash-join them smallest first, as
+    /// the executor's `join_relations` does.
+    fn est_join<J: Join>(&mut self, j: &J) -> f64 {
         let mut cost = 0.0;
-        let mut cards = std::mem::take(&mut p.cards);
+        let mut cards = std::mem::take(&mut self.cards);
         cards.clear();
-        for c in jucq.components() {
-            let e = self.est_ucq(c, p);
+        for c in j.components() {
+            let e = self.est_union(c);
             cost += e.cost + MATERIALIZE_WEIGHT * e.card;
             cards.push(e.card);
         }
@@ -147,26 +153,8 @@ impl<'s> CostModel<'s> {
             // the geometric-mean heuristic bounded by the smaller side.
             acc = (acc * c).sqrt().min(acc.max(c));
         }
-        p.cards = cards;
+        self.cards = cards;
         cost + join_card
-    }
-
-    fn est_juscq(&self, juscq: &JUSCQ, p: &mut Pricing) -> f64 {
-        let mut cost = 0.0;
-        let mut cards = std::mem::take(&mut p.cards);
-        cards.clear();
-        for c in juscq.components() {
-            let e = self.est_uscq(c, p);
-            cost += e.cost + MATERIALIZE_WEIGHT * e.card;
-            cards.push(e.card);
-        }
-        let mut acc = 1.0f64;
-        for &c in &cards {
-            cost += HASH_BUILD_WEIGHT * c + HASH_PROBE_WEIGHT * acc;
-            acc = (acc * c).sqrt().min(acc.max(c));
-        }
-        p.cards = cards;
-        cost
     }
 
     /// Cost a conjunction the way the executor runs it: the shared
@@ -179,21 +167,16 @@ impl<'s> CostModel<'s> {
     /// executor still probes every (row, atom) pair not yet witnessed —
     /// but leaves `rows_in × min(1, fan-out)` rows, so later steps and the
     /// union's dedup are priced on the rows that actually reach them.
-    fn est_conjunction<C: Conjunct>(
-        &self,
-        slots: &[C],
-        head: &[Term],
-        p: &mut Pricing,
-        degraded: bool,
-    ) -> Estimate {
+    fn est_conjunction<C: Conjunction>(&mut self, c: &C, degraded: bool) -> Estimate {
+        let (model, slots) = (self.model, c.body());
         if slots.is_empty() {
             return Estimate {
                 cost: 0.0,
                 card: 1.0,
             };
         }
-        let Pricing { scans, plan, .. } = p;
-        plan.plan(slots, head, self.stats, self.layout, self.strategy);
+        let Pricing { scans, plan, .. } = self;
+        plan.plan(slots, c.head(), model.stats, model.layout, model.strategy);
         let mut cost = 0.0;
         let mut card = 1.0f64;
         for (step, &estimate) in plan.steps.iter().zip(&plan.estimates) {
@@ -215,17 +198,12 @@ impl<'s> CostModel<'s> {
                     // and insert every tuple; probe once per current row.
                     let mut build_scan = 0.0;
                     for atom in atoms {
-                        let (key, atom_card) = match atom {
-                            Atom::Concept(c, _) => ((0u8, c.0), self.stats.concept_card(c.0)),
-                            Atom::Role(r, _, _) => ((1u8, r.0), self.stats.role_card(r.0)),
+                        let atom_card = match atom {
+                            Atom::Concept(c, _) => model.stats.concept_card(c.0),
+                            Atom::Role(r, _, _) => model.stats.role_card(r.0),
                         };
-                        let factor = if scans.count(key) > 0 {
-                            self.rescan_discount
-                        } else {
-                            1.0
-                        };
-                        build_scan += scan_cost(atom_card as f64, self.stats, self.layout) * factor;
-                        scans.bump(key);
+                        build_scan += scan_cost(atom_card as f64, model.stats, model.layout)
+                            * rescan(scans, atom, model.rescan_discount);
                     }
                     cost += build_scan + HASH_BUILD_WEIGHT * build_rows + HASH_PROBE_WEIGHT * card;
                     card *= step.fanout(mult);
@@ -235,14 +213,8 @@ impl<'s> CostModel<'s> {
                     // the rescan discount per table.
                     let mut scan_work = 0.0;
                     for atom in atoms {
-                        let key = match atom {
-                            Atom::Concept(c, _) => (0u8, c.0),
-                            Atom::Role(r, _, _) => (1u8, r.0),
-                        };
-                        let prior = scans.count(key);
-                        let factor = if prior > 0 { self.rescan_discount } else { 1.0 };
+                        let factor = rescan(scans, atom, model.rescan_discount);
                         scan_work += access / atoms.len() as f64 * factor;
-                        scans.bump(key);
                     }
                     cost += scan_work;
                     card *= step.fanout(mult);
@@ -265,30 +237,20 @@ struct Estimate {
     card: f64,
 }
 
-/// What pricing one statement works in: its scan tally and the buffers
-/// every arm reuses, so no arm allocates.
-#[derive(Default)]
-struct Pricing {
-    scans: ScanTracker,
-    plan: PlanBuf,
-    /// The component cardinalities of a JUCQ or JUSCQ.
-    cards: Vec<f64>,
-}
-
-/// Tracks table scan counts across a whole statement (for the rescan
-/// discount, shared across union arms like the executor's meter).
-#[derive(Default)]
-struct ScanTracker {
-    counts: FxHashMap<(u8, u32), u32>,
-}
-
-impl ScanTracker {
-    fn count(&self, key: (u8, u32)) -> u32 {
-        *self.counts.get(&key).unwrap_or(&0)
-    }
-
-    fn bump(&mut self, key: (u8, u32)) {
-        *self.counts.entry(key).or_insert(0) += 1;
+/// The cost factor of scanning `atom`'s table: `discount` when the
+/// statement scanned it before (in any union arm, like the executor's
+/// meter), else 1.
+fn rescan(scanned: &mut FxHashMap<(u8, u32), u32>, atom: &Atom, discount: f64) -> f64 {
+    let table = match atom {
+        Atom::Concept(c, _) => (0u8, c.0),
+        Atom::Role(r, _, _) => (1u8, r.0),
+    };
+    let scans = scanned.entry(table).or_insert(0u32);
+    *scans += 1;
+    if *scans == 1 {
+        1.0
+    } else {
+        discount
     }
 }
 
@@ -297,7 +259,7 @@ mod tests {
     use super::*;
     use crate::layout::testutil::small_abox;
     use obda_dllite::{ConceptId, RoleId};
-    use obda_query::VarId;
+    use obda_query::{Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
@@ -399,6 +361,31 @@ mod tests {
         let jucq = FolQuery::Jucq(JUCQ::new(vec![v(0)], vec![comp.clone(), comp.clone()]));
         let flat = FolQuery::Ucq(comp);
         assert!(model.estimate_fol(&jucq) > model.estimate_fol(&flat));
+    }
+
+    /// A JUSCQ is priced as the JUCQ it runs as: components materialized,
+    /// then hash-joined smallest first, then the final DISTINCT. The
+    /// larger component comes first here, so a chain priced in component
+    /// order would differ.
+    #[test]
+    fn juscq_is_priced_like_its_jucq() {
+        let st = stats();
+        let big = Atom::Role(RoleId(0), v(0), v(1)); // |r| = 3
+        let small = Atom::Concept(ConceptId(1), v(0)); // |C1| = 1
+        let ucq = |a| UCQ::single(CQ::with_var_head(vec![VarId(0)], vec![a]));
+        let scq = |a| SCQ::new(vec![v(0)], vec![Slot::single(a)]);
+        let uscq = |a| USCQ::new(vec![v(0)], vec![scq(a)]);
+        let jucq = FolQuery::Jucq(JUCQ::new(vec![v(0)], vec![ucq(big), ucq(small)]));
+        let juscq = FolQuery::Juscq(JUSCQ::new(vec![v(0)], vec![uscq(big), uscq(small)]));
+        let (pg, db2) = (EngineProfile::pg_like(), EngineProfile::db2_like());
+        for model in [
+            CostModel::rdbms(&st, LayoutKind::Simple, &pg),
+            CostModel::rdbms(&st, LayoutKind::Simple, &db2),
+            CostModel::ext(&st, LayoutKind::Simple),
+        ] {
+            let (got, want) = (model.estimate_fol(&juscq), model.estimate_fol(&jucq));
+            assert_eq!(got.to_bits(), want.to_bits(), "{}", model.model_name());
+        }
     }
 
     #[test]

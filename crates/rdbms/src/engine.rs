@@ -10,17 +10,17 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use obda_dllite::{ABox, AboxDelta, ConceptId, Extents, IndividualId, RoleId, Vocabulary};
-use obda_query::{FolQuery, Term, CQ};
+use obda_query::FolQuery;
 
 use crate::cost_model::CostModel;
-use crate::executor::{execute, prepare_plans, PreparedPlans, Row};
+use crate::executor::{execute, plan_each, prepare_plans, PreparedPlans, Row};
 use crate::layout::dph::DphStorage;
 use crate::layout::simple::SimpleStorage;
 use crate::layout::triple::TripleStorage;
 use crate::layout::{LayoutKind, Storage};
 use crate::meter::Meter;
 use crate::metrics::ExecMetrics;
-use crate::planner::{plan_conjunction, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy};
+use crate::planner::{ConjunctionPlan, ExecMode, JoinStrategy};
 use crate::profile::EngineProfile;
 use crate::sql::{SqlGenerator, SqlNames};
 use crate::sqlexec::{Backend, SqlError};
@@ -275,6 +275,12 @@ impl Engine {
         self.sql.generate(q)
     }
 
+    /// The length of [`Engine::sql_for`]'s text, counted without
+    /// building it.
+    pub fn sql_len(&self, q: &FolQuery) -> usize {
+        self.sql.sql_len(q)
+    }
+
     /// Evaluate a FOL query end to end: SQL translation (with the
     /// statement-size check), execution, metering — under the engine's
     /// configured join strategy.
@@ -320,16 +326,13 @@ impl Engine {
         opts: &EvalOptions<'_>,
     ) -> Result<QueryOutcome, EngineError> {
         // §6.3: a statement over the limit is rejected from its length
-        // alone — a cached length (`sql_bytes`) without regenerating the
-        // text it could never ship, a text before it is parsed.
-        let generated;
-        let (text, sql_bytes) = match (opts.sql_text, opts.sql_bytes) {
-            (Some(t), _) => (Some(t), t.len()),
-            (None, Some(n)) => (None, n),
-            (None, None) => {
-                generated = self.sql.generate(q);
-                (Some(generated.as_str()), generated.len())
-            }
+        // alone — a cached length (`sql_bytes`) or a counted one, without
+        // building the text it could never ship, a text before it is
+        // parsed.
+        let sql_bytes = match (opts.sql_text, opts.sql_bytes) {
+            (Some(t), _) => t.len(),
+            (None, Some(n)) => n,
+            (None, None) => self.sql.sql_len(q),
         };
         self.check_statement_size(sql_bytes)?;
         let strategy = opts.strategy.unwrap_or(self.join_strategy);
@@ -338,12 +341,12 @@ impl Engine {
             // Of `q` only the emptiness of its head is consulted (see
             // `sqlexec::lower`); stored plans describe `q`, not the
             // text, and are not replayed.
-            let regenerated;
-            let text = match text {
+            let generated;
+            let text = match opts.sql_text {
                 Some(t) => t,
                 None => {
-                    regenerated = self.sql.generate(q);
-                    &regenerated
+                    generated = self.sql.generate(q);
+                    &generated
                 }
             };
             let boolean = q.head().is_empty();
@@ -426,7 +429,7 @@ impl Engine {
     /// size limit estimate to infinity — they cannot run at all.
     pub fn explain(&self, q: &FolQuery) -> f64 {
         if let Some(limit) = self.profile.max_statement_bytes {
-            if self.sql.generate(q).len() > limit {
+            if self.sql.sql_len(q) > limit {
                 return f64::INFINITY;
             }
         }
@@ -435,58 +438,25 @@ impl Engine {
 
     /// The structured explain: per conjunction (CQ, SCQ, union arm, JUCQ
     /// component arm), the slot order and the physical operator chosen
-    /// for each step, with per-step cost and row estimates — the same
-    /// [`crate::planner::plan_conjunction`] the executor will follow, so the printed plan
-    /// is the plan that runs.
+    /// for each step, with per-step cost and row estimates — the plans
+    /// [`Engine::prepare`] makes for the executor, so the printed plan is
+    /// the plan that runs.
     pub fn explain_plan(&self, q: &FolQuery) -> ExplainPlan {
         let mut arms = Vec::new();
-        let mut add_cq = |label: String, cq: &CQ| {
-            arms.push(self.arm_plan(label, cq.atoms(), cq.head()));
-        };
-        match q {
-            FolQuery::Cq(cq) => add_cq("cq".into(), cq),
-            FolQuery::Ucq(ucq) => {
-                for (i, cq) in ucq.cqs().iter().enumerate() {
-                    add_cq(format!("arm{i}"), cq);
-                }
-            }
-            FolQuery::Scq(scq) => arms.push(self.arm_plan("scq".into(), scq.slots(), scq.head())),
-            FolQuery::Uscq(uscq) => {
-                for (i, scq) in uscq.scqs().iter().enumerate() {
-                    arms.push(self.arm_plan(format!("arm{i}"), scq.slots(), scq.head()));
-                }
-            }
-            FolQuery::Jucq(jucq) => {
-                for (ci, comp) in jucq.components().iter().enumerate() {
-                    for (i, cq) in comp.cqs().iter().enumerate() {
-                        add_cq(format!("c{ci}.arm{i}"), cq);
-                    }
-                }
-            }
-            FolQuery::Juscq(juscq) => {
-                for (ci, comp) in juscq.components().iter().enumerate() {
-                    for (i, scq) in comp.scqs().iter().enumerate() {
-                        arms.push(self.arm_plan(format!("c{ci}.arm{i}"), scq.slots(), scq.head()));
-                    }
-                }
-            }
-        }
+        let (stats, layout) = (self.storage.stats(), self.storage.layout());
+        plan_each(q, stats, layout, self.join_strategy, |place, plan| {
+            let label = match place {
+                (Some(c), Some(i)) => format!("c{c}.arm{i}"),
+                (None, Some(i)) => format!("arm{i}"),
+                _ => q.dialect().to_ascii_lowercase(),
+            };
+            arms.push(ArmPlan { label, plan });
+        });
         ExplainPlan {
             strategy: self.join_strategy,
             total_cost: self.explain(q),
             arms,
         }
-    }
-
-    fn arm_plan<C: Conjunct>(&self, label: String, slots: &[C], head: &[Term]) -> ArmPlan {
-        let plan = plan_conjunction(
-            slots,
-            head,
-            self.storage.stats(),
-            self.storage.layout(),
-            self.join_strategy,
-        );
-        ArmPlan { label, plan }
     }
 
     /// The engine-side cost model (profile quirks included), pricing

@@ -1,14 +1,17 @@
 //! The query executor: evaluates any Table-4 dialect over a [`Storage`].
 //!
-//! [`execute`] is its one entry point. Execution strategy mirrors what the
-//! paper's SQL translations make the RDBMS do:
+//! [`execute`] is its one entry point. It walks a query once per shape
+//! (conjunction, union, join) through `obda_query`'s shape traits and
+//! [`FolQuery::visit`], as [`prepare_plans`] does, and replays the plans
+//! that walk made. Execution strategy mirrors what the paper's SQL
+//! translations make the RDBMS do:
 //!
 //! * each CQ (or SCQ) runs as a left-deep pipeline of columnar batches
 //!   ([`crate::columnar`]) whose steps are either **index-nested-loop**
 //!   probes or **hash joins** (build the slot's extension once, probe per
 //!   intermediate row), as chosen per step by the planner's
 //!   [`JoinStrategy`]. A CQ runs over its atoms in place, an SCQ over its
-//!   slots: the pipeline is generic over the planner's [`Conjunct`];
+//!   slots: the pipeline is generic over [`obda_query::Conjunct`];
 //! * a step whose newly bound variables are all dead — read by neither
 //!   the head nor a later step — is an **existence step**
 //!   ([`crate::planner::PlanStep::exists`], decided by the planner): a
@@ -43,13 +46,11 @@
 
 use std::time::Instant;
 
-use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, SCQ, UCQ, USCQ};
+use obda_query::{Conjunction, FolQuery, Join, Term, Union, VarId, Visitor};
 
 use crate::layout::{LayoutKind, Storage};
 use crate::meter::Meter;
-use crate::planner::{
-    plan_conjunction, Conjunct, ConjunctionPlan, ExecMode, JoinStrategy, PlanBuf,
-};
+use crate::planner::{ConjunctionPlan, ExecMode, JoinStrategy, PlanBuf};
 use crate::rowset::RowSet;
 use crate::stats::CatalogStats;
 
@@ -98,61 +99,6 @@ pub(crate) fn fill_tuple(tuple: &mut [u32], srcs: &[HeadSrc], value: impl Fn(usi
     }
 }
 
-/// A conjunction the executor runs: a CQ over its atoms, or an SCQ over
-/// its slots.
-trait Conjunction: Sync {
-    type Conjunct: Conjunct;
-    fn body(&self) -> &[Self::Conjunct];
-    fn head(&self) -> &[Term];
-}
-
-impl Conjunction for CQ {
-    type Conjunct = Atom;
-    fn body(&self) -> &[Atom] {
-        self.atoms()
-    }
-    fn head(&self) -> &[Term] {
-        CQ::head(self)
-    }
-}
-
-impl Conjunction for SCQ {
-    type Conjunct = Slot;
-    fn body(&self) -> &[Slot] {
-        self.slots()
-    }
-    fn head(&self) -> &[Term] {
-        SCQ::head(self)
-    }
-}
-
-/// A union of conjunctions: a UCQ, or a USCQ.
-trait Union: Sync {
-    type Arm: Conjunction;
-    fn arms(&self) -> &[Self::Arm];
-    fn head(&self) -> &[Term];
-}
-
-impl Union for UCQ {
-    type Arm = CQ;
-    fn arms(&self) -> &[CQ] {
-        self.cqs()
-    }
-    fn head(&self) -> &[Term] {
-        UCQ::head(self)
-    }
-}
-
-impl Union for USCQ {
-    type Arm = SCQ;
-    fn arms(&self) -> &[SCQ] {
-        self.scqs()
-    }
-    fn head(&self) -> &[Term] {
-        USCQ::head(self)
-    }
-}
-
 /// The operator-annotated plans of every conjunction in a statement, in
 /// executor traversal order — the cacheable artifact of the serving
 /// layer's plan cache. Produced by [`prepare_plans`], replayed by
@@ -180,86 +126,79 @@ pub fn prepare_plans(
     layout: LayoutKind,
     strategy: JoinStrategy,
 ) -> PreparedPlans {
-    struct Prep<'a> {
+    let mut plans = Vec::new();
+    plan_each(q, stats, layout, strategy, |_, plan| {
+        if !plan.steps.is_empty() {
+            plans.push(plan);
+        }
+    });
+    PreparedPlans {
+        strategy,
+        mode: ExecMode::Batched,
+        plans,
+    }
+}
+
+/// Where a conjunction sits in its statement: its join component and its
+/// union arm, each `None` above that shape.
+pub(crate) type Place = (Option<usize>, Option<usize>);
+
+/// Plan every conjunction of `q` in executor traversal order, handing
+/// each plan to `f` with its place; an empty body plans no step.
+/// [`prepare_plans`] keeps the plans the executor replays and
+/// `Engine::explain_plan` prints them all, so EXPLAIN shows the plan that
+/// runs.
+pub(crate) fn plan_each(
+    q: &FolQuery,
+    stats: &CatalogStats,
+    layout: LayoutKind,
+    strategy: JoinStrategy,
+    f: impl FnMut(Place, ConjunctionPlan),
+) {
+    struct PlanEach<'a, F> {
         stats: &'a CatalogStats,
         layout: LayoutKind,
         strategy: JoinStrategy,
         buf: PlanBuf,
-        plans: Vec<ConjunctionPlan>,
+        place: Place,
+        f: F,
     }
-    impl Prep<'_> {
-        fn add<C: Conjunction>(&mut self, c: &C) {
-            if !c.body().is_empty() {
-                self.buf
-                    .plan(c.body(), c.head(), self.stats, self.layout, self.strategy);
-                self.plans.push(ConjunctionPlan {
-                    steps: self.buf.steps.to_vec(),
-                });
+    impl<F: FnMut(Place, ConjunctionPlan)> Visitor<'_> for PlanEach<'_, F> {
+        type Out = ();
+        fn conjunction<C: Conjunction>(&mut self, c: &C) {
+            self.buf
+                .plan(c.body(), c.head(), self.stats, self.layout, self.strategy);
+            let steps = self.buf.steps.to_vec();
+            (self.f)(self.place, ConjunctionPlan { steps });
+        }
+        fn union<U: Union>(&mut self, u: &U) {
+            for (i, arm) in u.arms().iter().enumerate() {
+                self.place.1 = Some(i);
+                self.conjunction(arm);
             }
         }
-        fn add_union<U: Union>(&mut self, u: &U) {
-            u.arms().iter().for_each(|a| self.add(a));
+        fn join<J: Join>(&mut self, j: &J) {
+            for (i, component) in j.components().iter().enumerate() {
+                self.place.0 = Some(i);
+                self.union(component);
+            }
         }
     }
-    let mut p = Prep {
+    q.visit(&mut PlanEach {
         stats,
         layout,
         strategy,
         buf: PlanBuf::default(),
-        plans: Vec::new(),
-    };
-    match q {
-        FolQuery::Cq(cq) => p.add(cq),
-        FolQuery::Scq(scq) => p.add(scq),
-        FolQuery::Ucq(ucq) => p.add_union(ucq),
-        FolQuery::Uscq(uscq) => p.add_union(uscq),
-        FolQuery::Jucq(jucq) => jucq.components().iter().for_each(|c| p.add_union(c)),
-        FolQuery::Juscq(juscq) => juscq.components().iter().for_each(|c| p.add_union(c)),
-    }
-    PreparedPlans {
-        strategy,
-        mode: ExecMode::Batched,
-        plans: p.plans,
-    }
-}
-
-/// Where each conjunction's plan comes from during one execution.
-#[derive(Clone, Copy)]
-enum PlanSource<'a> {
-    /// Plan on the fly.
-    Inline(JoinStrategy),
-    /// Replay stored plans in traversal order (the plan-cache hot path).
-    Stored {
-        plans: &'a [ConjunctionPlan],
-        next: usize,
-    },
-}
-
-impl<'a> PlanSource<'a> {
-    /// One source per parallel unit (union arm or join component), unit
-    /// `i` owning the next `counts[i]` stored plans.
-    fn split(&mut self, counts: impl Iterator<Item = usize>) -> Vec<PlanSource<'a>> {
-        match self {
-            PlanSource::Inline(strategy) => counts.map(|_| PlanSource::Inline(*strategy)).collect(),
-            PlanSource::Stored { plans, next } => counts
-                .map(|n| {
-                    let unit = &plans[*next..*next + n];
-                    *next += n;
-                    PlanSource::Stored {
-                        plans: unit,
-                        next: 0,
-                    }
-                })
-                .collect(),
-        }
-    }
+        place: (None, None),
+        f,
+    });
 }
 
 /// Evaluate any FOL query, returning the deduplicated result rows (one
 /// per head tuple). Conjunctions replay `prepared` when given — the plans
 /// must have been prepared for this exact query shape, and a shape
-/// mismatch panics rather than silently misplanning — and are planned
-/// under `strategy` otherwise.
+/// mismatch panics rather than silently misplanning — and otherwise the
+/// plans [`prepare_plans`] makes under `strategy`.
 ///
 /// With `threads > 1` the independent units of `q` fan out across up to
 /// `threads` OS threads: the arms of a top-level UCQ/USCQ, or the
@@ -280,30 +219,26 @@ pub fn execute(
     prepared: Option<&PreparedPlans>,
     threads: usize,
 ) -> Vec<Row> {
-    let mut source = match prepared {
-        Some(p) => PlanSource::Stored {
-            plans: &p.plans,
-            next: 0,
-        },
-        None => PlanSource::Inline(strategy),
+    let planned;
+    let plans = match prepared {
+        Some(p) => &p.plans,
+        None => {
+            planned = prepare_plans(q, storage.stats(), storage.layout(), strategy);
+            &planned.plans
+        }
     };
-    let src = &mut source;
-    let set = match q {
-        FolQuery::Cq(cq) => eval_conjunction(storage, cq, meter, src),
-        FolQuery::Scq(scq) => eval_conjunction(storage, scq, meter, src),
-        FolQuery::Ucq(ucq) => eval_union(storage, ucq, meter, src, threads, true),
-        FolQuery::Uscq(uscq) => eval_union(storage, uscq, meter, src, threads, true),
-        FolQuery::Jucq(j) => eval_join(storage, j.components(), j.head(), meter, src, threads),
-        FolQuery::Juscq(j) => eval_join(storage, j.components(), j.head(), meter, src, threads),
+    let mut exec = Exec {
+        storage,
+        meter,
+        plans,
+        threads,
     };
-    if let PlanSource::Stored { plans, next } = source {
-        assert_eq!(
-            next,
-            plans.len(),
-            "prepared plan count must match the query's conjunction count"
-        );
-    }
-    meter.metrics.output = set.len() as u64;
+    let set = q.visit(&mut exec);
+    assert!(
+        exec.plans.is_empty(),
+        "prepared plan count must match the query's conjunction count"
+    );
+    exec.meter.metrics.output = set.len() as u64;
     set.into_rows()
 }
 
@@ -339,100 +274,163 @@ fn fan_out<'e, T: Sync, R: Send>(
         .collect()
 }
 
-/// A union's rows: its arms' sets, each booked as inserted into the
-/// union (`on_hash_build`). `track_arms` is false when the union is a
-/// JUCQ component: arm metrics are a top-level-union contract (their
-/// deltas sum to the statement totals), and component work interleaves
-/// with materialize/join work that belongs to no arm. Arms fan out over
-/// `threads` workers when there is more than one.
-fn eval_union<U: Union>(
-    storage: &dyn Storage,
-    union: &U,
-    meter: &mut Meter,
-    source: &mut PlanSource,
+/// One execution's walk over a statement, or over one parallel unit of
+/// it (a union arm or a join component).
+struct Exec<'e, 'm, 'p> {
+    storage: &'e dyn Storage,
+    meter: &'e mut Meter<'m>,
+    /// The plans of the conjunctions not yet run, in traversal order.
+    plans: &'p [ConjunctionPlan],
     threads: usize,
-    track_arms: bool,
-) -> RowSet {
-    let mut out = RowSet::new(union.head().len());
-    if threads <= 1 {
-        for arm in union.arms() {
-            if track_arms {
-                meter.begin_arm();
-            }
-            let rows = eval_conjunction(storage, arm, meter, source);
-            meter.on_hash_build(rows.len() as u64);
-            if track_arms {
-                meter.end_arm(rows.len() as u64);
-            }
-            out.extend(rows);
-        }
-        return out;
-    }
-    let sources = source.split(
-        union
-            .arms()
-            .iter()
-            .map(|a| usize::from(!a.body().is_empty())),
-    );
-    let profile = meter.profile();
-    let results = fan_out(union.arms(), threads, |i, arm| {
-        let arm_started = Instant::now();
-        let mut wm = Meter::new(profile);
-        let mut src = sources[i];
-        let rows = eval_conjunction(storage, arm, &mut wm, &mut src);
-        wm.on_hash_build(rows.len() as u64);
-        let mut delta = wm.metrics;
-        delta.output = rows.len() as u64;
-        delta.wall = arm_started.elapsed();
-        (rows, delta)
-    });
-    for (rows, delta) in results {
-        meter.merge_arm(delta);
-        out.extend(rows);
-    }
-    out
 }
 
-/// A JUCQ or JUSCQ: materialize each component, then join them. The
-/// components fan out over `threads` workers when there is more than one.
-fn eval_join<U: Union>(
-    storage: &dyn Storage,
-    components: &[U],
-    head: &[Term],
-    meter: &mut Meter,
-    source: &mut PlanSource,
-    threads: usize,
-) -> RowSet {
-    let relations: Vec<Relation> = if threads <= 1 {
-        components
-            .iter()
-            .map(|c| {
-                let set = eval_union(storage, c, meter, source, 1, false);
-                materialize(c.head(), set, meter)
-            })
-            .collect()
-    } else {
-        let sources = source.split(
+impl Visitor<'_> for Exec<'_, '_, '_> {
+    type Out = RowSet;
+
+    /// Evaluate one conjunction, projecting its head, through the batched
+    /// pipeline ([`crate::columnar::run_plan`]) under the plan prepared
+    /// for it.
+    fn conjunction<C: Conjunction>(&mut self, c: &C) -> RowSet {
+        let (body, head, storage) = (c.body(), c.head(), self.storage);
+        if body.is_empty() {
+            // Empty body: true, the empty tuple (constants in head allowed).
+            // No plan is consumed — prepare_plans skips empty conjunctions
+            // with the same rule, keeping the plans aligned.
+            let row: Option<Row> = head
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => Some(c.0),
+                    Term::Var(_) => None,
+                })
+                .collect();
+            let mut out = RowSet::new(head.len());
+            if let Some(r) = row {
+                self.meter.on_hash_build(1);
+                out.insert(&r);
+            }
+            return out;
+        }
+        let (plan, rest) = self
+            .plans
+            .split_first()
+            .expect("stored plans exhausted before the query's conjunctions");
+        self.plans = rest;
+        crate::columnar::run_plan(storage, body, head, plan, self.meter)
+    }
+
+    fn union<U: Union>(&mut self, u: &U) -> RowSet {
+        self.union_rows(u, true)
+    }
+
+    /// A JUCQ or JUSCQ: materialize each component, then join them. The
+    /// components fan out over `threads` workers when there is more than
+    /// one.
+    fn join<J: Join>(&mut self, j: &J) -> RowSet {
+        let components = j.components();
+        let relations: Vec<Relation> = if self.threads <= 1 {
             components
                 .iter()
-                .map(|c| c.arms().iter().filter(|a| !a.body().is_empty()).count()),
-        );
-        let profile = meter.profile();
-        let results = fan_out(components, threads, |i, c| {
-            let mut wm = Meter::new(profile);
-            let mut src = sources[i];
-            let set = eval_union(storage, c, &mut wm, &mut src, 1, false);
-            (materialize(c.head(), set, &mut wm), wm.metrics)
-        });
-        results
-            .into_iter()
-            .map(|(rel, delta)| {
-                meter.merge_unattributed(&delta);
-                rel
+                .map(|c| {
+                    let set = self.union_rows(c, false);
+                    materialize(c.head(), set, self.meter)
+                })
+                .collect()
+        } else {
+            let units = self.split(
+                components
+                    .iter()
+                    .map(|c| c.arms().iter().filter(|a| !a.body().is_empty()).count()),
+            );
+            let (storage, profile) = (self.storage, self.meter.profile());
+            let results = fan_out(components, self.threads, |i, c| {
+                let mut wm = Meter::new(profile);
+                let set = Exec::unit(storage, &mut wm, units[i]).union_rows(c, false);
+                (materialize(c.head(), set, &mut wm), wm.metrics)
+            });
+            results
+                .into_iter()
+                .map(|(rel, delta)| {
+                    self.meter.merge_unattributed(&delta);
+                    rel
+                })
+                .collect()
+        };
+        join_relations(relations, j.head(), self.meter)
+    }
+}
+
+impl<'e, 'm, 'p> Exec<'e, 'm, 'p> {
+    /// A sequential walk over one parallel unit, metered by `meter`.
+    fn unit(
+        storage: &'e dyn Storage,
+        meter: &'e mut Meter<'m>,
+        plans: &'p [ConjunctionPlan],
+    ) -> Self {
+        Exec {
+            storage,
+            meter,
+            plans,
+            threads: 1,
+        }
+    }
+
+    /// The plans of each parallel unit (union arm or join component),
+    /// unit `i` taking the next `counts[i]`.
+    fn split(&mut self, counts: impl Iterator<Item = usize>) -> Vec<&'p [ConjunctionPlan]> {
+        counts
+            .map(|n| {
+                let (unit, rest) = self.plans.split_at(n);
+                self.plans = rest;
+                unit
             })
             .collect()
-    };
-    join_relations(relations, head, meter)
+    }
+
+    /// A union's rows: its arms' sets, each booked as inserted into the
+    /// union (`on_hash_build`). `track_arms` is false when the union is a
+    /// JUCQ component: arm metrics are a top-level-union contract (their
+    /// deltas sum to the statement totals), and component work
+    /// interleaves with materialize/join work that belongs to no arm.
+    /// Arms fan out over `threads` workers when there is more than one.
+    fn union_rows<U: Union>(&mut self, union: &U, track_arms: bool) -> RowSet {
+        let mut out = RowSet::new(union.head().len());
+        if self.threads <= 1 {
+            for arm in union.arms() {
+                if track_arms {
+                    self.meter.begin_arm();
+                }
+                let rows = self.conjunction(arm);
+                self.meter.on_hash_build(rows.len() as u64);
+                if track_arms {
+                    self.meter.end_arm(rows.len() as u64);
+                }
+                out.extend(rows);
+            }
+            return out;
+        }
+        let units = self.split(
+            union
+                .arms()
+                .iter()
+                .map(|a| usize::from(!a.body().is_empty())),
+        );
+        let (storage, profile) = (self.storage, self.meter.profile());
+        let results = fan_out(union.arms(), self.threads, |i, arm| {
+            let arm_started = Instant::now();
+            let mut wm = Meter::new(profile);
+            let rows = Exec::unit(storage, &mut wm, units[i]).conjunction(arm);
+            wm.on_hash_build(rows.len() as u64);
+            let mut delta = wm.metrics;
+            delta.output = rows.len() as u64;
+            delta.wall = arm_started.elapsed();
+            (rows, delta)
+        });
+        for (rows, delta) in results {
+            self.meter.merge_arm(delta);
+            out.extend(rows);
+        }
+        out
+    }
 }
 
 /// Materialize a component result (the `WITH sqlN AS (SELECT DISTINCT …)`
@@ -440,52 +438,6 @@ fn eval_join<U: Union>(
 fn materialize<'q>(head: &'q [Term], rows: RowSet, meter: &mut Meter) -> Relation<'q> {
     meter.on_materialize(rows.len() as u64);
     Relation { head, rows }
-}
-
-/// Evaluate one conjunction, projecting its head, through the batched
-/// pipeline ([`crate::columnar::run_plan`]) under the plan the source
-/// gives: freshly chosen by the planner, or replayed from a stored plan.
-fn eval_conjunction<C: Conjunction>(
-    storage: &dyn Storage,
-    c: &C,
-    meter: &mut Meter,
-    source: &mut PlanSource,
-) -> RowSet {
-    let (body, head) = (c.body(), c.head());
-    if body.is_empty() {
-        // Empty body: true, the empty tuple (constants in head allowed).
-        // No plan is consumed — prepare_plans skips empty conjunctions
-        // with the same rule, keeping the stored-plan cursor aligned.
-        let row: Option<Row> = head
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Some(c.0),
-                Term::Var(_) => None,
-            })
-            .collect();
-        let mut out = RowSet::new(head.len());
-        if let Some(r) = row {
-            meter.on_hash_build(1);
-            out.insert(&r);
-        }
-        return out;
-    }
-    let inline_plan;
-    let plan: &ConjunctionPlan = match source {
-        PlanSource::Inline(strategy) => {
-            inline_plan =
-                plan_conjunction(body, head, storage.stats(), storage.layout(), *strategy);
-            &inline_plan
-        }
-        PlanSource::Stored { plans, next } => {
-            let plan = plans
-                .get(*next)
-                .expect("stored plans exhausted before the query's conjunctions");
-            *next += 1;
-            plan
-        }
-    };
-    crate::columnar::run_plan(storage, body, head, plan, meter)
 }
 
 // ---------------------------------------------------------------------
@@ -618,7 +570,7 @@ mod tests {
     use crate::layout::testutil::small_abox;
     use crate::profile::EngineProfile;
     use obda_dllite::{ConceptId, RoleId};
-    use obda_query::JUCQ;
+    use obda_query::{Atom, CQ, JUCQ, UCQ};
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use obda_query::{Atom, Slot, Term, VarId};
+use obda_query::{Atom, Conjunct, Term, VarId};
 
 use crate::layout::{LayoutKind, BATCH_SIZE};
 use crate::stats::CatalogStats;
@@ -81,25 +81,6 @@ impl VarSet {
     pub fn clear(&mut self) {
         self.bits = 0;
         self.spill.clear();
-    }
-}
-
-/// One conjunct of a conjunction the planner orders: a disjunctive
-/// [`Slot`], or a single [`Atom`] (a CQ's body plans in place, as its
-/// atoms' singleton slots would).
-pub trait Conjunct {
-    fn atoms(&self) -> &[Atom];
-}
-
-impl Conjunct for Slot {
-    fn atoms(&self) -> &[Atom] {
-        Slot::atoms(self)
-    }
-}
-
-impl Conjunct for Atom {
-    fn atoms(&self) -> &[Atom] {
-        std::slice::from_ref(self)
     }
 }
 
@@ -517,6 +498,7 @@ impl PlanBuf {
 mod tests {
     use super::*;
     use obda_dllite::{ABox, ConceptId, RoleId, Vocabulary};
+    use obda_query::Slot;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))

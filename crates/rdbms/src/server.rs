@@ -927,8 +927,14 @@ impl Server {
         };
         spans.plan = stage_started.elapsed();
         let stage_started = Instant::now();
-        let sql = snap.engine.sql_for(&chosen.fol);
-        let sql_bytes = sql.len();
+        // A native compile only counts the text (see above).
+        let (sql_bytes, sql) = match backend {
+            Backend::Native => (snap.engine.sql_len(&chosen.fol), None),
+            Backend::Sql => {
+                let sql = snap.engine.sql_for(&chosen.fol);
+                (sql.len(), Some(sql))
+            }
+        };
         spans.sqlgen = stage_started.elapsed();
         // Don't pin text that can never execute: a statement over the
         // profile's size limit is rejected from its *length* alone
@@ -938,7 +944,7 @@ impl Server {
             .profile()
             .max_statement_bytes
             .is_none_or(|limit| sql_bytes <= limit);
-        let sql = (matches!(backend, Backend::Sql) && within_limit).then_some(sql);
+        let sql = sql.filter(|_| within_limit);
         CompiledQuery {
             fol: chosen.fol,
             plans,

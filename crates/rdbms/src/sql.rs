@@ -2,11 +2,12 @@
 //!
 //! The native backend executes `FolQuery` values directly (the SQL
 //! backend reads this text back — [`crate::sqlexec`] — and must find
-//! the same query in it), but the SQL translation is generated for every
-//! statement either way because its *size* is operationally
-//! significant: DB2 rejects statements beyond ~2 MB, which
-//! is exactly how the Figure-3 failures arise ("The statement is too long
-//! or too complex. Current SQL statement size is 2,247,118"). On the
+//! the same query in it), but the translation's *size* matters on both:
+//! DB2 rejects statements beyond ~2 MB, which is exactly how the
+//! Figure-3 failures arise ("The statement is too long or too complex.
+//! Current SQL statement size is 2,247,118"). One renderer writes into a
+//! [`fmt::Write`] sink: a `String` for the text ([`SqlGenerator::generate`]),
+//! a byte counter for its length alone ([`SqlGenerator::sql_len`]). On the
 //! DB2RDF layout every atom compiles to a candidate-column `CASE` over the
 //! DPH/RPH tables (the layout hashes predicates into `k` column pairs), so
 //! reformulations multiply in length — §6.3's observation that the RDF
@@ -16,10 +17,10 @@
 //! JUCQs compile to the `WITH sqlN AS (…) SELECT DISTINCT …` shape of §3.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 use obda_dllite::{PredId, Vocabulary};
-use obda_query::{Atom, FolQuery, Slot, Term, VarId, CQ, JUCQ, JUSCQ, SCQ, UCQ, USCQ};
+use obda_query::{Atom, Conjunct, Conjunction, FolQuery, Join, Term, Union, VarId, Visitor};
 
 use crate::layout::dph::DPH_COLUMNS;
 use crate::layout::LayoutKind;
@@ -37,7 +38,13 @@ pub struct SqlNames {
 
 impl SqlNames {
     pub fn from_vocabulary(voc: &Vocabulary) -> Self {
-        let mut names = SqlNames {
+        let concepts = voc
+            .concept_ids()
+            .map(|c| (format!("c_{}", voc.concept_name(c)), PredId::Concept(c)));
+        let roles = voc
+            .role_ids()
+            .map(|r| (format!("r_{}", voc.role_name(r)), PredId::Role(r)));
+        SqlNames {
             concepts: voc
                 .concept_ids()
                 .map(|c| voc.concept_name(c).to_owned())
@@ -46,15 +53,8 @@ impl SqlNames {
                 .role_ids()
                 .map(|r| voc.role_name(r).to_owned())
                 .collect(),
-            tables: HashMap::new(),
-        };
-        for c in voc.concept_ids() {
-            names.tables.insert(names.concept(c.0), PredId::Concept(c));
+            tables: concepts.chain(roles).collect(),
         }
-        for r in voc.role_ids() {
-            names.tables.insert(names.role(r.0), PredId::Role(r));
-        }
-        names
     }
 
     /// The predicate stored in table `name` (`c_<name>` / `r_<name>`).
@@ -72,18 +72,17 @@ impl SqlNames {
         &self.roles
     }
 
-    fn concept(&self, id: u32) -> String {
-        self.concepts
-            .get(id as usize)
-            .map(|n| format!("c_{n}"))
-            .unwrap_or_else(|| format!("c_{id}"))
-    }
-
-    fn role(&self, id: u32) -> String {
-        self.roles
-            .get(id as usize)
-            .map(|n| format!("r_{n}"))
-            .unwrap_or_else(|| format!("r_{id}"))
+    /// Write the table of `atom`'s predicate: `c_<name>` / `r_<name>`,
+    /// or the id where the snapshot has no name for it.
+    fn write_table(&self, w: &mut impl fmt::Write, atom: &Atom) -> fmt::Result {
+        let (prefix, names, id) = match atom {
+            Atom::Concept(c, _) => ("c_", &self.concepts, c.0),
+            Atom::Role(r, _, _) => ("r_", &self.roles, r.0),
+        };
+        match names.get(id as usize) {
+            Some(name) => write!(w, "{prefix}{name}"),
+            None => write!(w, "{prefix}{id}"),
+        }
     }
 }
 
@@ -106,165 +105,256 @@ impl SqlGenerator {
         &self.names
     }
 
-    pub fn layout(&self) -> LayoutKind {
-        self.layout
-    }
-
     /// Render any dialect to SQL.
     pub fn generate(&self, q: &FolQuery) -> String {
-        match q {
-            FolQuery::Cq(cq) => self.cq_sql(cq),
-            FolQuery::Ucq(ucq) => self.ucq_sql(ucq),
-            FolQuery::Scq(scq) => self.scq_sql(scq),
-            FolQuery::Uscq(uscq) => self.uscq_sql(uscq),
-            FolQuery::Jucq(jucq) => self.jucq_sql(jucq),
-            FolQuery::Juscq(juscq) => self.juscq_sql(juscq),
-        }
-    }
-
-    // -- leaf table expressions ----------------------------------------
-
-    /// The FROM-clause source of one atom: plain table (simple layout),
-    /// predicate-filtered triple table, or the DPH candidate-column CASE.
-    fn atom_source(&self, atom: &Atom, alias: &str) -> (String, String, Option<String>) {
-        // Returns (source text, subject column, object column).
-        match self.layout {
-            LayoutKind::Simple => match atom {
-                Atom::Concept(c, _) => (
-                    format!("{} {alias}", self.names.concept(c.0)),
-                    "x".into(),
-                    None,
-                ),
-                Atom::Role(r, _, _) => (
-                    format!("{} {alias}", self.names.role(r.0)),
-                    "s".into(),
-                    Some("o".into()),
-                ),
-            },
-            LayoutKind::Triple => match atom {
-                Atom::Concept(c, _) => (
-                    format!(
-                        "(SELECT subj AS x FROM triples WHERE pred = {}) {alias}",
-                        c.0 * 2
-                    ),
-                    "x".into(),
-                    None,
-                ),
-                Atom::Role(r, _, _) => (
-                    format!(
-                        "(SELECT subj AS s, obj AS o FROM triples WHERE pred = {}) {alias}",
-                        r.0 * 2 + 1
-                    ),
-                    "s".into(),
-                    Some("o".into()),
-                ),
-            },
-            LayoutKind::Dph => match atom {
-                Atom::Concept(c, _) => (dph_concept_source(c.0, alias), "x".into(), None),
-                Atom::Role(r, _, _) => (dph_role_source(r.0, alias), "s".into(), Some("o".into())),
-            },
-        }
-    }
-
-    // -- dialect renderers ----------------------------------------------
-
-    fn cq_sql(&self, cq: &CQ) -> String {
-        self.conjunction_sql(
-            &cq.atoms()
-                .iter()
-                .map(|a| Slot::single(*a))
-                .collect::<Vec<_>>(),
-            cq.head(),
-        )
-    }
-
-    fn scq_sql(&self, scq: &SCQ) -> String {
-        self.conjunction_sql(scq.slots(), scq.head())
-    }
-
-    /// Conjunction of (possibly disjunctive) slots. Disjunctive slots are
-    /// inlined as UNION subqueries exposing canonical column names.
-    fn conjunction_sql(&self, slots: &[Slot], head: &[Term]) -> String {
-        let mut from: Vec<String> = Vec::new();
-        let mut wheres: Vec<String> = Vec::new();
-        // var → (alias, column) of first binding.
-        let mut var_site: Vec<(VarId, String)> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            let alias = format!("t{i}");
-            if slot.len() == 1 {
-                let (source, subj_col, obj_col) = self.atom_source(&slot.atoms()[0], &alias);
-                from.push(source);
-                let atom = &slot.atoms()[0];
-                let cols: Vec<&str> = match atom {
-                    Atom::Concept(..) => vec![subj_col.as_str()],
-                    Atom::Role(..) => {
-                        vec![subj_col.as_str(), obj_col.as_deref().unwrap_or("o")]
-                    }
-                };
-                for (t, col) in atom.terms().zip(cols) {
-                    let site = format!("{alias}.{col}");
-                    match t {
-                        Term::Const(k) => wheres.push(format!("{site} = {}", k.0)),
-                        Term::Var(v) => match var_site.iter().find(|(w, _)| *w == v) {
-                            Some((_, first)) => wheres.push(format!("{site} = {first}")),
-                            None => var_site.push((v, site)),
-                        },
-                    }
-                }
-            } else {
-                // Disjunctive slots expose one canonical column per
-                // shared variable (`v<id>`); constants and repeated
-                // variables are constrained inside each union arm, so the
-                // outer query binds by *variable* — the executor keys
-                // slot extensions the same way (arms may list the shared
-                // variables in different positional orders).
-                from.push(self.slot_union_source(slot, &alias));
-                for v in slot_var_order(slot) {
-                    let site = format!("{alias}.v{}", v.0);
-                    match var_site.iter().find(|(w, _)| *w == v) {
-                        Some((_, first)) => wheres.push(format!("{site} = {first}")),
-                        None => var_site.push((v, site)),
-                    }
-                }
-            }
-        }
-        let select: Vec<String> = head
-            .iter()
-            .enumerate()
-            .map(|(i, t)| match t {
-                Term::Const(k) => format!("{} AS h{i}", k.0),
-                Term::Var(v) => {
-                    let site = var_site
-                        .iter()
-                        .find(|(w, _)| w == v)
-                        .map(|(_, s)| s.clone())
-                        .unwrap_or_else(|| "NULL".into());
-                    format!("{site} AS h{i}")
-                }
-            })
-            .collect();
         let mut sql = String::new();
-        let _ = write!(
-            sql,
-            "SELECT DISTINCT {}",
-            if select.is_empty() {
-                "1 AS t".to_owned()
-            } else {
-                select.join(", ")
-            },
-        );
-        // An empty body (no slots) is the always-true conjunction: a
-        // FROM-less SELECT over the implicit single row, like the
-        // executor's empty-tuple result.
-        if !from.is_empty() {
-            let _ = write!(sql, " FROM {}", from.join(", "));
-        }
-        if !wheres.is_empty() {
-            let _ = write!(sql, " WHERE {}", wheres.join(" AND "));
-        }
+        self.render(q, &mut sql);
         sql
     }
 
+    /// The length in bytes of [`SqlGenerator::generate`]'s text: the same
+    /// renderer, writing into a counter instead of a string.
+    pub fn sql_len(&self, q: &FolQuery) -> usize {
+        let mut bytes = ByteCount(0);
+        self.render(q, &mut bytes);
+        bytes.0
+    }
+
+    fn render(&self, q: &FolQuery, w: &mut impl fmt::Write) {
+        q.visit(&mut Render { gen: self, w })
+            .expect("a String or a byte count takes every write");
+    }
+
+    /// Write the FROM-clause source of one atom: plain table (simple
+    /// layout), predicate-filtered triple table, or the DPH
+    /// candidate-column CASE, exposing [`columns`]`(atom)`.
+    fn write_source(
+        &self,
+        w: &mut impl fmt::Write,
+        atom: &Atom,
+        alias: impl fmt::Display,
+    ) -> fmt::Result {
+        match (self.layout, atom) {
+            (LayoutKind::Simple, _) => {
+                self.names.write_table(w, atom)?;
+                write!(w, " {alias}")
+            }
+            (LayoutKind::Triple, Atom::Concept(c, _)) => write!(
+                w,
+                "(SELECT subj AS x FROM triples WHERE pred = {}) {alias}",
+                c.0 * 2
+            ),
+            (LayoutKind::Triple, Atom::Role(r, _, _)) => write!(
+                w,
+                "(SELECT subj AS s, obj AS o FROM triples WHERE pred = {}) {alias}",
+                r.0 * 2 + 1
+            ),
+            (LayoutKind::Dph, Atom::Concept(c, _)) => {
+                w.write_str("(SELECT entity AS x FROM dph WHERE ")?;
+                write_dph_preds(w, c.0 * 2)?;
+                write!(w, ") {alias}")
+            }
+            (LayoutKind::Dph, Atom::Role(r, _, _)) => write_dph_role(w, r.0 * 2 + 1, alias),
+        }
+    }
+}
+
+/// A [`fmt::Write`] sink that keeps only the length of what it is given.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// A column a term is read from: an atom's own column in slot `i`
+/// (`t<i>.x`, `.s`, `.o`), a disjunctive slot's variable column
+/// (`t<i>.v<id>`), a join component's head position (`sql<i>.h<j>`), or
+/// a column of a disjunctive slot's union arm (`u.x`, `.s`, `.o`).
+#[derive(Clone, Copy, PartialEq)]
+enum Site {
+    Col(usize, &'static str),
+    Var(usize, VarId),
+    Head(usize, usize),
+    Arm(&'static str),
+}
+
+impl fmt::Display for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Site::Col(i, col) => write!(f, "t{i}.{col}"),
+            Site::Var(i, v) => write!(f, "t{i}.v{}", v.0),
+            Site::Head(i, j) => write!(f, "sql{i}.h{j}"),
+            Site::Arm(col) => write!(f, "u.{col}"),
+        }
+    }
+}
+
+/// The columns an atom's source exposes, one per argument, with the
+/// term each carries.
+fn columns(atom: &Atom) -> impl Iterator<Item = (&'static str, Term)> + '_ {
+    let names: &[&str] = match atom {
+        Atom::Concept(..) => &["x"],
+        Atom::Role(..) => &["s", "o"],
+    };
+    names.iter().copied().zip(atom.terms())
+}
+
+/// The sites slot `i` binds, with the term each carries: a single atom's
+/// own columns, or a disjunctive slot's one column per shared variable.
+/// Either way there are at most two.
+fn slot_sites(i: usize, atoms: &[Atom]) -> impl Iterator<Item = (Site, Term)> {
+    let mut sites = [None, None];
+    if let [atom] = atoms {
+        for (k, (col, t)) in columns(atom).enumerate() {
+            sites[k] = Some((Site::Col(i, col), t));
+        }
+    } else {
+        for (k, v) in slot_var_order(&atoms[0]).enumerate() {
+            sites[k] = Some((Site::Var(i, v), Term::Var(v)));
+        }
+    }
+    sites.into_iter().flatten()
+}
+
+/// The first of `sites` that binds `v`: where the query reads it, and
+/// what every later site of `v` is equated with.
+fn first_site(mut sites: impl Iterator<Item = (Site, Term)>, v: VarId) -> Option<Site> {
+    sites
+        .find(|&(_, t)| t == Term::Var(v))
+        .map(|(site, _)| site)
+}
+
+/// `SELECT DISTINCT` and the head: each variable read at its first site
+/// (`NULL` where none binds it), each constant as a literal, position
+/// `i` named `h<i>` when `named`. An empty head selects the marker `1`.
+fn write_select<I: Iterator<Item = (Site, Term)>>(
+    w: &mut impl fmt::Write,
+    head: &[Term],
+    sites: impl Fn() -> I,
+    named: bool,
+) -> fmt::Result {
+    w.write_str("SELECT DISTINCT ")?;
+    if head.is_empty() {
+        w.write_str(if named { "1 AS t" } else { "1" })?;
+    }
+    for (i, t) in head.iter().enumerate() {
+        if i > 0 {
+            w.write_str(", ")?;
+        }
+        match *t {
+            Term::Const(k) => write!(w, "{}", k.0)?,
+            Term::Var(v) => match first_site(sites(), v) {
+                Some(site) => write!(w, "{site}")?,
+                None => w.write_str("NULL")?,
+            },
+        }
+        if named {
+            write!(w, " AS h{i}")?;
+        }
+    }
+    Ok(())
+}
+
+/// The `WHERE` clause of `sites`: a constant's site equals the
+/// constant, a variable's later sites equal its first.
+fn write_where<I: Iterator<Item = (Site, Term)>>(
+    w: &mut impl fmt::Write,
+    sites: impl Fn() -> I,
+) -> fmt::Result {
+    let mut lead = " WHERE ";
+    for (site, t) in sites() {
+        match t {
+            Term::Const(k) => write!(w, "{lead}{site} = {}", k.0)?,
+            Term::Var(v) => match first_site(sites(), v) {
+                Some(first) if first != site => write!(w, "{lead}{site} = {first}")?,
+                _ => continue,
+            },
+        }
+        lead = " AND ";
+    }
+    Ok(())
+}
+
+/// One statement's renderer: a conjunction, a union of them, or §3's
+/// `WITH … AS` join of unions, written into `w`.
+struct Render<'g, W> {
+    gen: &'g SqlGenerator,
+    w: W,
+}
+
+impl<W: fmt::Write> Visitor<'_> for Render<'_, W> {
+    type Out = fmt::Result;
+
+    /// Conjunction of (possibly disjunctive) slots. Disjunctive slots are
+    /// inlined as UNION subqueries exposing one canonical column per
+    /// shared variable (`v<id>`); constants and repeated variables are
+    /// constrained inside each union arm, so the outer query binds by
+    /// *variable* — the executor keys slot extensions the same way (arms
+    /// may list the shared variables in different positional orders).
+    fn conjunction<C: Conjunction>(&mut self, c: &C) -> fmt::Result {
+        let (body, w) = (c.body(), &mut self.w);
+        let sites = || {
+            body.iter()
+                .enumerate()
+                .flat_map(|(i, slot)| slot_sites(i, slot.atoms()))
+        };
+        write_select(w, c.head(), sites, true)?;
+        // An empty body (no slots) is the always-true conjunction: a
+        // FROM-less SELECT over the implicit single row, like the
+        // executor's empty-tuple result.
+        for (i, slot) in body.iter().enumerate() {
+            w.write_str(if i == 0 { " FROM " } else { ", " })?;
+            match slot.atoms() {
+                [atom] => self.gen.write_source(w, atom, format_args!("t{i}"))?,
+                atoms => self.gen.write_slot_union(w, atoms, i)?,
+            }
+        }
+        write_where(w, sites)
+    }
+
+    fn union<U: Union>(&mut self, u: &U) -> fmt::Result {
+        for (i, arm) in u.arms().iter().enumerate() {
+            if i > 0 {
+                self.w.write_str("\nUNION\n")?;
+            }
+            self.conjunction(arm)?;
+        }
+        Ok(())
+    }
+
+    /// The WITH … AS form of §3: join conditions on shared head
+    /// variables, projection of the head.
+    fn join<J: Join>(&mut self, j: &J) -> fmt::Result {
+        self.w.write_str("WITH ")?;
+        for (i, component) in j.components().iter().enumerate() {
+            if i > 0 {
+                self.w.write_str(", ")?;
+            }
+            write!(self.w, "sql{i} AS (\n")?;
+            self.union(component)?;
+            self.w.write_str("\n)")?;
+        }
+        let w = &mut self.w;
+        let sites = || {
+            j.components().iter().enumerate().flat_map(|(i, c)| {
+                let head = c.head().iter().enumerate();
+                head.filter(|(_, t)| t.as_var().is_some())
+                    .map(move |(k, &t)| (Site::Head(i, k), t))
+            })
+        };
+        w.write_str("\n")?;
+        write_select(w, j.head(), sites, false)?;
+        for i in 0..j.components().len() {
+            write!(w, "{}sql{i}", if i == 0 { " FROM " } else { ", " })?;
+        }
+        write_where(w, sites)
+    }
+}
+
+impl SqlGenerator {
     /// A disjunctive slot as an inline UNION exposing one aligned column
     /// per shared variable (`v<id>`, in [`slot_var_order`]). Each arm
     /// projects its own term positions onto those variable columns and
@@ -273,180 +363,52 @@ impl SqlGenerator {
     /// constants stay semantically aligned — running the generated SQL
     /// (the `sqlexec` backend) is what surfaced the earlier positional
     /// form as wrong.
-    fn slot_union_source(&self, slot: &Slot, alias: &str) -> String {
-        let order = slot_var_order(slot);
-        let arms: Vec<String> = slot
-            .atoms()
-            .iter()
-            .map(|a| {
-                let (src, s, o) = self.atom_source(a, "u");
-                let cols: Vec<String> = match a {
-                    Atom::Concept(..) => vec![format!("u.{s}")],
-                    Atom::Role(..) => vec![
-                        format!("u.{s}"),
-                        format!("u.{}", o.as_deref().unwrap_or("o")),
-                    ],
-                };
-                // First column of each variable, plus arm-local
-                // constraints (constants, repeated variables).
-                let mut bound: Vec<(VarId, usize)> = Vec::new();
-                let mut constraints: Vec<String> = Vec::new();
-                for (i, t) in a.terms().enumerate() {
-                    match t {
-                        Term::Const(k) => constraints.push(format!("{} = {}", cols[i], k.0)),
-                        Term::Var(v) => match bound.iter().find(|(w, _)| *w == v) {
-                            Some((_, first)) => {
-                                constraints.push(format!("{} = {}", cols[i], cols[*first]))
-                            }
-                            None => bound.push((v, i)),
-                        },
-                    }
-                }
-                // A fully-ground slot (empty shared variable set, e.g.
-                // `C(a) ∨ D(a)`) exposes only an existence marker.
-                let sel: Vec<String> = if order.is_empty() {
-                    vec!["1 AS t".to_owned()]
-                } else {
-                    order
-                        .iter()
-                        .map(|v| {
-                            let (_, i) = bound
-                                .iter()
-                                .find(|(w, _)| w == v)
-                                .expect("slot atoms share one variable set");
-                            format!("{} AS v{}", cols[*i], v.0)
-                        })
-                        .collect()
-                };
-                let mut arm = format!("SELECT {} FROM {src}", sel.join(", "));
-                if !constraints.is_empty() {
-                    let _ = write!(arm, " WHERE {}", constraints.join(" AND "));
-                }
-                arm
-            })
-            .collect();
-        format!("({}) {alias}", arms.join(" UNION "))
-    }
-
-    fn ucq_sql(&self, ucq: &UCQ) -> String {
-        ucq.cqs()
-            .iter()
-            .map(|cq| self.cq_sql(cq))
-            .collect::<Vec<_>>()
-            .join("\nUNION\n")
-    }
-
-    fn uscq_sql(&self, uscq: &USCQ) -> String {
-        uscq.scqs()
-            .iter()
-            .map(|scq| self.scq_sql(scq))
-            .collect::<Vec<_>>()
-            .join("\nUNION\n")
-    }
-
-    /// The WITH … AS form of §3.
-    fn jucq_sql(&self, jucq: &JUCQ) -> String {
-        let heads: Vec<Vec<Term>> = jucq
-            .components()
-            .iter()
-            .map(|c| c.head().to_vec())
-            .collect();
-        let bodies: Vec<String> = jucq.components().iter().map(|c| self.ucq_sql(c)).collect();
-        self.with_join_sql(jucq.head(), &heads, &bodies)
-    }
-
-    fn juscq_sql(&self, juscq: &JUSCQ) -> String {
-        let heads: Vec<Vec<Term>> = juscq
-            .components()
-            .iter()
-            .map(|c| c.head().to_vec())
-            .collect();
-        let bodies: Vec<String> = juscq
-            .components()
-            .iter()
-            .map(|c| self.uscq_sql(c))
-            .collect();
-        self.with_join_sql(juscq.head(), &heads, &bodies)
-    }
-
-    fn with_join_sql(&self, head: &[Term], comp_heads: &[Vec<Term>], bodies: &[String]) -> String {
-        let mut sql = String::from("WITH ");
-        for (i, body) in bodies.iter().enumerate() {
-            if i > 0 {
-                sql.push_str(", ");
+    fn write_slot_union(
+        &self,
+        w: &mut impl fmt::Write,
+        atoms: &[Atom],
+        slot: usize,
+    ) -> fmt::Result {
+        for (i, atom) in atoms.iter().enumerate() {
+            w.write_str(if i == 0 { "(SELECT " } else { " UNION SELECT " })?;
+            let sites = || columns(atom).map(|(col, t)| (Site::Arm(col), t));
+            // A fully-ground slot (empty shared variable set, e.g.
+            // `C(a) ∨ D(a)`) exposes only an existence marker.
+            let mut order = slot_var_order(&atoms[0]).peekable();
+            if order.peek().is_none() {
+                w.write_str("1 AS t")?;
             }
-            let _ = write!(sql, "sql{i} AS (\n{body}\n)");
-        }
-        // Join conditions on shared head variables; projection of head.
-        let mut var_site: Vec<(VarId, String)> = Vec::new();
-        let mut conds: Vec<String> = Vec::new();
-        for (i, chead) in comp_heads.iter().enumerate() {
-            for (j, t) in chead.iter().enumerate() {
-                if let Term::Var(v) = t {
-                    let site = format!("sql{i}.h{j}");
-                    match var_site.iter().find(|(w, _)| w == v) {
-                        Some((_, first)) => conds.push(format!("{site} = {first}")),
-                        None => var_site.push((*v, site)),
-                    }
-                }
+            for (k, v) in order.enumerate() {
+                let site = first_site(sites(), v).expect("slot atoms share one variable set");
+                write!(w, "{}{site} AS v{}", if k == 0 { "" } else { ", " }, v.0)?;
             }
+            w.write_str(" FROM ")?;
+            self.write_source(w, atom, "u")?;
+            write_where(w, sites)?;
         }
-        let select: Vec<String> = head
-            .iter()
-            .map(|t| match t {
-                Term::Const(k) => format!("{}", k.0),
-                Term::Var(v) => var_site
-                    .iter()
-                    .find(|(w, _)| w == v)
-                    .map(|(_, s)| s.clone())
-                    .unwrap_or_else(|| "NULL".into()),
-            })
-            .collect();
-        let from: Vec<String> = (0..bodies.len()).map(|i| format!("sql{i}")).collect();
-        let _ = write!(
-            sql,
-            "\nSELECT DISTINCT {}",
-            if select.is_empty() {
-                "1".to_owned()
-            } else {
-                select.join(", ")
-            },
-        );
-        if !from.is_empty() {
-            let _ = write!(sql, " FROM {}", from.join(", "));
-        }
-        if !conds.is_empty() {
-            let _ = write!(sql, " WHERE {}", conds.join(" AND "));
-        }
-        sql
+        write!(w, ") t{slot}")
     }
 }
 
 /// Canonical column order of a disjunctive slot: the shared variables in
-/// the *first* atom's positional order, deduplicated — the same order the
-/// executor appends a slot's new variables in.
-fn slot_var_order(slot: &Slot) -> Vec<VarId> {
-    let mut order = Vec::new();
-    for v in slot.atoms()[0].vars() {
-        if !order.contains(&v) {
-            order.push(v);
-        }
-    }
-    order
+/// its *first* atom's positional order, deduplicated — the same order
+/// the executor appends a slot's new variables in.
+fn slot_var_order(atom: &Atom) -> impl Iterator<Item = VarId> + '_ {
+    atom.vars()
+        .enumerate()
+        .filter(move |&(i, v)| !atom.vars().take(i).any(|w| w == v))
+        .map(|(_, v)| v)
 }
 
-/// DPH source of a concept atom: CASE over all candidate (pred, val)
-/// columns checking the type marker.
-fn dph_concept_source(concept: u32, alias: &str) -> String {
-    let code = concept * 2;
-    let mut preds = Vec::with_capacity(DPH_COLUMNS);
+/// The DPH filter of a predicate code: any candidate column holds it.
+fn write_dph_preds(w: &mut impl fmt::Write, code: u32) -> fmt::Result {
     for k in 0..DPH_COLUMNS {
-        preds.push(format!("pred{k} = {code}"));
+        if k > 0 {
+            w.write_str(" OR ")?;
+        }
+        write!(w, "pred{k} = {code}")?;
     }
-    format!(
-        "(SELECT entity AS x FROM dph WHERE {}) {alias}",
-        preds.join(" OR ")
-    )
+    Ok(())
 }
 
 /// DPH source of a role atom, following the DB2RDF translation shape \[9\]:
@@ -454,29 +416,29 @@ fn dph_concept_source(concept: u32, alias: &str) -> String {
 /// column's multi-value flag is set — through the spill/VALUES-table
 /// indirection. This per-atom block is what multiplies reformulated SQL
 /// into the megabytes (§6.3's "statement too long" failures).
-fn dph_role_source(role: u32, alias: &str) -> String {
-    let code = role * 2 + 1;
-    let mut cases = Vec::with_capacity(DPH_COLUMNS);
-    let mut preds = Vec::with_capacity(DPH_COLUMNS);
+fn write_dph_role(w: &mut impl fmt::Write, code: u32, alias: impl fmt::Display) -> fmt::Result {
+    w.write_str("(SELECT entity AS s, CASE ")?;
     for k in 0..DPH_COLUMNS {
-        cases.push(format!(
+        if k > 0 {
+            w.write_str(" ")?;
+        }
+        write!(
+            w,
             "WHEN pred{k} = {code} THEN CASE WHEN multi{k} = 1 THEN \
              (SELECT mv.val FROM dph_values mv WHERE mv.key = dph.val{k} AND mv.pred = {code}) \
              ELSE val{k} END"
-        ));
-        preds.push(format!("pred{k} = {code}"));
+        )?;
     }
-    format!(
-        "(SELECT entity AS s, CASE {} ELSE NULL END AS o FROM dph WHERE {}) {alias}",
-        cases.join(" "),
-        preds.join(" OR ")
-    )
+    w.write_str(" ELSE NULL END AS o FROM dph WHERE ")?;
+    write_dph_preds(w, code)?;
+    write!(w, ") {alias}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use obda_dllite::{ConceptId, RoleId};
+    use obda_query::{CQ, JUCQ, UCQ};
 
     fn names() -> SqlNames {
         let mut voc = Vocabulary::new();

@@ -344,12 +344,18 @@ impl Reference<'_> {
             .iter()
             .map(|e| e.cost + MATERIALIZE_WEIGHT * e.card)
             .sum();
+        let mut cards: Vec<f64> = comps.iter().map(|e| e.card).collect();
+        cards.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let mut acc = 1.0f64;
-        for e in &comps {
-            cost += HASH_BUILD_WEIGHT * e.card + HASH_PROBE_WEIGHT * acc;
-            acc = (acc * e.card).sqrt().min(acc.max(e.card));
+        for c in cards {
+            cost += HASH_BUILD_WEIGHT * c + HASH_PROBE_WEIGHT * acc;
+            acc = (acc * c).sqrt().min(acc.max(c));
         }
-        cost
+        cost + comps
+            .iter()
+            .map(|e| e.card)
+            .fold(f64::INFINITY, f64::min)
+            .max(0.0)
     }
 
     fn est_conjunction(

@@ -7,7 +7,8 @@
 //!   does not say which dialect printed it, so the comparison is up to
 //!   what the text cannot carry: a one-arm union reads back as a
 //!   conjunction, singleton slots as a CQ (whose constructor drops
-//!   repeated atoms), and repeated plain arms collapse.
+//!   repeated atoms), and repeated plain arms collapse. The length the
+//!   generator counts without building the text is the text's length.
 //! * **Mutation.** A generated statement with one token deleted, or two
 //!   swapped, is answered or refused with a typed error: never a panic,
 //!   whatever reaches the `CQ`/`UCQ`/`JUCQ`/`Slot` constructors and the
@@ -210,6 +211,7 @@ proptest! {
         for layout in ALL_LAYOUTS {
             let engine = Engine::load(&abox, &voc, layout, EngineProfile::pg_like());
             let sql = engine.sql_for(&q);
+            prop_assert_eq!(engine.sql_len(&q), sql.len(), "seed {} {:?}", seed, layout);
             let back = parse(&sql)
                 .and_then(|parsed| lower(&parsed, &names, q.head().is_empty()))
                 .unwrap_or_else(|e| panic!("seed {seed} {layout:?}: {e}\n{sql}"));

@@ -9,6 +9,8 @@
 //! * an end-to-end sweep over the 14 LUBM workload queries, reformulated
 //!   both via PerfectRef (UCQ) and via cover-based reformulation (JUCQ);
 //! * the metering audit: per-union-arm metrics sum to statement totals;
+//! * EXPLAIN's plans are the plans prepared for the executor, in every
+//!   dialect;
 //! * the performance guarantee behind the cost-chosen default: measured
 //!   work never exceeds forced-INL on the LUBM workload.
 //!
@@ -166,6 +168,44 @@ proptest! {
                     &q,
                     &out,
                     &format!("seed {seed} {layout:?} {}", strategy.name()),
+                );
+            }
+        }
+    }
+
+    /// EXPLAIN prints the plans that run: for random queries in every
+    /// dialect, under every layout and join strategy, the plans of
+    /// `explain_plan`'s non-empty arms are the plans `prepare_with`
+    /// stores for the executor, in order.
+    #[test]
+    fn explain_plan_prints_the_prepared_plans(seed in 0u64..1_000_000) {
+        let (voc, abox, q) = scenario(seed, &KbShape::default(), 4);
+        for layout in [LayoutKind::Simple, LayoutKind::Triple, LayoutKind::Dph] {
+            let engine = Engine::load(&abox, &voc, layout, EngineProfile::pg_like());
+            for strategy in ALL_STRATEGIES {
+                let explained: Vec<String> = engine
+                    .clone()
+                    .with_join_strategy(strategy)
+                    .explain_plan(&q)
+                    .arms
+                    .iter()
+                    .filter(|arm| !arm.plan.steps.is_empty())
+                    .map(|arm| format!("{:?}", arm.plan))
+                    .collect();
+                let prepared: Vec<String> = engine
+                    .prepare_with(&q, strategy)
+                    .plans
+                    .iter()
+                    .map(|plan| format!("{plan:?}"))
+                    .collect();
+                prop_assert_eq!(
+                    explained,
+                    prepared,
+                    "seed {} {:?} {}: {:?}",
+                    seed,
+                    layout,
+                    strategy.name(),
+                    q
                 );
             }
         }
